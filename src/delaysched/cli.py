@@ -30,19 +30,8 @@ from .schedmodel import Schedule, schedule_from_json, schedule_to_json
 @dataclass(frozen=True)
 class PipelineConfig:
     eta: float | None = None
-    seed: int | None = None
-    tol: float = lp.OPT_TOL
     skip_preprocess: bool = False
     emit_trace: bool = False
-    emit_gantt: bool = False
-
-    def echo(self) -> dict:
-        return {
-            "eta": self.eta,
-            "seed": self.seed,
-            "tol": self.tol,
-            "skip_preprocess": self.skip_preprocess,
-        }
 
 
 @dataclass
@@ -90,7 +79,7 @@ def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> Pipeli
         removed = filtered.removed_ids
 
     model = lp.build_relaxation(work)
-    sol = lp.solve_lp(model, tol=config.tol)
+    sol = lp.solve_lp(model)
     if sol.status != "optimal":
         raise PipelineError("lp", f"solver returned {sol.status}")
 
@@ -192,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser("solve", help="build and solve a relaxation")
     sv.add_argument("--input", required=True)
-    sv.add_argument("--tol", type=float, default=lp.OPT_TOL)
     sv.add_argument(
         "--relaxation",
         choices=["main", "same_machine", "time_indexed", "same_phase"],
@@ -207,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--output", help="schedule JSON path")
     sc.add_argument("--report", help="analysis report JSON path")
     sc.add_argument("--eta", type=float)
-    sc.add_argument("--tol", type=float, default=lp.OPT_TOL)
-    sc.add_argument("--seed", type=int)
     sc.add_argument("--skip-preprocess", action="store_true")
     sc.add_argument("--trace", help="JSONL trace path")
     sc.add_argument("--gantt", help="Gantt rows JSON path")
@@ -304,7 +290,7 @@ def _dispatch(args) -> int:
             model = build_alternate_relaxation(norm, args.relaxation, args.horizon)
         if args.export_lp:
             _write(lp.export_lp_text(model), args.export_lp)
-        sol = lp.solve_lp(model, tol=args.tol)
+        sol = lp.solve_lp(model)
         doc = {
             "relaxation": args.relaxation,
             "status": sol.status,
@@ -320,8 +306,6 @@ def _dispatch(args) -> int:
         inst = _read_instance(args.input)
         config = PipelineConfig(
             eta=args.eta,
-            seed=args.seed,
-            tol=args.tol,
             skip_preprocess=args.skip_preprocess,
             emit_trace=bool(args.trace),
         )

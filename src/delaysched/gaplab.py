@@ -15,7 +15,15 @@ import re
 from dataclasses import dataclass
 
 from .instance import TOL, Instance, transitive_predecessors, validate_instance
-from .lp import LpModel, LpSolution, _safe, build_relaxation, solve_lp
+from .lp import (
+    LpModel,
+    LpSolution,
+    _safe,
+    _scaffold,
+    _solution_from_values,
+    build_relaxation,
+    solve_lp,
+)
 
 _LAYER_RE = re.compile(r"^L(\d+)_j\d+$")
 
@@ -66,8 +74,6 @@ def gap_lp_certificate(inst: Instance, model: LpModel | None = None) -> LpSoluti
         values[model.var_names[idx]] = (L - layers[v]) * rho / L
     values[model.var_names[model.c_index]] = rho
     arr = [values[nm] for nm in model.var_names]
-    from .lp import _solution_from_values
-
     return _solution_from_values(model, arr, "feasible", rho)
 
 
@@ -89,15 +95,7 @@ def _same_machine_model(inst: Instance) -> LpModel:
     """Same-machine indicator program (unit-style execution/load rows)."""
     preds = transitive_predecessors(inst)
     rho = inst.rho
-    model = LpModel()
-    model.c_index = model.add_var("C")
-    for v in inst.jobs:
-        model.s_index[v.id] = model.add_var(f"S_{_safe(v.id)}")
-    for v in inst.jobs:
-        for mc in inst.machines:
-            model.x_index[(v.id, mc.id)] = model.add_var(
-                f"x_{_safe(v.id)}_{_safe(mc.id)}", 0.0, 1.0
-            )
+    model = _scaffold(inst)
     delta: dict[tuple[str, str, str], int] = {}
     for v in inst.jobs:
         for u in sorted(preds[v.id]):
@@ -105,7 +103,6 @@ def _same_machine_model(inst: Instance) -> LpModel:
                 delta[(u, v.id, mc.id)] = model.add_var(
                     f"d_{_safe(u)}_{_safe(v.id)}_{_safe(mc.id)}", 0.0, 1.0
                 )
-    model.objective = {model.c_index: 1.0}
     for v in inst.jobs:
         model.add_row(
             f"comp_{_safe(v.id)}",
@@ -215,20 +212,11 @@ def _same_phase_model(inst: Instance) -> LpModel:
     """Pairwise same-phase indicator program with speed-weighted phase row."""
     preds = transitive_predecessors(inst)
     rho = inst.rho
-    model = LpModel()
-    model.c_index = model.add_var("C")
-    for v in inst.jobs:
-        model.s_index[v.id] = model.add_var(f"S_{_safe(v.id)}")
-    for v in inst.jobs:
-        for mc in inst.machines:
-            model.x_index[(v.id, mc.id)] = model.add_var(
-                f"x_{_safe(v.id)}_{_safe(mc.id)}", 0.0, 1.0
-            )
+    model = _scaffold(inst)
     phi: dict[tuple[str, str], int] = {}
     for v in inst.jobs:
         for u in sorted(preds[v.id]):
             phi[(u, v.id)] = model.add_var(f"phi_{_safe(u)}_{_safe(v.id)}", 0.0, 1.0)
-    model.objective = {model.c_index: 1.0}
     for v in inst.jobs:
         model.add_row(
             f"mk_{_safe(v.id)}", {model.c_index: 1.0, model.s_index[v.id]: -1.0}, ">=", 0.0

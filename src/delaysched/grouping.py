@@ -9,7 +9,6 @@ start times in quarter-phase widths.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -143,15 +142,3 @@ def load_bound_check(inst: Instance, lp_sol: LpSolution, assignment: GroupAssign
     k_count = len(assignment.groups)
     bound = 4.0 * k_count * lp_sol.objective + 1e-6
     return {"measured": total, "bound": bound, "ok": total <= bound, "asserted": True}
-
-
-def grouping_diagnostics_json(inst, lp_sol, assignment) -> str:
-    """JSON report keyed by lemma-style check name with measured slack."""
-    doc = {
-        "band_bound": band_bound_check(inst, lp_sol, assignment),
-        "load_bound": load_bound_check(inst, lp_sol, assignment),
-        "capacity_monotonic": {"ok": capacity_monotonic(assignment)},
-        "r_max": max(assignment.bands.values(), default=1),
-        "group_count": len(assignment.groups),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

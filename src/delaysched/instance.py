@@ -8,8 +8,10 @@ All numeric comparisons use an additive tolerance of ``TOL``.
 from __future__ import annotations
 
 import json
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 TOL = 1e-9
 
@@ -53,18 +55,31 @@ class Instance:
     def machine_map(self) -> dict[str, Machine]:
         return {mc.id: mc for mc in self.machines}
 
+    # lookup maps built on first use; cached_property stores them in the
+    # instance __dict__, outside the dataclass fields, so they take no part
+    # in equality or hashing
+    @cached_property
+    def _sizes(self) -> dict[str, float]:
+        return {j.id: j.size for j in self.jobs}
+
+    @cached_property
+    def _speeds(self) -> dict[str, float]:
+        return {mc.id: mc.speed for mc in self.machines}
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        # reversed so a duplicated id maps to its first position
+        return {mc.id: pos for pos, mc in reversed(list(enumerate(self.machines, start=1)))}
+
     def size(self, job_id: str) -> float:
-        return self.job_map()[job_id].size
+        return self._sizes[job_id]
 
     def speed(self, machine_id: str) -> float:
-        return self.machine_map()[machine_id].speed
+        return self._speeds[machine_id]
 
     def machine_index(self, machine_id: str) -> int:
         """1-based position of a machine in the speed-sorted machine list."""
-        for pos, mc in enumerate(self.machines, start=1):
-            if mc.id == machine_id:
-                return pos
-        raise KeyError(machine_id)
+        return self._positions[machine_id]
 
     def successors(self) -> dict[str, list[str]]:
         succ: dict[str, list[str]] = {j.id: [] for j in self.jobs}
@@ -125,13 +140,23 @@ def validate_instance(inst: Instance) -> ValidationReport:
         bad.append("duplicate job ids")
     if len(set(mach_ids)) != len(mach_ids):
         bad.append("duplicate machine ids")
+    if not inst.jobs:
+        bad.append("no jobs")
+    if not inst.machines:
+        bad.append("no machines")
     for j in inst.jobs:
-        if not (j.size > 0):
+        if not math.isfinite(j.size):
+            bad.append(f"job {j.id}: size must be finite")
+        elif not (j.size > 0):
             bad.append(f"job {j.id}: size must be > 0")
     for mc in inst.machines:
-        if not (mc.speed > 0):
+        if not math.isfinite(mc.speed):
+            bad.append(f"machine {mc.id}: speed must be finite")
+        elif not (mc.speed > 0):
             bad.append(f"machine {mc.id}: speed must be > 0")
-    if inst.rho < 0:
+    if not math.isfinite(inst.rho):
+        bad.append("rho must be finite")
+    elif inst.rho < 0:
         bad.append("rho must be >= 0")
     for k in range(len(inst.machines) - 1):
         a, b = inst.machines[k], inst.machines[k + 1]

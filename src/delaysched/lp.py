@@ -5,8 +5,9 @@ z[u,v,i] for every transitive predecessor pair and machine, start times S[v],
 and the makespan C.  Machine indices follow nondecreasing speed order, which
 the delay and phase rows depend on.
 
-Solving uses a bundled dense simplex for small models and scipy's HiGHS
-backend for larger ones; both are deterministic for a fixed model.
+Every model is solved by scipy's HiGHS backend (``linprog(method="highs")``
+with presolve), which is deterministic for a fixed model; scipy is imported
+on the first solve, not at package import.
 """
 
 from __future__ import annotations
@@ -15,15 +16,9 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from . import _simplex
 from .instance import TOL, Instance, transitive_predecessors, validate_instance
 
 FEAS_TOL = 1e-6
-OPT_TOL = 1e-7
-
-# models at most this large go to the bundled simplex; the dense Bland
-# tableau stalls on bigger degenerate systems, which HiGHS handles
-_BUNDLED_MAX_CELLS = 5_000
 
 
 @dataclass
@@ -64,11 +59,26 @@ class LpSolution:
     x: dict[tuple[str, str], float] = field(default_factory=dict)
     z: dict[tuple[str, str, str], float] = field(default_factory=dict)
     start: dict[str, float] = field(default_factory=dict)
-    infeasible_row: str | None = None
 
 
 def _safe(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_]", "_", name)
+
+
+def _scaffold(inst: Instance) -> LpModel:
+    """Model minimizing C, with C, then S_v per job, then x_{v,i} per job and
+    machine; the relaxations append their own variables and rows after these."""
+    model = LpModel()
+    model.c_index = model.add_var("C")
+    for v in inst.jobs:
+        model.s_index[v.id] = model.add_var(f"S_{_safe(v.id)}")
+    for v in inst.jobs:
+        for mc in inst.machines:
+            model.x_index[(v.id, mc.id)] = model.add_var(
+                f"x_{_safe(v.id)}_{_safe(mc.id)}", 0.0, 1.0
+            )
+    model.objective = {model.c_index: 1.0}
+    return model
 
 
 def build_relaxation(inst: Instance, preds=None) -> LpModel:
@@ -82,16 +92,7 @@ def build_relaxation(inst: Instance, preds=None) -> LpModel:
         raise ValueError(f"invalid instance: {'; '.join(report.violations)}")
     preds = preds if preds is not None else transitive_predecessors(inst)
     rho = inst.rho
-    model = LpModel()
-
-    model.c_index = model.add_var("C")
-    for v in inst.jobs:
-        model.s_index[v.id] = model.add_var(f"S_{_safe(v.id)}")
-    for v in inst.jobs:
-        for mc in inst.machines:
-            model.x_index[(v.id, mc.id)] = model.add_var(
-                f"x_{_safe(v.id)}_{_safe(mc.id)}", 0.0, 1.0
-            )
+    model = _scaffold(inst)
     if rho > 0:
         for v in inst.jobs:
             for u in sorted(preds[v.id]):
@@ -100,7 +101,6 @@ def build_relaxation(inst: Instance, preds=None) -> LpModel:
                         f"z_{_safe(u)}_{_safe(v.id)}_{_safe(mc.id)}", 0.0, 1.0
                     )
 
-    model.objective = {model.c_index: 1.0}
     C = model.c_index
 
     for v in inst.jobs:
@@ -158,50 +158,22 @@ def build_relaxation(inst: Instance, preds=None) -> LpModel:
     return model
 
 
-def _solution_from_values(model: LpModel, values_arr, status, objective, cert=None):
+def _solution_from_values(model: LpModel, values_arr, status, objective):
     values = {name: float(values_arr[k]) for k, name in enumerate(model.var_names)}
     sol = LpSolution(values=values, objective=float(objective), status=status)
     sol.x = {key: values[model.var_names[idx]] for key, idx in model.x_index.items()}
     sol.z = {key: values[model.var_names[idx]] for key, idx in model.z_index.items()}
     sol.start = {key: values[model.var_names[idx]] for key, idx in model.s_index.items()}
-    sol.infeasible_row = cert
     return sol
 
 
-def solve_lp(model: LpModel, tol: float = OPT_TOL, max_iter: int | None = None, engine: str = "auto") -> LpSolution:
-    """Minimize the model objective; deterministic for identical models."""
-    if engine == "auto":
-        cells = (len(model.rows) + model.n_vars) * model.n_vars
-        if cells <= _BUNDLED_MAX_CELLS:
-            sol = _solve_bundled(model, tol, max_iter)
-            if sol.status == "optimal":
-                return sol
-        return _solve_highs(model, max_iter)
-    if engine == "bundled":
-        return _solve_bundled(model, tol, max_iter)
-    return _solve_highs(model, max_iter)
+def solve_lp(model: LpModel, max_iter: int | None = None) -> LpSolution:
+    """Minimize the model objective with HiGHS; deterministic for identical models.
 
-
-def _solve_bundled(model: LpModel, tol, max_iter) -> LpSolution:
-    rows = [(coeffs, sense, rhs) for _, coeffs, sense, rhs in model.rows]
-    for j, (lo, hi) in enumerate(model.bounds):
-        if hi != math.inf:
-            rows.append(({j: 1.0}, "<=", hi))
-        if lo != 0.0:
-            raise ValueError("bundled solver expects zero lower bounds")
-    status, x, obj, cert_row = _simplex.solve_dense(
-        model.objective, rows, model.n_vars, tol=tol, max_iter=max_iter
-    )
-    if status != _simplex.OPTIMAL:
-        cert = None
-        if cert_row is not None and cert_row < len(model.rows):
-            cert = model.rows[cert_row][0]
-        empty = [0.0] * model.n_vars
-        return _solution_from_values(model, empty, status, math.nan, cert)
-    return _solution_from_values(model, x, "optimal", obj)
-
-
-def _solve_highs(model: LpModel, max_iter) -> LpSolution:
+    Status is 'optimal', 'iteration-limit' (``max_iter`` reached) or
+    otherwise 'infeasible', with no certificate row.  Only an undersized time-indexed horizon makes a model
+    infeasible: a valid instance always embeds its serial schedule.
+    """
     import numpy as np
     from scipy import sparse
     from scipy.optimize import linprog
@@ -242,15 +214,8 @@ def _solve_highs(model: LpModel, max_iter) -> LpSolution:
     )
     if res.status == 0:
         return _solution_from_values(model, res.x, "optimal", res.fun)
-    if res.status == 1:
-        empty = [0.0] * n
-        return _solution_from_values(model, empty, "iteration-limit", math.nan)
-    # fall back to the bundled engine for an infeasibility certificate row
-    cert = None
-    if (len(model.rows) + n) * n <= _BUNDLED_MAX_CELLS:
-        return _solve_bundled(model, OPT_TOL, None)
-    empty = [0.0] * n
-    return _solution_from_values(model, empty, "infeasible", math.nan, cert)
+    status = "iteration-limit" if res.status == 1 else "infeasible"
+    return _solution_from_values(model, [0.0] * n, status, math.nan)
 
 
 def check_lp_feasibility(solution: LpSolution, model: LpModel, tol: float = FEAS_TOL):

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import delaysched
 
 from delaysched.cli import main, run_pipeline, PipelineConfig
 from delaysched import gen_random_dag, instance_to_json, instance_from_json
@@ -162,3 +168,25 @@ def test_gap_sweep_csv(tmp_path):
     assert run(["gap", "--sweep", "2,1;2,2", "--seed", "0", "--csv", str(csv_path)]) == 0
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("L,d,") and len(lines) == 3
+
+
+def test_nan_rho_exits_2_without_traceback(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(
+        '{"rho": NaN, "jobs": [{"id": "a", "size": 1.0}], '
+        '"machines": [{"id": "m0", "speed": 1.0}], "edges": []}'
+    )
+    assert run(["schedule", "--input", str(inst_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rho must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_import_loads_neither_scipy_nor_numpy():
+    # the CLI's cold start depends on scipy and numpy loading only at the first solve
+    src = str(Path(delaysched.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, delaysched; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

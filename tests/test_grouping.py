@@ -123,15 +123,3 @@ def test_lemma_checks_on_solved_corpus():
         assert capacity_monotonic(asg)
         assert band_bound_check(inst, sol, asg)["ok"]
         assert load_bound_check(inst, sol, asg)["ok"]
-
-
-def test_diagnostics_json_report_keys():
-    import json
-
-    from delaysched.grouping import grouping_diagnostics_json
-
-    inst, _ = normalize_instance(tiny_instance(1, n_max=4))
-    sol = solve_lp(build_relaxation(inst))
-    asg = assign_job_groups(inst, sol)
-    doc = json.loads(grouping_diagnostics_json(inst, sol, asg))
-    assert {"band_bound", "load_bound", "capacity_monotonic", "r_max"} <= set(doc)

@@ -46,6 +46,35 @@ def test_unsorted_machines_reported():
     assert any("sorted" in v for v in validate_instance(inst).violations)
 
 
+@pytest.mark.parametrize(
+    "jobs, machines, rho, expected",
+    [
+        ([Job("a", 1.0)], [Machine("m0", 1.0)], math.nan, "rho must be finite"),
+        ([Job("a", 1.0)], [Machine("m0", 1.0)], math.inf, "rho must be finite"),
+        ([Job("a", math.nan)], [Machine("m0", 1.0)], 1.0, "job a: size must be finite"),
+        ([Job("a", math.inf)], [Machine("m0", 1.0)], 1.0, "job a: size must be finite"),
+        ([Job("a", 1.0)], [Machine("m0", math.nan)], 1.0, "machine m0: speed must be finite"),
+        ([Job("a", 1.0)], [Machine("m0", -math.inf)], 1.0, "machine m0: speed must be finite"),
+        ([], [Machine("m0", 1.0)], 1.0, "no jobs"),
+        ([Job("a", 1.0)], [], 1.0, "no machines"),
+    ],
+)
+def test_bad_numbers_and_empty_sets_reported(jobs, machines, rho, expected):
+    inst = Instance(tuple(jobs), tuple(machines), (), rho)
+    assert expected in validate_instance(inst).violations
+
+
+def test_lookups_on_direct_instance_ignore_equality():
+    jobs = (Job("a", 2.0), Job("b", 3.0))
+    machines = (Machine("m0", 0.5), Machine("m1", 1.0))
+    inst = Instance(jobs, machines, (("a", "b"),), 1.0)
+    assert (inst.size("b"), inst.speed("m0"), inst.machine_index("m1")) == (3.0, 0.5, 2)
+    fresh = Instance(jobs, machines, (("a", "b"),), 1.0)
+    assert inst == fresh and hash(inst) == hash(fresh)
+    with pytest.raises(KeyError):
+        inst.machine_index("m9")
+
+
 def _paths_oracle(inst):
     """Independent predecessor oracle: DFS path existence from every node."""
     succ = inst.successors()

@@ -12,6 +12,7 @@ from delaysched import (
     check_lp_feasibility,
     embed_schedule_as_lp,
     exact_optimal_makespan,
+    gen_random_dag,
     make_instance,
     normalize_instance,
     solve_lp,
@@ -77,23 +78,53 @@ def test_feasibility_checker_flags_zero_point():
     assert any(name.startswith("c6_") for name in names)
 
 
-def test_solver_output_feasible_both_engines():
+def test_solver_output_feasible():
     for seed in (0, 4, 7):
         inst, _ = normalize_instance(tiny_instance(seed, n_max=4))
         model = build_relaxation(inst)
-        for engine in ("bundled", "highs"):
-            sol = solve_lp(model, engine=engine)
-            assert sol.status == "optimal"
-            assert not check_lp_feasibility(sol, model)
+        sol = solve_lp(model)
+        assert sol.status == "optimal"
+        assert not check_lp_feasibility(sol, model)
+
+
+def _dense_arrays(model):
+    """The model as dense linprog arrays, built independently of solve_lp."""
+    import numpy as np
+
+    n = model.n_vars
+    c = np.zeros(n)
+    for j, a in model.objective.items():
+        c[j] = a
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for _, coeffs, sense, rhs in model.rows:
+        row = np.zeros(n)
+        for j, a in coeffs.items():
+            row[j] = a
+        if sense == "=":
+            a_eq.append(row)
+            b_eq.append(rhs)
+        elif sense == "<=":
+            a_ub.append(row)
+            b_ub.append(rhs)
+        else:
+            a_ub.append(-row)
+            b_ub.append(-rhs)
+    bounds = [(lo, None if hi == math.inf else hi) for lo, hi in model.bounds]
+    return c, np.array(a_ub), np.array(b_ub), np.array(a_eq), np.array(b_eq), bounds
 
 
 def test_engines_agree():
+    """HiGHS dual simplex (solve_lp) against HiGHS interior point on the same LPs."""
+    from scipy.optimize import linprog
+
     for seed in (1, 5, 9):
         inst, _ = normalize_instance(tiny_instance(seed, n_max=5))
         model = build_relaxation(inst)
-        a = solve_lp(model, engine="bundled")
-        b = solve_lp(model, engine="highs")
-        assert a.objective == pytest.approx(b.objective, abs=1e-6)
+        c, a_ub, b_ub, a_eq, b_eq, bounds = _dense_arrays(model)
+        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+                      method="highs-ipm")
+        assert ref.status == 0
+        assert solve_lp(model).objective == pytest.approx(ref.fun, abs=1e-6)
 
 
 def test_solver_deterministic_bit_pattern():
@@ -105,20 +136,21 @@ def test_solver_deterministic_bit_pattern():
 
 
 def test_iteration_limit_status():
-    inst, _ = normalize_instance(tiny_instance(2, n_max=4))
-    model = build_relaxation(inst)
-    sol = solve_lp(model, max_iter=1, engine="bundled")
+    # presolve does not finish this model, so one simplex iteration is too few
+    inst, _ = normalize_instance(gen_random_dag(10, 3, 0.3, (1, 4), (0.25, 1), 4.0, 1))
+    sol = solve_lp(build_relaxation(inst), max_iter=1)
     assert sol.status == "iteration-limit"
+    assert math.isnan(sol.objective)
 
 
-def test_infeasible_with_certificate():
+def test_infeasible_status():
     model = LpModel()
     x = model.add_var("x", 0.0, 1.0)
     model.objective = {x: 1.0}
     model.add_row("force_two", {x: 1.0}, "=", 2.0)
-    sol = solve_lp(model, engine="bundled")
+    sol = solve_lp(model)
     assert sol.status == "infeasible"
-    assert sol.infeasible_row == "force_two"
+    assert math.isnan(sol.objective)
 
 
 def test_embed_single_job():

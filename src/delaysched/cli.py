@@ -419,7 +419,8 @@ def _dispatch(args) -> int:
             inst = _read_instance(args.input)
         else:
             if args.layers is None or args.degree is None:
-                raise SystemExit(1)
+                sys.stderr.write("error: gap needs --input, --sweep, or --layers with --degree\n")
+                return 1
             inst = gen_layered_gap(args.layers, args.degree, _seed(args))
         rep = measure_gap(inst, eta=args.eta)
         _write(rep.to_json(), args.output)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .instance import TOL, Instance, topological_order, transitive_predecessors
-from .schedmodel import Placement, Schedule, validate_schedule
+from .schedmodel import Placement, Schedule, phase_of, validate_schedule
 
 
 class DedupError(AssertionError):
@@ -34,7 +34,6 @@ class BallRegion:
 @dataclass
 class Round:
     assignments: dict[str, list[str]]  # machine id -> ordered job list
-    lead_delay: float
     start: float = 0.0
 
 
@@ -42,7 +41,6 @@ class Round:
 class DedupPlan:
     rounds: list[Round] = field(default_factory=list)
     marked: set[str] = field(default_factory=set)
-    blocked_spans: list[tuple[str, float, float]] = field(default_factory=list)
     ballgrow_stats: list[dict] = field(default_factory=list)
     bucket_count: int = 0
     fast_path: bool = False
@@ -154,23 +152,20 @@ def dedup_with_plan(inst: Instance, sched: Schedule) -> tuple[Schedule, DedupPla
     mu = duplication_width(inst.n)
 
     # Block jobs by the phase of their first start.
-    def phase_of(t: float) -> int:
-        return int(math.floor(t / rho + TOL))
-
     first_start: dict[str, float] = {}
     for p in sched.placements:
         if p.job not in first_start or p.start < first_start[p.job]:
             first_start[p.job] = p.start
     blocks: dict[int, set[str]] = {}
     for v, t in first_start.items():
-        blocks.setdefault(phase_of(t), set()).add(v)
+        blocks.setdefault(phase_of(t, rho), set()).add(v)
 
     # Copies of v inside its block's phase, and which span past the phase end.
     hosts: dict[str, set[str]] = {v: set() for v in first_start}
     for p in sched.placements:
-        if phase_of(p.start) == phase_of(first_start[p.job]):
+        if phase_of(p.start, rho) == phase_of(first_start[p.job], rho):
             hosts[p.job].add(p.machine)
-            if rho > 0 and p.end(inst) > (phase_of(p.start) + 1) * rho + TOL:
+            if p.end(inst) > (phase_of(p.start, rho) + 1) * rho + TOL:
                 plan.marked.add(p.job)
 
     placements: list[Placement] = []
@@ -179,15 +174,13 @@ def dedup_with_plan(inst: Instance, sched: Schedule) -> tuple[Schedule, DedupPla
     def run_round(assign: dict[str, list[str]]):
         nonlocal cursor
         start = cursor + rho
-        plan.rounds.append(Round(assignments=assign, lead_delay=rho, start=start))
+        plan.rounds.append(Round(assignments=assign, start=start))
         end = start
         for mid, jobs in assign.items():
             t = start
             for v in jobs:
                 placements.append(Placement(v, mid, t))
                 t += inst.size(v) / inst.speed(mid)
-            if plan.marked & set(jobs):
-                plan.blocked_spans.append((mid, start, t))
             end = max(end, t)
         cursor = end
 

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .instance import TOL, Instance, transitive_predecessors, validate_instance
+from .instance import TOL, Instance, transitive_predecessors
 from .lp import (
     LpModel,
     LpSolution,
@@ -65,23 +65,20 @@ def gap_lp_certificate(inst: Instance, model: LpModel | None = None) -> LpSoluti
     L = max(layers.values())
     m = inst.m
     rho = inst.rho
-    values = {nm: 0.0 for nm in model.var_names}
+    values = [0.0] * model.n_vars
     for (v, i), idx in model.x_index.items():
-        values[model.var_names[idx]] = 1.0 / m
+        values[idx] = 1.0 / m
     for (u, v, i), idx in model.z_index.items():
-        values[model.var_names[idx]] = inst.machine_index(i) / m
+        values[idx] = inst.machine_index(i) / m
     for v, idx in model.s_index.items():
-        values[model.var_names[idx]] = (L - layers[v]) * rho / L
-    values[model.var_names[model.c_index]] = rho
-    arr = [values[nm] for nm in model.var_names]
-    return _solution_from_values(model, arr, "feasible", rho)
+        values[idx] = (L - layers[v]) * rho / L
+    values[model.c_index] = rho
+    return _solution_from_values(model, values, "feasible", rho)
 
 
 def build_alternate_relaxation(inst: Instance, kind: str, horizon: int | None = None) -> LpModel:
     """Alternate programs: same_machine, time_indexed, or same_phase."""
-    report = validate_instance(inst)
-    if not report.ok:
-        raise ValueError(f"invalid instance: {'; '.join(report.violations)}")
+    transitive_predecessors(inst)  # raises ValueError on an invalid instance
     if kind == "same_machine":
         return _same_machine_model(inst)
     if kind == "time_indexed":
@@ -297,10 +294,9 @@ def measure_gap(inst: Instance, eta: float | None = None) -> GapReport:
         lp_source = "solved"
 
     result = run_pipeline(inst, PipelineConfig(eta=eta))
-    pipe_ms = result.report.makespan
+    pipe_ms = result.makespan  # original units, like the LP value and the baseline
     base_ms = makespan(inst, combinatorial_baseline(inst))
-    integral = min(x for x in (pipe_ms, base_ms) if x is not None)
-    ratio = integral / lp_value if lp_value > 0 else None
+    ratio = min(pipe_ms, base_ms) / lp_value if lp_value > 0 else None
     return GapReport(
         params={"n": inst.n, "m": inst.m, "rho": inst.rho},
         lp_value=lp_value,

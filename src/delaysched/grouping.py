@@ -113,9 +113,9 @@ def capacity_monotonic(assignment: GroupAssignment) -> bool:
     return all(a >= b - TOL for a, b in zip(caps, caps[1:]))
 
 
-def band_bound_check(inst: Instance, lp_sol: LpSolution, assignment: GroupAssignment, preds=None):
+def band_bound_check(inst: Instance, assignment: GroupAssignment):
     """Per-band predecessor mass of each job against 8*rho*gamma(kappa(v))."""
-    preds = preds if preds is not None else transitive_predecessors(inst)
+    preds = transitive_predecessors(inst)
     rho = inst.rho
     worst = -math.inf
     ok = True

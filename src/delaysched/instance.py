@@ -10,8 +10,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 TOL = 1e-9
 
@@ -49,15 +51,9 @@ class Instance:
     def m(self) -> int:
         return len(self.machines)
 
-    def job_map(self) -> dict[str, Job]:
-        return {j.id: j for j in self.jobs}
-
-    def machine_map(self) -> dict[str, Machine]:
-        return {mc.id: mc for mc in self.machines}
-
-    # lookup maps built on first use; cached_property stores them in the
-    # instance __dict__, outside the dataclass fields, so they take no part
-    # in equality or hashing
+    # lookup maps and the closure built on first use; cached_property stores
+    # them in the instance __dict__, outside the dataclass fields, so they take
+    # no part in equality or hashing
     @cached_property
     def _sizes(self) -> dict[str, float]:
         return {j.id: j.size for j in self.jobs}
@@ -70,6 +66,10 @@ class Instance:
     def _positions(self) -> dict[str, int]:
         # reversed so a duplicated id maps to its first position
         return {mc.id: pos for pos, mc in reversed(list(enumerate(self.machines, start=1)))}
+
+    @cached_property
+    def _closure(self) -> Mapping[str, frozenset[str]]:
+        return MappingProxyType(_build_closure(self))
 
     def size(self, job_id: str) -> float:
         return self._sizes[job_id]
@@ -212,8 +212,16 @@ def topological_order(inst: Instance, key=None) -> list[str]:
     return out
 
 
-def transitive_predecessors(inst: Instance) -> dict[str, frozenset[str]]:
-    """Exact transitive closure of the edge relation, keyed by job id."""
+def transitive_predecessors(inst: Instance) -> Mapping[str, frozenset[str]]:
+    """Exact transitive closure of the edge relation, keyed by job id.
+
+    Validated and built on the first call per instance; every call returns the
+    same read-only mapping.
+    """
+    return inst._closure
+
+
+def _build_closure(inst: Instance) -> dict[str, frozenset[str]]:
     report = validate_instance(inst)
     if not report.ok:
         raise ValueError(f"invalid instance: {'; '.join(report.violations)}")
@@ -372,6 +380,31 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _number(doc: dict, key: str, where: str) -> float:
+    value = _require(doc, key, where)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise CodecError(f"field '{key}' in {where} must be a number") from None
+
+
+def _array(doc: dict, key: str, where: str) -> list:
+    items = _require(doc, key, where)
+    if not isinstance(items, list):
+        raise CodecError(f"field '{key}' in {where} must be an array")
+    return items
+
+
+def _objects(doc: dict, key: str, where: str) -> list[tuple[str, dict]]:
+    """Entries of array field ``key``, each an object, with its location."""
+    out = []
+    for k, item in enumerate(_array(doc, key, where)):
+        if not isinstance(item, dict):
+            raise CodecError(f"{key}[{k}] must be an object")
+        out.append((f"{key}[{k}]", item))
+    return out
+
+
 def instance_to_json(inst: Instance) -> str:
     doc = {
         "rho": inst.rho,
@@ -389,18 +422,18 @@ def instance_from_json(text: str) -> Instance:
         raise CodecError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CodecError("instance document must be a JSON object")
-    rho = _require(doc, "rho", "instance document")
-    jobs = []
-    for k, item in enumerate(_require(doc, "jobs", "instance document")):
-        jobs.append(Job(str(_require(item, "id", f"jobs[{k}]")), float(_require(item, "size", f"jobs[{k}]"))))
-    machines = []
-    for k, item in enumerate(_require(doc, "machines", "instance document")):
-        machines.append(
-            Machine(str(_require(item, "id", f"machines[{k}]")), float(_require(item, "speed", f"machines[{k}]")))
-        )
+    rho = _number(doc, "rho", "instance document")
+    jobs = [
+        Job(str(_require(item, "id", at)), _number(item, "size", at))
+        for at, item in _objects(doc, "jobs", "instance document")
+    ]
+    machines = [
+        Machine(str(_require(item, "id", at)), _number(item, "speed", at))
+        for at, item in _objects(doc, "machines", "instance document")
+    ]
     edges = []
-    for k, pair in enumerate(_require(doc, "edges", "instance document")):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+    for k, pair in enumerate(_array(doc, "edges", "instance document")):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise CodecError(f"edges[{k}] must be a [from, to] pair")
         edges.append((str(pair[0]), str(pair[1])))
-    return Instance(tuple(jobs), tuple(machines), tuple(edges), float(rho))
+    return Instance(tuple(jobs), tuple(machines), tuple(edges), rho)

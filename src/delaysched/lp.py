@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .instance import TOL, Instance, transitive_predecessors, validate_instance
+from .instance import TOL, Instance, transitive_predecessors
 
 FEAS_TOL = 1e-6
 
@@ -51,9 +51,10 @@ class LpModel:
 @dataclass
 class LpSolution:
     """Variable assignment with objective; status 'feasible' marks constructed
-    (not solver-optimal) solutions such as embeddings and gap certificates."""
+    (not solver-optimal) solutions such as embeddings and gap certificates.
+    ``values`` is aligned with the model's ``var_names``."""
 
-    values: dict[str, float]
+    values: tuple[float, ...]
     objective: float
     status: str
     x: dict[tuple[str, str], float] = field(default_factory=dict)
@@ -81,16 +82,13 @@ def _scaffold(inst: Instance) -> LpModel:
     return model
 
 
-def build_relaxation(inst: Instance, preds=None) -> LpModel:
+def build_relaxation(inst: Instance) -> LpModel:
     """Instantiate the nine constraint families over a valid instance.
 
     With rho = 0 the same-phase machinery is vacuous: z variables and the
     delay/phase rows are omitted (the pipeline skips delay logic entirely).
     """
-    report = validate_instance(inst)
-    if not report.ok:
-        raise ValueError(f"invalid instance: {'; '.join(report.violations)}")
-    preds = preds if preds is not None else transitive_predecessors(inst)
+    preds = transitive_predecessors(inst)  # raises ValueError on an invalid instance
     rho = inst.rho
     model = _scaffold(inst)
     if rho > 0:
@@ -159,11 +157,11 @@ def build_relaxation(inst: Instance, preds=None) -> LpModel:
 
 
 def _solution_from_values(model: LpModel, values_arr, status, objective):
-    values = {name: float(values_arr[k]) for k, name in enumerate(model.var_names)}
+    values = tuple(float(a) for a in values_arr)
     sol = LpSolution(values=values, objective=float(objective), status=status)
-    sol.x = {key: values[model.var_names[idx]] for key, idx in model.x_index.items()}
-    sol.z = {key: values[model.var_names[idx]] for key, idx in model.z_index.items()}
-    sol.start = {key: values[model.var_names[idx]] for key, idx in model.s_index.items()}
+    sol.x = {key: values[idx] for key, idx in model.x_index.items()}
+    sol.z = {key: values[idx] for key, idx in model.z_index.items()}
+    sol.start = {key: values[idx] for key, idx in model.s_index.items()}
     return sol
 
 
@@ -220,11 +218,9 @@ def solve_lp(model: LpModel, max_iter: int | None = None) -> LpSolution:
 
 def check_lp_feasibility(solution: LpSolution, model: LpModel, tol: float = FEAS_TOL):
     """Every violated row or bound, as (name, residual) with residual < -tol."""
-    vals = solution.values
-    missing = [nm for nm in model.var_names if nm not in vals]
-    if missing:
-        raise ValueError(f"solution does not assign variable {missing[0]}")
-    arr = [vals[nm] for nm in model.var_names]
+    arr = solution.values
+    if len(arr) != model.n_vars:
+        raise ValueError(f"solution has {len(arr)} values for {model.n_vars} variables")
     out = []
     for name, coeffs, sense, rhs in model.rows:
         lhs = sum(a * arr[j] for j, a in coeffs.items())
@@ -249,7 +245,7 @@ def embed_schedule_as_lp(inst: Instance, sched, model: LpModel | None = None) ->
     makespan: phase-doubled starts, unit assignment to the first-completion
     machine, and 0/1 same-phase variables."""
     from .schedmodel import makespan as sched_makespan
-    from .schedmodel import validate_schedule
+    from .schedmodel import phase_of, validate_schedule
 
     report = validate_schedule(inst, sched)
     if not report.valid:
@@ -260,7 +256,7 @@ def embed_schedule_as_lp(inst: Instance, sched, model: LpModel | None = None) ->
     def doubled_start(p):
         if rho <= 0:
             return p.start
-        return p.start + math.floor(p.start / rho + TOL) * rho
+        return p.start + phase_of(p.start, rho) * rho
 
     first: dict[str, tuple[float, int, str]] = {}
     for p in sched.placements:
@@ -277,22 +273,20 @@ def embed_schedule_as_lp(inst: Instance, sched, model: LpModel | None = None) ->
             if p.job not in start_of or s2 < start_of[p.job]:
                 start_of[p.job] = s2
 
-    values = {nm: 0.0 for nm in model.var_names}
+    values = [0.0] * model.n_vars
     for (v, i), idx in model.x_index.items():
-        values[model.var_names[idx]] = 1.0 if i == star_machine[v] else 0.0
+        values[idx] = 1.0 if i == star_machine[v] else 0.0
     for v, idx in model.s_index.items():
-        values[model.var_names[idx]] = start_of[v]
+        values[idx] = start_of[v]
     for (u, v, i), idx in model.z_index.items():
         on = (
             inst.machine_index(i) >= inst.machine_index(star_machine[v])
             and start_of[v] - start_of[u] <= rho + TOL
         )
-        values[model.var_names[idx]] = 1.0 if on else 0.0
+        values[idx] = 1.0 if on else 0.0
     objective = 2.0 * sched_makespan(inst, sched)
-    values[model.var_names[model.c_index]] = objective
-
-    arr = [values[nm] for nm in model.var_names]
-    return _solution_from_values(model, arr, "feasible", objective)
+    values[model.c_index] = objective
+    return _solution_from_values(model, values, "feasible", objective)
 
 
 def export_lp_text(model: LpModel) -> str:

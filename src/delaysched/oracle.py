@@ -69,8 +69,7 @@ def exact_optimal_makespan(
 
     jobs = [j.id for j in inst.jobs]
     machines = [mc.id for mc in inst.machines]
-    size = {j.id: j.size for j in inst.jobs}
-    speed = {mc.id: mc.speed for mc in inst.machines}
+    size, speed = inst._sizes, inst._speeds
     direct_preds = inst.direct_predecessors()
     topo_pos = {v: k for k, v in enumerate(topological_order(inst))}
     rho = inst.rho
@@ -201,13 +200,9 @@ def combinatorial_baseline(inst: Instance) -> Schedule:
     Known to be badly suboptimal on chain-fan instances with one fast
     machine; kept as a comparison point, its output is always valid.
     """
-    report = validate_instance(inst)
-    if not report.ok:
-        raise ValueError(f"invalid instance: {'; '.join(report.violations)}")
+    tpreds = transitive_predecessors(inst)  # raises ValueError on an invalid instance
     rho = inst.rho
-    size = {j.id: j.size for j in inst.jobs}
-    speed = {mc.id: mc.speed for mc in inst.machines}
-    tpreds = transitive_predecessors(inst)
+    size, speed = inst._sizes, inst._speeds
     topo_pos = {v: k for k, v in enumerate(topological_order(inst))}
 
     clock = 0.0

@@ -11,11 +11,10 @@ insertion shifts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .instance import TOL, Instance, topological_order, validate_instance
-from .schedmodel import Placement, Schedule, validate_schedule
+from .schedmodel import Placement, Schedule, phase_of, validate_schedule
 
 
 @dataclass(frozen=True)
@@ -82,10 +81,8 @@ def _repack_through_virtual(inst, sched, slow, s_max, rho, topo_pos):
                 first_slow_start[p.job] = p.start
     phases: dict[int, list[str]] = {}
     for v, t in first_slow_start.items():
-        phases.setdefault(int(math.floor(t / rho + TOL)), []).append(v)
-    last_phase = max(
-        int(math.floor(p.start / rho + TOL)) for p in sched.placements
-    )
+        phases.setdefault(phase_of(t, rho), []).append(v)
+    last_phase = max(phase_of(p.start, rho) for p in sched.placements)
 
     step_start: dict[int, float] = {}
     t = 0.0
@@ -103,7 +100,7 @@ def _repack_through_virtual(inst, sched, slow, s_max, rho, topo_pos):
     for p in sched.placements:
         if p.machine in slow:
             continue
-        tau = int(math.floor(p.start / rho + TOL))
+        tau = phase_of(p.start, rho)
         placements.append(Placement(p.job, p.machine, step_start[tau] + p.start - tau * rho))
     return placements
 

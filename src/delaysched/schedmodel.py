@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .instance import TOL, CodecError, Instance, _require, transitive_predecessors
+from .instance import TOL, CodecError, Instance, _number, _objects, _require, transitive_predecessors
 
 LONG_FACTOR = 8.0  # a placement is long when its execution time exceeds 8*rho
 
@@ -39,9 +39,6 @@ class Schedule:
             lst.sort(key=lambda p: (p.start, p.job))
         return out
 
-    def copies(self, job: str) -> list[Placement]:
-        return [p for p in self.placements if p.job == job]
-
     def multiplicity(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for p in self.placements:
@@ -51,6 +48,11 @@ class Schedule:
 
 def makespan(inst: Instance, sched: Schedule) -> float:
     return max((p.end(inst) for p in sched.placements), default=0.0)
+
+
+def phase_of(t: float, rho: float) -> int:
+    """Index of the half-open phase [tau*rho, (tau+1)*rho) holding time t."""
+    return int(math.floor(t / rho + TOL))
 
 
 @dataclass(frozen=True)
@@ -67,13 +69,11 @@ def validate_schedule(inst: Instance, sched: Schedule) -> ScheduleReport:
     copy of u must complete on i by t, or on another machine by t - rho.
     """
     bad: list[str] = []
-    jobs = inst.job_map()
-    machs = inst.machine_map()
     placed_jobs = set()
     for p in sched.placements:
-        if p.job not in jobs:
+        if p.job not in inst._sizes:
             bad.append(f"unknown job {p.job}")
-        if p.machine not in machs:
+        if p.machine not in inst._speeds:
             bad.append(f"unknown machine {p.machine}")
         if p.start < -TOL:
             bad.append(f"negative start for {p.job} on {p.machine}")
@@ -142,10 +142,10 @@ def long_pairs(inst: Instance, sched: Schedule) -> list[Placement]:
     ]
 
 
-def build_chain(inst: Instance, sched: Schedule, preds=None) -> Chain:
+def build_chain(inst: Instance, sched: Schedule) -> Chain:
     """Chain of long placements linked through predecessors, plus the sets of
     jobs whose completions fall between consecutive links."""
-    preds = preds if preds is not None else transitive_predecessors(inst)
+    preds = transitive_predecessors(inst)
     pool = long_pairs(inst, sched)
     links: list[Placement] = []
     if pool:
@@ -265,11 +265,10 @@ def lemma_diagnostics(inst, lp_sol, assignment, sched, eta=None, strict=True):
 
     eta = eta if eta is not None else default_eta(inst.rho)
     rho = inst.rho
-    preds = transitive_predecessors(inst)
     c_lp = lp_sol.objective
     checks: dict[str, dict] = {}
 
-    checks["band_bound"] = band_bound_check(inst, lp_sol, assignment, preds)
+    checks["band_bound"] = band_bound_check(inst, assignment)
     checks["load_bound"] = load_bound_check(inst, lp_sol, assignment)
     checks["capacity_monotonic"] = {
         "ok": capacity_monotonic(assignment),
@@ -310,7 +309,7 @@ def lemma_diagnostics(inst, lp_sol, assignment, sched, eta=None, strict=True):
             long_ok = False
     checks["long_copy_group"] = {"ok": long_ok, "asserted": True}
 
-    chain = build_chain(inst, sched, preds)
+    chain = build_chain(inst, sched)
     labels = classify_phases(inst, sched, chain, assignment.groups) if rho > 0 else []
     counts = {lab: labels.count(lab) for lab in ("chain", "load", "height")}
 
@@ -330,12 +329,8 @@ def lemma_diagnostics(inst, lp_sol, assignment, sched, eta=None, strict=True):
         "asserted": False,
     }
 
-    cap_sum = 0.0
-    for g in assignment.groups:
-        work = assigned[g.index]
-        if work > 0:
-            cap_sum += work / (g.size * g.gamma)
-    load_bound_val = (2.0 * eta / rho) * cap_sum + 1 if rho > 0 else None
+    # the load bound's sum of assigned work over group capacity
+    load_bound_val = (2.0 * eta / rho) * checks["load_bound"]["measured"] + 1 if rho > 0 else None
     checks["load_phase_count"] = {
         "measured": counts.get("load", 0),
         "bound": load_bound_val,
@@ -390,15 +385,11 @@ def schedule_from_json(text: str) -> Schedule:
         raise CodecError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CodecError("schedule document must be a JSON object")
-    placements = []
-    for k, item in enumerate(_require(doc, "placements", "schedule document")):
-        placements.append(
-            Placement(
-                str(_require(item, "job", f"placements[{k}]")),
-                str(_require(item, "machine", f"placements[{k}]")),
-                float(_require(item, "start", f"placements[{k}]")),
-            )
-        )
+    placements = [
+        Placement(str(_require(item, "job", at)), str(_require(item, "machine", at)),
+                  _number(item, "start", at))
+        for at, item in _objects(doc, "placements", "schedule document")
+    ]
     return Schedule(tuple(placements))
 
 

@@ -46,7 +46,6 @@ def run_group_scheduler(
     assignment: GroupAssignment,
     eta: float,
     trace: list | None = None,
-    check_invariants: bool = True,
 ) -> Schedule:
     """Schedule every job, duplicating where the three conditions allow."""
     if eta < 1.0:
@@ -57,8 +56,7 @@ def run_group_scheduler(
 
     rho = inst.rho
     preds = transitive_predecessors(inst)
-    size = {j.id: j.size for j in inst.jobs}
-    speed = {mc.id: mc.speed for mc in inst.machines}
+    size, speed = inst._sizes, inst._speeds
     bands = assignment.bands
     topo_pos = {
         v: k
@@ -141,7 +139,7 @@ def run_group_scheduler(
                         trace.append(
                             {"event": "place", "job": u, "machine": i, "start": start}
                         )
-                    if check_invariants and abs(st.frontier[i] - max(st.clock, max_comp_on[i])) > TOL:
+                    if abs(st.frontier[i] - max(st.clock, max_comp_on[i])) > TOL:
                         raise SchedulerInvariantError(f"frontier drift on {i}")
                 st.placed |= set(batch)
 
@@ -159,19 +157,15 @@ def run_group_scheduler(
             st.frontier[mid] = max(st.frontier[mid], st.clock)
         if trace is not None:
             trace.append({"event": "sweep", "clock": st.clock})
-        if check_invariants:
-            assert_frontiers()
+        assert_frontiers()
 
-    if check_invariants:
-        # the clock walked a prefix of the final event set, in sorted order
-        ev = events()
-        hist = st.clock_history
-        if len(hist) > len(ev):
-            raise SchedulerInvariantError("clock advanced past the event set")
-        for want, got in zip(ev, hist):
-            if abs(want - got) > 10 * TOL:
-                raise SchedulerInvariantError(
-                    f"clock visited {got}, expected event {want}"
-                )
+    # the clock walked a prefix of the final event set, in sorted order
+    ev = events()
+    hist = st.clock_history
+    if len(hist) > len(ev):
+        raise SchedulerInvariantError("clock advanced past the event set")
+    for want, got in zip(ev, hist):
+        if abs(want - got) > 10 * TOL:
+            raise SchedulerInvariantError(f"clock visited {got}, expected event {want}")
 
     return Schedule(tuple(st.placements))

@@ -59,6 +59,12 @@ def test_usage_error_exit_code():
     assert exc.value.code == 1
 
 
+def test_gap_without_instance_prints_usage_error(capsys):
+    assert run(["gap"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--input" in err
+
+
 def test_preprocess_cli(tmp_path):
     inst_path = tmp_path / "inst.json"
     out_path = tmp_path / "filtered.json"
@@ -180,6 +186,23 @@ def test_nan_rho_exits_2_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "rho must be finite" in err
     assert "Traceback" not in err
+    # malformed documents are codec errors that name the field
+    good = {"rho": 1.0, "jobs": [{"id": "a", "size": 1.0}],
+            "machines": [{"id": "m0", "speed": 1.0}], "edges": []}
+    for key, value, field in [("rho", None, "'rho'"), ("jobs", [1], "jobs[0]"),
+                              ("machines", {"id": "m0"}, "'machines'")]:
+        inst_path.write_text(json.dumps({**good, key: value}))
+        assert run(["schedule", "--input", str(inst_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "Traceback" not in err
+    inst_path.write_text(json.dumps(good))
+    sched_path = tmp_path / "sched.json"
+    for placements, field in [([{"job": "a", "machine": "m0", "start": None}], "'start'"),
+                              ([1], "placements[0]"), ("a", "'placements'")]:
+        sched_path.write_text(json.dumps({"placements": placements}))
+        assert run(["validate", "--input", str(inst_path), "--schedule", str(sched_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "Traceback" not in err
 
 
 def test_import_loads_neither_scipy_nor_numpy():

@@ -7,7 +7,9 @@ from delaysched import (
     build_relaxation,
     check_lp_feasibility,
     gen_layered_gap,
+    gen_random_dag,
     make_instance,
+    run_pipeline,
     solve_lp,
 )
 from delaysched.gaplab import (
@@ -116,11 +118,21 @@ def test_measure_gap_layered_certificate():
     assert rep.ratio >= 1.0 - 1e-6
 
 
-def test_measure_gap_random_instance_fields():
-    inst = tiny_instance(11, n_max=5, m_max=2)
+@pytest.mark.parametrize(
+    "inst",
+    [
+        tiny_instance(11, n_max=5, m_max=2),
+        # normalization shrinks its times about ninefold: a makespan in
+        # normalized units would fall below half the LP value
+        gen_random_dag(8, 3, 0.3, (4, 8), (0.25, 0.5), 8.0, 1),
+    ],
+    ids=["tiny", "unnormalized"],
+)
+def test_measure_gap_random_instance_fields(inst):
     rep = measure_gap(inst)
     assert rep.lp_source == "solved"
-    assert rep.pipeline_makespan is not None
+    assert rep.pipeline_makespan == run_pipeline(inst).makespan
+    assert rep.pipeline_makespan >= rep.lp_value / 2
     assert rep.baseline_makespan is not None
     # the main relaxation lower-bounds twice the optimum
     integral = min(rep.pipeline_makespan, rep.baseline_makespan)

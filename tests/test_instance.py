@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,10 @@ def test_lookups_on_direct_instance_ignore_equality():
     machines = (Machine("m0", 0.5), Machine("m1", 1.0))
     inst = Instance(jobs, machines, (("a", "b"),), 1.0)
     assert (inst.size("b"), inst.speed("m0"), inst.machine_index("m1")) == (3.0, 0.5, 2)
+    preds = transitive_predecessors(inst)
+    assert transitive_predecessors(inst) is preds and preds["b"] == {"a"}
+    with pytest.raises(TypeError):
+        preds["b"] = frozenset()
     fresh = Instance(jobs, machines, (("a", "b"),), 1.0)
     assert inst == fresh and hash(inst) == hash(fresh)
     with pytest.raises(KeyError):
@@ -258,6 +263,31 @@ def test_codec_round_trip():
 def test_codec_missing_rho():
     with pytest.raises(CodecError, match="rho"):
         instance_from_json('{"jobs": [], "machines": [], "edges": []}')
+
+
+_GOOD_JOBS = '[{"id": "a", "size": 1.0}]'
+_GOOD_MACHINES = '[{"id": "m0", "speed": 1.0}]'
+
+
+@pytest.mark.parametrize(
+    "rho, jobs, machines, edges, field",
+    [
+        ("null", _GOOD_JOBS, _GOOD_MACHINES, "[]", "'rho' in instance document"),
+        ("1.0", '[{"id": "a", "size": null}]', _GOOD_MACHINES, "[]", "'size' in jobs[0]"),
+        ("1.0", _GOOD_JOBS, '[{"id": "m0", "speed": "fast"}]', "[]", "'speed' in machines[0]"),
+        ("1.0", "[1]", _GOOD_MACHINES, "[]", "jobs[0] must be an object"),
+        ("1.0", '{"a": 1.0}', _GOOD_MACHINES, "[]", "'jobs' in instance document must be an array"),
+        ("1.0", _GOOD_JOBS, "null", "[]", "'machines' in instance document must be an array"),
+        ("1.0", _GOOD_JOBS, _GOOD_MACHINES, '"ab"', "'edges' in instance document must be an array"),
+        ("1" + "0" * 400, _GOOD_JOBS, _GOOD_MACHINES, "[]", "'rho' in instance document"),
+    ],
+    ids=["null-rho", "null-size", "text-speed", "scalar-job", "object-jobs", "null-machines",
+         "text-edges", "huge-rho"],
+)
+def test_codec_rejects_malformed_fields(rho, jobs, machines, edges, field):
+    doc = f'{{"rho": {rho}, "jobs": {jobs}, "machines": {machines}, "edges": {edges}}}'
+    with pytest.raises(CodecError, match=re.escape(field)):
+        instance_from_json(doc)
 
 
 @settings(max_examples=60, deadline=None)

@@ -73,7 +73,7 @@ def test_solve_chain_single_machine():
 
 def test_feasibility_checker_flags_zero_point():
     model = build_relaxation(unit(1, 1, [], 1.0))
-    zero = LpSolution(values={nm: 0.0 for nm in model.var_names}, objective=0.0, status="feasible")
+    zero = LpSolution(values=(0.0,) * model.n_vars, objective=0.0, status="feasible")
     names = [name for name, _ in check_lp_feasibility(zero, model)]
     assert any(name.startswith("c6_") for name in names)
 
@@ -125,6 +125,22 @@ def test_engines_agree():
                       method="highs-ipm")
         assert ref.status == 0
         assert solve_lp(model).objective == pytest.approx(ref.fun, abs=1e-6)
+
+
+def test_solution_values_follow_indices_when_names_collide():
+    # "a-b" and "a_b" sanitize to the same variable names; values must still
+    # be read by index, not by name
+    inst = make_instance(
+        [Job("a-b", 1.0), Job("a_b", 3.0)],
+        [Machine("m0", 1.0), Machine("m1", 1.0)],
+        [("a-b", "a_b")],
+        2.0,
+    )
+    model = build_relaxation(inst)
+    assert len(set(model.var_names)) < model.n_vars
+    sol = solve_lp(model)
+    assert sol.start == {v: sol.values[idx] for v, idx in model.s_index.items()}
+    assert not check_lp_feasibility(sol, model)
 
 
 def test_solver_deterministic_bit_pattern():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -180,6 +181,20 @@ def test_schedule_codec_missing_field():
         schedule_from_json("{}")
     with pytest.raises(CodecError, match="start"):
         schedule_from_json('{"placements": [{"job": "a", "machine": "m0"}]}')
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ('{"placements": [{"job": "a", "machine": "m0", "start": null}]}', "'start' in placements[0]"),
+        ('{"placements": [1]}', "placements[0] must be an object"),
+        ('{"placements": "a"}', "'placements' in schedule document must be an array"),
+    ],
+    ids=["null-start", "scalar-placement", "text-placements"],
+)
+def test_schedule_codec_rejects_malformed_fields(doc, field):
+    with pytest.raises(CodecError, match=re.escape(field)):
+        schedule_from_json(doc)
 
 
 def test_gantt_rows_cover_all_machines():

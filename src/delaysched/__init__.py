@@ -26,7 +26,15 @@ from .instance import (
     transitive_predecessors,
     validate_instance,
 )
-from .lp import LpModel, LpSolution, build_relaxation, check_lp_feasibility, embed_schedule_as_lp, solve_lp
+from .lp import (
+    LpModel,
+    LpSolution,
+    build_relaxation,
+    check_lp_feasibility,
+    embed_schedule_as_lp,
+    solve_lp,
+    solve_relaxation,
+)
 from .oracle import OracleLimits, combinatorial_baseline, exact_optimal_makespan
 from .preprocess import filter_slow_machines, rehost_schedule
 from .schedmodel import (
@@ -87,6 +95,7 @@ __all__ = [
     "schedule_from_json",
     "schedule_to_json",
     "solve_lp",
+    "solve_relaxation",
     "transitive_predecessors",
     "validate_instance",
     "validate_schedule",

@@ -78,8 +78,7 @@ def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> Pipeli
         work = filtered.filtered
         removed = filtered.removed_ids
 
-    model = lp.build_relaxation(work)
-    sol = lp.solve_lp(model)
+    _, sol = lp.solve_relaxation(work)
     if sol.status != "optimal":
         raise PipelineError("lp", f"solver returned {sol.status}")
 
@@ -283,14 +282,17 @@ def _dispatch(args) -> int:
 
         norm, scale = normalize_instance(inst)
         if args.relaxation == "main":
-            model = lp.build_relaxation(norm)
+            # the export writes the full model; the solve generates pairs lazily
+            if args.export_lp:
+                _write(lp.export_lp_text(lp.build_relaxation(norm)), args.export_lp)
+            _, sol = lp.solve_relaxation(norm)
         else:
             from .gaplab import build_alternate_relaxation
 
             model = build_alternate_relaxation(norm, args.relaxation, args.horizon)
-        if args.export_lp:
-            _write(lp.export_lp_text(model), args.export_lp)
-        sol = lp.solve_lp(model)
+            if args.export_lp:
+                _write(lp.export_lp_text(model), args.export_lp)
+            sol = lp.solve_lp(model)
         doc = {
             "relaxation": args.relaxation,
             "status": sol.status,
@@ -344,8 +346,7 @@ def _dispatch(args) -> int:
                 for p in sched.placements
             )
         )
-        model = lp.build_relaxation(norm)
-        sol = lp.solve_lp(model)
+        _, sol = lp.solve_relaxation(norm)
         groups = grouping.partition_machine_groups(norm)
         assignment = grouping.assign_job_groups(norm, sol, groups)
         report = schedmodel.lemma_diagnostics(

@@ -22,7 +22,7 @@ from .lp import (
     _scaffold,
     _solution_from_values,
     build_relaxation,
-    solve_lp,
+    solve_relaxation,
 )
 
 _LAYER_RE = re.compile(r"^L(\d+)_j\d+$")
@@ -288,8 +288,7 @@ def measure_gap(inst: Instance, eta: float | None = None) -> GapReport:
         lp_value = float(inst.rho)
         lp_source = "certificate"
     except ValueError:
-        model = build_relaxation(inst)
-        sol = solve_lp(model)
+        _, sol = solve_relaxation(inst)
         lp_value = sol.objective
         lp_source = "solved"
 

@@ -388,6 +388,13 @@ def _number(doc: dict, key: str, where: str) -> float:
         raise CodecError(f"field '{key}' in {where} must be a number") from None
 
 
+def _string(doc: dict, key: str, where: str) -> str:
+    value = _require(doc, key, where)
+    if not isinstance(value, str):
+        raise CodecError(f"field '{key}' in {where} must be a string")
+    return value
+
+
 def _array(doc: dict, key: str, where: str) -> list:
     items = _require(doc, key, where)
     if not isinstance(items, list):
@@ -424,16 +431,19 @@ def instance_from_json(text: str) -> Instance:
         raise CodecError("instance document must be a JSON object")
     rho = _number(doc, "rho", "instance document")
     jobs = [
-        Job(str(_require(item, "id", at)), _number(item, "size", at))
+        Job(_string(item, "id", at), _number(item, "size", at))
         for at, item in _objects(doc, "jobs", "instance document")
     ]
     machines = [
-        Machine(str(_require(item, "id", at)), _number(item, "speed", at))
+        Machine(_string(item, "id", at), _number(item, "speed", at))
         for at, item in _objects(doc, "machines", "instance document")
     ]
     edges = []
     for k, pair in enumerate(_array(doc, "edges", "instance document")):
         if not isinstance(pair, list) or len(pair) != 2:
             raise CodecError(f"edges[{k}] must be a [from, to] pair")
-        edges.append((str(pair[0]), str(pair[1])))
+        for end, job_id in enumerate(pair):
+            if not isinstance(job_id, str):
+                raise CodecError(f"edges[{k}][{end}] must be a job id string")
+        edges.append((pair[0], pair[1]))
     return Instance(tuple(jobs), tuple(machines), tuple(edges), rho)

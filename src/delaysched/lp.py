@@ -1,9 +1,12 @@
 """Linear relaxation of delay scheduling: model builder, solver, checker.
 
 The relaxation has per-copy assignment variables x[v,i], same-phase variables
-z[u,v,i] for every transitive predecessor pair and machine, start times S[v],
-and the makespan C.  Machine indices follow nondecreasing speed order, which
-the delay and phase rows depend on.
+z[u,v,i] for transitive predecessor pairs and machines, start times S[v], and
+the makespan C.  Machine indices follow nondecreasing speed order, which the
+delay and phase rows depend on.  Precedence rows (2) are emitted per distinct
+direct edge: the rows of transitive pairs follow by chaining, since fractional
+processing times are non-negative.  :func:`solve_relaxation` solves the full
+relaxation exactly while generating same-phase pairs lazily by separation.
 
 Every model is solved by scipy's HiGHS backend (``linprog(method="highs")``
 with presolve), which is deterministic for a fixed model; scipy is imported
@@ -15,10 +18,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .instance import TOL, Instance, transitive_predecessors
 
 FEAS_TOL = 1e-6
+SEPARATION_TOL = 1e-9  # row (4) violation that brings omitted same-phase pairs in
 
 
 @dataclass
@@ -82,18 +87,30 @@ def _scaffold(inst: Instance) -> LpModel:
     return model
 
 
-def build_relaxation(inst: Instance) -> LpModel:
+def build_relaxation(inst: Instance, pairs=None) -> LpModel:
     """Instantiate the nine constraint families over a valid instance.
 
-    With rho = 0 the same-phase machinery is vacuous: z variables and the
-    delay/phase rows are omitted (the pipeline skips delay logic entirely).
+    ``pairs``, a collection of transitive predecessor pairs (u, v), restricts
+    the same-phase pairs: their z variables, delay rows (3) and terms in rows
+    (4).  Without it every transitive pair takes part, which is the full
+    relaxation.  With rho = 0 the same-phase machinery is vacuous: z variables
+    and the delay/phase rows are omitted (the pipeline skips delay logic
+    entirely).
     """
-    preds = transitive_predecessors(inst)  # raises ValueError on an invalid instance
+    closure = transitive_predecessors(inst)  # raises ValueError on an invalid instance
+    if pairs is None:
+        preds = {v.id: sorted(closure[v.id]) for v in inst.jobs}
+    else:
+        chosen = set(pairs)
+        preds = {
+            v.id: sorted(u for u in closure[v.id] if (u, v.id) in chosen) for v in inst.jobs
+        }
+    direct = inst.direct_predecessors()
     rho = inst.rho
     model = _scaffold(inst)
     if rho > 0:
         for v in inst.jobs:
-            for u in sorted(preds[v.id]):
+            for u in preds[v.id]:
                 for mc in inst.machines:
                     model.z_index[(u, v.id, mc.id)] = model.add_var(
                         f"z_{_safe(u)}_{_safe(v.id)}_{_safe(mc.id)}", 0.0, 1.0
@@ -109,8 +126,8 @@ def build_relaxation(inst: Instance) -> LpModel:
         model.add_row(f"c1_{_safe(v.id)}", coeffs, ">=", 0.0)
 
     for v in inst.jobs:
-        for u in sorted(preds[v.id]):
-            # (2) a job starts after each predecessor's fractional completion
+        for u in sorted(set(direct[v.id])):
+            # (2) a job starts after each direct predecessor's fractional completion
             coeffs = {model.s_index[v.id]: 1.0, model.s_index[u]: -1.0}
             for mc in inst.machines:
                 coeffs[model.x_index[(u, mc.id)]] = -inst.size(u) / mc.speed
@@ -118,7 +135,7 @@ def build_relaxation(inst: Instance) -> LpModel:
 
     if rho > 0:
         for v in inst.jobs:
-            for u in sorted(preds[v.id]):
+            for u in preds[v.id]:
                 for i, mc in enumerate(inst.machines):
                     # (3) delay: rho gap unless u shares v's phase at index <= i
                     coeffs = {model.s_index[v.id]: 1.0, model.s_index[u]: -1.0}
@@ -136,7 +153,7 @@ def build_relaxation(inst: Instance) -> LpModel:
                 coeffs: dict[int, float] = {}
                 for mc2 in inst.machines[: i + 1]:
                     coeffs[model.x_index[(v.id, mc2.id)]] = 1.0
-                for u in sorted(preds[v.id]):
+                for u in preds[v.id]:
                     idx = model.z_index[(u, v.id, mc.id)]
                     coeffs[idx] = coeffs.get(idx, 0.0) - inst.size(u) / (rho * mc.speed)
                 model.add_row(f"c4_{_safe(v.id)}_{_safe(mc.id)}", coeffs, ">=", 0.0)
@@ -216,6 +233,67 @@ def solve_lp(model: LpModel, max_iter: int | None = None) -> LpSolution:
     return _solution_from_values(model, [0.0] * n, status, math.nan)
 
 
+def solve_relaxation(inst: Instance) -> tuple[LpModel, LpSolution]:
+    """Optimum of the full relaxation, found by lazy same-phase pair generation.
+
+    The first restricted model takes the direct edges as its same-phase pairs.
+    After each solve every omitted pair (u, v) gets the least z its delay rows
+    (3) allow, ``z[u,v,i] = max(0, X[v,i] - (S_v - S_u) / rho)`` with
+    ``X[v,i] = x[v,1] + ... + x[v,i]``; the omitted pairs with z > 0 behind
+    each row (4) these values violate by more than ``SEPARATION_TOL`` join the
+    model, which is rebuilt and solved again.  When none joins, the extended
+    point is feasible for the full relaxation (z <= 1 as X <= 1 and S_v >= S_u)
+    and has the restricted optimum's value; the restricted model being a
+    relaxation of the full one, that value is the full optimum.  Each round
+    adds a pair, so there are at most as many rounds as transitive pairs.
+
+    Returns the last restricted model and its solution: ``values`` (aligned
+    with that model), ``x``, ``start`` and ``objective`` come from the last
+    solve, and ``z`` holds a value for every transitive pair.
+    """
+    pairs = set(inst.edges)
+    while True:
+        model = build_relaxation(inst, pairs)
+        sol = solve_lp(model)
+        if sol.status != "optimal" or inst.rho <= 0:
+            return model, sol
+        sol.z, added = _separate(inst, sol, pairs)
+        if not added:
+            return model, sol
+        pairs |= added
+
+
+def _separate(inst: Instance, sol: LpSolution, pairs: set[tuple[str, str]]):
+    """z for every transitive pair (solved values for ``pairs``, least values
+    meeting rows (3) for the others), and the omitted pairs with z > 0 behind
+    each row (4) that z violates."""
+    preds = transitive_predecessors(inst)
+    rho = inst.rho
+    z: dict[tuple[str, str, str], float] = {}
+    added: set[tuple[str, str]] = set()
+    for v in inst.jobs:
+        us = sorted(preds[v.id])
+        if not us:
+            continue
+        prefix = list(accumulate(sol.x[(v.id, mc.id)] for mc in inst.machines))
+        for u in us:
+            if (u, v.id) in pairs:
+                for mc in inst.machines:
+                    z[(u, v.id, mc.id)] = sol.z[(u, v.id, mc.id)]
+            else:
+                gap = (sol.start[v.id] - sol.start[u]) / rho
+                for mc, x_sum in zip(inst.machines, prefix):
+                    z[(u, v.id, mc.id)] = max(0.0, x_sum - gap)
+        for mc, x_sum in zip(inst.machines, prefix):
+            load = sum(inst.size(u) * z[(u, v.id, mc.id)] for u in us) / (rho * mc.speed)
+            if x_sum - load < -SEPARATION_TOL:
+                added.update(
+                    (u, v.id) for u in us
+                    if (u, v.id) not in pairs and z[(u, v.id, mc.id)] > 0
+                )
+    return z, added
+
+
 def check_lp_feasibility(solution: LpSolution, model: LpModel, tol: float = FEAS_TOL):
     """Every violated row or bound, as (name, residual) with residual < -tol."""
     arr = solution.values
@@ -289,28 +367,53 @@ def embed_schedule_as_lp(inst: Instance, sched, model: LpModel | None = None) ->
     return _solution_from_values(model, values, "feasible", objective)
 
 
+def _distinct(names: list[str]) -> list[str]:
+    """``names`` with every repeat renamed ``<name>#<k>`` (k = 2, 3, ...),
+    skipping names already in use, so no two are equal; unique names stay."""
+    taken = set(names)
+    seen: set[str] = set()
+    out = []
+    for name in names:
+        if name in seen:
+            k = 2
+            while f"{name}#{k}" in taken:
+                k += 1
+            name = f"{name}#{k}"
+            taken.add(name)
+        seen.add(name)
+        out.append(name)
+    return out
+
+
 def export_lp_text(model: LpModel) -> str:
-    """LP-format text: objective, named constraint rows, bounds section."""
+    """LP-format text: objective, named constraint rows, bounds section.
+
+    Variable and row names are made distinct here: ids that differ only in
+    characters the model names replace by ``_`` give equal model names.
+    """
+    var_names = _distinct(model.var_names)
+    row_names = _distinct([name for name, *_ in model.rows])
+
     def term(j, a, first):
         sign = "-" if a < 0 else ("" if first else "+")
         mag = abs(a)
         coef = "" if abs(mag - 1.0) < 1e-15 else f"{mag:.12g} "
-        return f"{sign} {coef}{model.var_names[j]} ".replace("  ", " ")
+        return f"{sign} {coef}{var_names[j]} ".replace("  ", " ")
 
     lines = ["Minimize", " obj: " + "".join(
         term(j, a, k == 0) for k, (j, a) in enumerate(sorted(model.objective.items()))
     ).strip(), "Subject To"]
-    for name, coeffs, sense, rhs in model.rows:
+    for name, (_, coeffs, sense, rhs) in zip(row_names, model.rows):
         expr = "".join(
             term(j, a, k == 0) for k, (j, a) in enumerate(sorted(coeffs.items()))
         ).strip()
         op = {"<=": "<=", ">=": ">=", "=": "="}[sense]
         lines.append(f" {name}: {expr} {op} {rhs:.12g}")
     lines.append("Bounds")
-    for j, (lo, hi) in enumerate(model.bounds):
+    for name, (lo, hi) in zip(var_names, model.bounds):
         if hi == math.inf:
-            lines.append(f" {lo:.12g} <= {model.var_names[j]}")
+            lines.append(f" {lo:.12g} <= {name}")
         else:
-            lines.append(f" {lo:.12g} <= {model.var_names[j]} <= {hi:.12g}")
+            lines.append(f" {lo:.12g} <= {name} <= {hi:.12g}")
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .instance import TOL, CodecError, Instance, _number, _objects, _require, transitive_predecessors
+from .instance import TOL, CodecError, Instance, _number, _objects, _string, transitive_predecessors
 
 LONG_FACTOR = 8.0  # a placement is long when its execution time exceeds 8*rho
 
@@ -386,7 +386,7 @@ def schedule_from_json(text: str) -> Schedule:
     if not isinstance(doc, dict):
         raise CodecError("schedule document must be a JSON object")
     placements = [
-        Placement(str(_require(item, "job", at)), str(_require(item, "machine", at)),
+        Placement(_string(item, "job", at), _string(item, "machine", at),
                   _number(item, "start", at))
         for at, item in _objects(doc, "placements", "schedule document")
     ]

@@ -190,7 +190,10 @@ def test_nan_rho_exits_2_without_traceback(tmp_path, capsys):
     good = {"rho": 1.0, "jobs": [{"id": "a", "size": 1.0}],
             "machines": [{"id": "m0", "speed": 1.0}], "edges": []}
     for key, value, field in [("rho", None, "'rho'"), ("jobs", [1], "jobs[0]"),
-                              ("machines", {"id": "m0"}, "'machines'")]:
+                              ("machines", {"id": "m0"}, "'machines'"),
+                              ("jobs", [{"id": None, "size": 1.0}], "'id' in jobs[0]"),
+                              ("machines", [{"id": 3, "speed": 1.0}], "'id' in machines[0]"),
+                              ("edges", [["a", 7]], "edges[0][1]")]:
         inst_path.write_text(json.dumps({**good, key: value}))
         assert run(["schedule", "--input", str(inst_path)]) == 2
         err = capsys.readouterr().err
@@ -198,7 +201,9 @@ def test_nan_rho_exits_2_without_traceback(tmp_path, capsys):
     inst_path.write_text(json.dumps(good))
     sched_path = tmp_path / "sched.json"
     for placements, field in [([{"job": "a", "machine": "m0", "start": None}], "'start'"),
-                              ([1], "placements[0]"), ("a", "'placements'")]:
+                              ([1], "placements[0]"), ("a", "'placements'"),
+                              ([{"job": None, "machine": "m0", "start": 0.0}], "'job'"),
+                              ([{"job": "a", "machine": 0, "start": 0.0}], "'machine'")]:
         sched_path.write_text(json.dumps({"placements": placements}))
         assert run(["validate", "--input", str(inst_path), "--schedule", str(sched_path)]) == 2
         err = capsys.readouterr().err

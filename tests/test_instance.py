@@ -280,9 +280,14 @@ _GOOD_MACHINES = '[{"id": "m0", "speed": 1.0}]'
         ("1.0", _GOOD_JOBS, "null", "[]", "'machines' in instance document must be an array"),
         ("1.0", _GOOD_JOBS, _GOOD_MACHINES, '"ab"', "'edges' in instance document must be an array"),
         ("1" + "0" * 400, _GOOD_JOBS, _GOOD_MACHINES, "[]", "'rho' in instance document"),
+        ("1.0", '[{"id": null, "size": 1.0}]', _GOOD_MACHINES, "[]", "'id' in jobs[0] must be a string"),
+        ("1.0", _GOOD_JOBS, '[{"id": 3, "speed": 1.0}]', "[]", "'id' in machines[0] must be a string"),
+        ("1.0", _GOOD_JOBS, _GOOD_MACHINES, '[["a", 1]]', "edges[0][1] must be a job id string"),
+        ("1.0", _GOOD_JOBS, _GOOD_MACHINES, '[[null, "a"]]', "edges[0][0] must be a job id string"),
     ],
     ids=["null-rho", "null-size", "text-speed", "scalar-job", "object-jobs", "null-machines",
-         "text-edges", "huge-rho"],
+         "text-edges", "huge-rho", "null-job-id", "number-machine-id", "number-edge-end",
+         "null-edge-start"],
 )
 def test_codec_rejects_malformed_fields(rho, jobs, machines, edges, field):
     doc = f'{{"rho": {rho}, "jobs": {jobs}, "machines": {machines}, "edges": {edges}}}'

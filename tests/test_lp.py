@@ -263,3 +263,24 @@ def test_lp_text_export():
     text = export_lp_text(model)
     for token in ("Minimize", "Subject To", "Bounds", "End", "c1_a", "c3_a_b_m0"):
         assert token in text
+
+
+def test_lp_text_export_names_are_distinct():
+    # "a-b" and "a_b" give equal model names; the export tells them apart and
+    # leaves the names of alphanumeric ids as they are
+    inst = make_instance(
+        [Job("a-b", 1.0), Job("a_b", 3.0)],
+        [Machine("m0", 1.0), Machine("m1", 1.0)],
+        [("a-b", "a_b")],
+        2.0,
+    )
+    model = build_relaxation(inst)
+    lines = export_lp_text(model).splitlines()
+    rows = lines[lines.index("Subject To") + 1 : lines.index("Bounds")]
+    row_names = [line.split(":")[0].strip() for line in rows]
+    var_names = [line.split("<=")[1].strip() for line in lines[lines.index("Bounds") + 1 : -1]]
+    assert len(model.rows) == len(row_names) == len(set(row_names)) == 11
+    assert len({name for name, *_ in model.rows}) < 11
+    assert len(var_names) == len(set(var_names)) == model.n_vars
+    assert row_names[:2] == ["c1_a_b", "c1_a_b#2"]
+    assert {"C", "c5_m0", "c5_m1"} <= set(var_names) | set(row_names)

@@ -189,8 +189,12 @@ def test_schedule_codec_missing_field():
         ('{"placements": [{"job": "a", "machine": "m0", "start": null}]}', "'start' in placements[0]"),
         ('{"placements": [1]}', "placements[0] must be an object"),
         ('{"placements": "a"}', "'placements' in schedule document must be an array"),
+        ('{"placements": [{"job": null, "machine": "m0", "start": 0}]}',
+         "'job' in placements[0] must be a string"),
+        ('{"placements": [{"job": "a", "machine": 0, "start": 0}]}',
+         "'machine' in placements[0] must be a string"),
     ],
-    ids=["null-start", "scalar-placement", "text-placements"],
+    ids=["null-start", "scalar-placement", "text-placements", "null-job", "number-machine"],
 )
 def test_schedule_codec_rejects_malformed_fields(doc, field):
     with pytest.raises(CodecError, match=re.escape(field)):

@@ -72,7 +72,17 @@ def compute_bands(lp_sol: LpSolution, rho: float) -> dict[str, int]:
     """Band r(v) = floor(4*S_v/rho) + 1; band 1 covers starts in [0, rho/4)."""
     if rho <= 0:
         raise ValueError("bands are undefined for rho <= 0; use the rho=0 bypass")
-    return {v: int(math.floor(4.0 * s / rho)) + 1 for v, s in lp_sol.start.items()}
+    return {v: _band(s, rho) for v, s in lp_sol.start.items()}
+
+
+def _band(s: float, rho: float) -> int:
+    # 4*s/rho can round across a boundary; settle r against rho*(r-1)/4 <= s < rho*r/4
+    r = int(math.floor(4.0 * s / rho)) + 1
+    while r > 1 and rho * (r - 1) / 4 > s:
+        r -= 1
+    while s >= rho * r / 4:
+        r += 1
+    return r
 
 
 def assign_job_groups(inst: Instance, lp_sol: LpSolution, groups=None) -> GroupAssignment:

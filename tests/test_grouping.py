@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_instance
@@ -108,6 +108,7 @@ def test_rho_zero_bypass_puts_all_in_band_one():
 
 @settings(max_examples=80, deadline=None)
 @given(st.floats(0.0, 100.0), st.floats(0.1, 50.0))
+@example(85.99999999999999, 0.3333333333333333)  # 4*s/rho rounds up to a boundary
 def test_band_halfopen_membership(start, rho):
     sol = fake_solution({}, {"a": start})
     r = compute_bands(sol, rho)["a"]

@@ -87,12 +87,18 @@ def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> Pipeli
     eta = config.eta if config.eta is not None else scheduler.default_eta(work.rho)
 
     trace: list | None = [] if config.emit_trace else None
-    sched_norm = scheduler.run_group_scheduler(work, assignment, eta, trace=trace)
+    try:
+        sched_norm = scheduler.run_group_scheduler(work, assignment, eta, trace=trace)
+    except scheduler.SchedulerInvariantError as exc:
+        raise PipelineError("schedule", str(exc)) from exc
 
     sreport = schedmodel.validate_schedule(work, sched_norm)
     if not sreport.valid:
         raise PipelineError("schedule", "; ".join(sreport.violations[:3]))
-    analysis = schedmodel.lemma_diagnostics(work, sol, assignment, sched_norm, eta=eta)
+    try:
+        analysis = schedmodel.lemma_diagnostics(work, sol, assignment, sched_norm, eta=eta)
+    except schedmodel.LemmaViolation as exc:
+        raise PipelineError("diagnostics", str(exc)) from exc
 
     out_sched = Schedule(
         tuple(

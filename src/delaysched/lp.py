@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -26,13 +27,50 @@ FEAS_TOL = 1e-6
 SEPARATION_TOL = 1e-9  # row (4) violation that brings omitted same-phase pairs in
 
 
+class _Rows(Sequence):
+    """Read-only view of a model's rows as ``(name, {col: value}, sense, rhs)``;
+    each access builds a fresh coefficient dict in the row's entry order."""
+
+    __slots__ = ("_model",)
+
+    def __init__(self, model: LpModel):
+        self._model = model
+
+    def __len__(self) -> int:
+        return len(self._model.row_names)
+
+    def __getitem__(self, r: int):
+        m = self._model
+        r = range(len(m.row_names))[r]
+        lo, hi = m.row_start[r], m.row_start[r + 1]
+        coeffs = dict(zip(m.row_cols[lo:hi], m.row_vals[lo:hi]))
+        return m.row_names[r], coeffs, m.row_senses[r], m.row_rhs[r]
+
+    def __iter__(self):
+        m = self._model
+        cols, vals, start = m.row_cols, m.row_vals, m.row_start
+        for r, (name, sense, rhs) in enumerate(zip(m.row_names, m.row_senses, m.row_rhs)):
+            lo, hi = start[r], start[r + 1]
+            yield name, dict(zip(cols[lo:hi], vals[lo:hi])), sense, rhs
+
+
 @dataclass
 class LpModel:
-    """Sparse LP: named variables with bounds, named rows, min objective."""
+    """Sparse LP: named variables with bounds, named rows, min objective.
+
+    Rows are stored flat, CSR-style: row ``r`` holds the terms
+    ``row_cols[row_start[r]:row_start[r + 1]]`` (distinct columns) with the
+    matching ``row_vals``.  ``rows`` reads them back as tuples.
+    """
 
     var_names: list[str] = field(default_factory=list)
     bounds: list[tuple[float, float]] = field(default_factory=list)
-    rows: list[tuple[str, dict[int, float], str, float]] = field(default_factory=list)
+    row_names: list[str] = field(default_factory=list)
+    row_senses: list[str] = field(default_factory=list)
+    row_rhs: list[float] = field(default_factory=list)
+    row_start: list[int] = field(default_factory=lambda: [0])
+    row_cols: list[int] = field(default_factory=list)
+    row_vals: list[float] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
     # semantic lookup for scheduling models (empty for alternate relaxations)
     x_index: dict[tuple[str, str], int] = field(default_factory=dict)
@@ -46,7 +84,21 @@ class LpModel:
         return len(self.var_names) - 1
 
     def add_row(self, name: str, coeffs: dict[int, float], sense: str, rhs: float):
-        self.rows.append((name, coeffs, sense, rhs))
+        self.row_cols.extend(coeffs)
+        self.row_vals.extend(coeffs.values())
+        self.end_row(name, sense, rhs)
+
+    def end_row(self, name: str, sense: str, rhs: float):
+        """Close a row whose terms were appended to ``row_cols``/``row_vals``
+        since the previous row; its columns must be distinct."""
+        self.row_names.append(name)
+        self.row_senses.append(sense)
+        self.row_rhs.append(rhs)
+        self.row_start.append(len(self.row_cols))
+
+    @property
+    def rows(self) -> _Rows:
+        return _Rows(self)
 
     @property
     def n_vars(self) -> int:
@@ -71,17 +123,24 @@ def _safe(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_]", "_", name)
 
 
-def _scaffold(inst: Instance) -> LpModel:
+def _safe_ids(inst: Instance) -> tuple[dict[str, str], dict[str, str]]:
+    """``_safe`` of every job id and of every machine id, computed once."""
+    return ({v.id: _safe(v.id) for v in inst.jobs},
+            {mc.id: _safe(mc.id) for mc in inst.machines})
+
+
+def _scaffold(inst: Instance, job_names: dict[str, str], machine_names: dict[str, str]) -> LpModel:
     """Model minimizing C, with C, then S_v per job, then x_{v,i} per job and
-    machine; the relaxations append their own variables and rows after these."""
+    machine; the relaxations append their own variables and rows after these.
+    The name maps are :func:`_safe_ids`'s."""
     model = LpModel()
     model.c_index = model.add_var("C")
     for v in inst.jobs:
-        model.s_index[v.id] = model.add_var(f"S_{_safe(v.id)}")
+        model.s_index[v.id] = model.add_var(f"S_{job_names[v.id]}")
     for v in inst.jobs:
         for mc in inst.machines:
             model.x_index[(v.id, mc.id)] = model.add_var(
-                f"x_{_safe(v.id)}_{_safe(mc.id)}", 0.0, 1.0
+                f"x_{job_names[v.id]}_{machine_names[mc.id]}", 0.0, 1.0
             )
     model.objective = {model.c_index: 1.0}
     return model
@@ -107,68 +166,80 @@ def build_relaxation(inst: Instance, pairs=None) -> LpModel:
         }
     direct = inst.direct_predecessors()
     rho = inst.rho
-    model = _scaffold(inst)
+    machines = inst.machines
+    speeds = [mc.speed for mc in machines]
+    sizes = inst._sizes
+    jn, mn = _safe_ids(inst)
+    model = _scaffold(inst, jn, mn)
+    C = model.c_index
+    S = model.s_index
+    xs = {v.id: [model.x_index[(v.id, mc.id)] for mc in machines] for v in inst.jobs}
+    # zs[v][k][i]: z of the k-th same-phase predecessor of v on machine i
+    zs: dict[str, list[list[int]]] = {}
     if rho > 0:
         for v in inst.jobs:
+            zs[v.id] = []
             for u in preds[v.id]:
-                for mc in inst.machines:
-                    model.z_index[(u, v.id, mc.id)] = model.add_var(
-                        f"z_{_safe(u)}_{_safe(v.id)}_{_safe(mc.id)}", 0.0, 1.0
-                    )
+                row = []
+                for mc in machines:
+                    idx = model.add_var(f"z_{jn[u]}_{jn[v.id]}_{mn[mc.id]}", 0.0, 1.0)
+                    model.z_index[(u, v.id, mc.id)] = idx
+                    row.append(idx)
+                zs[v.id].append(row)
 
-    C = model.c_index
+    cols, vals, end_row = model.row_cols, model.row_vals, model.end_row
 
     for v in inst.jobs:
         # (1) makespan covers start plus fractional execution time
-        coeffs = {C: 1.0, model.s_index[v.id]: -1.0}
-        for mc in inst.machines:
-            coeffs[model.x_index[(v.id, mc.id)]] = -v.size / mc.speed
-        model.add_row(f"c1_{_safe(v.id)}", coeffs, ">=", 0.0)
+        cols += (C, S[v.id], *xs[v.id])
+        vals += (1.0, -1.0)
+        vals += [-v.size / s for s in speeds]
+        end_row(f"c1_{jn[v.id]}", ">=", 0.0)
 
     for v in inst.jobs:
         for u in sorted(set(direct[v.id])):
             # (2) a job starts after each direct predecessor's fractional completion
-            coeffs = {model.s_index[v.id]: 1.0, model.s_index[u]: -1.0}
-            for mc in inst.machines:
-                coeffs[model.x_index[(u, mc.id)]] = -inst.size(u) / mc.speed
-            model.add_row(f"c2_{_safe(u)}_{_safe(v.id)}", coeffs, ">=", 0.0)
+            cols += (S[v.id], S[u], *xs[u])
+            vals += (1.0, -1.0)
+            vals += [-sizes[u] / s for s in speeds]
+            end_row(f"c2_{jn[u]}_{jn[v.id]}", ">=", 0.0)
 
     if rho > 0:
         for v in inst.jobs:
-            for u in preds[v.id]:
-                for i, mc in enumerate(inst.machines):
+            xv = xs[v.id]
+            for u, zu in zip(preds[v.id], zs[v.id]):
+                for i, mc in enumerate(machines):
                     # (3) delay: rho gap unless u shares v's phase at index <= i
-                    coeffs = {model.s_index[v.id]: 1.0, model.s_index[u]: -1.0}
-                    for mc2 in inst.machines[: i + 1]:
-                        coeffs[model.x_index[(v.id, mc2.id)]] = -rho
-                    coeffs[model.z_index[(u, v.id, mc.id)]] = rho
-                    model.add_row(
-                        f"c3_{_safe(u)}_{_safe(v.id)}_{_safe(mc.id)}", coeffs, ">=", 0.0
-                    )
+                    cols += (S[v.id], S[u], *xv[: i + 1], zu[i])
+                    vals += (1.0, -1.0)
+                    vals += [-rho] * (i + 1)
+                    vals.append(rho)
+                    end_row(f"c3_{jn[u]}_{jn[v.id]}_{mn[mc.id]}", ">=", 0.0)
         for v in inst.jobs:
             if not preds[v.id]:
                 continue
-            for i, mc in enumerate(inst.machines):
+            xv, zv = xs[v.id], zs[v.id]
+            for i, mc in enumerate(machines):
                 # (4) same-phase predecessors fit in rho time at speed s_i
-                coeffs: dict[int, float] = {}
-                for mc2 in inst.machines[: i + 1]:
-                    coeffs[model.x_index[(v.id, mc2.id)]] = 1.0
-                for u in preds[v.id]:
-                    idx = model.z_index[(u, v.id, mc.id)]
-                    coeffs[idx] = coeffs.get(idx, 0.0) - inst.size(u) / (rho * mc.speed)
-                model.add_row(f"c4_{_safe(v.id)}_{_safe(mc.id)}", coeffs, ">=", 0.0)
+                cols += xv[: i + 1]
+                vals += [1.0] * (i + 1)
+                cols += [zu[i] for zu in zv]
+                vals += [-sizes[u] / (rho * mc.speed) for u in preds[v.id]]
+                end_row(f"c4_{jn[v.id]}_{mn[mc.id]}", ">=", 0.0)
 
-    for mc in inst.machines:
+    for i, mc in enumerate(machines):
         # (5) machine load at most C * speed
-        coeffs = {C: mc.speed}
-        for v in inst.jobs:
-            coeffs[model.x_index[(v.id, mc.id)]] = -v.size
-        model.add_row(f"c5_{_safe(mc.id)}", coeffs, ">=", 0.0)
+        cols.append(C)
+        vals.append(mc.speed)
+        cols += [xs[v.id][i] for v in inst.jobs]
+        vals += [-v.size for v in inst.jobs]
+        end_row(f"c5_{mn[mc.id]}", ">=", 0.0)
 
     for v in inst.jobs:
         # (6) every job fully assigned
-        coeffs = {model.x_index[(v.id, mc.id)]: 1.0 for mc in inst.machines}
-        model.add_row(f"c6_{_safe(v.id)}", coeffs, "=", 1.0)
+        cols += xs[v.id]
+        vals += [1.0] * len(machines)
+        end_row(f"c6_{jn[v.id]}", "=", 1.0)
 
     return model
 
@@ -198,33 +269,35 @@ def solve_lp(model: LpModel, max_iter: int | None = None) -> LpSolution:
     for j, cj in model.objective.items():
         c[j] = cj
 
-    ub_r, ub_c, ub_v, b_ub = [], [], [], []
-    eq_r, eq_c, eq_v, b_eq = [], [], [], []
-    for _, coeffs, sense, rhs in model.rows:
-        if sense == "=":
-            r = len(b_eq)
-            for j, a in coeffs.items():
-                eq_r.append(r)
-                eq_c.append(j)
-                eq_v.append(a)
-            b_eq.append(rhs)
-        else:
-            flip = -1.0 if sense == ">=" else 1.0
-            r = len(b_ub)
-            for j, a in coeffs.items():
-                ub_r.append(r)
-                ub_c.append(j)
-                ub_v.append(flip * a)
-            b_ub.append(flip * rhs)
+    # Rows keep their order within each of A_ub and A_eq, and every row its
+    # entry order; ">=" rows enter A_ub negated.
+    senses = model.row_senses
+    is_eq = np.fromiter((sense == "=" for sense in senses), bool, len(senses))
+    flip = np.fromiter((-1.0 if sense == ">=" else 1.0 for sense in senses), float, len(senses))
+    rhs = flip * np.array(model.row_rhs, dtype=float)
+    row_of = np.repeat(np.arange(len(senses)), np.diff(model.row_start))
+    cols = np.array(model.row_cols, dtype=np.int64)
+    vals = flip[row_of] * np.array(model.row_vals, dtype=float)
 
-    A_ub = sparse.csr_matrix((ub_v, (ub_r, ub_c)), shape=(len(b_ub), n)) if b_ub else None
-    A_eq = sparse.csr_matrix((eq_v, (eq_r, eq_c)), shape=(len(b_eq), n)) if b_eq else None
+    def block(chosen):
+        """Matrix and right-hand side of the rows where ``chosen`` holds."""
+        if not chosen.any():
+            return None, None
+        rank = np.cumsum(chosen) - 1  # row's position within the block
+        terms = chosen[row_of]
+        A = sparse.csr_matrix(
+            (vals[terms], (rank[row_of[terms]], cols[terms])), shape=(int(chosen.sum()), n)
+        )
+        return A, rhs[chosen]
+
+    A_ub, b_ub = block(~is_eq)
+    A_eq, b_eq = block(is_eq)
     bounds = [(lo, None if hi == math.inf else hi) for lo, hi in model.bounds]
     options = {"presolve": True}
     if max_iter is not None:
         options["maxiter"] = max_iter
     res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub or None, A_eq=A_eq, b_eq=b_eq or None,
+        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
         bounds=bounds, method="highs", options=options,
     )
     if res.status == 0:

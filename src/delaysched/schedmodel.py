@@ -96,18 +96,18 @@ def validate_schedule(inst: Instance, sched: Schedule) -> ScheduleReport:
                 bad.append(f"overlap on {mc}: {a.job} and {b.job}")
 
     # Completion lookup: per job, completions on each machine and the
-    # earliest completion anywhere.
+    # earliest completion anywhere; and each job's placements in order.
     comp: dict[str, dict[str, float]] = {}
+    copies: dict[str, list[Placement]] = {}
     for p in sched.placements:
         comp.setdefault(p.job, {})[p.machine] = min(
             comp.get(p.job, {}).get(p.machine, math.inf), p.end(inst)
         )
+        copies.setdefault(p.job, []).append(p)
     for a, b in inst.edges:
         if a not in comp:
             continue
-        for p in sched.placements:
-            if p.job != b:
-                continue
+        for p in copies.get(b, ()):
             same = comp[a].get(p.machine, math.inf)
             other = min(
                 (t for mc, t in comp[a].items() if mc != p.machine), default=math.inf
@@ -193,6 +193,28 @@ def _overlap(lo: float, hi: float, a: float, b: float) -> float:
     return max(0.0, min(hi, b) - max(lo, a))
 
 
+def _phase_sums(inst: Instance, placements, count: int) -> list[float]:
+    """For each phase tau < count, the sum over ``placements`` (in order) of
+    their overlap with [tau*rho, (tau+1)*rho).
+
+    One pass: a placement visits only the phases its interval spans, widened by
+    one on each side against rounding in the floor.  The phases it skips would
+    add an overlap of 0.0, which leaves a float sum unchanged, so each total is
+    the one a sum over every placement gives, bit for bit.  The totals come from
+    ``sum`` rather than ``+=`` so that this holds where ``sum`` compensates
+    rounding (Python 3.12 and later).
+    """
+    rho = inst.rho
+    terms: list[list[float]] = [[] for _ in range(count)]
+    for p in placements:
+        a, b = p.start, p.end(inst)
+        for tau in range(max(0, math.floor(a / rho) - 1), min(count, math.floor(b / rho) + 2)):
+            t = _overlap(tau * rho, (tau + 1) * rho, a, b)
+            if t > 0.0:
+                terms[tau].append(t)
+    return [sum(ts) for ts in terms]
+
+
 def classify_phases(inst: Instance, sched: Schedule, chain: Chain, groups=None):
     """Label each phase chain / load / height.
 
@@ -205,24 +227,19 @@ def classify_phases(inst: Instance, sched: Schedule, chain: Chain, groups=None):
     from .grouping import partition_machine_groups
 
     groups = groups if groups is not None else partition_machine_groups(inst)
-    rho = inst.rho
     count = phase_count(inst, sched)
+    half = inst.rho / 2 - TOL
+    chain_time = _phase_sums(inst, chain.links, count)
     by_machine = sched.by_machine()
+    busy = {
+        mc.id: [t >= half for t in _phase_sums(inst, by_machine.get(mc.id, []), count)]
+        for mc in inst.machines
+    }
     labels: list[str] = []
     for tau in range(count):
-        lo, hi = tau * rho, (tau + 1) * rho
-        chain_time = sum(_overlap(lo, hi, p.start, p.end(inst)) for p in chain.links)
-        if chain_time >= rho / 2 - TOL:
+        if chain_time[tau] >= half:
             labels.append("chain")
-            continue
-        busy = {}
-        for mc in inst.machines:
-            t = sum(
-                _overlap(lo, hi, p.start, p.end(inst))
-                for p in by_machine.get(mc.id, [])
-            )
-            busy[mc.id] = t >= rho / 2 - TOL
-        if any(all(busy[i] for i in g.machine_ids) for g in groups):
+        elif any(all(busy[i][tau] for i in g.machine_ids) for g in groups):
             labels.append("load")
         else:
             labels.append("height")

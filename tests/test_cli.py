@@ -210,6 +210,32 @@ def test_nan_rho_exits_2_without_traceback(tmp_path, capsys):
         assert err.startswith("error:") and field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("module, func, error, stage", [
+    ("scheduler", "run_group_scheduler", "SchedulerInvariantError", "schedule"),
+    ("schedmodel", "lemma_diagnostics", "LemmaViolation", "diagnostics"),
+])
+def test_assertion_errors_become_stage_errors(tmp_path, capsys, monkeypatch,
+                                              module, func, error, stage):
+    from delaysched import cli
+
+    mod = getattr(cli, module)
+    exc_type = getattr(mod, error)
+
+    def fail(*args, **kwargs):
+        raise exc_type("injected failure")
+
+    monkeypatch.setattr(mod, func, fail)
+    inst = gen_random_dag(6, 2, 0.3, (1, 2), (0.5, 1), 2.0, seed=4)
+    with pytest.raises(cli.PipelineError) as info:
+        run_pipeline(inst)
+    assert info.value.stage == stage and isinstance(info.value.__cause__, exc_type)
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(instance_to_json(inst))
+    assert run(["schedule", "--input", str(inst_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [{stage}] injected failure\n"
+
+
 def test_import_loads_neither_scipy_nor_numpy():
     # the CLI's cold start depends on scipy and numpy loading only at the first solve
     src = str(Path(delaysched.__file__).resolve().parents[1])

@@ -284,3 +284,130 @@ def test_lp_text_export_names_are_distinct():
     assert len(var_names) == len(set(var_names)) == model.n_vars
     assert row_names[:2] == ["c1_a_b", "c1_a_b#2"]
     assert {"C", "c5_m0", "c5_m1"} <= set(var_names) | set(row_names)
+
+
+def test_rows_view_round_trips_added_rows():
+    model = LpModel()
+    x, y, z = (model.add_var(name) for name in ("x", "y", "z"))
+    added = [
+        ("first", {z: 2.0, x: -1.5}, ">=", 0.0),
+        ("empty", {}, "<=", 3.0),
+        ("second", {y: 1.0, x: 4.0, z: -0.25}, "=", 1.0),
+    ]
+    for row in added:
+        model.add_row(*row)
+    assert list(model.rows) == added
+    assert [list(coeffs) for _, coeffs, _, _ in model.rows] == [[z, x], [], [y, x, z]]
+    assert len(model.rows) == 3
+    assert model.rows[0] == added[0] and model.rows[-1] == added[2]
+    with pytest.raises(IndexError):
+        model.rows[3]
+    # the view hands out copies: changing one leaves the model as it was
+    before = [(name, dict(coeffs), sense, rhs) for name, coeffs, sense, rhs in added]
+    model.rows[0][1][y] = 9.0
+    assert list(model.rows) == before
+
+
+def test_solve_lp_assembles_the_rows_it_is_given(monkeypatch):
+    import numpy as np
+    import scipy.optimize
+
+    from delaysched.gaplab import build_alternate_relaxation
+
+    real = scipy.optimize.linprog
+    seen = []
+
+    def spy(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, **kw):
+        seen.append((c, A_ub, b_ub, A_eq, b_eq, bounds))
+        return real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, **kw)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    inst, _ = normalize_instance(gen_random_dag(6, 3, 0.4, (1, 4), (0.25, 1), 4.0, 3))
+    # ">=" and "=" rows; then "<=" rows as well
+    for model in (build_relaxation(inst), build_alternate_relaxation(inst, "time_indexed", 6)):
+        seen.clear()
+        assert solve_lp(model).status == "optimal"
+        (c, A_ub, b_ub, A_eq, b_eq, bounds), = seen
+        ref_c, ref_a_ub, ref_b_ub, ref_a_eq, ref_b_eq, ref_bounds = _dense_arrays(model)
+        assert np.array_equal(c, ref_c) and bounds == ref_bounds
+        assert np.array_equal(A_ub.toarray(), ref_a_ub) and np.array_equal(b_ub, ref_b_ub)
+        assert np.array_equal(A_eq.toarray(), ref_a_eq) and np.array_equal(b_eq, ref_b_eq)
+
+
+DIAMOND_LP = """\
+Minimize
+ obj: C
+Subject To
+ c1_a: C - S_a - 2 x_a_m1 - x_a_m0 >= 0
+ c1_b: C - S_b - 4 x_b_m1 - 2 x_b_m0 >= 0
+ c1_c: C - S_c - 6 x_c_m1 - 3 x_c_m0 >= 0
+ c1_d: C - S_d - 2 x_d_m1 - x_d_m0 >= 0
+ c2_a_b: - S_a + S_b - 2 x_a_m1 - x_a_m0 >= 0
+ c2_a_c: - S_a + S_c - 2 x_a_m1 - x_a_m0 >= 0
+ c2_b_d: - S_b + S_d - 4 x_b_m1 - 2 x_b_m0 >= 0
+ c2_c_d: - S_c + S_d - 6 x_c_m1 - 3 x_c_m0 >= 0
+ c3_a_b_m1: - S_a + S_b - 2 x_b_m1 + 2 z_a_b_m1 >= 0
+ c3_a_b_m0: - S_a + S_b - 2 x_b_m1 - 2 x_b_m0 + 2 z_a_b_m0 >= 0
+ c3_a_c_m1: - S_a + S_c - 2 x_c_m1 + 2 z_a_c_m1 >= 0
+ c3_a_c_m0: - S_a + S_c - 2 x_c_m1 - 2 x_c_m0 + 2 z_a_c_m0 >= 0
+ c3_a_d_m1: - S_a + S_d - 2 x_d_m1 + 2 z_a_d_m1 >= 0
+ c3_a_d_m0: - S_a + S_d - 2 x_d_m1 - 2 x_d_m0 + 2 z_a_d_m0 >= 0
+ c3_b_d_m1: - S_b + S_d - 2 x_d_m1 + 2 z_b_d_m1 >= 0
+ c3_b_d_m0: - S_b + S_d - 2 x_d_m1 - 2 x_d_m0 + 2 z_b_d_m0 >= 0
+ c3_c_d_m1: - S_c + S_d - 2 x_d_m1 + 2 z_c_d_m1 >= 0
+ c3_c_d_m0: - S_c + S_d - 2 x_d_m1 - 2 x_d_m0 + 2 z_c_d_m0 >= 0
+ c4_b_m1: x_b_m1 - z_a_b_m1 >= 0
+ c4_b_m0: x_b_m1 + x_b_m0 - 0.5 z_a_b_m0 >= 0
+ c4_c_m1: x_c_m1 - z_a_c_m1 >= 0
+ c4_c_m0: x_c_m1 + x_c_m0 - 0.5 z_a_c_m0 >= 0
+ c4_d_m1: x_d_m1 - z_a_d_m1 - 2 z_b_d_m1 - 3 z_c_d_m1 >= 0
+ c4_d_m0: x_d_m1 + x_d_m0 - 0.5 z_a_d_m0 - z_b_d_m0 - 1.5 z_c_d_m0 >= 0
+ c5_m1: 0.5 C - x_a_m1 - 2 x_b_m1 - 3 x_c_m1 - x_d_m1 >= 0
+ c5_m0: C - x_a_m0 - 2 x_b_m0 - 3 x_c_m0 - x_d_m0 >= 0
+ c6_a: x_a_m1 + x_a_m0 = 1
+ c6_b: x_b_m1 + x_b_m0 = 1
+ c6_c: x_c_m1 + x_c_m0 = 1
+ c6_d: x_d_m1 + x_d_m0 = 1
+Bounds
+ 0 <= C
+ 0 <= S_a
+ 0 <= S_b
+ 0 <= S_c
+ 0 <= S_d
+ 0 <= x_a_m1 <= 1
+ 0 <= x_a_m0 <= 1
+ 0 <= x_b_m1 <= 1
+ 0 <= x_b_m0 <= 1
+ 0 <= x_c_m1 <= 1
+ 0 <= x_c_m0 <= 1
+ 0 <= x_d_m1 <= 1
+ 0 <= x_d_m0 <= 1
+ 0 <= z_a_b_m1 <= 1
+ 0 <= z_a_b_m0 <= 1
+ 0 <= z_a_c_m1 <= 1
+ 0 <= z_a_c_m0 <= 1
+ 0 <= z_a_d_m1 <= 1
+ 0 <= z_a_d_m0 <= 1
+ 0 <= z_b_d_m1 <= 1
+ 0 <= z_b_d_m0 <= 1
+ 0 <= z_c_d_m1 <= 1
+ 0 <= z_c_d_m0 <= 1
+End
+"""
+
+
+def test_lp_text_export_of_diamond_is_pinned():
+    # guards variable and row names, row order and coefficients of all six families
+    inst = make_instance(
+        [Job("a", 1.0), Job("b", 2.0), Job("c", 3.0), Job("d", 1.0)],
+        [Machine("m0", 1.0), Machine("m1", 0.5)],
+        [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
+        2.0,
+    )
+    model = build_relaxation(inst)
+    assert export_lp_text(model) == DIAMOND_LP
+    # the export sorts terms by column; the rows keep the order they were built in
+    order = {name: list(coeffs) for name, coeffs, _, _ in model.rows}
+    assert [order[name] for name in ("c1_a", "c2_b_d", "c3_a_b_m0", "c4_d_m0", "c5_m0", "c6_a")] == [
+        [0, 1, 5, 6], [4, 2, 7, 8], [2, 1, 7, 8, 14], [11, 12, 18, 20, 22], [0, 6, 8, 10, 12], [5, 6],
+    ]

@@ -2,6 +2,8 @@ import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import mid_instance, tiny_instance
 from delaysched import (
@@ -17,8 +19,9 @@ from delaysched import (
     schedule_to_json,
     validate_schedule,
 )
-from delaysched.instance import CodecError
-from delaysched.schedmodel import Chain, gantt_rows, phase_count
+from delaysched.grouping import partition_machine_groups
+from delaysched.instance import TOL, CodecError
+from delaysched.schedmodel import Chain, _phase_sums, gantt_rows, phase_count
 
 
 def unit_pair(rho):
@@ -43,6 +46,25 @@ def test_delay_violation_detected():
     rep = validate_schedule(inst, sched)
     assert not rep.valid
     assert any("delay" in v for v in rep.violations)
+
+
+def test_delay_violations_listed_by_edge_then_placement():
+    inst = make_instance(
+        [Job("a", 1.0), Job("b", 1.0), Job("c", 1.0)],
+        [Machine("m0", 1.0), Machine("m1", 1.0), Machine("m2", 1.0)],
+        [("a", "c"), ("b", "c")],
+        4.0,
+    )
+    sched = Schedule((
+        Placement("a", "m0", 0.0), Placement("b", "m1", 0.0),
+        Placement("c", "m1", 1.0), Placement("c", "m2", 1.0), Placement("c", "m0", 1.0),
+    ))
+    assert validate_schedule(inst, sched).violations == (
+        "delay violation: c on m1 at 1 without usable copy of a",
+        "delay violation: c on m2 at 1 without usable copy of a",
+        "delay violation: c on m2 at 1 without usable copy of b",
+        "delay violation: c on m0 at 1 without usable copy of b",
+    )
 
 
 def test_missing_predecessor_detected():
@@ -169,6 +191,84 @@ def test_classify_rejects_nonpositive_rho():
     sched = Schedule((Placement("a", "m0", 0.0),))
     with pytest.raises(ValueError):
         classify_phases(inst, sched, Chain((), (frozenset(),)))
+
+
+def _reference_overlaps(inst, placements, tau):
+    """Per-phase reference: every placement's overlap with phase tau, summed."""
+    lo, hi = tau * inst.rho, (tau + 1) * inst.rho
+    return sum(max(0.0, min(hi, p.end(inst)) - max(lo, p.start)) for p in placements)
+
+
+def _reference_labels(inst, sched, chain, groups):
+    """Phase labels recomputed phase by phase over every placement."""
+    half = inst.rho / 2 - TOL
+    by_machine = sched.by_machine()
+    labels = []
+    for tau in range(phase_count(inst, sched)):
+        if _reference_overlaps(inst, chain.links, tau) >= half:
+            labels.append("chain")
+            continue
+        busy = {
+            mc.id: _reference_overlaps(inst, by_machine.get(mc.id, []), tau) >= half
+            for mc in inst.machines
+        }
+        if any(all(busy[i] for i in g.machine_ids) for g in groups):
+            labels.append("load")
+        else:
+            labels.append("height")
+    return labels
+
+
+@st.composite
+def phase_cases(draw):
+    """Instance, schedule and chain for phase classification.
+
+    Dyadic rho and speeds put starts and ends exactly on phase boundaries
+    (and can make the makespan a multiple of rho); rho = 0.3 or 1/3 puts them
+    within rounding of one.  Speeds a factor 2 or more apart form several
+    groups, a machine may stay idle, and long placements span many phases.
+    """
+    rho = draw(st.sampled_from([0.5, 1.0, 2.0, 0.3, 1 / 3]))
+    speeds = draw(st.lists(st.sampled_from([0.125, 0.25, 0.3, 0.5, 1.0, 1.5, 4.0]),
+                           min_size=1, max_size=5))
+    machines = [Machine(f"m{i}", s) for i, s in enumerate(speeds)]
+    jobs, placements = [], []
+    for mc in machines:
+        t = 0.0
+        for _ in range(draw(st.integers(0, 5))):  # zero placements: an idle machine
+            if draw(st.booleans()):
+                t = draw(st.integers(math.ceil(t / rho), math.ceil(t / rho) + 3)) * rho
+            duration = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 7.0, 12.5])) * rho
+            job = f"j{len(jobs)}"
+            jobs.append(Job(job, duration * mc.speed))
+            placements.append(Placement(job, mc.id, t))
+            t += duration
+    if not placements:
+        jobs.append(Job("only", rho * speeds[0]))
+        placements.append(Placement("only", machines[0].id, 0.0))
+    inst = make_instance(jobs, machines, [], rho)
+    links = draw(st.lists(st.sampled_from(placements), unique=True, max_size=4))
+    return inst, Schedule(tuple(placements)), Chain(tuple(links), ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(phase_cases())
+@example((  # makespan exactly 3*rho: three phases, none past it
+    make_instance([Job("a", 2.0), Job("b", 3.0)], [Machine("m0", 1.0), Machine("m1", 1.0)], [], 1.0),
+    Schedule((Placement("a", "m0", 1.0), Placement("b", "m1", 0.0))),
+    Chain((), ()),
+))
+def test_classify_phases_matches_per_phase_reference(case):
+    inst, sched, chain = case
+    groups = partition_machine_groups(inst)
+    assert classify_phases(inst, sched, chain) == _reference_labels(inst, sched, chain, groups)
+    # the one-pass sums are the per-phase sums bit for bit
+    count = phase_count(inst, sched)
+    by_machine = sched.by_machine()
+    for placements in (chain.links, *by_machine.values()):
+        assert _phase_sums(inst, placements, count) == [
+            _reference_overlaps(inst, placements, tau) for tau in range(count)
+        ]
 
 
 def test_schedule_codec_round_trip():

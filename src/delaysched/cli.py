@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import grouping, lp, preprocess, schedmodel, scheduler
@@ -61,6 +62,15 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
+@contextmanager
+def _stage(name: str, errors=ValueError):
+    """Re-raise ``errors`` from the enclosed stage as ``PipelineError(name, ...)``."""
+    try:
+        yield
+    except errors as exc:
+        raise PipelineError(name, str(exc)) from exc
+
+
 def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> PipelineResult:
     config = config or PipelineConfig()
     report = validate_instance(inst)
@@ -74,11 +84,13 @@ def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> Pipeli
     if config.skip_preprocess:
         work = norm
     else:
-        filtered = preprocess.filter_slow_machines(norm)
+        with _stage("preprocess"):
+            filtered = preprocess.filter_slow_machines(norm)
         work = filtered.filtered
         removed = filtered.removed_ids
 
-    _, sol = lp.solve_relaxation(work)
+    with _stage("lp"):
+        _, sol = lp.solve_relaxation(work)
     if sol.status != "optimal":
         raise PipelineError("lp", f"solver returned {sol.status}")
 
@@ -87,18 +99,14 @@ def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> Pipeli
     eta = config.eta if config.eta is not None else scheduler.default_eta(work.rho)
 
     trace: list | None = [] if config.emit_trace else None
-    try:
+    with _stage("schedule", (ValueError, scheduler.SchedulerInvariantError)):
         sched_norm = scheduler.run_group_scheduler(work, assignment, eta, trace=trace)
-    except scheduler.SchedulerInvariantError as exc:
-        raise PipelineError("schedule", str(exc)) from exc
 
     sreport = schedmodel.validate_schedule(work, sched_norm)
     if not sreport.valid:
         raise PipelineError("schedule", "; ".join(sreport.violations[:3]))
-    try:
+    with _stage("diagnostics", schedmodel.LemmaViolation):
         analysis = schedmodel.lemma_diagnostics(work, sol, assignment, sched_norm, eta=eta)
-    except schedmodel.LemmaViolation as exc:
-        raise PipelineError("diagnostics", str(exc)) from exc
 
     out_sched = Schedule(
         tuple(

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .instance import TOL, Instance, topological_order, transitive_predecessors
-from .schedmodel import Placement, Schedule, phase_of, validate_schedule
+from .instance import TOL, Instance, _kahn, topological_order, transitive_predecessors
+from .schedmodel import Placement, Schedule, phase_of, require_valid_schedule
 
 
 class DedupError(AssertionError):
@@ -129,9 +129,7 @@ def deduplicate_schedule(inst: Instance, sched: Schedule) -> Schedule:
 
 
 def dedup_with_plan(inst: Instance, sched: Schedule) -> tuple[Schedule, DedupPlan]:
-    report = validate_schedule(inst, sched)
-    if not report.valid:
-        raise ValueError(f"invalid schedule: {'; '.join(report.violations[:3])}")
+    require_valid_schedule(inst, sched)
     plan = DedupPlan()
     if all(count == 1 for count in sched.multiplicity().values()):
         plan.fast_path = True
@@ -184,28 +182,9 @@ def dedup_with_plan(inst: Instance, sched: Schedule) -> tuple[Schedule, DedupPla
             end = max(end, t)
         cursor = end
 
-    def local_topo(closure: set[str]) -> list[str]:
-        # topological order of the closure, spanning (marked) jobs as late as
-        # their successors allow
-        import heapq
-
-        indeg = {v: len(preds[v] & closure) for v in closure}
-        heap = [
-            ((v in plan.marked), topo_pos[v], v) for v in closure if indeg[v] == 0
-        ]
-        heapq.heapify(heap)
-        out: list[str] = []
-        while heap:
-            _, _, v = heapq.heappop(heap)
-            out.append(v)
-            for w in closure:
-                if v in preds[w]:
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        heapq.heappush(heap, ((w in plan.marked), topo_pos[w], w))
-        if len(out) != len(closure):
-            raise DedupError("cycle while ordering a round")
-        return out
+    def spanning_last(v: str):
+        # spanning (marked) jobs as late as their successors allow
+        return (v in plan.marked, topo_pos[v])
 
     for phase in sorted(blocks):
         block = blocks[phase]
@@ -260,7 +239,10 @@ def dedup_with_plan(inst: Instance, sched: Schedule) -> tuple[Schedule, DedupPla
                             )
                     if closure & scheduled:
                         raise DedupError("regions overlap inside one round")
-                    assign.setdefault(machine, []).extend(local_topo(closure))
+                    order = _kahn({v: preds[v] & closure for v in closure}, spanning_last)
+                    if len(order) != len(closure):
+                        raise DedupError("cycle while ordering a round")
+                    assign.setdefault(machine, []).extend(order)
                     scheduled |= closure
                 if not scheduled:
                     raise DedupError("round made no progress")

@@ -43,9 +43,6 @@ class GroupAssignment:
     def group(self, k: int) -> MachineGroup:
         return self.groups[k - 1]
 
-    def jobs_of_group(self, k: int) -> list[str]:
-        return [v for v, kk in self.kappa.items() if kk == k]
-
 
 def partition_machine_groups(inst: Instance) -> list[MachineGroup]:
     """Greedy partition: a group opens at the slowest unassigned machine and

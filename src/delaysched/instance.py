@@ -7,10 +7,11 @@ All numeric comparisons use an additive tolerance of ``TOL``.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import random
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -167,36 +168,34 @@ def validate_instance(inst: Instance) -> ValidationReport:
     for a, b in inst.edges:
         if a not in known or b not in known:
             bad.append(f"dangling edge ({a}, {b})")
-    if not any(v.startswith("dangling") for v in bad) and _has_cycle(inst):
-        bad.append("cycle in precedence graph")
+    if not any(v.startswith("dangling") for v in bad):
+        pred = inst.direct_predecessors()
+        if len(_kahn(pred)) < len(pred):
+            bad.append("cycle in precedence graph")
     return ValidationReport(tuple(bad))
 
 
-def _has_cycle(inst: Instance) -> bool:
-    succ = inst.successors()
-    state: dict[str, int] = {}  # 0 unvisited / 1 on stack / 2 done
-
-    def visit(v: str) -> bool:
-        state[v] = 1
-        for w in succ[v]:
-            s = state.get(w, 0)
-            if s == 1 or (s == 0 and visit(w)):
-                return True
-        state[v] = 2
-        return False
-
-    return any(state.get(j.id, 0) == 0 and visit(j.id) for j in inst.jobs)
+def require_valid_instance(inst: Instance) -> None:
+    """Raise ``ValueError("invalid instance: ...")`` listing every violation."""
+    report = validate_instance(inst)
+    if not report.ok:
+        raise ValueError(f"invalid instance: {'; '.join(report.violations)}")
 
 
-def topological_order(inst: Instance, key=None) -> list[str]:
-    """Topological order of job ids; among ready jobs, smallest ``key`` first."""
-    import heapq
+def _kahn(preds: Mapping[str, Collection[str]], key=None) -> list[str]:
+    """Kahn's topological sort of the keys of ``preds``.
 
+    ``preds[v]`` holds the ids that must come before ``v``, each itself a key
+    (a repeated id counts as often as it is listed).  Among ready ids the
+    smallest ``(key(v), v)`` goes first.  Iterative, so any depth works; on a
+    cycle it returns the prefix it could order, shorter than ``preds``.
+    """
     key = key or (lambda v: v)
-    succ = inst.successors()
-    indeg = {j.id: 0 for j in inst.jobs}
-    for _, b in inst.edges:
-        indeg[b] += 1
+    indeg = {v: len(us) for v, us in preds.items()}
+    succ: dict[str, list[str]] = {v: [] for v in preds}
+    for v, us in preds.items():
+        for u in us:
+            succ[u].append(v)
     heap = [(key(v), v) for v, d in indeg.items() if d == 0]
     heapq.heapify(heap)
     out: list[str] = []
@@ -207,6 +206,12 @@ def topological_order(inst: Instance, key=None) -> list[str]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(heap, (key(w), w))
+    return out
+
+
+def topological_order(inst: Instance, key=None) -> list[str]:
+    """Topological order of job ids; among ready jobs, smallest ``key`` first."""
+    out = _kahn(inst.direct_predecessors(), key)
     if len(out) != inst.n:
         raise ValueError("precedence graph has a cycle")
     return out
@@ -222,9 +227,7 @@ def transitive_predecessors(inst: Instance) -> Mapping[str, frozenset[str]]:
 
 
 def _build_closure(inst: Instance) -> dict[str, frozenset[str]]:
-    report = validate_instance(inst)
-    if not report.ok:
-        raise ValueError(f"invalid instance: {'; '.join(report.violations)}")
+    require_valid_instance(inst)
     pred = inst.direct_predecessors()
     closure: dict[str, frozenset[str]] = {}
     for v in topological_order(inst):
@@ -382,10 +385,13 @@ def _require(doc: dict, key: str, where: str):
 
 def _number(doc: dict, key: str, where: str) -> float:
     value = _require(doc, key, where)
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise CodecError(f"field '{key}' in {where} must be a number") from None
+    # JSON numbers only (bool is its own type): no strings, no integers beyond a float
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise CodecError(f"field '{key}' in {where} must be a number")
 
 
 def _string(doc: dict, key: str, where: str) -> str:

@@ -396,11 +396,9 @@ def embed_schedule_as_lp(inst: Instance, sched, model: LpModel | None = None) ->
     makespan: phase-doubled starts, unit assignment to the first-completion
     machine, and 0/1 same-phase variables."""
     from .schedmodel import makespan as sched_makespan
-    from .schedmodel import phase_of, validate_schedule
+    from .schedmodel import phase_of, require_valid_schedule
 
-    report = validate_schedule(inst, sched)
-    if not report.valid:
-        raise ValueError(f"invalid schedule: {'; '.join(report.violations[:3])}")
+    require_valid_schedule(inst, sched)
     model = model if model is not None else build_relaxation(inst)
     rho = inst.rho
 

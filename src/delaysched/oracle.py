@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from .instance import (
     TOL,
     Instance,
+    require_valid_instance,
     topological_order,
     transitive_predecessors,
-    validate_instance,
 )
 from .schedmodel import Placement, Schedule
 
@@ -63,9 +63,7 @@ def exact_optimal_makespan(
     """Minimum makespan and one deterministic witness schedule."""
     limits = limits or OracleLimits()
     limits.check(inst, allow_duplication)
-    report = validate_instance(inst)
-    if not report.ok:
-        raise ValueError(f"invalid instance: {'; '.join(report.violations)}")
+    require_valid_instance(inst)
 
     jobs = [j.id for j in inst.jobs]
     machines = [mc.id for mc in inst.machines]

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import TOL, Instance, topological_order, validate_instance
-from .schedmodel import Placement, Schedule, phase_of, validate_schedule
+from .instance import TOL, Instance, require_valid_instance, topological_order
+from .schedmodel import Placement, Schedule, phase_of, require_valid_schedule
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,7 @@ def _slow_ids(inst: Instance) -> set[str]:
 
 def filter_slow_machines(inst: Instance) -> MachineFilterResult:
     """Keep machines with speed at least s_max/m (tolerance 1e-9)."""
-    report = validate_instance(inst)
-    if not report.ok:
-        raise ValueError(f"invalid instance: {'; '.join(report.violations)}")
+    require_valid_instance(inst)
     slow = _slow_ids(inst)
     kept = tuple(mc for mc in inst.machines if mc.id not in slow)
     filtered = Instance(inst.jobs, kept, inst.edges, inst.rho)
@@ -50,9 +48,7 @@ def filter_slow_machines(inst: Instance) -> MachineFilterResult:
 
 def rehost_schedule(inst: Instance, sched: Schedule) -> Schedule:
     """Move all work off sub-threshold machines; makespan grows at most 6x."""
-    report = validate_schedule(inst, sched)
-    if not report.valid:
-        raise ValueError(f"invalid schedule: {'; '.join(report.violations[:3])}")
+    require_valid_schedule(inst, sched)
     slow = _slow_ids(inst)
     if not any(p.machine in slow for p in sched.placements):
         return sched

@@ -120,6 +120,13 @@ def validate_schedule(inst: Instance, sched: Schedule) -> ScheduleReport:
     return ScheduleReport(not bad, makespan(inst, sched), tuple(bad))
 
 
+def require_valid_schedule(inst: Instance, sched: Schedule) -> None:
+    """Raise ``ValueError("invalid schedule: ...")`` with the first three violations."""
+    report = validate_schedule(inst, sched)
+    if not report.valid:
+        raise ValueError(f"invalid schedule: {'; '.join(report.violations[:3])}")
+
+
 # ---------------------------------------------------------------------------
 # Chain construction and phase classification.
 # ---------------------------------------------------------------------------

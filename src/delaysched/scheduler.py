@@ -57,15 +57,10 @@ def run_group_scheduler(
     rho = inst.rho
     preds = transitive_predecessors(inst)
     size, speed = inst._sizes, inst._speeds
-    bands = assignment.bands
-    topo_pos = {
-        v: k
-        for k, v in enumerate(topological_order(inst, key=lambda v: (bands[v], v)))
-    }
-    group_jobs = {
-        g.index: sorted(assignment.jobs_of_group(g.index), key=topo_pos.__getitem__)
-        for g in assignment.groups
-    }
+    bands, kappa = assignment.bands, assignment.kappa
+    order = topological_order(inst, key=lambda v: (bands[v], v))
+    topo_pos = {v: k for k, v in enumerate(order)}
+    group_jobs = {g.index: [v for v in order if kappa[v] == g.index] for g in assignment.groups}
 
     st = SchedulerState(frontier={mc.id: 0.0 for mc in inst.machines})
     st.clock_history.append(0.0)
@@ -121,7 +116,7 @@ def run_group_scheduler(
                     continue
                 if new_mass < mass / eta - TOL:
                     continue
-                if any(assignment.kappa[u] < g.index for u in batch):
+                if any(kappa[u] < g.index for u in batch):
                     continue
                 for u in batch:
                     if i in comp_on[u]:

@@ -236,6 +236,24 @@ def test_assertion_errors_become_stage_errors(tmp_path, capsys, monkeypatch,
     assert err == f"error: [{stage}] injected failure\n"
 
 
+# normalizing sizes 1e-300 and 1e10 overflows job b's size to inf
+_OVERFLOWS = {"rho": 1.0, "jobs": [{"id": "a", "size": 1e-300}, {"id": "b", "size": 1e10}],
+              "machines": [{"id": "m0", "speed": 1.0}], "edges": [["a", "b"]]}
+_RANDOM = json.loads(instance_to_json(gen_random_dag(6, 2, 0.3, (1, 2), (0.5, 1), 2.0, seed=4)))
+
+
+@pytest.mark.parametrize("doc, flags, message", [
+    (_OVERFLOWS, [], "[preprocess] invalid instance: job b: size must be finite"),
+    (_OVERFLOWS, ["--skip-preprocess"], "[lp] invalid instance: job b: size must be finite"),
+    (_RANDOM, ["--eta", "0.5"], "[schedule] eta must be >= 1"),
+], ids=["preprocess", "lp", "schedule"])
+def test_value_errors_name_their_stage(tmp_path, capsys, doc, flags, message):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(doc))
+    assert run(["schedule", "--input", str(inst_path), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_import_loads_neither_scipy_nor_numpy():
     # the CLI's cold start depends on scipy and numpy loading only at the first solve
     src = str(Path(delaysched.__file__).resolve().parents[1])

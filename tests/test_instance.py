@@ -19,7 +19,8 @@ from delaysched import (
     transitive_predecessors,
     validate_instance,
 )
-from delaysched.instance import CodecError, Instance
+from delaysched.cli import main
+from delaysched.instance import CodecError, Instance, topological_order
 
 
 def test_minimal_instance_is_valid():
@@ -78,6 +79,86 @@ def test_lookups_on_direct_instance_ignore_equality():
     assert inst == fresh and hash(inst) == hash(fresh)
     with pytest.raises(KeyError):
         inst.machine_index("m9")
+
+
+def _chain(n, back_edge=False):
+    ids = [f"j{k}" for k in range(n)]
+    edges = list(zip(ids, ids[1:])) + ([(ids[-1], ids[0])] if back_edge else [])
+    return ids, make_instance([Job(v, 1.0) for v in ids], [Machine("m0", 1.0)], edges, 1.0)
+
+
+def test_deep_chain_validates_and_sorts():
+    ids, inst = _chain(3000)
+    assert validate_instance(inst).ok
+    assert topological_order(inst) == ids
+
+
+def test_deep_chain_with_back_edge_reports_cycle():
+    _, inst = _chain(3000, back_edge=True)
+    assert validate_instance(inst).violations == ("cycle in precedence graph",)
+    with pytest.raises(ValueError, match="cycle"):
+        topological_order(inst)
+
+
+def test_cli_reports_deep_cycle_at_validate_stage(tmp_path, capsys):
+    _, inst = _chain(1500, back_edge=True)
+    path = tmp_path / "inst.json"
+    path.write_text(instance_to_json(inst))
+    assert main(["schedule", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: [validate] cycle in precedence graph\n"
+
+
+def _dfs_has_cycle(ids, edges):
+    """Reference verdict: iterative three-colour DFS over the distinct ids."""
+    succ = {v: [] for v in ids}
+    for a, b in edges:
+        succ[a].append(b)
+    colour = dict.fromkeys(succ, 0)  # 0 unseen, 1 on the path, 2 finished
+    for root in succ:
+        if colour[root]:
+            continue
+        colour[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, it = stack[-1]
+            w = next(it, None)
+            if w is None:
+                colour[v] = 2
+                stack.pop()
+            elif colour[w] == 1:
+                return True
+            elif colour[w] == 0:
+                colour[w] = 1
+                stack.append((w, iter(succ[w])))
+    return False
+
+
+_IDS = "abcdef"  # jobs are drawn from a..e, so edges touching f dangle
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(_IDS[:5]), min_size=1, max_size=7),
+    st.lists(st.tuples(st.sampled_from(_IDS), st.sampled_from(_IDS)), max_size=10),
+)
+def test_cycle_verdict_matches_dfs_reference(job_ids, edges):
+    inst = make_instance([Job(v, 1.0) for v in job_ids], [Machine("m0", 1.0)], edges, 1.0)
+    known = set(job_ids)
+    dangling = [f"dangling edge ({a}, {b})" for a, b in edges if not {a, b} <= known]
+    expected = ["duplicate job ids"] if len(known) < len(job_ids) else []
+    expected += dangling
+    cyclic = not dangling and _dfs_has_cycle(list(dict.fromkeys(job_ids)), edges)
+    if cyclic:
+        expected.append("cycle in precedence graph")
+    assert validate_instance(inst).violations == tuple(expected)
+    if cyclic:
+        with pytest.raises(ValueError, match="cycle"):
+            topological_order(inst)
+    elif not expected:
+        order = topological_order(inst)
+        pos = {v: k for k, v in enumerate(order)}
+        assert sorted(order) == sorted(job_ids)
+        assert all(pos[a] < pos[b] for a, b in edges)
 
 
 def _paths_oracle(inst):
@@ -284,10 +365,15 @@ _GOOD_MACHINES = '[{"id": "m0", "speed": 1.0}]'
         ("1.0", _GOOD_JOBS, '[{"id": 3, "speed": 1.0}]', "[]", "'id' in machines[0] must be a string"),
         ("1.0", _GOOD_JOBS, _GOOD_MACHINES, '[["a", 1]]', "edges[0][1] must be a job id string"),
         ("1.0", _GOOD_JOBS, _GOOD_MACHINES, '[[null, "a"]]', "edges[0][0] must be a job id string"),
+        ('"4"', _GOOD_JOBS, _GOOD_MACHINES, "[]", "'rho' in instance document must be a number"),
+        ("1.0", '[{"id": "a", "size": true}]', _GOOD_MACHINES, "[]",
+         "'size' in jobs[0] must be a number"),
+        ("1.0", _GOOD_JOBS, '[{"id": "m0", "speed": " 1e0 "}]', "[]",
+         "'speed' in machines[0] must be a number"),
     ],
     ids=["null-rho", "null-size", "text-speed", "scalar-job", "object-jobs", "null-machines",
          "text-edges", "huge-rho", "null-job-id", "number-machine-id", "number-edge-end",
-         "null-edge-start"],
+         "null-edge-start", "text-rho", "bool-size", "padded-text-speed"],
 )
 def test_codec_rejects_malformed_fields(rho, jobs, machines, edges, field):
     doc = f'{{"rho": {rho}, "jobs": {jobs}, "machines": {machines}, "edges": {edges}}}'

@@ -293,8 +293,13 @@ def test_schedule_codec_missing_field():
          "'job' in placements[0] must be a string"),
         ('{"placements": [{"job": "a", "machine": 0, "start": 0}]}',
          "'machine' in placements[0] must be a string"),
+        ('{"placements": [{"job": "a", "machine": "m0", "start": "0"}]}',
+         "'start' in placements[0] must be a number"),
+        ('{"placements": [{"job": "a", "machine": "m0", "start": false}]}',
+         "'start' in placements[0] must be a number"),
     ],
-    ids=["null-start", "scalar-placement", "text-placements", "null-job", "number-machine"],
+    ids=["null-start", "scalar-placement", "text-placements", "null-job", "number-machine",
+         "text-start", "bool-start"],
 )
 def test_schedule_codec_rejects_malformed_fields(doc, field):
     with pytest.raises(CodecError, match=re.escape(field)):

@@ -211,8 +211,9 @@ def _kahn(preds: Mapping[str, Collection[str]], key=None) -> list[str]:
 
 def topological_order(inst: Instance, key=None) -> list[str]:
     """Topological order of job ids; among ready jobs, smallest ``key`` first."""
-    out = _kahn(inst.direct_predecessors(), key)
-    if len(out) != inst.n:
+    preds = inst.direct_predecessors()  # one key per distinct id
+    out = _kahn(preds, key)
+    if len(out) != len(preds):
         raise ValueError("precedence graph has a cycle")
     return out
 

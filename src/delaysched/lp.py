@@ -8,9 +8,13 @@ direct edge: the rows of transitive pairs follow by chaining, since fractional
 processing times are non-negative.  :func:`solve_relaxation` solves the full
 relaxation exactly while generating same-phase pairs lazily by separation.
 
-Every model is solved by scipy's HiGHS backend (``linprog(method="highs")``
-with presolve), which is deterministic for a fixed model; scipy is imported
-on the first solve, not at package import.
+Every model is solved by the HiGHS dual simplex bundled with scipy, driven
+through scipy's private binding: the flat rows go to HiGHS row-wise with each
+row's sense in its bounds, and a solve can start from an earlier solution's
+basis, which later separation rounds do.  A scipy without that binding solves
+through ``linprog(method="highs")`` instead, always cold.  Both use presolve
+and are deterministic for a fixed model and start; scipy is imported on the
+first solve, not at package import.
 """
 
 from __future__ import annotations
@@ -109,7 +113,9 @@ class LpModel:
 class LpSolution:
     """Variable assignment with objective; status 'feasible' marks constructed
     (not solver-optimal) solutions such as embeddings and gap certificates.
-    ``values`` is aligned with the model's ``var_names``."""
+    ``values`` is aligned with the model's ``var_names``.  ``iterations``
+    holds the simplex iteration count of each solve behind the solution, and
+    ``basis`` the final HiGHS basis that :func:`solve_lp` can start from."""
 
     values: tuple[float, ...]
     objective: float
@@ -117,6 +123,9 @@ class LpSolution:
     x: dict[tuple[str, str], float] = field(default_factory=dict)
     z: dict[tuple[str, str, str], float] = field(default_factory=dict)
     start: dict[str, float] = field(default_factory=dict)
+    iterations: tuple[int, ...] = ()
+    # (var_names, col_status, row_names, row_status) of the solved model
+    basis: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _safe(name: str) -> str:
@@ -253,13 +262,97 @@ def _solution_from_values(model: LpModel, values_arr, status, objective):
     return sol
 
 
-def solve_lp(model: LpModel, max_iter: int | None = None) -> LpSolution:
-    """Minimize the model objective with HiGHS; deterministic for identical models.
+def solve_lp(model: LpModel, max_iter: int | None = None, *,
+             warm: LpSolution | None = None) -> LpSolution:
+    """Minimize the model objective with HiGHS; deterministic for identical inputs.
 
-    Status is 'optimal', 'iteration-limit' (``max_iter`` reached) or
-    otherwise 'infeasible', with no certificate row.  Only an undersized time-indexed horizon makes a model
-    infeasible: a valid instance always embeds its serial schedule.
+    Status is 'optimal', 'iteration-limit' (``max_iter`` simplex iterations
+    reached) or otherwise 'infeasible', with no certificate row.  Only an
+    undersized time-indexed horizon makes a model infeasible: a valid instance
+    always embeds its serial schedule.
+
+    ``warm``, an optimal solution of a related model, starts the simplex from
+    its final basis, matched by variable and row name: a column or row it
+    lacks starts nonbasic at its lower bound or basic, respectively.  HiGHS
+    checks and repairs the basis it is given, so a poor match costs iterations,
+    not correctness.  Without scipy's private HiGHS binding the model goes to
+    ``linprog`` and ``warm`` is ignored.
     """
+    try:
+        from scipy.optimize._highspy._core import (
+            HighsBasis,
+            HighsBasisStatus,
+            HighsLp,
+            HighsModelStatus,
+            HighsStatus,
+            MatrixFormat,
+            _Highs,
+        )
+        from scipy.optimize._highspy._core.simplex_constants import SimplexStrategy
+    except ImportError:
+        return _solve_linprog(model, max_iter)
+
+    n, senses, rhs = model.n_vars, model.row_senses, model.row_rhs
+    lp = HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = len(senses)
+    cost = [0.0] * n
+    for j, cj in model.objective.items():
+        cost[j] = cj
+    lp.col_cost_ = cost
+    lp.col_lower_ = [lo for lo, _ in model.bounds]
+    lp.col_upper_ = [hi for _, hi in model.bounds]
+    # a row's sense is its bounds: ">=" leaves the upper open, "<=" the lower
+    lp.row_lower_ = [-math.inf if sense == "<=" else b for sense, b in zip(senses, rhs)]
+    lp.row_upper_ = [math.inf if sense == ">=" else b for sense, b in zip(senses, rhs)]
+    matrix = lp.a_matrix_
+    matrix.format_ = MatrixFormat.kRowwise
+    matrix.num_col_ = n
+    matrix.num_row_ = len(senses)
+    matrix.start_ = model.row_start
+    matrix.index_ = model.row_cols
+    matrix.value_ = model.row_vals
+
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("log_to_console", False)
+    highs.setOptionValue("presolve", "on")
+    highs.setOptionValue("simplex_strategy", SimplexStrategy.kSimplexStrategyDual)
+    if max_iter is not None:
+        highs.setOptionValue("simplex_iteration_limit", max_iter)
+        highs.setOptionValue("ipm_iteration_limit", max_iter)
+    if highs.passModel(lp) == HighsStatus.kError:
+        raise ValueError("HiGHS rejected the model")
+    if warm is not None and warm.basis is not None:
+        var_names, col_status, row_names, row_status = warm.basis
+        col_of = dict(zip(_distinct(var_names), col_status))
+        row_of = dict(zip(_distinct(row_names), row_status))
+        basis = HighsBasis()  # alien: HiGHS factors it and repairs a singular one
+        basis.col_status = [col_of.get(name, HighsBasisStatus.kLower)
+                            for name in _distinct(model.var_names)]
+        basis.row_status = [row_of.get(name, HighsBasisStatus.kBasic)
+                            for name in _distinct(model.row_names)]
+        highs.setBasis(basis)  # on failure the solve simply starts cold
+    highs.run()
+
+    model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    if model_status == HighsModelStatus.kOptimal:
+        sol = _solution_from_values(
+            model, highs.getSolution().col_value, "optimal", info.objective_function_value
+        )
+        final = highs.getBasis()
+        sol.basis = (model.var_names, final.col_status, model.row_names, final.row_status)
+    else:
+        limited = model_status == HighsModelStatus.kIterationLimit
+        status = "iteration-limit" if limited else "infeasible"
+        sol = _solution_from_values(model, [0.0] * n, status, math.nan)
+    sol.iterations = (info.simplex_iteration_count,)
+    return sol
+
+
+def _solve_linprog(model: LpModel, max_iter: int | None) -> LpSolution:
+    """:func:`solve_lp` through ``linprog``, for a scipy without the binding."""
     import numpy as np
     from scipy import sparse
     from scipy.optimize import linprog
@@ -301,9 +394,12 @@ def solve_lp(model: LpModel, max_iter: int | None = None) -> LpSolution:
         bounds=bounds, method="highs", options=options,
     )
     if res.status == 0:
-        return _solution_from_values(model, res.x, "optimal", res.fun)
-    status = "iteration-limit" if res.status == 1 else "infeasible"
-    return _solution_from_values(model, [0.0] * n, status, math.nan)
+        sol = _solution_from_values(model, res.x, "optimal", res.fun)
+    else:
+        status = "iteration-limit" if res.status == 1 else "infeasible"
+        sol = _solution_from_values(model, [0.0] * n, status, math.nan)
+    sol.iterations = (res.nit,)
+    return sol
 
 
 def solve_relaxation(inst: Instance) -> tuple[LpModel, LpSolution]:
@@ -320,14 +416,18 @@ def solve_relaxation(inst: Instance) -> tuple[LpModel, LpSolution]:
     relaxation of the full one, that value is the full optimum.  Each round
     adds a pair, so there are at most as many rounds as transitive pairs.
 
+    Every round after the first starts from the previous round's basis.
     Returns the last restricted model and its solution: ``values`` (aligned
     with that model), ``x``, ``start`` and ``objective`` come from the last
-    solve, and ``z`` holds a value for every transitive pair.
+    solve, ``z`` holds a value for every transitive pair, and ``iterations``
+    one count per round.
     """
     pairs = set(inst.edges)
+    sol, iterations = None, ()
     while True:
         model = build_relaxation(inst, pairs)
-        sol = solve_lp(model)
+        sol = solve_lp(model, warm=sol)
+        iterations = sol.iterations = iterations + sol.iterations
         if sol.status != "optimal" or inst.rho <= 0:
             return model, sol
         sol.z, added = _separate(inst, sol, pairs)

@@ -1,6 +1,7 @@
 """Shared corpus builders for the test suite."""
 
 import random
+import sys
 
 import pytest
 
@@ -72,3 +73,22 @@ def round_robin_schedule(inst, offset=0) -> Schedule:
         comp[v] = t + inst.size(v) / mc.speed
         frontier[mc.id] = comp[v]
     return Schedule(tuple(placements))
+
+
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """Hide scipy's private HiGHS binding, as an older scipy would, so that
+    ``solve_lp`` takes its ``linprog`` path; yields every ``linprog`` call's
+    positional and keyword arguments."""
+    import scipy.optimize  # linprog loads the binding for itself first
+
+    real = scipy.optimize.linprog
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    return calls

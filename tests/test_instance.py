@@ -100,6 +100,12 @@ def test_deep_chain_with_back_edge_reports_cycle():
         topological_order(inst)
 
 
+def test_duplicate_ids_are_not_a_cycle():
+    inst = make_instance([Job("a", 1.0), Job("a", 2.0)], [Machine("m0", 1.0)], [], 1.0)
+    assert validate_instance(inst).violations == ("duplicate job ids",)
+    assert topological_order(inst) == ["a"]
+
+
 def test_cli_reports_deep_cycle_at_validate_stage(tmp_path, capsys):
     _, inst = _chain(1500, back_edge=True)
     path = tmp_path / "inst.json"

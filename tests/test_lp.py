@@ -308,26 +308,67 @@ def test_rows_view_round_trips_added_rows():
     assert list(model.rows) == before
 
 
-def test_solve_lp_assembles_the_rows_it_is_given(monkeypatch):
-    import numpy as np
-    import scipy.optimize
-
+def _assembly_models():
     from delaysched.gaplab import build_alternate_relaxation
 
-    real = scipy.optimize.linprog
-    seen = []
-
-    def spy(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, **kw):
-        seen.append((c, A_ub, b_ub, A_eq, b_eq, bounds))
-        return real(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, **kw)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", spy)
     inst, _ = normalize_instance(gen_random_dag(6, 3, 0.4, (1, 4), (0.25, 1), 4.0, 3))
     # ">=" and "=" rows; then "<=" rows as well
-    for model in (build_relaxation(inst), build_alternate_relaxation(inst, "time_indexed", 6)):
+    return build_relaxation(inst), build_alternate_relaxation(inst, "time_indexed", 6)
+
+
+def test_solve_lp_assembles_the_rows_it_is_given(monkeypatch):
+    import numpy as np
+    from scipy.optimize._highspy import _core
+
+    seen = []
+
+    class Spy(_core._Highs):
+        def passModel(self, lp):
+            seen.append(lp)
+            return super().passModel(lp)
+
+    monkeypatch.setattr(_core, "_Highs", Spy)
+    for model in _assembly_models():
         seen.clear()
         assert solve_lp(model).status == "optimal"
-        (c, A_ub, b_ub, A_eq, b_eq, bounds), = seen
+        (lp,), n, m = seen, model.n_vars, len(model.rows)
+        ref_c = _dense_arrays(model)[0]
+        ref_a = np.zeros((m, n))
+        for r, (_, coeffs, _, _) in enumerate(model.rows):
+            for j, a in coeffs.items():
+                ref_a[r, j] = a
+        matrix = lp.a_matrix_
+        assert matrix.format_ == _core.MatrixFormat.kRowwise
+        assert (lp.num_col_, lp.num_row_, matrix.num_col_, matrix.num_row_) == (n, m, n, m)
+        a = np.zeros((m, n))
+        for r in range(m):
+            for k in range(matrix.start_[r], matrix.start_[r + 1]):
+                a[r, matrix.index_[k]] += matrix.value_[k]
+        assert np.array_equal(a, ref_a) and np.array_equal(lp.col_cost_, ref_c)
+        assert list(zip(lp.col_lower_, lp.col_upper_)) == model.bounds
+        senses = [sense for _, _, sense, _ in model.rows]
+        rhs = [b for *_, b in model.rows]
+        assert lp.row_lower_ == [-math.inf if s == "<=" else b for s, b in zip(senses, rhs)]
+        assert lp.row_upper_ == [math.inf if s == ">=" else b for s, b in zip(senses, rhs)]
+
+
+def test_row_with_unknown_column_is_rejected():
+    model = LpModel()
+    model.objective = {model.add_var("x"): 1.0}
+    model.add_row("r", {5: 1.0}, ">=", 1.0)
+    with pytest.raises(ValueError):
+        solve_lp(model)
+
+
+def test_linprog_fallback_assembles_the_rows_it_is_given(linprog_calls):
+    import numpy as np
+
+    for model in _assembly_models():
+        linprog_calls.clear()
+        sol = solve_lp(model)
+        assert sol.status == "optimal" and len(sol.iterations) == 1 and sol.basis is None
+        ((c,), kw), = linprog_calls
+        A_ub, b_ub, A_eq, b_eq, bounds = map(kw.get, ("A_ub", "b_ub", "A_eq", "b_eq", "bounds"))
         ref_c, ref_a_ub, ref_b_ub, ref_a_eq, ref_b_eq, ref_bounds = _dense_arrays(model)
         assert np.array_equal(c, ref_c) and bounds == ref_bounds
         assert np.array_equal(A_ub.toarray(), ref_a_ub) and np.array_equal(b_ub, ref_b_ub)

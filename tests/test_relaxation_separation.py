@@ -8,6 +8,8 @@ must be feasible for the full model.
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_instance
 from delaysched import (
@@ -62,7 +64,15 @@ def test_tiny_corpus_matches_full_model(seed):
     assert_exact(tiny_instance(seed, n_max=5, m_max=2))
 
 
-@pytest.mark.parametrize("rho", [0.3, 1.0, math.e**math.e, 16.0, 64.0, 0.0])
+RHOS = [0.3, 1.0, math.e**math.e, 16.0, 64.0, 0.0]
+
+
+def separation_instance():
+    """Needs two rounds: the direct edges, then implied pairs."""
+    return pipeline_input(12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 5)
+
+
+@pytest.mark.parametrize("rho", RHOS)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_random_dags_match_full_model(rho, seed):
     assert_exact(pipeline_input(12, 3, 0.35, (1, 4), (0.25, 1), rho, seed))
@@ -96,6 +106,68 @@ def test_separation_adds_pairs_until_none_violate(monkeypatch):
     assert len(calls) >= 2
     assert calls[0] == len(set(inst.edges)) * inst.m  # the first round has the direct edges
     assert calls == sorted(set(calls))  # every later round adds pairs
+
+
+def test_later_rounds_start_warm(monkeypatch):
+    rounds = []  # each solve's own iteration counts
+    real = lp.solve_lp
+
+    def recording(model, *args, **kwargs):
+        sol = real(model, *args, **kwargs)
+        rounds.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(lp, "solve_lp", recording)
+    model, sol = solve_relaxation(separation_instance())
+    assert len(rounds) >= 2 and all(len(counts) == 1 for counts in rounds)
+    assert sol.iterations == sum(rounds, ())
+    first, *later = sol.iterations
+    assert all(k < first for k in later)
+    assert sol.iterations[-1] < real(model).iterations[0]  # the same model, cold
+
+
+def test_linprog_fallback_matches_full_model(linprog_calls):
+    for seed in range(0, 40, 4):
+        assert_exact(tiny_instance(seed, n_max=5, m_max=2))
+    for rho in RHOS:
+        for seed in (1, 2, 3):
+            assert_exact(pipeline_input(12, 3, 0.35, (1, 4), (0.25, 1), rho, seed))
+    assert_exact(separation_instance())
+    _, sol = solve_relaxation(separation_instance())
+    assert len(sol.iterations) >= 2 and sol.basis is None
+    assert linprog_calls
+
+
+def test_colliding_ids_reach_the_full_optimum():
+    # "a-b" and "a_b" give the same model names; the round-two basis, matched
+    # by name, then starts some z columns and rows from the other pair's status
+    base = separation_instance()
+    rename = {"j5": "a-b", "j4": "a_b"}.get
+    inst = make_instance(
+        [Job(rename(v.id, v.id), v.size) for v in base.jobs],
+        base.machines,
+        [(rename(u, u), rename(v, v)) for u, v in base.edges],
+        base.rho,
+    )
+    model, sol = solve_relaxation(inst)
+    z_names = [model.var_names[idx] for idx in model.z_index.values()]
+    assert len(set(z_names)) < len(z_names)
+    assert len(sol.iterations) >= 2
+    assert_exact(inst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.integers(1, 3),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.3, 1.0, math.e**math.e, 16.0]),
+    st.integers(0, 2**32 - 1),
+)
+@example(10, 3, 0.8, math.e**math.e, 112)  # two rounds
+@example(5, 1, 0.8, math.e**math.e, 235)
+def test_random_dags_match_full_model_property(n, m, p, rho, seed):
+    assert_exact(gen_random_dag(n, m, p, (1, 4), (0.25, 1), rho, seed))
 
 
 def test_precedence_rows_per_distinct_direct_edge():

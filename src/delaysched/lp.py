@@ -8,19 +8,19 @@ direct edge: the rows of transitive pairs follow by chaining, since fractional
 processing times are non-negative.  :func:`solve_relaxation` solves the full
 relaxation exactly while generating same-phase pairs lazily by separation.
 
-Every model is solved by the HiGHS dual simplex bundled with scipy, driven
-through scipy's private binding: the flat rows go to HiGHS row-wise with each
-row's sense in its bounds, and a solve can start from an earlier solution's
-basis, which later separation rounds do.  A scipy without that binding solves
-through ``linprog(method="highs")`` instead, always cold.  Both use presolve
-and are deterministic for a fixed model and start; scipy is imported on the
-first solve, not at package import.
+Every model is solved by the HiGHS dual simplex bundled with scipy (1.15 or
+later), driven through scipy's private binding: the flat rows go to HiGHS
+row-wise with each row's sense in its bounds, and a solve can start from an
+earlier solution's basis, which later separation rounds do.  Solves use
+presolve and are deterministic for a fixed model and start; scipy is imported
+on the first solve, not at package import.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -262,43 +262,45 @@ def _solution_from_values(model: LpModel, values_arr, status, objective):
     return sol
 
 
-def solve_lp(model: LpModel, max_iter: int | None = None, *,
-             warm: LpSolution | None = None) -> LpSolution:
+def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     """Minimize the model objective with HiGHS; deterministic for identical inputs.
 
-    Status is 'optimal', 'iteration-limit' (``max_iter`` simplex iterations
-    reached) or otherwise 'infeasible', with no certificate row.  Only an
-    undersized time-indexed horizon makes a model infeasible: a valid instance
-    always embeds its serial schedule.
+    Status is 'optimal' or otherwise 'infeasible', with no certificate row.
+    Only an undersized time-indexed horizon makes a model infeasible: a valid
+    instance always embeds its serial schedule.  A non-finite objective
+    coefficient or matrix value, a NaN bound or right-hand side, or a row
+    naming a column the model lacks raises ``ValueError``.
 
     ``warm``, an optimal solution of a related model, starts the simplex from
     its final basis, matched by variable and row name: a column or row it
     lacks starts nonbasic at its lower bound or basic, respectively.  HiGHS
     checks and repairs the basis it is given, so a poor match costs iterations,
-    not correctness.  Without scipy's private HiGHS binding the model goes to
-    ``linprog`` and ``warm`` is ignored.
+    not correctness.
     """
-    try:
-        from scipy.optimize._highspy._core import (
-            HighsBasis,
-            HighsBasisStatus,
-            HighsLp,
-            HighsModelStatus,
-            HighsStatus,
-            MatrixFormat,
-            _Highs,
-        )
-        from scipy.optimize._highspy._core.simplex_constants import SimplexStrategy
-    except ImportError:
-        return _solve_linprog(model, max_iter)
+    from scipy.optimize._highspy._core import (
+        HighsBasis,
+        HighsBasisStatus,
+        HighsLp,
+        HighsModelStatus,
+        HighsStatus,
+        MatrixFormat,
+        _Highs,
+    )
+    from scipy.optimize._highspy._core.simplex_constants import SimplexStrategy
 
     n, senses, rhs = model.n_vars, model.row_senses, model.row_rhs
-    lp = HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = len(senses)
     cost = [0.0] * n
     for j, cj in model.objective.items():
         cost[j] = cj
+    # HiGHS would report such a model optimal, so it is rejected here
+    if (j := _first_nonfinite(cost)) is not None:
+        raise ValueError(f"objective coefficient of {model.var_names[j]} is {cost[j]}")
+    if (k := _first_nonfinite(model.row_vals)) is not None:
+        r = bisect_right(model.row_start, k) - 1
+        raise ValueError(f"row {model.row_names[r]} has coefficient {model.row_vals[k]}")
+    lp = HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = len(senses)
     lp.col_cost_ = cost
     lp.col_lower_ = [lo for lo, _ in model.bounds]
     lp.col_upper_ = [hi for _, hi in model.bounds]
@@ -318,9 +320,6 @@ def solve_lp(model: LpModel, max_iter: int | None = None, *,
     highs.setOptionValue("log_to_console", False)
     highs.setOptionValue("presolve", "on")
     highs.setOptionValue("simplex_strategy", SimplexStrategy.kSimplexStrategyDual)
-    if max_iter is not None:
-        highs.setOptionValue("simplex_iteration_limit", max_iter)
-        highs.setOptionValue("ipm_iteration_limit", max_iter)
     if highs.passModel(lp) == HighsStatus.kError:
         raise ValueError("HiGHS rejected the model")
     if warm is not None and warm.basis is not None:
@@ -335,71 +334,25 @@ def solve_lp(model: LpModel, max_iter: int | None = None, *,
         highs.setBasis(basis)  # on failure the solve simply starts cold
     highs.run()
 
-    model_status = highs.getModelStatus()
     info = highs.getInfo()
-    if model_status == HighsModelStatus.kOptimal:
+    if highs.getModelStatus() == HighsModelStatus.kOptimal:
         sol = _solution_from_values(
             model, highs.getSolution().col_value, "optimal", info.objective_function_value
         )
         final = highs.getBasis()
         sol.basis = (model.var_names, final.col_status, model.row_names, final.row_status)
     else:
-        limited = model_status == HighsModelStatus.kIterationLimit
-        status = "iteration-limit" if limited else "infeasible"
-        sol = _solution_from_values(model, [0.0] * n, status, math.nan)
+        sol = _solution_from_values(model, [0.0] * n, "infeasible", math.nan)
     sol.iterations = (info.simplex_iteration_count,)
     return sol
 
 
-def _solve_linprog(model: LpModel, max_iter: int | None) -> LpSolution:
-    """:func:`solve_lp` through ``linprog``, for a scipy without the binding."""
-    import numpy as np
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    n = model.n_vars
-    c = np.zeros(n)
-    for j, cj in model.objective.items():
-        c[j] = cj
-
-    # Rows keep their order within each of A_ub and A_eq, and every row its
-    # entry order; ">=" rows enter A_ub negated.
-    senses = model.row_senses
-    is_eq = np.fromiter((sense == "=" for sense in senses), bool, len(senses))
-    flip = np.fromiter((-1.0 if sense == ">=" else 1.0 for sense in senses), float, len(senses))
-    rhs = flip * np.array(model.row_rhs, dtype=float)
-    row_of = np.repeat(np.arange(len(senses)), np.diff(model.row_start))
-    cols = np.array(model.row_cols, dtype=np.int64)
-    vals = flip[row_of] * np.array(model.row_vals, dtype=float)
-
-    def block(chosen):
-        """Matrix and right-hand side of the rows where ``chosen`` holds."""
-        if not chosen.any():
-            return None, None
-        rank = np.cumsum(chosen) - 1  # row's position within the block
-        terms = chosen[row_of]
-        A = sparse.csr_matrix(
-            (vals[terms], (rank[row_of[terms]], cols[terms])), shape=(int(chosen.sum()), n)
-        )
-        return A, rhs[chosen]
-
-    A_ub, b_ub = block(~is_eq)
-    A_eq, b_eq = block(is_eq)
-    bounds = [(lo, None if hi == math.inf else hi) for lo, hi in model.bounds]
-    options = {"presolve": True}
-    if max_iter is not None:
-        options["maxiter"] = max_iter
-    res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-        bounds=bounds, method="highs", options=options,
-    )
-    if res.status == 0:
-        sol = _solution_from_values(model, res.x, "optimal", res.fun)
-    else:
-        status = "iteration-limit" if res.status == 1 else "infeasible"
-        sol = _solution_from_values(model, [0.0] * n, status, math.nan)
-    sol.iterations = (res.nit,)
-    return sol
+def _first_nonfinite(values: list[float]) -> int | None:
+    """Index of the first NaN or infinite entry of ``values``, if any."""
+    if math.isfinite(sum(values)):  # any NaN or infinity makes the sum non-finite
+        return None
+    # the sum also overflows on large finite values
+    return next((k for k, a in enumerate(values) if not math.isfinite(a)), None)
 
 
 def solve_relaxation(inst: Instance) -> tuple[LpModel, LpSolution]:

@@ -1,9 +1,6 @@
 """Shared corpus builders for the test suite."""
 
 import random
-import sys
-
-import pytest
 
 from delaysched import Job, Machine, Placement, Schedule, make_instance
 from delaysched.instance import gen_random_dag, topological_order
@@ -74,21 +71,3 @@ def round_robin_schedule(inst, offset=0) -> Schedule:
         frontier[mc.id] = comp[v]
     return Schedule(tuple(placements))
 
-
-@pytest.fixture
-def linprog_calls(monkeypatch):
-    """Hide scipy's private HiGHS binding, as an older scipy would, so that
-    ``solve_lp`` takes its ``linprog`` path; yields every ``linprog`` call's
-    positional and keyword arguments."""
-    import scipy.optimize  # linprog loads the binding for itself first
-
-    real = scipy.optimize.linprog
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs))
-        return real(*args, **kwargs)
-
-    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-    monkeypatch.setattr(scipy.optimize, "linprog", spy)
-    return calls

@@ -126,16 +126,35 @@ def test_later_rounds_start_warm(monkeypatch):
     assert sol.iterations[-1] < real(model).iterations[0]  # the same model, cold
 
 
-def test_linprog_fallback_matches_full_model(linprog_calls):
-    for seed in range(0, 40, 4):
-        assert_exact(tiny_instance(seed, n_max=5, m_max=2))
-    for rho in RHOS:
-        for seed in (1, 2, 3):
-            assert_exact(pipeline_input(12, 3, 0.35, (1, 4), (0.25, 1), rho, seed))
-    assert_exact(separation_instance())
-    _, sol = solve_relaxation(separation_instance())
-    assert len(sol.iterations) >= 2 and sol.basis is None
-    assert linprog_calls
+def test_round_two_basis_keeps_round_one_statuses(monkeypatch):
+    from scipy.optimize._highspy import _core
+
+    solved = []  # (model, solution) of each round
+    given = []  # (col_status, row_status) passed to setBasis
+    real = lp.solve_lp
+
+    def recording(model, *args, **kwargs):
+        solved.append((model, real(model, *args, **kwargs)))
+        return solved[-1][1]
+
+    class Spy(_core._Highs):
+        def setBasis(self, basis):
+            given.append((list(basis.col_status), list(basis.row_status)))
+            return super().setBasis(basis)
+
+    monkeypatch.setattr(lp, "solve_lp", recording)
+    monkeypatch.setattr(_core, "_Highs", Spy)
+    solve_relaxation(separation_instance())
+    assert len(solved) >= 2 and len(given) == len(solved) - 1  # round one starts cold
+    (first, sol), (second, _) = solved[:2]
+    col_was = dict(zip(first.var_names, sol.basis[1]))
+    row_was = dict(zip(first.row_names, sol.basis[3]))
+    assert len(col_was) == first.n_vars and len(row_was) == len(first.row_names)
+    assert col_was.keys() <= set(second.var_names) and row_was.keys() <= set(second.row_names)
+    cols, rows = given[0]
+    assert cols == [col_was.get(name, _core.HighsBasisStatus.kLower) for name in second.var_names]
+    assert rows == [row_was.get(name, _core.HighsBasisStatus.kBasic) for name in second.row_names]
+    assert len(cols) > first.n_vars and len(rows) > len(first.row_names)  # new ones exist
 
 
 def test_colliding_ids_reach_the_full_optimum():

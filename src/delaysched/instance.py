@@ -145,6 +145,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
         bad.append("no jobs")
     if not inst.machines:
         bad.append("no machines")
+    before_numbers = len(bad)
     for j in inst.jobs:
         if not math.isfinite(j.size):
             bad.append(f"job {j.id}: size must be finite")
@@ -159,6 +160,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
         bad.append("rho must be finite")
     elif inst.rho < 0:
         bad.append("rho must be >= 0")
+    if len(bad) == before_numbers and inst.jobs and inst.machines:
+        bad += _normalization_overflows(inst)
     for k in range(len(inst.machines) - 1):
         a, b = inst.machines[k], inst.machines[k + 1]
         if a.speed > b.speed + TOL or (abs(a.speed - b.speed) <= TOL and a.id > b.id):
@@ -173,6 +176,28 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if len(_kahn(pred)) < len(pred):
             bad.append("cycle in precedence graph")
     return ValidationReport(tuple(bad))
+
+
+def _scale_factors(inst: Instance) -> tuple[float, float]:
+    """``alpha`` and ``beta`` of :func:`normalize_instance`."""
+    return 1.0 / min(j.size for j in inst.jobs), 1.0 / max(mc.speed for mc in inst.machines)
+
+
+def _normalization_overflows(inst: Instance) -> list[str]:
+    """Numbers :func:`normalize_instance` would scale out of the float range,
+    for finite positive sizes and speeds and a finite non-negative rho."""
+    alpha, beta = _scale_factors(inst)
+    if not math.isfinite(alpha):
+        return ["1 / min job size is not finite"]
+    if not math.isfinite(beta):
+        return ["1 / max machine speed is not finite"]
+    bad = [f"job {j.id}: size / min size is not finite"
+           for j in inst.jobs if not math.isfinite(j.size * alpha)]
+    bad += [f"machine {mc.id}: speed / max speed is 0"
+            for mc in inst.machines if not mc.speed * beta > 0]
+    if not math.isfinite(inst.rho * alpha / beta):
+        bad.append("rho * max speed / min size is not finite")
+    return bad
 
 
 def require_valid_instance(inst: Instance) -> None:
@@ -244,10 +269,11 @@ def normalize_instance(inst: Instance) -> tuple[Instance, ScaleRecord]:
     """Scale so the shortest job has size 1 and the fastest machine speed 1.
 
     All execution times (size/speed) scale uniformly by ``alpha/beta``, and
-    rho is scaled by the same factor so behavior is preserved exactly.
+    rho is scaled by the same factor so behavior is preserved exactly.  A
+    valid instance normalizes to finite sizes, positive speeds and finite rho:
+    :func:`validate_instance` rejects one whose numbers would leave that range.
     """
-    alpha = 1.0 / min(j.size for j in inst.jobs)
-    beta = 1.0 / max(mc.speed for mc in inst.machines)
+    alpha, beta = _scale_factors(inst)
     if alpha == 1.0 and beta == 1.0:
         return inst, ScaleRecord(1.0, 1.0)
     jobs = tuple(Job(j.id, j.size * alpha) for j in inst.jobs)

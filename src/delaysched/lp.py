@@ -11,9 +11,14 @@ relaxation exactly while generating same-phase pairs lazily by separation.
 Every model is solved by the HiGHS dual simplex bundled with scipy (1.15 or
 later), driven through scipy's private binding: the flat rows go to HiGHS
 row-wise with each row's sense in its bounds, and a solve can start from an
-earlier solution's basis, which later separation rounds do.  Solves use
-presolve and are deterministic for a fixed model and start; scipy is imported
-on the first solve, not at package import.
+earlier solution's basis, which later separation rounds do.  Every solve uses
+one setting: presolve on, dual simplex, Dantzig pricing and no output.
+Dantzig pricing replaces HiGHS's default dual steepest edge because on these
+small, degenerate relaxations the cold first solve needs about half the
+iterations, each cheaper, which halves the time per pipeline instance at
+n=32, m=8.  It is slower on the large, fully symmetric layered gap instances
+(see ROADMAP).  Solves are deterministic for a fixed model and start; scipy
+is imported on the first solve, not at package import.
 """
 
 from __future__ import annotations
@@ -265,10 +270,12 @@ def _solution_from_values(model: LpModel, values_arr, status, objective):
 def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     """Minimize the model objective with HiGHS; deterministic for identical inputs.
 
-    Status is 'optimal' or otherwise 'infeasible', with no certificate row.
-    Only an undersized time-indexed horizon makes a model infeasible: a valid
-    instance always embeds its serial schedule.  A non-finite objective
-    coefficient or matrix value, a NaN bound or right-hand side, or a row
+    Status is 'optimal', 'infeasible', 'unbounded' (also when HiGHS cannot
+    tell unbounded from infeasible) or 'error' for any other outcome, with no
+    certificate row.  Only an undersized time-indexed horizon makes a model
+    infeasible: a valid instance always embeds its serial schedule, and its
+    relaxations are bounded below by zero.  A non-finite objective coefficient
+    or matrix value, a NaN bound or right-hand side, or an objective or row
     naming a column the model lacks raises ``ValueError``.
 
     ``warm``, an optimal solution of a related model, starts the simplex from
@@ -286,11 +293,16 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
         MatrixFormat,
         _Highs,
     )
-    from scipy.optimize._highspy._core.simplex_constants import SimplexStrategy
+    from scipy.optimize._highspy._core.simplex_constants import (
+        SimplexEdgeWeightStrategy,
+        SimplexStrategy,
+    )
 
     n, senses, rhs = model.n_vars, model.row_senses, model.row_rhs
     cost = [0.0] * n
     for j, cj in model.objective.items():
+        if not 0 <= j < n:
+            raise ValueError(f"objective names column {j} of a model with {n} variables")
         cost[j] = cj
     # HiGHS would report such a model optimal, so it is rejected here
     if (j := _first_nonfinite(cost)) is not None:
@@ -320,6 +332,8 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     highs.setOptionValue("log_to_console", False)
     highs.setOptionValue("presolve", "on")
     highs.setOptionValue("simplex_strategy", SimplexStrategy.kSimplexStrategyDual)
+    highs.setOptionValue("simplex_dual_edge_weight_strategy",
+                         SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDantzig)
     if highs.passModel(lp) == HighsStatus.kError:
         raise ValueError("HiGHS rejected the model")
     if warm is not None and warm.basis is not None:
@@ -335,14 +349,21 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     highs.run()
 
     info = highs.getInfo()
-    if highs.getModelStatus() == HighsModelStatus.kOptimal:
+    status = highs.getModelStatus()
+    if status == HighsModelStatus.kOptimal:
         sol = _solution_from_values(
             model, highs.getSolution().col_value, "optimal", info.objective_function_value
         )
         final = highs.getBasis()
         sol.basis = (model.var_names, final.col_status, model.row_names, final.row_status)
     else:
-        sol = _solution_from_values(model, [0.0] * n, "infeasible", math.nan)
+        if status in (HighsModelStatus.kUnbounded, HighsModelStatus.kUnboundedOrInfeasible):
+            name = "unbounded"
+        elif status == HighsModelStatus.kInfeasible:
+            name = "infeasible"
+        else:
+            name = "error"
+        sol = _solution_from_values(model, [0.0] * n, name, math.nan)
     sol.iterations = (info.simplex_iteration_count,)
     return sol
 

@@ -60,6 +60,8 @@ def run_group_scheduler(
     bands, kappa = assignment.bands, assignment.kappa
     order = topological_order(inst, key=lambda v: (bands[v], v))
     topo_pos = {v: k for k, v in enumerate(order)}
+    # each job's batch candidates: itself and its predecessors, in topological order
+    candidates = {v: sorted(preds[v] | {v}, key=topo_pos.__getitem__) for v in order}
     group_jobs = {g.index: [v for v in order if kappa[v] == g.index] for g in assignment.groups}
 
     st = SchedulerState(frontier={mc.id: 0.0 for mc in inst.machines})
@@ -104,7 +106,7 @@ def run_group_scheduler(
                 i = min(g.machine_ids, key=lambda mid: (st.frontier[mid], mid))
                 t_i = st.frontier[i]
                 batch = []
-                for u in sorted(preds[v] | {v}, key=topo_pos.__getitem__):
+                for u in candidates[v]:
                     done_here = comp_on[u].get(i, math.inf) <= t_i + TOL
                     done_far = earliest_comp[u] <= t_i - rho + TOL
                     if not (done_here or done_far):

@@ -236,20 +236,38 @@ def test_assertion_errors_become_stage_errors(tmp_path, capsys, monkeypatch,
     assert err == f"error: [{stage}] injected failure\n"
 
 
-# normalizing sizes 1e-300 and 1e10 overflows job b's size to inf
+# normalizing sizes 1e-300 and 1e10 would overflow job b's size to inf
 _OVERFLOWS = {"rho": 1.0, "jobs": [{"id": "a", "size": 1e-300}, {"id": "b", "size": 1e10}],
               "machines": [{"id": "m0", "speed": 1.0}], "edges": [["a", "b"]]}
 _RANDOM = json.loads(instance_to_json(gen_random_dag(6, 2, 0.3, (1, 2), (0.5, 1), 2.0, seed=4)))
 
 
-@pytest.mark.parametrize("doc, flags, message", [
-    (_OVERFLOWS, [], "[preprocess] invalid instance: job b: size must be finite"),
-    (_OVERFLOWS, ["--skip-preprocess"], "[lp] invalid instance: job b: size must be finite"),
-    (_RANDOM, ["--eta", "0.5"], "[schedule] eta must be >= 1"),
-], ids=["preprocess", "lp", "schedule"])
-def test_value_errors_name_their_stage(tmp_path, capsys, doc, flags, message):
+@pytest.mark.parametrize("flags", [[], ["--skip-preprocess"]])
+def test_normalization_overflow_is_a_validation_error(tmp_path, capsys, flags):
     inst_path = tmp_path / "inst.json"
-    inst_path.write_text(json.dumps(doc))
+    inst_path.write_text(json.dumps(_OVERFLOWS))
+    assert run(["schedule", "--input", str(inst_path), *flags]) == 2
+    assert capsys.readouterr().err == "error: [validate] job b: size / min size is not finite\n"
+
+
+@pytest.mark.parametrize("failing, flags, message", [
+    (("preprocess", "filter_slow_machines"), [], "[preprocess] injected failure"),
+    (("lp", "solve_relaxation"), [], "[lp] injected failure"),
+    (None, ["--eta", "0.5"], "[schedule] eta must be >= 1"),
+], ids=["preprocess", "lp", "schedule"])
+def test_value_errors_name_their_stage(tmp_path, capsys, monkeypatch, failing, flags, message):
+    # a validated instance raises no ValueError in preprocess or lp, so one is injected
+    from delaysched import cli
+
+    if failing is not None:
+        module, func = failing
+
+        def fail(*args, **kwargs):
+            raise ValueError("injected failure")
+
+        monkeypatch.setattr(getattr(cli, module), func, fail)
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(_RANDOM))
     assert run(["schedule", "--input", str(inst_path), *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -59,11 +59,28 @@ def test_unsorted_machines_reported():
         ([Job("a", 1.0)], [Machine("m0", -math.inf)], 1.0, "machine m0: speed must be finite"),
         ([], [Machine("m0", 1.0)], 1.0, "no jobs"),
         ([Job("a", 1.0)], [], 1.0, "no machines"),
+        # finite numbers that normalize_instance would scale out of range
+        ([Job("a", 1e-300), Job("b", 1e10)], [Machine("m0", 1.0)], 1.0,
+         "job b: size / min size is not finite"),
+        ([Job("a", 5e-324)], [Machine("m0", 1.0)], 1.0, "1 / min job size is not finite"),
+        ([Job("a", 1.0)], [Machine("m0", 1e-320)], 1.0, "1 / max machine speed is not finite"),
+        ([Job("a", 1.0)], [Machine("m0", 1e-300), Machine("m1", 1e300)], 1.0,
+         "machine m0: speed / max speed is 0"),
+        ([Job("a", 1e-300)], [Machine("m0", 1e10)], 1.0,
+         "rho * max speed / min size is not finite"),
     ],
 )
 def test_bad_numbers_and_empty_sets_reported(jobs, machines, rho, expected):
     inst = Instance(tuple(jobs), tuple(machines), (), rho)
     assert expected in validate_instance(inst).violations
+
+
+def test_extreme_scale_that_normalizes_finitely_is_valid():
+    # with rho = 0 nothing but sizes and speeds is scaled
+    inst = Instance((Job("a", 1e-300), Job("b", 1e7)), (Machine("m0", 1e10),), (), 0.0)
+    assert validate_instance(inst).ok
+    norm, _ = normalize_instance(inst)
+    assert validate_instance(norm).ok
 
 
 def test_lookups_on_direct_instance_ignore_equality():

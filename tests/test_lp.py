@@ -161,6 +161,14 @@ def test_infeasible_status():
     assert math.isnan(sol.objective)
 
 
+def test_unbounded_status():
+    model = LpModel()
+    model.objective = {model.add_var("x"): -1.0}
+    sol = solve_lp(model)
+    assert sol.status == "unbounded"
+    assert math.isnan(sol.objective)
+
+
 def test_embed_single_job():
     inst = unit(1, 1, [], 2.0)
     sched = Schedule((Placement("a", "m0", 0.0),))
@@ -349,6 +357,15 @@ def test_row_with_unknown_column_is_rejected():
     model.objective = {model.add_var("x"): 1.0}
     model.add_row("r", {5: 1.0}, ">=", 1.0)
     with pytest.raises(ValueError):
+        solve_lp(model)
+
+
+@pytest.mark.parametrize("j", [5, -1])
+def test_objective_with_unknown_column_is_rejected(j):
+    model = LpModel()
+    model.add_var("x")
+    model.objective = {j: 1.0}
+    with pytest.raises(ValueError, match=f"objective names column {j} "):
         solve_lp(model)
 
 

@@ -78,6 +78,12 @@ def test_random_dags_match_full_model(rho, seed):
     assert_exact(pipeline_input(12, 3, 0.35, (1, 4), (0.25, 1), rho, seed))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lp_heavy_scale_matches_full_model(seed):
+    # the benchmark's lp_heavy shape; these seeds take one, three and two separation rounds
+    assert_exact(pipeline_input(32, 8, 0.2, (1, 4), (0.25, 1), 16.0, seed))
+
+
 def test_long_chain_matches_full_model():
     jobs = [Job(f"j{k}", 1.0 + (k % 3)) for k in range(14)]
     edges = [(f"j{k}", f"j{k + 1}") for k in range(13)]

@@ -71,11 +71,17 @@ def _stage(name: str, errors=ValueError):
         raise PipelineError(name, str(exc)) from exc
 
 
-def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> PipelineResult:
-    config = config or PipelineConfig()
+def _require_valid(inst: Instance) -> Instance:
+    """``inst`` itself, or ``PipelineError("validate", ...)`` listing every violation."""
     report = validate_instance(inst)
     if not report.ok:
         raise PipelineError("validate", "; ".join(report.violations))
+    return inst
+
+
+def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> PipelineResult:
+    config = config or PipelineConfig()
+    _require_valid(inst)
 
     from .instance import normalize_instance
 
@@ -146,8 +152,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_instance(path: str) -> Instance:
+    """The validated instance at ``path``; every command reads its input here."""
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(fh.read())
+        return _require_valid(instance_from_json(fh.read()))
 
 
 def _read_schedule(path: str) -> Schedule:
@@ -161,6 +168,18 @@ def _write(text: str, path: str | None):
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _sweep_pairs(text: str) -> list[tuple[int, int]]:
+    """The ``L,d`` pairs of a semicolon list, all parsed before any is run."""
+    pairs = []
+    for part in text.split(";"):
+        try:
+            L, d = (int(x) for x in part.split(","))
+        except ValueError:
+            raise ValueError(f"--sweep entry {part!r} is not an L,d pair of integers") from None
+        pairs.append((L, d))
+    return pairs
 
 
 def _seed(args) -> int:
@@ -420,8 +439,7 @@ def _dispatch(args) -> int:
 
         if args.sweep:
             rows = ["L,d,rho,m,n,lp_value,pipeline,baseline,ratio"]
-            for part in args.sweep.split(";"):
-                L, d = (int(x) for x in part.split(","))
+            for L, d in _sweep_pairs(args.sweep):
                 inst = gen_layered_gap(L, d, _seed(args))
                 rep = measure_gap(inst, eta=args.eta)
                 rows.append(

@@ -17,14 +17,26 @@ Dantzig pricing replaces HiGHS's default dual steepest edge because on these
 small, degenerate relaxations the cold first solve needs about half the
 iterations, each cheaper, which halves the time per pipeline instance at
 n=32, m=8.  It is slower on the large, fully symmetric layered gap instances
-(see ROADMAP).  Solves are deterministic for a fixed model and start; scipy
-is imported on the first solve, not at package import.
+(see ROADMAP).  Solves are deterministic for a fixed model and start.
+
+Package import loads neither scipy nor numpy.  The first solve loads only
+scipy's compiled HiGHS module, ``scipy.optimize._highspy._core``, from its
+file: importing it by name would first run ``scipy.optimize``'s package
+init, which pulls in linalg, sparse and the rest of ``scipy.optimize`` and
+is most of a CLI call's cold start, yet the binding needs none of it.  The
+module is registered under its own name, so a later ``import scipy.optimize``
+(or ``linprog``) reuses it; where the file is not found, the plain import
+loads the same module.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import re
+import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -267,6 +279,36 @@ def _solution_from_values(model: LpModel, values_arr, status, objective):
     return sol
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core() -> None:
+    """Load scipy's HiGHS extension by file, without ``scipy.optimize``'s init.
+
+    Does nothing once the module is imported, by this or by scipy itself.
+    If no extension file is found, the ``from`` imports in :func:`solve_lp`
+    fall back to the plain import of the same module.
+    """
+    if _HIGHS_CORE in sys.modules:
+        return
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        return  # the plain import reports a missing scipy
+    for base in scipy_spec.submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(base, "optimize", "_highspy", "_core" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[_HIGHS_CORE] = module
+                try:
+                    spec.loader.exec_module(module)
+                except BaseException:
+                    del sys.modules[_HIGHS_CORE]
+                    raise
+                return
+
+
 def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     """Minimize the model objective with HiGHS; deterministic for identical inputs.
 
@@ -284,6 +326,7 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     checks and repairs the basis it is given, so a poor match costs iterations,
     not correctness.
     """
+    _load_highs_core()
     from scipy.optimize._highspy._core import (
         HighsBasis,
         HighsBasisStatus,

@@ -176,6 +176,17 @@ def test_gap_sweep_csv(tmp_path):
     assert lines[0].startswith("L,d,") and len(lines) == 3
 
 
+@pytest.mark.parametrize("sweep", ["2", "a,b", "2,1,3", "2,1;"])
+def test_gap_sweep_names_a_malformed_entry(tmp_path, capsys, sweep):
+    csv_path = tmp_path / "sweep.csv"
+    assert run(["gap", "--sweep", sweep, "--csv", str(csv_path)]) == 2
+    bad = sweep.split(";")[-1]
+    assert capsys.readouterr().err == (
+        f"error: --sweep entry {bad!r} is not an L,d pair of integers\n"
+    )
+    assert not csv_path.exists()
+
+
 def test_nan_rho_exits_2_without_traceback(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(
@@ -247,6 +258,21 @@ def test_normalization_overflow_is_a_validation_error(tmp_path, capsys, flags):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps(_OVERFLOWS))
     assert run(["schedule", "--input", str(inst_path), *flags]) == 2
+    assert capsys.readouterr().err == "error: [validate] job b: size / min size is not finite\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"], ["preprocess"], ["validate", "--schedule"], ["analyze", "--schedule"],
+    ["dedup", "--schedule"], ["oracle"], ["gap"],
+], ids=lambda command: command[0])
+def test_every_command_validates_its_instance_first(tmp_path, capsys, command):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(_OVERFLOWS))
+    sched_path = tmp_path / "sched.json"
+    sched_path.write_text(json.dumps({"placements": []}))
+    if command[1:]:
+        command = [*command, str(sched_path)]
+    assert run([*command, "--input", str(inst_path)]) == 2
     assert capsys.readouterr().err == "error: [validate] job b: size / min size is not finite\n"
 
 

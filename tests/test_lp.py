@@ -1,6 +1,13 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import delaysched
 
 from conftest import tiny_instance
 from delaysched import (
@@ -16,6 +23,7 @@ from delaysched import (
     make_instance,
     normalize_instance,
     solve_lp,
+    solve_relaxation,
 )
 from delaysched.lp import LpModel, LpSolution, export_lp_text
 
@@ -468,3 +476,45 @@ def test_lp_text_export_of_diamond_is_pinned():
     assert [order[name] for name in ("c1_a", "c2_b_d", "c3_a_b_m0", "c4_d_m0", "c5_m0", "c6_a")] == [
         [0, 1, 5, 6], [4, 2, 7, 8], [2, 1, 7, 8, 14], [11, 12, 18, 20, 22], [0, 6, 8, 10, 12], [5, 6],
     ]
+
+
+def _facts_from_fresh_interpreter(code: str) -> dict:
+    """Run ``code`` in a new interpreter on this checkout; it prints one JSON object."""
+    src = str(Path(delaysched.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+_FALLBACK_ARGS = (10, 3, 0.3, (1, 4), (0.25, 1), 4.0, 2)
+
+
+def test_first_solve_loads_only_the_highs_extension():
+    facts = _facts_from_fresh_interpreter(f"""
+import json, sys
+from delaysched import gen_random_dag, run_pipeline
+run_pipeline(gen_random_dag(8, 2, 0.3, (1, 4), (0.25, 1), 4.0, 1))
+facts = {{"optimize_loaded": "scipy.optimize" in sys.modules}}
+used = sys.modules["scipy.optimize._highspy._core"]  # solve_lp reads its names from this entry
+from scipy.optimize import linprog
+res = linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1], bounds=[(0, None)] * 2, method="highs")
+from scipy.optimize._highspy import _core
+facts.update(status=int(res.status), fun=float(res.fun), same_core=_core is used)
+print(json.dumps(facts))
+""")
+    assert facts == {"optimize_loaded": False, "status": 0, "fun": 1.0, "same_core": True}
+
+
+def test_plain_import_when_the_extension_file_is_not_found():
+    # with no extension suffix to try, the file lookup finds nothing
+    facts = _facts_from_fresh_interpreter(f"""
+import importlib.machinery, json, sys
+importlib.machinery.EXTENSION_SUFFIXES = []
+from delaysched import gen_random_dag, normalize_instance, solve_relaxation
+inst, _ = normalize_instance(gen_random_dag(*{_FALLBACK_ARGS!r}))
+objective = solve_relaxation(inst)[1].objective
+print(json.dumps({{"objective": objective, "optimize_loaded": "scipy.optimize" in sys.modules}}))
+""")
+    inst, _ = normalize_instance(gen_random_dag(*_FALLBACK_ARGS))
+    assert facts == {"objective": solve_relaxation(inst)[1].objective, "optimize_loaded": True}

@@ -19,7 +19,6 @@ from .lp import (
     LpModel,
     LpSolution,
     _safe,
-    _safe_ids,
     _scaffold,
     _solution_from_values,
     build_relaxation,
@@ -93,7 +92,7 @@ def _same_machine_model(inst: Instance) -> LpModel:
     """Same-machine indicator program (unit-style execution/load rows)."""
     preds = transitive_predecessors(inst)
     rho = inst.rho
-    model = _scaffold(inst, *_safe_ids(inst))
+    model = _scaffold(inst)
     delta: dict[tuple[str, str, str], int] = {}
     for v in inst.jobs:
         for u in sorted(preds[v.id]):
@@ -210,7 +209,7 @@ def _same_phase_model(inst: Instance) -> LpModel:
     """Pairwise same-phase indicator program with speed-weighted phase row."""
     preds = transitive_predecessors(inst)
     rho = inst.rho
-    model = _scaffold(inst, *_safe_ids(inst))
+    model = _scaffold(inst)
     phi: dict[tuple[str, str], int] = {}
     for v in inst.jobs:
         for u in sorted(preds[v.id]):

@@ -8,6 +8,25 @@ direct edge: the rows of transitive pairs follow by chaining, since fractional
 processing times are non-negative.  :func:`solve_relaxation` solves the full
 relaxation exactly while generating same-phase pairs lazily by separation.
 
+A model is held in the layout HiGHS reads: column bounds, row bounds (a row's
+sense is its bounds) and the rows' terms flat and row-wise (``row_start``,
+``row_cols``, ``row_vals``).  :func:`build_relaxation` computes these arrays
+by index arithmetic over job, pair and machine indices, a few numpy
+operations per constraint family and no loop per row.  The columns are C,
+then S per job, then x per job and machine (:func:`_scaffold`, which the
+alternate relaxations of :mod:`gaplab` share), then z per chosen pair and
+machine; the rows are families (1) to (6) in that order.  Models built one
+variable and row at a time with ``add_var`` and ``add_row`` hold lists
+instead; :func:`solve_lp` takes both.
+
+Column and row names are made only when something reads them: ``var_names``,
+``row_names``, ``rows``, :func:`export_lp_text` and error messages.  For the
+warm start every structural column and row has an integer key made from its
+block and its job, pair or machine indices, so a column or row keeps its
+status from one separation round to the next even when two ids give equal
+names; a column or row added with ``add_var`` or ``add_row`` is keyed by its
+position among the added ones.
+
 Every model is solved by the HiGHS dual simplex bundled with scipy (1.15 or
 later), driven through scipy's private binding: the flat rows go to HiGHS
 row-wise with each row's sense in its bounds, and a solve can start from an
@@ -19,14 +38,14 @@ iterations, each cheaper, which halves the time per pipeline instance at
 n=32, m=8.  It is slower on the large, fully symmetric layered gap instances
 (see ROADMAP).  Solves are deterministic for a fixed model and start.
 
-Package import loads neither scipy nor numpy.  The first solve loads only
-scipy's compiled HiGHS module, ``scipy.optimize._highspy._core``, from its
-file: importing it by name would first run ``scipy.optimize``'s package
-init, which pulls in linalg, sparse and the rest of ``scipy.optimize`` and
-is most of a CLI call's cold start, yet the binding needs none of it.  The
-module is registered under its own name, so a later ``import scipy.optimize``
-(or ``linprog``) reuses it; where the file is not found, the plain import
-loads the same module.
+Package import loads neither scipy nor numpy: both are imported inside the
+functions that use them.  The first solve loads only scipy's compiled HiGHS
+module, ``scipy.optimize._highspy._core``, from its file: importing it by
+name would first run ``scipy.optimize``'s package init, which pulls in
+linalg, sparse and the rest of ``scipy.optimize`` and is most of a CLI call's
+cold start, yet the binding needs none of it.  The module is registered under
+its own name, so a later ``import scipy.optimize`` (or ``linprog``) reuses
+it; where the file is not found, the plain import loads the same module.
 """
 
 from __future__ import annotations
@@ -37,15 +56,26 @@ import math
 import os
 import re
 import sys
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import cached_property
 
 from .instance import TOL, Instance, transitive_predecessors
 
 FEAS_TOL = 1e-6
 SEPARATION_TOL = 1e-9  # row (4) violation that brings omitted same-phase pairs in
+
+
+def _as_list(seq):
+    """A numpy array as a list of Python numbers; a list as it is."""
+    return seq.tolist() if hasattr(seq, "tolist") else seq
+
+
+def _sense(lo: float, hi: float) -> tuple[str, float]:
+    """A row's sense and right-hand side, read back from its bounds."""
+    if lo == -math.inf:
+        return "<=", hi
+    return (">=", lo) if hi == math.inf else ("=", lo)
 
 
 class _Rows(Sequence):
@@ -58,64 +88,72 @@ class _Rows(Sequence):
         self._model = model
 
     def __len__(self) -> int:
-        return len(self._model.row_names)
+        return len(self._model.row_lower)
 
     def __getitem__(self, r: int):
         m = self._model
-        r = range(len(m.row_names))[r]
-        lo, hi = m.row_start[r], m.row_start[r + 1]
-        coeffs = dict(zip(m.row_cols[lo:hi], m.row_vals[lo:hi]))
-        return m.row_names[r], coeffs, m.row_senses[r], m.row_rhs[r]
+        r = range(len(self))[r]
+        lo, hi = int(m.row_start[r]), int(m.row_start[r + 1])
+        coeffs = dict(zip(_as_list(m.row_cols[lo:hi]), _as_list(m.row_vals[lo:hi])))
+        return (m.row_names[r], coeffs, *_sense(float(m.row_lower[r]), float(m.row_upper[r])))
 
     def __iter__(self):
         m = self._model
-        cols, vals, start = m.row_cols, m.row_vals, m.row_start
-        for r, (name, sense, rhs) in enumerate(zip(m.row_names, m.row_senses, m.row_rhs)):
-            lo, hi = start[r], start[r + 1]
-            yield name, dict(zip(cols[lo:hi], vals[lo:hi])), sense, rhs
+        cols, vals, start = (_as_list(a) for a in (m.row_cols, m.row_vals, m.row_start))
+        bounds = zip(_as_list(m.row_lower), _as_list(m.row_upper))
+        for r, (name, (lo, hi)) in enumerate(zip(m.row_names, bounds)):
+            a, b = start[r], start[r + 1]
+            yield (name, dict(zip(cols[a:b], vals[a:b])), *_sense(lo, hi))
 
 
-@dataclass
+@dataclass(eq=False)
 class LpModel:
-    """Sparse LP: named variables with bounds, named rows, min objective.
+    """Sparse LP: variables with bounds, rows with bounds, min objective.
 
-    Rows are stored flat, CSR-style: row ``r`` holds the terms
+    Column ``j`` lies in ``[col_lower[j], col_upper[j]]``.  Rows are stored
+    flat, CSR-style: row ``r`` holds the terms
     ``row_cols[row_start[r]:row_start[r + 1]]`` (distinct columns) with the
-    matching ``row_vals``.  ``rows`` reads them back as tuples.
+    matching ``row_vals``, and its value lies in
+    ``[row_lower[r], row_upper[r]]``.  :func:`build_relaxation` fills these
+    with numpy arrays; ``add_var`` and ``add_row`` append to the lists of a
+    model built from ``LpModel()`` or :func:`_scaffold`.  ``rows`` reads the
+    rows back as tuples; ``var_names`` and ``row_names`` are made on read.
     """
 
-    var_names: list[str] = field(default_factory=list)
-    bounds: list[tuple[float, float]] = field(default_factory=list)
-    row_names: list[str] = field(default_factory=list)
-    row_senses: list[str] = field(default_factory=list)
-    row_rhs: list[float] = field(default_factory=list)
-    row_start: list[int] = field(default_factory=lambda: [0])
-    row_cols: list[int] = field(default_factory=list)
-    row_vals: list[float] = field(default_factory=list)
+    col_lower: Sequence[float] = field(default_factory=list)
+    col_upper: Sequence[float] = field(default_factory=list)
+    row_lower: Sequence[float] = field(default_factory=list)
+    row_upper: Sequence[float] = field(default_factory=list)
+    row_start: Sequence[int] = field(default_factory=lambda: [0])
+    row_cols: Sequence[int] = field(default_factory=list)
+    row_vals: Sequence[float] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
     # semantic lookup for scheduling models (empty for alternate relaxations)
     x_index: dict[tuple[str, str], int] = field(default_factory=dict)
     z_index: dict[tuple[str, str, str], int] = field(default_factory=dict)
     s_index: dict[str, int] = field(default_factory=dict)
     c_index: int | None = None
+    # the structural columns and rows, which come first; then the names given
+    # to add_var and add_row
+    _layout: _Scaffold | None = field(default=None, repr=False)
+    _added_vars: list[str] = field(default_factory=list, repr=False)
+    _added_rows: list[str] = field(default_factory=list, repr=False)
 
     def add_var(self, name: str, lo: float = 0.0, hi: float = math.inf) -> int:
-        self.var_names.append(name)
-        self.bounds.append((lo, hi))
-        return len(self.var_names) - 1
+        self.col_lower.append(lo)
+        self.col_upper.append(hi)
+        self._added_vars.append(name)
+        return len(self.col_lower) - 1
 
     def add_row(self, name: str, coeffs: dict[int, float], sense: str, rhs: float):
+        if sense not in ("<=", ">=", "="):
+            raise ValueError(f"row {name} has sense {sense!r}")
         self.row_cols.extend(coeffs)
         self.row_vals.extend(coeffs.values())
-        self.end_row(name, sense, rhs)
-
-    def end_row(self, name: str, sense: str, rhs: float):
-        """Close a row whose terms were appended to ``row_cols``/``row_vals``
-        since the previous row; its columns must be distinct."""
-        self.row_names.append(name)
-        self.row_senses.append(sense)
-        self.row_rhs.append(rhs)
+        self.row_lower.append(-math.inf if sense == "<=" else rhs)
+        self.row_upper.append(math.inf if sense == ">=" else rhs)
         self.row_start.append(len(self.row_cols))
+        self._added_rows.append(name)
 
     @property
     def rows(self) -> _Rows:
@@ -123,7 +161,35 @@ class LpModel:
 
     @property
     def n_vars(self) -> int:
-        return len(self.var_names)
+        return len(self.col_lower)
+
+    @property
+    def bounds(self) -> list[tuple[float, float]]:
+        return list(zip(map(float, self.col_lower), map(float, self.col_upper)))
+
+    @property
+    def var_names(self) -> list[str]:
+        return (self._layout.col_names if self._layout else []) + self._added_vars
+
+    @property
+    def row_names(self) -> list[str]:
+        return (self._layout.row_names if self._layout else []) + self._added_rows
+
+    def col_keys(self):
+        """One distinct integer per column: structural keys are >= 0, added
+        columns get -1, -2, ... in order."""
+        return self._keys(self._layout.col_keys() if self._layout else None, self._added_vars)
+
+    def row_keys(self):
+        """One distinct integer per row, as :meth:`col_keys`."""
+        return self._keys(self._layout.row_keys() if self._layout else None, self._added_rows)
+
+    @staticmethod
+    def _keys(structural, added):
+        import numpy as np
+
+        tail = -1 - np.arange(len(added), dtype=np.int64)
+        return tail if structural is None else np.concatenate((structural, tail))
 
 
 @dataclass
@@ -141,7 +207,7 @@ class LpSolution:
     z: dict[tuple[str, str, str], float] = field(default_factory=dict)
     start: dict[str, float] = field(default_factory=dict)
     iterations: tuple[int, ...] = ()
-    # (var_names, col_status, row_names, row_status) of the solved model
+    # (col_keys, col_status, row_keys, row_status) of the solved model
     basis: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -155,21 +221,151 @@ def _safe_ids(inst: Instance) -> tuple[dict[str, str], dict[str, str]]:
             {mc.id: _safe(mc.id) for mc in inst.machines})
 
 
-def _scaffold(inst: Instance, job_names: dict[str, str], machine_names: dict[str, str]) -> LpModel:
+class _Scaffold:
+    """The structural columns every relaxation starts with: C, then S_v per
+    job, then x_{v,i} per job and machine, with no rows.  A column's key is
+    its index; names are made on first read and kept."""
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.n, self.m = inst.n, inst.m
+
+    @cached_property
+    def col_names(self) -> list[str]:
+        return self._col_names(*self._ids())
+
+    @cached_property
+    def row_names(self) -> list[str]:
+        return self._row_names(*self._ids())
+
+    def _ids(self) -> tuple[list[str], list[str]]:
+        """Model-name forms of the job ids and the machine ids, by index."""
+        jn, mn = _safe_ids(self.inst)
+        return [jn[v.id] for v in self.inst.jobs], [mn[mc.id] for mc in self.inst.machines]
+
+    def _col_names(self, jobs: list[str], machines: list[str]) -> list[str]:
+        return ["C", *(f"S_{v}" for v in jobs),
+                *(f"x_{v}_{i}" for v in jobs for i in machines)]
+
+    def _row_names(self, jobs: list[str], machines: list[str]) -> list[str]:
+        return []
+
+    def col_keys(self):
+        import numpy as np
+
+        return np.arange(1 + self.n + self.n * self.m, dtype=np.int64)
+
+    def row_keys(self):
+        import numpy as np
+
+        return np.zeros(0, dtype=np.int64)
+
+
+def _scaffold(inst: Instance) -> LpModel:
     """Model minimizing C, with C, then S_v per job, then x_{v,i} per job and
-    machine; the relaxations append their own variables and rows after these.
-    The name maps are :func:`_safe_ids`'s."""
-    model = LpModel()
-    model.c_index = model.add_var("C")
-    for v in inst.jobs:
-        model.s_index[v.id] = model.add_var(f"S_{job_names[v.id]}")
-    for v in inst.jobs:
-        for mc in inst.machines:
-            model.x_index[(v.id, mc.id)] = model.add_var(
-                f"x_{job_names[v.id]}_{machine_names[mc.id]}", 0.0, 1.0
-            )
-    model.objective = {model.c_index: 1.0}
-    return model
+    machine; the relaxations append their own variables and rows after these."""
+    n, m = inst.n, inst.m
+    job_ids = [v.id for v in inst.jobs]
+    x_keys = ((v, mc.id) for v in job_ids for mc in inst.machines)
+    return LpModel(
+        col_lower=[0.0] * (1 + n + n * m),
+        col_upper=[math.inf] * (1 + n) + [1.0] * (n * m),
+        objective={0: 1.0},
+        x_index=dict(zip(x_keys, range(1 + n, 1 + n + n * m))),
+        s_index=dict(zip(job_ids, range(1, 1 + n))),
+        c_index=0,
+        _layout=_Scaffold(inst),
+    )
+
+
+class _Pairs:
+    """Every transitive pair (u, v) of an instance in z order (by v's job
+    index, then u's id), as id tuples and as job-index arrays ``u`` and
+    ``v``."""
+
+    def __init__(self, inst: Instance):
+        import numpy as np
+
+        closure = transitive_predecessors(inst)  # raises ValueError on an invalid instance
+        pos = {v.id: k for k, v in enumerate(inst.jobs)}
+        self.ids = [(u, v.id) for v in inst.jobs for u in sorted(closure[v.id])]
+        self.u = np.array([pos[u] for u, _ in self.ids], dtype=np.int64)
+        self.v = np.array([pos[v] for _, v in self.ids], dtype=np.int64)
+
+
+class _Relaxation(_Scaffold):
+    """Structure of a (restricted) relaxation: the scaffold's columns, then
+    z_{u,v,i} per chosen pair and machine, then rows (1) to (6).
+
+    ``chosen`` marks the pairs of ``pairs`` that have z columns; ``eu``,
+    ``ev`` are the distinct direct edges in row (2) order.  Keys: z[u,v,i] is
+    ``1 + n + n*m + (u*n + v)*m + i``; rows (1) ``v``, (2) ``n + u*n + v``,
+    (3) ``n + n^2 + (u*n + v)*m + i``, then (4) ``v*m + i``, (5) ``i`` and
+    (6) ``v``, each family offset past the previous one's key range.
+    """
+
+    def __init__(self, inst: Instance, pairs: _Pairs, chosen, eu, ev):
+        import numpy as np
+
+        super().__init__(inst)
+        self.pairs, self.chosen, self.eu, self.ev = pairs, chosen, eu, ev
+        self.pu, self.pv = pairs.u[chosen], pairs.v[chosen]
+        # jobs with rows (4), in job order (np.unique would load numpy.ma)
+        self.c4 = np.flatnonzero(np.bincount(self.pv, minlength=self.n))
+        self.z_base = 1 + self.n + self.n * self.m
+
+    def _col_names(self, jobs: list[str], machines: list[str]) -> list[str]:
+        pairs = zip(self.pu.tolist(), self.pv.tolist())
+        return super()._col_names(jobs, machines) + [
+            f"z_{jobs[u]}_{jobs[v]}_{i}" for u, v in pairs for i in machines
+        ]
+
+    def col_keys(self):
+        import numpy as np
+
+        n, m = self.n, self.m
+        z = self.z_base + ((self.pu * n + self.pv) * m)[:, None] + np.arange(m)
+        return np.concatenate((super().col_keys(), z.ravel()))
+
+    def _row_names(self, jobs: list[str], machines: list[str]) -> list[str]:
+        pairs = list(zip(self.pu.tolist(), self.pv.tolist()))
+        return [
+            *(f"c1_{v}" for v in jobs),
+            *(f"c2_{jobs[u]}_{jobs[v]}" for u, v in zip(self.eu.tolist(), self.ev.tolist())),
+            *(f"c3_{jobs[u]}_{jobs[v]}_{i}" for u, v in pairs for i in machines),
+            *(f"c4_{jobs[v]}_{i}" for v in self.c4.tolist() for i in machines),
+            *(f"c5_{i}" for i in machines),
+            *(f"c6_{v}" for v in jobs),
+        ]
+
+    def row_keys(self):
+        import numpy as np
+
+        n, m = self.n, self.m
+        on_machines = np.arange(m)
+        families = (
+            np.arange(n),  # (1)
+            self.eu * n + self.ev,  # (2), within n*n
+            (((self.pu * n + self.pv) * m)[:, None] + on_machines).ravel(),  # (3)
+            ((self.c4 * m)[:, None] + on_machines).ravel(),  # (4)
+            on_machines,  # (5)
+            np.arange(n),  # (6)
+        )
+        offsets = np.cumsum((0, n, n * n, n * n * m, n * m, m))  # each family's key span
+        return np.concatenate([keys + off for keys, off in zip(families, offsets)])
+
+
+def _direct_edges(inst: Instance):
+    """The distinct direct edges (u, v) as job-index arrays, by v's index,
+    then u's id."""
+    import numpy as np
+
+    pos = {v.id: k for k, v in enumerate(inst.jobs)}
+    direct = inst.direct_predecessors()
+    edges = [(pos[u], k) for k, v in enumerate(inst.jobs) for u in sorted(set(direct[v.id]))]
+    eu = np.array([u for u, _ in edges], dtype=np.int64)
+    ev = np.array([v for _, v in edges], dtype=np.int64)
+    return eu, ev
 
 
 def build_relaxation(inst: Instance, pairs=None) -> LpModel:
@@ -180,98 +376,92 @@ def build_relaxation(inst: Instance, pairs=None) -> LpModel:
     (4).  Without it every transitive pair takes part, which is the full
     relaxation.  With rho = 0 the same-phase machinery is vacuous: z variables
     and the delay/phase rows are omitted (the pipeline skips delay logic
-    entirely).
+    entirely).  Families (7) to (9) are the column bounds.
     """
-    closure = transitive_predecessors(inst)  # raises ValueError on an invalid instance
-    if pairs is None:
-        preds = {v.id: sorted(closure[v.id]) for v in inst.jobs}
+    import numpy as np
+
+    every = _Pairs(inst)  # validates the instance
+    if inst.rho <= 0:
+        chosen = np.zeros(len(every.ids), dtype=bool)
+    elif pairs is None:
+        chosen = np.ones(len(every.ids), dtype=bool)
     else:
-        chosen = set(pairs)
-        preds = {
-            v.id: sorted(u for u in closure[v.id] if (u, v.id) in chosen) for v in inst.jobs
-        }
-    direct = inst.direct_predecessors()
-    rho = inst.rho
-    machines = inst.machines
-    speeds = [mc.speed for mc in machines]
-    sizes = inst._sizes
-    jn, mn = _safe_ids(inst)
-    model = _scaffold(inst, jn, mn)
-    C = model.c_index
-    S = model.s_index
-    xs = {v.id: [model.x_index[(v.id, mc.id)] for mc in machines] for v in inst.jobs}
-    # zs[v][k][i]: z of the k-th same-phase predecessor of v on machine i
-    zs: dict[str, list[list[int]]] = {}
-    if rho > 0:
-        for v in inst.jobs:
-            zs[v.id] = []
-            for u in preds[v.id]:
-                row = []
-                for mc in machines:
-                    idx = model.add_var(f"z_{jn[u]}_{jn[v.id]}_{mn[mc.id]}", 0.0, 1.0)
-                    model.z_index[(u, v.id, mc.id)] = idx
-                    row.append(idx)
-                zs[v.id].append(row)
+        wanted = set(pairs)
+        chosen = np.fromiter((p in wanted for p in every.ids), dtype=bool, count=len(every.ids))
+    layout = _Relaxation(inst, every, chosen, *_direct_edges(inst))
+    model = _scaffold(inst)
+    model._layout = layout
 
-    cols, vals, end_row = model.row_cols, model.row_vals, model.end_row
+    n, m, rho = inst.n, inst.m, inst.rho
+    size = np.array([v.size for v in inst.jobs])
+    speed = np.array([mc.speed for mc in inst.machines])
+    pu, pv, eu, ev, c4 = layout.pu, layout.pv, layout.eu, layout.ev, layout.c4
+    n_pairs = len(pu)
+    S = 1 + np.arange(n)
+    X = (1 + n + np.arange(n * m)).reshape(n, m)  # X[v, i] is x_{v,i}; x_{v,i} = X[v, 0] + i
+    Z = (layout.z_base + np.arange(n_pairs * m)).reshape(n_pairs, m)
+    zero, one = np.zeros(n, dtype=np.int64), np.ones(n)
 
-    for v in inst.jobs:
-        # (1) makespan covers start plus fractional execution time
-        cols += (C, S[v.id], *xs[v.id])
-        vals += (1.0, -1.0)
-        vals += [-v.size / s for s in speeds]
-        end_row(f"c1_{jn[v.id]}", ">=", 0.0)
+    # (1) makespan covers start plus fractional execution time
+    cols1 = np.column_stack((zero, S, X))
+    vals1 = np.column_stack((one, -one, -size[:, None] / speed))
+    # (2) a job starts after each direct predecessor's fractional completion
+    cols2 = np.column_stack((S[ev], S[eu], X[eu]))
+    vals2 = np.column_stack((np.ones(len(eu)), -np.ones(len(eu)), -size[eu][:, None] / speed))
+    # (3) delay: rho gap unless u shares v's phase at index <= i.  One pair's m
+    # rows follow a fixed template of slots (S_v, S_u, x_{v,0..i}, z_{u,v,i})
+    slot_base, slot_off, slot_val = [], [], []
+    for i in range(m):
+        slot_base += [0, 1] + [2] * (i + 1) + [3]
+        slot_off += [0, 0, *range(i + 1), i]
+        slot_val += [1.0, -1.0] + [-rho] * (i + 1) + [rho]
+    bases = np.column_stack((S[pv], S[pu], X[pv, 0], Z[:, 0]))
+    cols3 = bases[:, slot_base] + np.array(slot_off, dtype=np.int64)
+    vals3 = np.tile(slot_val, n_pairs)
+    len3 = np.tile(np.arange(4, m + 4), n_pairs)
+    # (4) same-phase predecessors fit in rho time at speed s_i: row (v, i) has
+    # x_{v,0..i}, then z_{u,v,i} for v's chosen pairs in z order
+    per_job = np.bincount(pv, minlength=n)[c4]
+    len4 = (np.arange(1, m + 1) + per_job[:, None]).ravel()
+    at4 = (np.cumsum(len4) - len4).reshape(-1, m)  # first entry of row (v, i)
+    cols4, vals4 = np.empty(int(len4.sum()), dtype=np.int64), np.empty(int(len4.sum()))
+    tri_i, tri_j = np.tril_indices(m)
+    x_at = at4[:, tri_i] + tri_j
+    cols4[x_at] = X[c4, 0][:, None] + tri_j
+    vals4[x_at] = 1.0
+    rank = np.arange(n_pairs) - np.searchsorted(pv, pv)  # position among v's pairs
+    z_at = at4[np.searchsorted(c4, pv)] + np.arange(1, m + 1) + rank[:, None]
+    cols4[z_at] = Z
+    vals4[z_at] = -size[pu][:, None] / (rho * speed)
+    # (5) machine load at most C * speed
+    cols5 = np.column_stack((np.zeros(m, dtype=np.int64), X.T))
+    vals5 = np.column_stack((speed, np.broadcast_to(-size, (m, n))))
+    # (6) every job fully assigned
+    cols6, vals6 = X, np.ones((n, m))
 
-    for v in inst.jobs:
-        for u in sorted(set(direct[v.id])):
-            # (2) a job starts after each direct predecessor's fractional completion
-            cols += (S[v.id], S[u], *xs[u])
-            vals += (1.0, -1.0)
-            vals += [-sizes[u] / s for s in speeds]
-            end_row(f"c2_{jn[u]}_{jn[v.id]}", ">=", 0.0)
-
-    if rho > 0:
-        for v in inst.jobs:
-            xv = xs[v.id]
-            for u, zu in zip(preds[v.id], zs[v.id]):
-                for i, mc in enumerate(machines):
-                    # (3) delay: rho gap unless u shares v's phase at index <= i
-                    cols += (S[v.id], S[u], *xv[: i + 1], zu[i])
-                    vals += (1.0, -1.0)
-                    vals += [-rho] * (i + 1)
-                    vals.append(rho)
-                    end_row(f"c3_{jn[u]}_{jn[v.id]}_{mn[mc.id]}", ">=", 0.0)
-        for v in inst.jobs:
-            if not preds[v.id]:
-                continue
-            xv, zv = xs[v.id], zs[v.id]
-            for i, mc in enumerate(machines):
-                # (4) same-phase predecessors fit in rho time at speed s_i
-                cols += xv[: i + 1]
-                vals += [1.0] * (i + 1)
-                cols += [zu[i] for zu in zv]
-                vals += [-sizes[u] / (rho * mc.speed) for u in preds[v.id]]
-                end_row(f"c4_{jn[v.id]}_{mn[mc.id]}", ">=", 0.0)
-
-    for i, mc in enumerate(machines):
-        # (5) machine load at most C * speed
-        cols.append(C)
-        vals.append(mc.speed)
-        cols += [xs[v.id][i] for v in inst.jobs]
-        vals += [-v.size for v in inst.jobs]
-        end_row(f"c5_{mn[mc.id]}", ">=", 0.0)
-
-    for v in inst.jobs:
-        # (6) every job fully assigned
-        cols += xs[v.id]
-        vals += [1.0] * len(machines)
-        end_row(f"c6_{jn[v.id]}", "=", 1.0)
-
+    lengths = np.concatenate((
+        np.full(n, 2 + m), np.full(len(eu), 2 + m), len3, len4, np.full(m, 1 + n), np.full(n, m),
+    ))
+    model.row_start = np.concatenate(([0], np.cumsum(lengths)))
+    model.row_cols = np.concatenate([a.ravel() for a in (cols1, cols2, cols3, cols4, cols5, cols6)])
+    model.row_vals = np.concatenate([a.ravel() for a in (vals1, vals2, vals3, vals4, vals5, vals6)])
+    n_rows = len(lengths)
+    model.row_lower = np.concatenate((np.zeros(n_rows - n), np.ones(n)))
+    model.row_upper = np.concatenate((np.full(n_rows - n, math.inf), np.ones(n)))
+    model.col_lower = np.zeros(layout.z_base + n_pairs * m)
+    model.col_upper = np.concatenate((model.col_upper, np.ones(n_pairs * m)))
+    machine_ids = [mc.id for mc in inst.machines]
+    z_keys = (
+        (u, v, i)
+        for (u, v), c in zip(every.ids, chosen.tolist()) if c
+        for i in machine_ids
+    )
+    model.z_index = dict(zip(z_keys, range(layout.z_base, layout.z_base + n_pairs * m)))
     return model
 
 
 def _solution_from_values(model: LpModel, values_arr, status, objective):
-    values = tuple(float(a) for a in values_arr)
+    values = tuple(map(float, values_arr))
     sol = LpSolution(values=values, objective=float(objective), status=status)
     sol.x = {key: values[idx] for key, idx in model.x_index.items()}
     sol.z = {key: values[idx] for key, idx in model.z_index.items()}
@@ -321,11 +511,16 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     naming a column the model lacks raises ``ValueError``.
 
     ``warm``, an optimal solution of a related model, starts the simplex from
-    its final basis, matched by variable and row name: a column or row it
-    lacks starts nonbasic at its lower bound or basic, respectively.  HiGHS
-    checks and repairs the basis it is given, so a poor match costs iterations,
-    not correctness.
+    its final basis, matched by column and row key (:meth:`LpModel.col_keys`):
+    a column or row it lacks starts nonbasic at its lower bound or basic,
+    respectively.  HiGHS checks and repairs the basis it is given, so a poor
+    match costs iterations, not correctness.
+
+    The column and row bounds and the matrix go to the binding as lists,
+    which is what its setters read fastest; the cost goes as a numpy array.
     """
+    import numpy as np
+
     _load_highs_core()
     from scipy.optimize._highspy._core import (
         HighsBasis,
@@ -341,8 +536,8 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
         SimplexStrategy,
     )
 
-    n, senses, rhs = model.n_vars, model.row_senses, model.row_rhs
-    cost = [0.0] * n
+    n, n_rows = model.n_vars, len(model.row_lower)
+    cost = np.zeros(n)
     for j, cj in model.objective.items():
         if not 0 <= j < n:
             raise ValueError(f"objective names column {j} of a model with {n} variables")
@@ -350,25 +545,24 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     # HiGHS would report such a model optimal, so it is rejected here
     if (j := _first_nonfinite(cost)) is not None:
         raise ValueError(f"objective coefficient of {model.var_names[j]} is {cost[j]}")
-    if (k := _first_nonfinite(model.row_vals)) is not None:
-        r = bisect_right(model.row_start, k) - 1
+    if (k := _first_nonfinite(np.asarray(model.row_vals, dtype=float))) is not None:
+        r = int(np.searchsorted(model.row_start, k, side="right")) - 1
         raise ValueError(f"row {model.row_names[r]} has coefficient {model.row_vals[k]}")
     lp = HighsLp()
     lp.num_col_ = n
-    lp.num_row_ = len(senses)
+    lp.num_row_ = n_rows
     lp.col_cost_ = cost
-    lp.col_lower_ = [lo for lo, _ in model.bounds]
-    lp.col_upper_ = [hi for _, hi in model.bounds]
-    # a row's sense is its bounds: ">=" leaves the upper open, "<=" the lower
-    lp.row_lower_ = [-math.inf if sense == "<=" else b for sense, b in zip(senses, rhs)]
-    lp.row_upper_ = [math.inf if sense == ">=" else b for sense, b in zip(senses, rhs)]
+    lp.col_lower_ = _as_list(model.col_lower)
+    lp.col_upper_ = _as_list(model.col_upper)
+    lp.row_lower_ = _as_list(model.row_lower)
+    lp.row_upper_ = _as_list(model.row_upper)
     matrix = lp.a_matrix_
     matrix.format_ = MatrixFormat.kRowwise
     matrix.num_col_ = n
-    matrix.num_row_ = len(senses)
-    matrix.start_ = model.row_start
-    matrix.index_ = model.row_cols
-    matrix.value_ = model.row_vals
+    matrix.num_row_ = n_rows
+    matrix.start_ = _as_list(model.row_start)
+    matrix.index_ = _as_list(model.row_cols)
+    matrix.value_ = _as_list(model.row_vals)
 
     highs = _Highs()
     highs.setOptionValue("output_flag", False)
@@ -379,15 +573,12 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
                          SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDantzig)
     if highs.passModel(lp) == HighsStatus.kError:
         raise ValueError("HiGHS rejected the model")
+    col_keys, row_keys = model.col_keys(), model.row_keys()
     if warm is not None and warm.basis is not None:
-        var_names, col_status, row_names, row_status = warm.basis
-        col_of = dict(zip(_distinct(var_names), col_status))
-        row_of = dict(zip(_distinct(row_names), row_status))
+        old_cols, col_status, old_rows, row_status = warm.basis
         basis = HighsBasis()  # alien: HiGHS factors it and repairs a singular one
-        basis.col_status = [col_of.get(name, HighsBasisStatus.kLower)
-                            for name in _distinct(model.var_names)]
-        basis.row_status = [row_of.get(name, HighsBasisStatus.kBasic)
-                            for name in _distinct(model.row_names)]
+        basis.col_status = _carry(old_cols, col_status, col_keys, HighsBasisStatus.kLower)
+        basis.row_status = _carry(old_rows, row_status, row_keys, HighsBasisStatus.kBasic)
         highs.setBasis(basis)  # on failure the solve simply starts cold
     highs.run()
 
@@ -398,7 +589,7 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
             model, highs.getSolution().col_value, "optimal", info.objective_function_value
         )
         final = highs.getBasis()
-        sol.basis = (model.var_names, final.col_status, model.row_names, final.row_status)
+        sol.basis = (col_keys, final.col_status, row_keys, final.row_status)
     else:
         if status in (HighsModelStatus.kUnbounded, HighsModelStatus.kUnboundedOrInfeasible):
             name = "unbounded"
@@ -411,12 +602,25 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     return sol
 
 
-def _first_nonfinite(values: list[float]) -> int | None:
-    """Index of the first NaN or infinite entry of ``values``, if any."""
-    if math.isfinite(sum(values)):  # any NaN or infinity makes the sum non-finite
-        return None
-    # the sum also overflows on large finite values
-    return next((k for k, a in enumerate(values) if not math.isfinite(a)), None)
+def _first_nonfinite(values) -> int | None:
+    """Index of the first NaN or infinite entry of a numpy array, if any."""
+    import numpy as np
+
+    bad = ~np.isfinite(values)
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _carry(old_keys, old_status: list, new_keys, missing) -> list:
+    """The status of each of ``new_keys``: that of the equal key among the
+    distinct ``old_keys``, else ``missing``."""
+    import numpy as np
+
+    if len(old_keys) == 0:
+        return [missing] * len(new_keys)
+    order = np.argsort(old_keys)
+    at = order[np.minimum(np.searchsorted(old_keys, new_keys, sorter=order), len(order) - 1)]
+    src = np.where(old_keys[at] == new_keys, at, len(order))  # len(order) picks `missing`
+    return list(map([*old_status, missing].__getitem__, src.tolist()))
 
 
 def solve_relaxation(inst: Instance) -> tuple[LpModel, LpSolution]:
@@ -447,41 +651,49 @@ def solve_relaxation(inst: Instance) -> tuple[LpModel, LpSolution]:
         iterations = sol.iterations = iterations + sol.iterations
         if sol.status != "optimal" or inst.rho <= 0:
             return model, sol
-        sol.z, added = _separate(inst, sol, pairs)
+        z, added = _separate(model, sol)
         if not added:
+            every = model._layout.pairs
+            machine_ids = [mc.id for mc in inst.machines]
+            keys = ((u, v, i) for u, v in every.ids for i in machine_ids)
+            sol.z = dict(zip(keys, z.ravel().tolist()))
             return model, sol
         pairs |= added
 
 
-def _separate(inst: Instance, sol: LpSolution, pairs: set[tuple[str, str]]):
-    """z for every transitive pair (solved values for ``pairs``, least values
-    meeting rows (3) for the others), and the omitted pairs with z > 0 behind
-    each row (4) that z violates."""
-    preds = transitive_predecessors(inst)
+def _separate(model: LpModel, sol: LpSolution):
+    """z for every transitive pair, as an array in z order by machine (solved
+    values for the model's chosen pairs, least values meeting rows (3) for the
+    others), and the omitted pairs with z > 0 behind each row (4) that z
+    violates, as id tuples.
+
+    Sums run in the same order as a loop over each job's pairs would, so the
+    pairs added do not depend on how the arithmetic is laid out.
+    """
+    import numpy as np
+
+    layout = model._layout
+    inst, n, m = layout.inst, layout.n, layout.m
     rho = inst.rho
-    z: dict[tuple[str, str, str], float] = {}
-    added: set[tuple[str, str]] = set()
-    for v in inst.jobs:
-        us = sorted(preds[v.id])
-        if not us:
-            continue
-        prefix = list(accumulate(sol.x[(v.id, mc.id)] for mc in inst.machines))
-        for u in us:
-            if (u, v.id) in pairs:
-                for mc in inst.machines:
-                    z[(u, v.id, mc.id)] = sol.z[(u, v.id, mc.id)]
-            else:
-                gap = (sol.start[v.id] - sol.start[u]) / rho
-                for mc, x_sum in zip(inst.machines, prefix):
-                    z[(u, v.id, mc.id)] = max(0.0, x_sum - gap)
-        for mc, x_sum in zip(inst.machines, prefix):
-            load = sum(inst.size(u) * z[(u, v.id, mc.id)] for u in us) / (rho * mc.speed)
-            if x_sum - load < -SEPARATION_TOL:
-                added.update(
-                    (u, v.id) for u in us
-                    if (u, v.id) not in pairs and z[(u, v.id, mc.id)] > 0
-                )
-    return z, added
+    every, chosen = layout.pairs, layout.chosen
+    tu, tv = every.u, every.v
+    values = np.asarray(sol.values)
+    start = values[1 : 1 + n]
+    prefix = np.cumsum(values[1 + n : layout.z_base].reshape(n, m), axis=1)  # X[v, i]
+    z = np.empty((len(every.ids), m))
+    z[chosen] = values[layout.z_base :].reshape(-1, m)
+    free = ~chosen
+    gap = (start[tv[free]] - start[tu[free]]) / rho
+    least = prefix[tv[free]] - gap[:, None]
+    z[free] = np.where(least > 0.0, least, 0.0)
+    size = np.array([v.size for v in inst.jobs])
+    speed = np.array([mc.speed for mc in inst.machines])
+    slot = (tv[:, None] * m + np.arange(m)).ravel()  # (v, i) of each z entry
+    mass = np.bincount(slot, weights=(size[tu][:, None] * z).ravel(), minlength=n * m)
+    load = mass.reshape(n, m) / (rho * speed)
+    violated = prefix - load < -SEPARATION_TOL
+    added = free & (violated[tv] & (z > 0)).any(axis=1)
+    return z, {every.ids[k] for k in np.flatnonzero(added).tolist()}
 
 
 def check_lp_feasibility(solution: LpSolution, model: LpModel, tol: float = FEAS_TOL):
@@ -580,7 +792,7 @@ def export_lp_text(model: LpModel) -> str:
     characters the model names replace by ``_`` give equal model names.
     """
     var_names = _distinct(model.var_names)
-    row_names = _distinct([name for name, *_ in model.rows])
+    row_names = _distinct(model.row_names)
 
     def term(j, a, first):
         sign = "-" if a < 0 else ("" if first else "+")
@@ -595,8 +807,7 @@ def export_lp_text(model: LpModel) -> str:
         expr = "".join(
             term(j, a, k == 0) for k, (j, a) in enumerate(sorted(coeffs.items()))
         ).strip()
-        op = {"<=": "<=", ">=": ">=", "=": "="}[sense]
-        lines.append(f" {name}: {expr} {op} {rhs:.12g}")
+        lines.append(f" {name}: {expr} {sense} {rhs:.12g}")
     lines.append("Bounds")
     for name, (lo, hi) in zip(var_names, model.bounds):
         if hi == math.inf:

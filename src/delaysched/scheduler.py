@@ -6,12 +6,14 @@ machine of the job's group when three conditions hold: the predecessor mass
 fits in 8*rho at the group's slowest speed, at least a 1/eta fraction of the
 packed mass is new work, and every packed job is assigned to this group or a
 faster one.  The clock then advances through the event set of completion
-times and communication arrivals.
+times and communication arrivals, which :class:`_EventClock` keeps sorted as
+placements are made.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .grouping import GroupAssignment
@@ -30,6 +32,56 @@ def default_eta(rho: float) -> float:
     if rho <= math.e**math.e:
         return 2.0
     return max(2.0, math.log(rho) / math.log(math.log(rho)))
+
+
+def _merged_events(times) -> list[float]:
+    """The distinct ``times`` in increasing order, dropping each that lies
+    within TOL above the last one kept."""
+    out = sorted(set(times))
+    merged = out[:1]
+    for t in out[1:]:
+        if t > merged[-1] + TOL:
+            merged.append(t)
+    return merged
+
+
+class _EventClock:
+    """Event times kept sorted as they arrive, read as :func:`_merged_events`
+    would merge them.
+
+    The merge is a chain (a time is kept if it lies more than TOL above the
+    last time kept), but a time more than TOL above the raw time before it is
+    always kept.  So the merged events from such a time on follow from the
+    raw times from there, and the next event replays only the current run of
+    times closer than TOL, not the whole set.
+    """
+
+    def __init__(self):
+        self.raw = [0.0]  # distinct, increasing
+
+    def add(self, t: float) -> None:
+        k = bisect_left(self.raw, t)
+        if k == len(self.raw) or self.raw[k] != t:
+            self.raw.insert(k, t)
+
+    def next_after(self, clock: float) -> float | None:
+        """The first merged event above ``clock + TOL``, if any."""
+        raw, above = self.raw, clock + TOL
+        k = bisect_right(raw, above)
+        if k == len(raw):
+            return None
+        s = k  # back to the first time of k's run, which the merge keeps
+        while s > 0 and raw[s] <= raw[s - 1] + TOL:
+            s -= 1
+        kept = raw[s]
+        if kept > above:
+            return kept
+        for j in range(s + 1, len(raw)):  # ends at the next run's first time at the latest
+            if raw[j] > kept + TOL:
+                kept = raw[j]
+                if kept > above:
+                    return kept
+        return None
 
 
 @dataclass
@@ -69,22 +121,9 @@ def run_group_scheduler(
     comp_on: dict[str, dict[str, float]] = {v.id: {} for v in inst.jobs}
     earliest_comp: dict[str, float] = {v.id: math.inf for v in inst.jobs}
     max_comp_on = {mc.id: 0.0 for mc in inst.machines}
+    events = _EventClock()
     n, m = inst.n, inst.m
     max_rounds = 2 * m * (n - 1) + 2
-
-    def events() -> list[float]:
-        # shadow event set, recomputed from the placements themselves
-        ts = {0.0}
-        for p in st.placements:
-            c = p.start + size[p.job] / speed[p.machine]
-            ts.add(c)
-            ts.add(c + rho)
-        out = sorted(ts)
-        merged = [out[0]]
-        for t in out[1:]:
-            if t > merged[-1] + TOL:
-                merged.append(t)
-        return merged
 
     def assert_frontiers():
         for mc in inst.machines:
@@ -132,6 +171,8 @@ def run_group_scheduler(
                     comp_on[u][i] = min(comp_on[u].get(i, math.inf), end)
                     earliest_comp[u] = min(earliest_comp[u], end)
                     max_comp_on[i] = max(max_comp_on[i], end)
+                    events.add(end)
+                    events.add(end + rho)
                     if trace is not None:
                         trace.append(
                             {"event": "place", "job": u, "machine": i, "start": start}
@@ -142,8 +183,7 @@ def run_group_scheduler(
 
         if len(st.placed) == n:
             break
-        ev = events()
-        nxt = next((t for t in ev if t > st.clock + TOL), None)
+        nxt = events.next_after(st.clock)
         if nxt is None:
             raise SchedulerInvariantError(
                 "no clock event beyond current time while jobs remain"
@@ -156,8 +196,10 @@ def run_group_scheduler(
             trace.append({"event": "sweep", "clock": st.clock})
         assert_frontiers()
 
-    # the clock walked a prefix of the final event set, in sorted order
-    ev = events()
+    # the clock walked a prefix of the final event set, recomputed from the
+    # placements themselves, in sorted order
+    ends = [p.start + size[p.job] / speed[p.machine] for p in st.placements]
+    ev = _merged_events([0.0, *ends, *(c + rho for c in ends)])
     hist = st.clock_history
     if len(hist) > len(ev):
         raise SchedulerInvariantError("clock advanced past the event set")

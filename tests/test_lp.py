@@ -316,6 +316,14 @@ def test_rows_view_round_trips_added_rows():
     assert list(model.rows) == before
 
 
+def test_row_with_unknown_sense_is_rejected():
+    model = LpModel()
+    x = model.add_var("x")
+    with pytest.raises(ValueError, match="row r has sense '=>'"):
+        model.add_row("r", {x: 1.0}, "=>", 1.0)
+    assert len(model.rows) == 0
+
+
 def _assembly_models():
     from delaysched.gaplab import build_alternate_relaxation
 

@@ -1,0 +1,235 @@
+"""The array-built relaxation against row-by-row references.
+
+``build_relaxation`` computes its rows by index arithmetic; here a builder
+that appends the same rows one at a time with ``add_row`` is the reference,
+and a loop over each job's pairs is the reference for separation.  Both must
+agree exactly.  The first-round HiGHS input of two benchmark-shaped
+instances is pinned by digest, and names are shown to be made only on read.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from delaysched import (
+    Job,
+    build_relaxation,
+    filter_slow_machines,
+    gen_random_dag,
+    make_instance,
+    normalize_instance,
+    run_pipeline,
+    solve_lp,
+    transitive_predecessors,
+)
+from delaysched import lp
+from delaysched.lp import SEPARATION_TOL
+
+
+def reference_relaxation(inst, pairs=None):
+    """Rows (1) to (6) appended one at a time, in the builder's order."""
+    closure = transitive_predecessors(inst)
+    preds = {
+        v.id: [] if inst.rho <= 0 else
+        sorted(u for u in closure[v.id] if pairs is None or (u, v.id) in pairs)
+        for v in inst.jobs
+    }
+    direct = inst.direct_predecessors()
+    rho, size = inst.rho, inst.size
+    machines = [(mc.id, mc.speed) for mc in inst.machines]
+    model = lp._scaffold(inst)
+    C, S, x = model.c_index, model.s_index, model.x_index
+    for v in inst.jobs:
+        for u in preds[v.id]:
+            for i, _ in machines:
+                model.z_index[(u, v.id, i)] = model.add_var(
+                    f"z_{lp._safe(u)}_{lp._safe(v.id)}_{lp._safe(i)}", 0.0, 1.0
+                )
+    z = model.z_index
+    for v in inst.jobs:
+        row = {C: 1.0, S[v.id]: -1.0} | {x[(v.id, i)]: -v.size / s for i, s in machines}
+        model.add_row(f"c1_{lp._safe(v.id)}", row, ">=", 0.0)
+    for v in inst.jobs:
+        for u in sorted(set(direct[v.id])):
+            row = {S[v.id]: 1.0, S[u]: -1.0} | {x[(u, i)]: -size(u) / s for i, s in machines}
+            model.add_row(f"c2_{lp._safe(u)}_{lp._safe(v.id)}", row, ">=", 0.0)
+    for v in inst.jobs:
+        for u in preds[v.id]:
+            for k, (i, _) in enumerate(machines):
+                row = {S[v.id]: 1.0, S[u]: -1.0}
+                row |= {x[(v.id, j)]: -rho for j, _ in machines[: k + 1]}
+                row[z[(u, v.id, i)]] = rho
+                model.add_row(f"c3_{lp._safe(u)}_{lp._safe(v.id)}_{lp._safe(i)}", row, ">=", 0.0)
+    for v in inst.jobs:
+        for k, (i, s) in enumerate(machines):
+            if preds[v.id]:
+                row = {x[(v.id, j)]: 1.0 for j, _ in machines[: k + 1]}
+                row |= {z[(u, v.id, i)]: -size(u) / (rho * s) for u in preds[v.id]}
+                model.add_row(f"c4_{lp._safe(v.id)}_{lp._safe(i)}", row, ">=", 0.0)
+    for i, s in machines:
+        row = {C: s} | {x[(v.id, i)]: -v.size for v in inst.jobs}
+        model.add_row(f"c5_{lp._safe(i)}", row, ">=", 0.0)
+    for v in inst.jobs:
+        model.add_row(f"c6_{lp._safe(v.id)}", {x[(v.id, i)]: 1.0 for i, _ in machines}, "=", 1.0)
+    return model
+
+
+ARRAYS = ("col_lower", "col_upper", "row_lower", "row_upper", "row_start", "row_cols", "row_vals")
+
+
+def assert_same_model(got, want):
+    for name in ARRAYS:
+        assert np.asarray(getattr(got, name)).tolist() == list(getattr(want, name)), name
+    assert got.var_names == want.var_names and got.row_names == want.row_names
+    assert (got.x_index, got.z_index, got.s_index) == (want.x_index, want.z_index, want.s_index)
+    assert (got.c_index, got.objective) == (want.c_index, want.objective)
+
+
+def some_pairs(inst, seed):
+    """A seeded subset of the transitive pairs."""
+    closure = transitive_predecessors(inst)
+    every = [(u, v) for v in sorted(closure) for u in sorted(closure[v])]
+    rng = np.random.default_rng(seed)
+    return {p for p in every if rng.random() < 0.5}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 0.3, math.e**math.e, 16.0]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_arrays_match_the_row_by_row_builder(n, m, p, rho, seed, restrict):
+    inst = gen_random_dag(n, m, p, (1, 4), (0.25, 1), rho, seed)
+    pairs = some_pairs(inst, seed) if restrict else None
+    assert_same_model(build_relaxation(inst, pairs), reference_relaxation(inst, pairs))
+
+
+def test_ids_that_need_renaming_match_the_row_by_row_builder():
+    base = gen_random_dag(8, 3, 0.5, (1, 4), (0.25, 1), 4.0, 3)
+    rename = {v.id: f"{v.id}-x" if k % 2 else f"{v.id}.y" for k, v in enumerate(base.jobs)}
+    inst = make_instance(
+        [Job(rename[v.id], v.size) for v in base.jobs],
+        base.machines,
+        [(rename[u], rename[v]) for u, v in base.edges],
+        base.rho,
+    )
+    assert_same_model(build_relaxation(inst), reference_relaxation(inst))
+
+
+def test_structural_keys_identify_what_names_do():
+    inst = gen_random_dag(10, 3, 0.4, (1, 4), (0.25, 1), 4.0, 7)
+    full = build_relaxation(inst)
+    restricted = build_relaxation(inst, set(inst.edges))
+    for kind in ("col", "row"):
+        keys = {}
+        for model in (full, restricted):
+            got = getattr(model, f"{kind}_keys")().tolist()
+            names = model.var_names if kind == "col" else model.row_names
+            assert len(set(got)) == len(got) == len(names)
+            for key, name in zip(got, names):
+                assert keys.setdefault(key, name) == name
+        assert len(set(keys.values())) == len(keys)
+
+
+# first-round models of gen_random_dag at the benchmark workloads' parameters
+# (seed 1), as the pipeline builds them: normalized, slow machines dropped
+PINNED = {
+    (32, 8, 0.2, (1.0, 4.0), (0.25, 1.0), 16.0, 1):
+        "268262cd55b08e04367b7ee1e2de1ee6d19e2eb12affbb0484565c285bd82582",
+    (150, 4, 0.01, (1.0, 4.0), (0.25, 1.0), 1.0, 1):
+        "28dd8965934acf5a246121646af494a1c5fae2abd20b7ea2f8885c6f17647035",
+}
+
+
+def pipeline_input(args):
+    norm, _ = normalize_instance(gen_random_dag(*args))
+    return filter_slow_machines(norm).filtered
+
+
+def highs_input_digest(model):
+    """sha256 of the cost, column bounds, row bounds and row-wise matrix that
+    ``solve_lp`` hands to HiGHS."""
+    cost = np.zeros(model.n_vars)
+    for j, c in model.objective.items():
+        cost[j] = c
+    parts = [(cost, "<f8")] + [(getattr(model, a), "<f8") for a in ARRAYS[:4]]
+    parts += [(model.row_start, "<i8"), (model.row_cols, "<i8"), (model.row_vals, "<f8")]
+    digest = hashlib.sha256()
+    for values, dtype in parts:
+        digest.update(np.asarray(values, dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("args", list(PINNED))
+def test_first_round_highs_input_is_pinned(args):
+    inst = pipeline_input(args)
+    assert highs_input_digest(build_relaxation(inst, set(inst.edges))) == PINNED[args]
+
+
+def test_the_pipeline_makes_no_names(monkeypatch):
+    inst = pipeline_input((12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 5))  # two rounds
+
+    def no_names(_inst):
+        raise AssertionError("a name was made")
+
+    monkeypatch.setattr(lp, "_safe_ids", no_names)
+    run_pipeline(inst)
+    model = build_relaxation(inst)
+    monkeypatch.undo()
+    assert len(set(model.var_names)) == model.n_vars and model.row_names[0].startswith("c1_")
+
+
+def reference_separate(inst, sol, pairs):
+    """Separation as a loop over each job's pairs: z for every transitive pair
+    and the omitted pairs it adds."""
+    preds = transitive_predecessors(inst)
+    rho = inst.rho
+    z, added = {}, set()
+    for v in inst.jobs:
+        us = sorted(preds[v.id])
+        prefix, total = [], 0.0
+        for mc in inst.machines:
+            total += sol.x[(v.id, mc.id)]
+            prefix.append(total)
+        for u in us:
+            gap = (sol.start[v.id] - sol.start[u]) / rho
+            for mc, x_sum in zip(inst.machines, prefix):
+                key = (u, v.id, mc.id)
+                z[key] = sol.z[key] if (u, v.id) in pairs else max(0.0, x_sum - gap)
+        for mc, x_sum in zip(inst.machines, prefix):
+            load = sum(inst.size(u) * z[(u, v.id, mc.id)] for u in us) / (rho * mc.speed)
+            if x_sum - load < -SEPARATION_TOL:
+                added |= {
+                    (u, v.id) for u in us
+                    if (u, v.id) not in pairs and z[(u, v.id, mc.id)] > 0
+                }
+    return z, added
+
+
+@pytest.mark.parametrize("args", [
+    (12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 5),
+    (32, 8, 0.2, (1, 4), (0.25, 1), 16.0, 2),
+    (32, 8, 0.2, (1, 4), (0.25, 1), 16.0, 3),
+    (40, 4, 0.1, (1, 4), (0.25, 1), 1.0, 4),
+])
+def test_separation_matches_the_loop_in_every_round(args):
+    inst = pipeline_input(args)
+    pairs, sol = set(inst.edges), None
+    while True:
+        model = build_relaxation(inst, pairs)
+        sol = solve_lp(model, warm=sol)
+        z, added = lp._separate(model, sol)
+        want_z, want_added = reference_separate(inst, sol, pairs)
+        assert added == want_added
+        assert dict(zip(want_z, z.ravel().tolist())) == want_z
+        if not added:
+            break
+        pairs |= added

@@ -132,7 +132,33 @@ def test_later_rounds_start_warm(monkeypatch):
     assert sol.iterations[-1] < real(model).iterations[0]  # the same model, cold
 
 
-def test_round_two_basis_keeps_round_one_statuses(monkeypatch):
+def column_identity(model):
+    """What each column stands for: ("C",), ("S", v), ("x", v, i) or ("z", u, v, i)."""
+    out = [None] * model.n_vars
+    out[model.c_index] = ("C",)
+    for v, idx in model.s_index.items():
+        out[idx] = ("S", v)
+    for key, idx in model.x_index.items():
+        out[idx] = ("x", *key)
+    for key, idx in model.z_index.items():
+        out[idx] = ("z", *key)
+    return out
+
+
+def row_identity(model):
+    """What each row stands for, read from the row itself: its family and the
+    columns other than z in it, which tell the pair, job or machine apart
+    whatever the ids are called (a row (4) gains z terms between rounds)."""
+    cols = column_identity(model)
+    return [
+        (name.split("_")[0], frozenset(cols[j] for j in coeffs if cols[j][0] != "z"))
+        for name, coeffs, _, _ in model.rows
+    ]
+
+
+def round_two_statuses(monkeypatch, inst):
+    """The first two rounds as (model, solution), and the statuses round two
+    was started from."""
     from scipy.optimize._highspy import _core
 
     solved = []  # (model, solution) of each round
@@ -150,22 +176,36 @@ def test_round_two_basis_keeps_round_one_statuses(monkeypatch):
 
     monkeypatch.setattr(lp, "solve_lp", recording)
     monkeypatch.setattr(_core, "_Highs", Spy)
-    solve_relaxation(separation_instance())
+    solve_relaxation(inst)
     assert len(solved) >= 2 and len(given) == len(solved) - 1  # round one starts cold
-    (first, sol), (second, _) = solved[:2]
-    col_was = dict(zip(first.var_names, sol.basis[1]))
-    row_was = dict(zip(first.row_names, sol.basis[3]))
-    assert len(col_was) == first.n_vars and len(row_was) == len(first.row_names)
-    assert col_was.keys() <= set(second.var_names) and row_was.keys() <= set(second.row_names)
-    cols, rows = given[0]
-    assert cols == [col_was.get(name, _core.HighsBasisStatus.kLower) for name in second.var_names]
-    assert rows == [row_was.get(name, _core.HighsBasisStatus.kBasic) for name in second.row_names]
-    assert len(cols) > first.n_vars and len(rows) > len(first.row_names)  # new ones exist
+    return solved[0], solved[1][0], given[0]
 
 
-def test_colliding_ids_reach_the_full_optimum():
-    # "a-b" and "a_b" give the same model names; the round-two basis, matched
-    # by name, then starts some z columns and rows from the other pair's status
+def assert_round_two_keeps_round_one_statuses(monkeypatch, inst):
+    from scipy.optimize._highspy import _core
+
+    (first, sol), second, (cols, rows) = round_two_statuses(monkeypatch, inst)
+    _, col_status, _, row_status = sol.basis
+    col_was = dict(zip(column_identity(first), col_status))
+    row_was = dict(zip(row_identity(first), row_status))
+    # every column and row stands for something different, in both rounds
+    assert len(col_was) == first.n_vars and len(row_was) == len(first.rows)
+    assert len(set(row_identity(second))) == len(second.rows)
+    assert col_was.keys() <= set(column_identity(second))
+    assert row_was.keys() <= set(row_identity(second))
+    kept, kept_rows = _core.HighsBasisStatus.kLower, _core.HighsBasisStatus.kBasic
+    assert cols == [col_was.get(c, kept) for c in column_identity(second)]
+    assert rows == [row_was.get(r, kept_rows) for r in row_identity(second)]
+    assert len(cols) > first.n_vars and len(rows) > len(first.rows)  # new ones exist
+
+
+def test_round_two_basis_keeps_round_one_statuses(monkeypatch):
+    assert_round_two_keeps_round_one_statuses(monkeypatch, separation_instance())
+
+
+def test_colliding_ids_reach_the_full_optimum(monkeypatch):
+    # "a-b" and "a_b" give the same model names; round two still starts each
+    # column and row from the status of its own job, pair and machine
     base = separation_instance()
     rename = {"j5": "a-b", "j4": "a_b"}.get
     inst = make_instance(
@@ -179,6 +219,7 @@ def test_colliding_ids_reach_the_full_optimum():
     assert len(set(z_names)) < len(z_names)
     assert len(sol.iterations) >= 2
     assert_exact(inst)
+    assert_round_two_keeps_round_one_statuses(monkeypatch, inst)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mid_instance, tiny_instance
 from delaysched import (
@@ -20,6 +22,8 @@ from delaysched import (
     validate_schedule,
 )
 from delaysched.cli import PipelineConfig, run_pipeline
+from delaysched.instance import TOL
+from delaysched.scheduler import _EventClock, _merged_events
 
 
 def schedule_via_lp(inst, eta=None, trace=None):
@@ -128,3 +132,52 @@ def test_rejects_bad_eta_and_partial_assignment():
     broken = type(asg)(groups=asg.groups, mu=asg.mu, kappa={}, bands=asg.bands)
     with pytest.raises(ValueError):
         run_group_scheduler(norm, broken, 2.0)
+
+
+# times on a coarse grid, each raised by up to 3 * TOL: exact repeats and
+# runs of times closer than TOL, which the merge thins by chaining, often
+# added below the clock
+EVENT_TIMES = st.builds(
+    lambda base, lift: base * 0.5 + lift * TOL,
+    st.integers(0, 3),
+    st.one_of(st.integers(0, 3), st.floats(0.0, 3.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(EVENT_TIMES, max_size=6), min_size=1, max_size=12))
+def test_event_clock_matches_the_full_merge_at_every_advance(batches):
+    events, seen, clock = _EventClock(), [0.0], 0.0
+    for batch in batches:
+        for t in batch:
+            events.add(t)
+            seen.append(t)
+        assert events.raw == sorted(set(seen))
+        want = next((t for t in _merged_events(seen) if t > clock + TOL), None)
+        assert events.next_after(clock) == want
+        if want is not None:
+            clock = want
+
+
+def test_merge_keeps_a_time_by_chaining():
+    # 0.9 TOL lies within TOL of 0; 1.8 TOL does not, so it is kept, and 2.7 TOL
+    # lies within TOL of it
+    step = 0.9 * TOL
+    assert _merged_events([0.0, step, 2 * step, 2 * step, 3 * step]) == [0.0, 2 * step]
+    events = _EventClock()
+    for t in (3 * step, step, 2 * step):
+        events.add(t)
+    assert events.next_after(0.0) == 2 * step
+    assert events.next_after(2 * step) is None
+
+
+def test_a_time_added_below_the_clock_changes_what_is_next():
+    events = _EventClock()
+    events.add(2 * TOL)
+    assert events.next_after(0.0) == 2 * TOL
+    # 1.5 is kept, so 2 is dropped and 2.6 kept, which absorbs 3.3: the first
+    # raw time above 2 + 1 is no event
+    for t in (1.5 * TOL, 2.6 * TOL, 3.3 * TOL):
+        events.add(t)
+    assert _merged_events(events.raw) == [0.0, 1.5 * TOL, 2.6 * TOL]
+    assert events.next_after(2 * TOL) is None

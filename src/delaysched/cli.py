@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from . import grouping, lp, preprocess, schedmodel, scheduler
 from .instance import (
     Instance,
+    _derive,
     gen_binary_tree,
     gen_layered_gap,
     gen_random_dag,
     instance_from_json,
     instance_to_json,
-    validate_instance,
+    normalize_instance,
 )
 from .schedmodel import Schedule, schedule_from_json, schedule_to_json
 
@@ -73,7 +74,7 @@ def _stage(name: str, errors=ValueError):
 
 def _require_valid(inst: Instance) -> Instance:
     """``inst`` itself, or ``PipelineError("validate", ...)`` listing every violation."""
-    report = validate_instance(inst)
+    report = inst._report
     if not report.ok:
         raise PipelineError("validate", "; ".join(report.violations))
     return inst
@@ -82,8 +83,6 @@ def _require_valid(inst: Instance) -> Instance:
 def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> PipelineResult:
     config = config or PipelineConfig()
     _require_valid(inst)
-
-    from .instance import normalize_instance
 
     norm, scale = normalize_instance(inst)
     removed: tuple[str, ...] = ()
@@ -120,12 +119,8 @@ def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> Pipeli
             for p in sched_norm.placements
         )
     )
-    orig_filtered = Instance(
-        inst.jobs,
-        tuple(mc for mc in inst.machines if mc.id not in removed),
-        inst.edges,
-        inst.rho,
-    )
+    kept = tuple(mc for mc in inst.machines if mc.id not in removed)
+    orig_filtered = _derive(inst, machines=kept)
     return PipelineResult(
         schedule=out_sched,
         report=analysis,
@@ -311,8 +306,6 @@ def _dispatch(args) -> int:
 
     if cmd == "solve":
         inst = _read_instance(args.input)
-        from .instance import normalize_instance
-
         norm, scale = normalize_instance(inst)
         if args.relaxation == "main":
             # the export writes the full model; the solve generates pairs lazily
@@ -370,8 +363,6 @@ def _dispatch(args) -> int:
         if not rep.valid:
             sys.stderr.write("error: schedule invalid; run validate for details\n")
             return 2
-        from .instance import normalize_instance
-
         norm, scale = normalize_instance(inst)
         norm_sched = Schedule(
             tuple(

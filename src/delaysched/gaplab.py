@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .instance import TOL, Instance, transitive_predecessors
+from .instance import TOL, Instance, require_valid_instance, transitive_predecessors
 from .lp import (
     LpModel,
     LpSolution,
@@ -78,7 +78,7 @@ def gap_lp_certificate(inst: Instance, model: LpModel | None = None) -> LpSoluti
 
 def build_alternate_relaxation(inst: Instance, kind: str, horizon: int | None = None) -> LpModel:
     """Alternate programs: same_machine, time_indexed, or same_phase."""
-    transitive_predecessors(inst)  # raises ValueError on an invalid instance
+    require_valid_instance(inst)
     if kind == "same_machine":
         return _same_machine_model(inst)
     if kind == "time_indexed":

@@ -3,6 +3,9 @@
 Provides validation, transitive-predecessor computation, normalization to
 (min size, max speed) = (1, 1), seeded instance generators, and the JSON codec.
 All numeric comparisons use an additive tolerance of ``TOL``.
+An instance is checked and ordered once, on first use; the copies that
+normalization and slow-machine elimination derive from it inherit its
+verdict, order and closure (:func:`_derive`).
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ import json
 import math
 import random
 from collections.abc import Collection, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import combinations
 from types import MappingProxyType
 
 TOL = 1e-9
@@ -52,9 +56,9 @@ class Instance:
     def m(self) -> int:
         return len(self.machines)
 
-    # lookup maps and the closure built on first use; cached_property stores
-    # them in the instance __dict__, outside the dataclass fields, so they take
-    # no part in equality or hashing
+    # lookup maps, the order, the verdict and the closure built on first use;
+    # cached_property stores them in the instance __dict__, outside the
+    # dataclass fields, so they take no part in equality or hashing
     @cached_property
     def _sizes(self) -> dict[str, float]:
         return {j.id: j.size for j in self.jobs}
@@ -69,8 +73,22 @@ class Instance:
         return {mc.id: pos for pos, mc in reversed(list(enumerate(self.machines, start=1)))}
 
     @cached_property
+    def _order(self) -> tuple[str, ...]:
+        # the default-key Kahn order; shorter than the distinct job ids on a cycle
+        return tuple(_kahn(self.direct_predecessors()))
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        return validate_instance(self)
+
+    @cached_property
     def _closure(self) -> Mapping[str, frozenset[str]]:
-        return MappingProxyType(_build_closure(self))
+        require_valid_instance(self)
+        pred = self.direct_predecessors()
+        closure: dict[str, frozenset[str]] = {}
+        for v in self._order:
+            closure[v] = frozenset(pred[v]).union(*(closure[u] for u in pred[v]))
+        return MappingProxyType(closure)
 
     def size(self, job_id: str) -> float:
         return self._sizes[job_id]
@@ -160,21 +178,22 @@ def validate_instance(inst: Instance) -> ValidationReport:
         bad.append("rho must be finite")
     elif inst.rho < 0:
         bad.append("rho must be >= 0")
-    if len(bad) == before_numbers and inst.jobs and inst.machines:
+    numbers_ok = len(bad) == before_numbers and inst.jobs and inst.machines
+    if numbers_ok:
         bad += _normalization_overflows(inst)
-    for k in range(len(inst.machines) - 1):
-        a, b = inst.machines[k], inst.machines[k + 1]
-        if a.speed > b.speed + TOL or (abs(a.speed - b.speed) <= TOL and a.id > b.id):
-            bad.append("machines not sorted by nondecreasing speed (ties by id)")
-            break
+    # judged on speed / fastest, as normalized, and on every pair: with a
+    # tolerance, a sorted list can have an unsorted subsequence (a filtered one)
+    beta = _scale_factors(inst)[1] if numbers_ok and len(bad) == before_numbers else 1.0
+    scaled = [(mc.speed * beta, mc.id) for mc in inst.machines]
+    if any(a > b + TOL or (abs(a - b) <= TOL and ida > idb)
+           for (a, ida), (b, idb) in combinations(scaled, 2)):
+        bad.append("machines not sorted by nondecreasing speed (ties by id)")
     known = set(job_ids)
     for a, b in inst.edges:
         if a not in known or b not in known:
             bad.append(f"dangling edge ({a}, {b})")
-    if not any(v.startswith("dangling") for v in bad):
-        pred = inst.direct_predecessors()
-        if len(_kahn(pred)) < len(pred):
-            bad.append("cycle in precedence graph")
+    if not any(v.startswith("dangling") for v in bad) and len(inst._order) < len(inst._sizes):
+        bad.append("cycle in precedence graph")
     return ValidationReport(tuple(bad))
 
 
@@ -202,7 +221,7 @@ def _normalization_overflows(inst: Instance) -> list[str]:
 
 def require_valid_instance(inst: Instance) -> None:
     """Raise ``ValueError("invalid instance: ...")`` listing every violation."""
-    report = validate_instance(inst)
+    report = inst._report
     if not report.ok:
         raise ValueError(f"invalid instance: {'; '.join(report.violations)}")
 
@@ -236,9 +255,8 @@ def _kahn(preds: Mapping[str, Collection[str]], key=None) -> list[str]:
 
 def topological_order(inst: Instance, key=None) -> list[str]:
     """Topological order of job ids; among ready jobs, smallest ``key`` first."""
-    preds = inst.direct_predecessors()  # one key per distinct id
-    out = _kahn(preds, key)
-    if len(out) != len(preds):
+    out = list(inst._order) if key is None else _kahn(inst.direct_predecessors(), key)
+    if len(out) != len(inst._sizes):  # one entry per distinct id
         raise ValueError("precedence graph has a cycle")
     return out
 
@@ -252,17 +270,14 @@ def transitive_predecessors(inst: Instance) -> Mapping[str, frozenset[str]]:
     return inst._closure
 
 
-def _build_closure(inst: Instance) -> dict[str, frozenset[str]]:
-    require_valid_instance(inst)
-    pred = inst.direct_predecessors()
-    closure: dict[str, frozenset[str]] = {}
-    for v in topological_order(inst):
-        acc: set[str] = set()
-        for u in pred[v]:
-            acc.add(u)
-            acc |= closure[u]
-        closure[v] = frozenset(acc)
-    return closure
+def _derive(inst: Instance, **fields) -> Instance:
+    """``inst`` with ``fields`` replaced, keeping every job id and edge and
+    whichever of the order, closure and verdict ``inst`` has computed; callers
+    keep each speed's ratio to the fastest, on which machine order is judged."""
+    out = replace(inst, **fields)
+    out.__dict__.update({name: inst.__dict__[name] for name in ("_order", "_closure", "_report")
+                         if name in inst.__dict__})
+    return out
 
 
 def normalize_instance(inst: Instance) -> tuple[Instance, ScaleRecord]:
@@ -279,7 +294,7 @@ def normalize_instance(inst: Instance) -> tuple[Instance, ScaleRecord]:
     jobs = tuple(Job(j.id, j.size * alpha) for j in inst.jobs)
     machines = tuple(Machine(mc.id, mc.speed * beta) for mc in inst.machines)
     rho = inst.rho * alpha / beta
-    return Instance(jobs, machines, inst.edges, rho), ScaleRecord(alpha, beta)
+    return _derive(inst, jobs=jobs, machines=machines, rho=rho), ScaleRecord(alpha, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,8 @@ def combinatorial_baseline(inst: Instance) -> Schedule:
     Known to be badly suboptimal on chain-fan instances with one fast
     machine; kept as a comparison point, its output is always valid.
     """
-    tpreds = transitive_predecessors(inst)  # raises ValueError on an invalid instance
+    require_valid_instance(inst)
+    tpreds = transitive_predecessors(inst)
     rho = inst.rho
     size, speed = inst._sizes, inst._speeds
     topo_pos = {v: k for k, v in enumerate(topological_order(inst))}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import TOL, Instance, require_valid_instance, topological_order
+from .instance import TOL, Instance, _derive, require_valid_instance, topological_order
 from .schedmodel import Placement, Schedule, phase_of, require_valid_schedule
 
 
@@ -21,7 +21,6 @@ from .schedmodel import Placement, Schedule, phase_of, require_valid_schedule
 class MachineFilterResult:
     filtered: Instance
     removed_ids: tuple[str, ...]
-    index_map: dict[str, int | None]  # machine id -> new 1-based index
 
 
 def _slow_ids(inst: Instance) -> set[str]:
@@ -34,16 +33,7 @@ def filter_slow_machines(inst: Instance) -> MachineFilterResult:
     require_valid_instance(inst)
     slow = _slow_ids(inst)
     kept = tuple(mc for mc in inst.machines if mc.id not in slow)
-    filtered = Instance(inst.jobs, kept, inst.edges, inst.rho)
-    index_map: dict[str, int | None] = {}
-    pos = 0
-    for mc in inst.machines:
-        if mc.id in slow:
-            index_map[mc.id] = None
-        else:
-            pos += 1
-            index_map[mc.id] = pos
-    return MachineFilterResult(filtered, tuple(sorted(slow)), index_map)
+    return MachineFilterResult(_derive(inst, machines=kept), tuple(sorted(slow)))
 
 
 def rehost_schedule(inst: Instance, sched: Schedule) -> Schedule:

@@ -100,7 +100,7 @@ def run_group_scheduler(
     trace: list | None = None,
 ) -> Schedule:
     """Schedule every job, duplicating where the three conditions allow."""
-    if eta < 1.0:
+    if not eta >= 1.0:  # NaN included
         raise ValueError("eta must be >= 1")
     missing = [j.id for j in inst.jobs if j.id not in assignment.kappa]
     if missing:

@@ -3,7 +3,7 @@
 import random
 
 from delaysched import Job, Machine, Placement, Schedule, make_instance
-from delaysched.instance import gen_random_dag, topological_order
+from delaysched.instance import Instance, gen_random_dag, topological_order
 
 
 def tiny_instance(seed, n_max=5, m_max=2, rho_choices=(0.5, 1.0, 4.0)):
@@ -37,6 +37,12 @@ def slow_machine_instance(seed, n_max=10):
     )
     machines = list(base.machines) + [Machine("crawl", base.machines[-1].speed / 20.0)]
     return make_instance(base.jobs, machines, base.edges, base.rho)
+
+
+def fresh_copy(inst) -> Instance:
+    """``inst`` with nothing cached, so a check of it reads its own numbers
+    instead of a verdict inherited from the instance it was derived from."""
+    return Instance(inst.jobs, inst.machines, inst.edges, inst.rho)
 
 
 def everywhere_schedule(inst) -> Schedule:

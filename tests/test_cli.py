@@ -280,7 +280,8 @@ def test_every_command_validates_its_instance_first(tmp_path, capsys, command):
     (("preprocess", "filter_slow_machines"), [], "[preprocess] injected failure"),
     (("lp", "solve_relaxation"), [], "[lp] injected failure"),
     (None, ["--eta", "0.5"], "[schedule] eta must be >= 1"),
-], ids=["preprocess", "lp", "schedule"])
+    (None, ["--eta", "nan"], "[schedule] eta must be >= 1"),
+], ids=["preprocess", "lp", "schedule", "schedule-nan"])
 def test_value_errors_name_their_stage(tmp_path, capsys, monkeypatch, failing, flags, message):
     # a validated instance raises no ValueError in preprocess or lp, so one is injected
     from delaysched import cli
@@ -306,3 +307,50 @@ def test_import_loads_neither_scipy_nor_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _speeds_doc(*machines):
+    return {"rho": 1, "jobs": [{"id": "a", "size": 1}, {"id": "b", "size": 2}],
+            "machines": [{"id": k, "speed": s} for k, s in machines], "edges": [["a", "b"]]}
+
+
+@pytest.mark.parametrize("command", ["schedule", "solve"])
+@pytest.mark.parametrize("machines", [
+    # 5e-10 apart in raw speed, 5e-9 apart once divided by the fastest speed
+    [("m0", 0.1 + 0.5e-9), ("m1", 0.1)],
+    # neighbours tie in id order, but z and a tie out of it once slow machine
+    # zz (below 0.25 - TOL) is dropped
+    [("z", 0.25 - 0.5e-9), ("zz", 0.25 - 1.2e-9), ("a", 0.25 - 0.1e-9), ("f", 1.0)],
+], ids=["scaled-gap", "tie-after-filter"])
+def test_machine_order_is_judged_on_the_normalized_scale(tmp_path, capsys, command, machines):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(_speeds_doc(*machines)))
+    assert run([command, "--input", str(inst_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: [validate] machines not sorted by nondecreasing speed (ties by id)\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["schedule", "solve"])
+def test_machines_tied_on_the_normalized_scale_run(tmp_path, command):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(_speeds_doc(("m0", 2 + 0.5e-9), ("m1", 2))))
+    assert run([command, "--input", str(inst_path), "--output", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize("config", [PipelineConfig(), PipelineConfig(skip_preprocess=True)])
+def test_pipeline_validates_once_and_orders_twice(monkeypatch, config):
+    # the input's default order comes from its cycle check and the scheduler
+    # sorts by band; normalized and filtered copies inherit the rest
+    from conftest import slow_machine_instance
+    from delaysched import instance
+
+    calls = {"validate_instance": 0, "_kahn": 0}
+    for name in calls:
+        def spy(*args, real=getattr(instance, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(instance, name, spy)
+    result = run_pipeline(slow_machine_instance(2), config)
+    assert result.removed_machines == (() if config.skip_preprocess else ("crawl",))
+    assert calls == {"validate_instance": 1, "_kahn": 2}

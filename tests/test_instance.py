@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_instance
+from conftest import fresh_copy, tiny_instance
 from delaysched import (
     Job,
     Machine,
+    filter_slow_machines,
     gen_binary_tree,
     gen_layered_gap,
     gen_random_dag,
@@ -20,7 +21,7 @@ from delaysched import (
     validate_instance,
 )
 from delaysched.cli import main
-from delaysched.instance import CodecError, Instance, topological_order
+from delaysched.instance import TOL, CodecError, Instance, topological_order
 
 
 def test_minimal_instance_is_valid():
@@ -80,7 +81,7 @@ def test_extreme_scale_that_normalizes_finitely_is_valid():
     inst = Instance((Job("a", 1e-300), Job("b", 1e7)), (Machine("m0", 1e10),), (), 0.0)
     assert validate_instance(inst).ok
     norm, _ = normalize_instance(inst)
-    assert validate_instance(norm).ok
+    assert validate_instance(fresh_copy(norm)).ok
 
 
 def test_lookups_on_direct_instance_ignore_equality():
@@ -182,6 +183,68 @@ def test_cycle_verdict_matches_dfs_reference(job_ids, edges):
         pos = {v: k for k, v in enumerate(order)}
         assert sorted(order) == sorted(job_ids)
         assert all(pos[a] < pos[b] for a, b in edges)
+
+
+@st.composite
+def _near_tied_instances(draw):
+    """Clusters of speeds within a few TOL of each other on the scale
+    validation judges them (speed / fastest), in any order within a cluster and
+    with ids in any order, plus job lists with duplicate ids and cycles."""
+    job_ids = draw(st.lists(st.sampled_from(_IDS[:5]), min_size=1, max_size=5))
+    jobs = [Job(v, draw(st.floats(1e-3, 1e3))) for v in job_ids]
+    edges = draw(st.lists(st.tuples(st.sampled_from(job_ids), st.sampled_from(job_ids)),
+                          max_size=6))
+    counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    bases = [draw(st.floats(1e-3, 1.0)) for _ in counts]
+    with_fastest = draw(st.booleans())
+    if with_fastest:
+        # a fastest machine of speed 1 puts the slow-machine threshold,
+        # fastest / machine count, on the cluster around bases[0]
+        bases[0] = 1.0 / (sum(counts) + 1)
+    fracs = [b + TOL * draw(st.floats(-3.0, 3.0))
+             for b, count in sorted(zip(bases, counts)) for _ in range(count)]
+    if with_fastest:
+        fracs.append(1.0)
+    names = draw(st.permutations([f"m{k}" for k in range(len(fracs))]))
+    top = draw(st.floats(1e-3, 1e3)) / max(fracs)
+    machines = [Machine(name, f * top) for name, f in zip(names, fracs)]
+    return Instance(tuple(jobs), tuple(machines), tuple(edges), draw(st.floats(0.0, 10.0)))
+
+
+def _order_or_cycle(inst):
+    try:
+        return topological_order(inst)
+    except ValueError:
+        return "cycle"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_tied_instances())
+def test_derived_copies_earn_the_verdict_and_order_they_inherit(inst):
+    # a fresh copy recomputes everything, so it shows what the derived copy
+    # would have found had it not inherited the input's cached facts
+    report, order = inst._report, _order_or_cycle(inst)
+    norm, _ = normalize_instance(inst)
+    derived = [norm]
+    if report.ok:
+        derived += [filter_slow_machines(inst).filtered, filter_slow_machines(norm).filtered]
+    else:
+        with pytest.raises(ValueError, match="invalid instance"):
+            filter_slow_machines(inst)
+    for copy in derived:
+        assert copy._report is inst._report
+        assert validate_instance(fresh_copy(copy)) == report
+        assert _order_or_cycle(fresh_copy(copy)) == order
+
+
+def test_derived_copy_keeps_equality_and_recomputes_lookups():
+    inst = make_instance([Job("a", 2.0), Job("b", 4.0)], [Machine("m0", 0.5), Machine("m1", 2.0)],
+                         [("a", "b")], 1.0)
+    closure = transitive_predecessors(inst)
+    norm, _ = normalize_instance(inst)
+    assert transitive_predecessors(norm) is closure
+    assert norm == fresh_copy(norm) and hash(norm) == hash(fresh_copy(norm))
+    assert (norm.size("a"), norm.speed("m1")) == (1.0, 1.0)
 
 
 def _paths_oracle(inst):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import slow_machine_instance
+from conftest import fresh_copy, slow_machine_instance
 from delaysched import (
     Job,
     Machine,
@@ -31,7 +31,7 @@ def test_threshold_removes_slow():
     result = filter_slow_machines(speeds_instance(1.0, 0.3, 0.1))
     assert result.filtered.m == 1
     assert set(result.removed_ids) == {"m1", "m2"}  # the 0.3 and 0.1 machines
-    assert result.index_map[result.filtered.machines[0].id] == 1
+    assert result.filtered.machine_index("m0") == 1
 
 
 def test_threshold_boundary_keeps_exact_third():
@@ -43,7 +43,7 @@ def test_filter_output_is_valid_and_keeps_fastest():
     for seed in range(10):
         inst = slow_machine_instance(seed)
         result = filter_slow_machines(inst)
-        assert validate_instance(result.filtered).ok
+        assert validate_instance(fresh_copy(result.filtered)).ok
         fastest = max(mc.speed for mc in inst.machines)
         assert any(mc.speed == fastest for mc in result.filtered.machines)
 

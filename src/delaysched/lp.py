@@ -3,9 +3,12 @@
 The relaxation has per-copy assignment variables x[v,i], same-phase variables
 z[u,v,i] for transitive predecessor pairs and machines, start times S[v], and
 the makespan C.  Machine indices follow nondecreasing speed order, which the
-delay and phase rows depend on.  Precedence rows (2) are emitted per distinct
-direct edge: the rows of transitive pairs follow by chaining, since fractional
-processing times are non-negative.  :func:`solve_relaxation` solves the full
+delay and phase rows depend on.  Every model emits only the rows (1) and (2)
+that chaining does not imply, since fractional processing times are
+non-negative: precedence rows (2) for the edges of the transitive reduction
+(the rows of transitive pairs and of shortcut edges follow along paths), and
+makespan rows (1) for the sinks (a job's row follows from a successor's row
+(1) and the row (2) between them).  :func:`solve_relaxation` solves the full
 relaxation exactly while generating same-phase pairs lazily by separation.
 
 A model is held in the layout HiGHS reads: column bounds, row bounds (a row's
@@ -28,14 +31,19 @@ names; a column or row added with ``add_var`` or ``add_row`` is keyed by its
 position among the added ones.
 
 Every model is solved by the HiGHS dual simplex bundled with scipy (1.15 or
-later), driven through scipy's private binding: the flat rows go to HiGHS
-row-wise with each row's sense in its bounds, and a solve can start from an
-earlier solution's basis, which later separation rounds do.  Every solve uses
-one setting: presolve on, dual simplex, Dantzig pricing and no output.
-Dantzig pricing replaces HiGHS's default dual steepest edge because on these
-small, degenerate relaxations the cold first solve needs about half the
-iterations, each cheaper, which halves the time per pipeline instance at
-n=32, m=8.  It is slower on the large, fully symmetric layered gap instances
+later), driven through scipy's private binding: the arrays go to HiGHS in
+one ``passModel`` call, the rows row-wise with each row's sense in its
+bounds, and a solve can start from an earlier solution's basis, which later
+separation rounds do.  Every solve uses one setting: presolve off, dual
+simplex, Dantzig pricing and no output.  Presolve is off because these
+models are small and, with the implied rows left out, built without
+redundancy, so its reductions and postsolve cost more than they save:
+without it HiGHS took 0.19 s instead of 0.31 s over the pipeline runs of 40
+instances at n=150, m=4, and 0.40 s instead of 0.50 s over 30 at n=32,
+m=8.  Dantzig pricing replaces HiGHS's default dual steepest edge because
+on these small, degenerate relaxations the cold first solve needs about
+half the iterations, each cheaper, which halves the time per pipeline
+instance at n=32, m=8.  It is slower on the large, fully symmetric layered gap instances
 (see ROADMAP).  Solves are deterministic for a fixed model and start.
 
 Package import loads neither scipy nor numpy: both are imported inside the
@@ -297,18 +305,20 @@ class _Relaxation(_Scaffold):
     """Structure of a (restricted) relaxation: the scaffold's columns, then
     z_{u,v,i} per chosen pair and machine, then rows (1) to (6).
 
-    ``chosen`` marks the pairs of ``pairs`` that have z columns; ``eu``,
-    ``ev`` are the distinct direct edges in row (2) order.  Keys: z[u,v,i] is
+    ``chosen`` marks the pairs of ``pairs`` that have z columns; ``c1`` are
+    the jobs with rows (1) and ``eu``, ``ev`` the edges with rows (2), in row
+    order (:func:`_unimplied`).  Keys: z[u,v,i] is
     ``1 + n + n*m + (u*n + v)*m + i``; rows (1) ``v``, (2) ``n + u*n + v``,
     (3) ``n + n^2 + (u*n + v)*m + i``, then (4) ``v*m + i``, (5) ``i`` and
     (6) ``v``, each family offset past the previous one's key range.
     """
 
-    def __init__(self, inst: Instance, pairs: _Pairs, chosen, eu, ev):
+    def __init__(self, inst: Instance, pairs: _Pairs, chosen):
         import numpy as np
 
         super().__init__(inst)
-        self.pairs, self.chosen, self.eu, self.ev = pairs, chosen, eu, ev
+        self.pairs, self.chosen = pairs, chosen
+        self.c1, self.eu, self.ev = _unimplied(inst, pairs)
         self.pu, self.pv = pairs.u[chosen], pairs.v[chosen]
         # jobs with rows (4), in job order (np.unique would load numpy.ma)
         self.c4 = np.flatnonzero(np.bincount(self.pv, minlength=self.n))
@@ -330,7 +340,7 @@ class _Relaxation(_Scaffold):
     def _row_names(self, jobs: list[str], machines: list[str]) -> list[str]:
         pairs = list(zip(self.pu.tolist(), self.pv.tolist()))
         return [
-            *(f"c1_{v}" for v in jobs),
+            *(f"c1_{jobs[v]}" for v in self.c1.tolist()),
             *(f"c2_{jobs[u]}_{jobs[v]}" for u, v in zip(self.eu.tolist(), self.ev.tolist())),
             *(f"c3_{jobs[u]}_{jobs[v]}_{i}" for u, v in pairs for i in machines),
             *(f"c4_{jobs[v]}_{i}" for v in self.c4.tolist() for i in machines),
@@ -344,7 +354,7 @@ class _Relaxation(_Scaffold):
         n, m = self.n, self.m
         on_machines = np.arange(m)
         families = (
-            np.arange(n),  # (1)
+            self.c1,  # (1)
             self.eu * n + self.ev,  # (2), within n*n
             (((self.pu * n + self.pv) * m)[:, None] + on_machines).ravel(),  # (3)
             ((self.c4 * m)[:, None] + on_machines).ravel(),  # (4)
@@ -355,17 +365,36 @@ class _Relaxation(_Scaffold):
         return np.concatenate([keys + off for keys, off in zip(families, offsets)])
 
 
-def _direct_edges(inst: Instance):
-    """The distinct direct edges (u, v) as job-index arrays, by v's index,
-    then u's id."""
+def _unimplied(inst: Instance, pairs: _Pairs):
+    """The rows (1) and (2) that chaining does not imply, as job-index arrays.
+
+    Row (1) is kept for the sinks only: a job u with a successor has one, v,
+    that no other path from u reaches, and row (2) for (u, v) with row (1)
+    for v gives row (1) for u, since fractional processing times are
+    non-negative.  Row (2) is kept for the edges of the transitive reduction
+    only: an edge (u, v) with u before another direct predecessor w of v
+    follows from the rows along the path through w.  Returns the sinks by
+    index, and the kept edges (u, v) by v's index, then u's id.
+    """
     import numpy as np
 
+    n = inst.n
     pos = {v.id: k for k, v in enumerate(inst.jobs)}
     direct = inst.direct_predecessors()
     edges = [(pos[u], k) for k, v in enumerate(inst.jobs) for u in sorted(set(direct[v.id]))]
     eu = np.array([u for u, _ in edges], dtype=np.int64)
     ev = np.array([v for _, v in edges], dtype=np.int64)
-    return eu, ev
+    # every pair (u, w) followed by an edge (w, v) implies (u, v); the pairs
+    # ending at w are contiguous in ``pairs``
+    per_job = np.bincount(pairs.v, minlength=n)
+    first = np.cumsum(per_job) - per_job
+    reps = per_job[eu]
+    through = np.repeat(first[eu] - (np.cumsum(reps) - reps), reps) + np.arange(reps.sum())
+    implied = np.zeros(n * n, dtype=bool)
+    implied[pairs.u[through] * n + np.repeat(ev, reps)] = True
+    keep = ~implied[eu * n + ev]
+    sinks = np.flatnonzero(np.bincount(eu, minlength=n) == 0)
+    return sinks, eu[keep], ev[keep]
 
 
 def build_relaxation(inst: Instance, pairs=None) -> LpModel:
@@ -376,7 +405,9 @@ def build_relaxation(inst: Instance, pairs=None) -> LpModel:
     (4).  Without it every transitive pair takes part, which is the full
     relaxation.  With rho = 0 the same-phase machinery is vacuous: z variables
     and the delay/phase rows are omitted (the pipeline skips delay logic
-    entirely).  Families (7) to (9) are the column bounds.
+    entirely).  Rows (1) and (2) are emitted for the sinks and the edges of
+    the transitive reduction only (:func:`_unimplied`).  Families (7) to (9)
+    are the column bounds.
     """
     import numpy as np
 
@@ -388,24 +419,23 @@ def build_relaxation(inst: Instance, pairs=None) -> LpModel:
     else:
         wanted = set(pairs)
         chosen = np.fromiter((p in wanted for p in every.ids), dtype=bool, count=len(every.ids))
-    layout = _Relaxation(inst, every, chosen, *_direct_edges(inst))
+    layout = _Relaxation(inst, every, chosen)
     model = _scaffold(inst)
     model._layout = layout
 
     n, m, rho = inst.n, inst.m, inst.rho
     size = np.array([v.size for v in inst.jobs])
     speed = np.array([mc.speed for mc in inst.machines])
-    pu, pv, eu, ev, c4 = layout.pu, layout.pv, layout.eu, layout.ev, layout.c4
-    n_pairs = len(pu)
+    pu, pv, c1, eu, ev, c4 = layout.pu, layout.pv, layout.c1, layout.eu, layout.ev, layout.c4
+    n_pairs, n1 = len(pu), len(c1)
     S = 1 + np.arange(n)
     X = (1 + n + np.arange(n * m)).reshape(n, m)  # X[v, i] is x_{v,i}; x_{v,i} = X[v, 0] + i
     Z = (layout.z_base + np.arange(n_pairs * m)).reshape(n_pairs, m)
-    zero, one = np.zeros(n, dtype=np.int64), np.ones(n)
 
-    # (1) makespan covers start plus fractional execution time
-    cols1 = np.column_stack((zero, S, X))
-    vals1 = np.column_stack((one, -one, -size[:, None] / speed))
-    # (2) a job starts after each direct predecessor's fractional completion
+    # (1) makespan covers a sink's start plus its fractional execution time
+    cols1 = np.column_stack((np.zeros(n1, dtype=np.int64), S[c1], X[c1]))
+    vals1 = np.column_stack((np.ones(n1), -np.ones(n1), -size[c1][:, None] / speed))
+    # (2) a job starts after each reduction predecessor's fractional completion
     cols2 = np.column_stack((S[ev], S[eu], X[eu]))
     vals2 = np.column_stack((np.ones(len(eu)), -np.ones(len(eu)), -size[eu][:, None] / speed))
     # (3) delay: rho gap unless u shares v's phase at index <= i.  One pair's m
@@ -440,7 +470,7 @@ def build_relaxation(inst: Instance, pairs=None) -> LpModel:
     cols6, vals6 = X, np.ones((n, m))
 
     lengths = np.concatenate((
-        np.full(n, 2 + m), np.full(len(eu), 2 + m), len3, len4, np.full(m, 1 + n), np.full(n, m),
+        np.full(n1 + len(eu), 2 + m), len3, len4, np.full(m, 1 + n), np.full(n, m),
     ))
     model.row_start = np.concatenate(([0], np.cumsum(lengths)))
     model.row_cols = np.concatenate([a.ravel() for a in (cols1, cols2, cols3, cols4, cols5, cols6)])
@@ -516,8 +546,8 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     respectively.  HiGHS checks and repairs the basis it is given, so a poor
     match costs iterations, not correctness.
 
-    The column and row bounds and the matrix go to the binding as lists,
-    which is what its setters read fastest; the cost goes as a numpy array.
+    The model goes to HiGHS in one call of the binding's array form of
+    ``passModel``.
     """
     import numpy as np
 
@@ -525,10 +555,10 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     from scipy.optimize._highspy._core import (
         HighsBasis,
         HighsBasisStatus,
-        HighsLp,
         HighsModelStatus,
         HighsStatus,
         MatrixFormat,
+        ObjSense,
         _Highs,
     )
     from scipy.optimize._highspy._core.simplex_constants import (
@@ -545,33 +575,26 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     # HiGHS would report such a model optimal, so it is rejected here
     if (j := _first_nonfinite(cost)) is not None:
         raise ValueError(f"objective coefficient of {model.var_names[j]} is {cost[j]}")
-    if (k := _first_nonfinite(np.asarray(model.row_vals, dtype=float))) is not None:
+    values = np.asarray(model.row_vals, dtype=np.float64)
+    if (k := _first_nonfinite(values)) is not None:
         r = int(np.searchsorted(model.row_start, k, side="right")) - 1
-        raise ValueError(f"row {model.row_names[r]} has coefficient {model.row_vals[k]}")
-    lp = HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = n_rows
-    lp.col_cost_ = cost
-    lp.col_lower_ = _as_list(model.col_lower)
-    lp.col_upper_ = _as_list(model.col_upper)
-    lp.row_lower_ = _as_list(model.row_lower)
-    lp.row_upper_ = _as_list(model.row_upper)
-    matrix = lp.a_matrix_
-    matrix.format_ = MatrixFormat.kRowwise
-    matrix.num_col_ = n
-    matrix.num_row_ = n_rows
-    matrix.start_ = _as_list(model.row_start)
-    matrix.index_ = _as_list(model.row_cols)
-    matrix.value_ = _as_list(model.row_vals)
+        raise ValueError(f"row {model.row_names[r]} has coefficient {values[k]}")
 
     highs = _Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("log_to_console", False)
-    highs.setOptionValue("presolve", "on")
+    highs.setOptionValue("presolve", "off")
     highs.setOptionValue("simplex_strategy", SimplexStrategy.kSimplexStrategyDual)
     highs.setOptionValue("simplex_dual_edge_weight_strategy",
                          SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDantzig)
-    if highs.passModel(lp) == HighsStatus.kError:
+    floats = (np.asarray(a, dtype=np.float64) for a in (
+        model.col_lower, model.col_upper, model.row_lower, model.row_upper))
+    ints = (np.asarray(a, dtype=np.int32) for a in (model.row_start, model.row_cols))
+    status = highs.passModel(
+        n, n_rows, len(values), MatrixFormat.kRowwise, ObjSense.kMinimize, 0.0,
+        cost, *floats, *ints, values, np.zeros(n, dtype=np.int32),
+    )
+    if status == HighsStatus.kError:
         raise ValueError("HiGHS rejected the model")
     col_keys, row_keys = model.col_keys(), model.row_keys()
     if warm is not None and warm.basis is not None:

@@ -24,12 +24,14 @@ class MachineFilterResult:
 
 
 def _slow_ids(inst: Instance) -> set[str]:
-    threshold = max(mc.speed for mc in inst.machines) / inst.m
-    return {mc.id for mc in inst.machines if mc.speed < threshold - TOL}
+    # TOL applies on the normalized scale, where s_max is 1, so raw and
+    # normalized input drop the same machines
+    threshold = max(mc.speed for mc in inst.machines) * (1 / inst.m - TOL)
+    return {mc.id for mc in inst.machines if mc.speed < threshold}
 
 
 def filter_slow_machines(inst: Instance) -> MachineFilterResult:
-    """Keep machines with speed at least s_max/m (tolerance 1e-9)."""
+    """Keep machines with speed at least s_max/m (tolerance 1e-9 * s_max)."""
     require_valid_instance(inst)
     slow = _slow_ids(inst)
     kept = tuple(mc for mc in inst.machines if mc.id not in slow)

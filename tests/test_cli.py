@@ -76,6 +76,18 @@ def test_preprocess_cli(tmp_path):
     assert all(mc.id != "crawl" for mc in filtered.machines)
 
 
+def test_preprocess_and_schedule_drop_the_same_machines(tmp_path):
+    # m0 is 5e-10 below s_max/m in raw speed and 5e-7 below it once normalized
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(_speeds_doc(("m0", 0.0004999995), ("m1", 0.001))))
+    out_path, report_path = tmp_path / "filtered.json", tmp_path / "report.json"
+    assert run(["preprocess", "--input", str(inst_path), "--output", str(out_path)]) == 0
+    assert [mc.id for mc in instance_from_json(out_path.read_text()).machines] == ["m1"]
+    assert run(["schedule", "--input", str(inst_path), "--output", str(tmp_path / "s.json"),
+                "--report", str(report_path)]) == 0
+    assert json.loads(report_path.read_text())["removed_machines"] == ["m0"]
+
+
 def test_solve_cli_with_lp_export(tmp_path):
     inst_path = tmp_path / "inst.json"
     lp_path = tmp_path / "model.lp"

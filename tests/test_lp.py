@@ -269,7 +269,7 @@ def test_rho_zero_model_drops_delay_rows():
 def test_lp_text_export():
     model = build_relaxation(unit(2, 1, [("a", "b")], 2.0))
     text = export_lp_text(model)
-    for token in ("Minimize", "Subject To", "Bounds", "End", "c1_a", "c3_a_b_m0"):
+    for token in ("Minimize", "Subject To", "Bounds", "End", "c1_b", "c3_a_b_m0"):
         assert token in text
 
 
@@ -287,10 +287,10 @@ def test_lp_text_export_names_are_distinct():
     rows = lines[lines.index("Subject To") + 1 : lines.index("Bounds")]
     row_names = [line.split(":")[0].strip() for line in rows]
     var_names = [line.split("<=")[1].strip() for line in lines[lines.index("Bounds") + 1 : -1]]
-    assert len(model.rows) == len(row_names) == len(set(row_names)) == 11
-    assert len({name for name, *_ in model.rows}) < 11
+    assert len(model.rows) == len(row_names) == len(set(row_names)) == 10
+    assert len({name for name, *_ in model.rows}) < 10
     assert len(var_names) == len(set(var_names)) == model.n_vars
-    assert row_names[:2] == ["c1_a_b", "c1_a_b#2"]
+    assert row_names[-2:] == ["c6_a_b", "c6_a_b#2"]
     assert {"C", "c5_m0", "c5_m1"} <= set(var_names) | set(row_names)
 
 
@@ -336,12 +336,13 @@ def test_solve_lp_assembles_the_rows_it_is_given(monkeypatch):
     import numpy as np
     from scipy.optimize._highspy import _core
 
-    seen = []
+    seen = []  # the model HiGHS holds once passModel returns
 
     class Spy(_core._Highs):
-        def passModel(self, lp):
-            seen.append(lp)
-            return super().passModel(lp)
+        def passModel(self, *args):
+            status = super().passModel(*args)
+            seen.append(self.getLp())
+            return status
 
     monkeypatch.setattr(_core, "_Highs", Spy)
     for model in _assembly_models():
@@ -353,19 +354,24 @@ def test_solve_lp_assembles_the_rows_it_is_given(monkeypatch):
         for r, (_, coeffs, _, _) in enumerate(model.rows):
             for j, a in coeffs.items():
                 ref_a[r, j] = a
+        # HiGHS may store the matrix by column or by row
         matrix = lp.a_matrix_
-        assert matrix.format_ == _core.MatrixFormat.kRowwise
+        rowwise = matrix.format_ == _core.MatrixFormat.kRowwise
         assert (lp.num_col_, lp.num_row_, matrix.num_col_, matrix.num_row_) == (n, m, n, m)
+        assert len(matrix.value_) == len(model.row_vals)
         a = np.zeros((m, n))
-        for r in range(m):
-            for k in range(matrix.start_[r], matrix.start_[r + 1]):
-                a[r, matrix.index_[k]] += matrix.value_[k]
+        for k in range(len(matrix.start_) - 1):
+            for p in range(matrix.start_[k], matrix.start_[k + 1]):
+                r, j = (k, matrix.index_[p]) if rowwise else (matrix.index_[p], k)
+                a[r, j] += matrix.value_[p]
         assert np.array_equal(a, ref_a) and np.array_equal(lp.col_cost_, ref_c)
         assert list(zip(lp.col_lower_, lp.col_upper_)) == model.bounds
         senses = [sense for _, _, sense, _ in model.rows]
         rhs = [b for *_, b in model.rows]
         assert lp.row_lower_ == [-math.inf if s == "<=" else b for s, b in zip(senses, rhs)]
         assert lp.row_upper_ == [math.inf if s == ">=" else b for s, b in zip(senses, rhs)]
+        assert set(lp.integrality_) <= {_core.HighsVarType.kContinuous}
+        assert lp.sense_ == _core.ObjSense.kMinimize
 
 
 def test_row_with_unknown_column_is_rejected():
@@ -411,9 +417,6 @@ DIAMOND_LP = """\
 Minimize
  obj: C
 Subject To
- c1_a: C - S_a - 2 x_a_m1 - x_a_m0 >= 0
- c1_b: C - S_b - 4 x_b_m1 - 2 x_b_m0 >= 0
- c1_c: C - S_c - 6 x_c_m1 - 3 x_c_m0 >= 0
  c1_d: C - S_d - 2 x_d_m1 - x_d_m0 >= 0
  c2_a_b: - S_a + S_b - 2 x_a_m1 - x_a_m0 >= 0
  c2_a_c: - S_a + S_c - 2 x_a_m1 - x_a_m0 >= 0
@@ -481,8 +484,8 @@ def test_lp_text_export_of_diamond_is_pinned():
     assert export_lp_text(model) == DIAMOND_LP
     # the export sorts terms by column; the rows keep the order they were built in
     order = {name: list(coeffs) for name, coeffs, _, _ in model.rows}
-    assert [order[name] for name in ("c1_a", "c2_b_d", "c3_a_b_m0", "c4_d_m0", "c5_m0", "c6_a")] == [
-        [0, 1, 5, 6], [4, 2, 7, 8], [2, 1, 7, 8, 14], [11, 12, 18, 20, 22], [0, 6, 8, 10, 12], [5, 6],
+    assert [order[name] for name in ("c1_d", "c2_b_d", "c3_a_b_m0", "c4_d_m0", "c5_m0", "c6_a")] == [
+        [0, 4, 11, 12], [4, 2, 7, 8], [2, 1, 7, 8, 14], [11, 12, 18, 20, 22], [0, 6, 8, 10, 12], [5, 6],
     ]
 
 
@@ -499,11 +502,20 @@ _FALLBACK_ARGS = (10, 3, 0.3, (1, 4), (0.25, 1), 4.0, 2)
 
 
 def test_first_solve_loads_only_the_highs_extension():
+    # also runs on the dependency floor: every binding name solve_lp uses,
+    # the array form of passModel among them, must be there
     facts = _facts_from_fresh_interpreter(f"""
 import json, sys
-from delaysched import gen_random_dag, run_pipeline
+from delaysched import LpModel, gen_random_dag, run_pipeline, solve_lp
 run_pipeline(gen_random_dag(8, 2, 0.3, (1, 4), (0.25, 1), 4.0, 1))
-facts = {{"optimize_loaded": "scipy.optimize" in sys.modules}}
+model = LpModel()
+x, y = model.add_var("x"), model.add_var("y")
+model.objective = {{x: 1.0, y: 1.0}}
+model.add_row("a", {{x: 1.0, y: 2.0}}, ">=", 2.0)
+model.add_row("b", {{x: 3.0, y: 1.0}}, ">=", 3.0)
+two_by_two = solve_lp(model)
+facts = {{"optimize_loaded": "scipy.optimize" in sys.modules,
+          "two_by_two": [two_by_two.status, two_by_two.values]}}
 used = sys.modules["scipy.optimize._highspy._core"]  # solve_lp reads its names from this entry
 from scipy.optimize import linprog
 res = linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1], bounds=[(0, None)] * 2, method="highs")
@@ -511,6 +523,8 @@ from scipy.optimize._highspy import _core
 facts.update(status=int(res.status), fun=float(res.fun), same_core=_core is used)
 print(json.dumps(facts))
 """)
+    status, values = facts.pop("two_by_two")
+    assert status == "optimal" and values == pytest.approx([0.8, 0.6], rel=1e-9)
     assert facts == {"optimize_loaded": False, "status": 0, "fun": 1.0, "same_core": True}
 
 

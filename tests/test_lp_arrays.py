@@ -3,8 +3,10 @@
 ``build_relaxation`` computes its rows by index arithmetic; here a builder
 that appends the same rows one at a time with ``add_row`` is the reference,
 and a loop over each job's pairs is the reference for separation.  Both must
-agree exactly.  The first-round HiGHS input of two benchmark-shaped
-instances is pinned by digest, and names are shown to be made only on read.
+agree exactly.  The same builder with every row (1) and (2) kept must reach
+the same optimum, and the constructed points must meet those rows too.  The
+first-round HiGHS input of two benchmark-shaped instances is pinned by
+digest, and names are shown to be made only on read.
 """
 
 import hashlib
@@ -15,10 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tiny_instance
 from delaysched import (
     Job,
     build_relaxation,
+    check_lp_feasibility,
+    embed_schedule_as_lp,
+    exact_optimal_makespan,
     filter_slow_machines,
+    gen_layered_gap,
     gen_random_dag,
     make_instance,
     normalize_instance,
@@ -27,18 +34,25 @@ from delaysched import (
     transitive_predecessors,
 )
 from delaysched import lp
+from delaysched.gaplab import gap_lp_certificate
 from delaysched.lp import SEPARATION_TOL
 
 
-def reference_relaxation(inst, pairs=None):
-    """Rows (1) to (6) appended one at a time, in the builder's order."""
+def reference_relaxation(inst, pairs=None, trimmed=True):
+    """Rows (1) to (6) appended one at a time, in the builder's order.
+
+    ``trimmed`` keeps rows (1) for the sinks and rows (2) for the edges no
+    other direct predecessor's closure contains, as the builder does; without
+    it every job has a row (1) and every distinct direct edge a row (2).
+    """
     closure = transitive_predecessors(inst)
     preds = {
         v.id: [] if inst.rho <= 0 else
         sorted(u for u in closure[v.id] if pairs is None or (u, v.id) in pairs)
         for v in inst.jobs
     }
-    direct = inst.direct_predecessors()
+    direct = {v: set(us) for v, us in inst.direct_predecessors().items()}
+    has_successor = {u for us in direct.values() for u in us}
     rho, size = inst.rho, inst.size
     machines = [(mc.id, mc.speed) for mc in inst.machines]
     model = lp._scaffold(inst)
@@ -51,10 +65,14 @@ def reference_relaxation(inst, pairs=None):
                 )
     z = model.z_index
     for v in inst.jobs:
+        if trimmed and v.id in has_successor:
+            continue
         row = {C: 1.0, S[v.id]: -1.0} | {x[(v.id, i)]: -v.size / s for i, s in machines}
         model.add_row(f"c1_{lp._safe(v.id)}", row, ">=", 0.0)
     for v in inst.jobs:
-        for u in sorted(set(direct[v.id])):
+        for u in sorted(direct[v.id]):
+            if trimmed and any(u in closure[w] for w in direct[v.id]):
+                continue
             row = {S[v.id]: 1.0, S[u]: -1.0} | {x[(u, i)]: -size(u) / s for i, s in machines}
             model.add_row(f"c2_{lp._safe(u)}_{lp._safe(v.id)}", row, ">=", 0.0)
     for v in inst.jobs:
@@ -124,6 +142,35 @@ def test_ids_that_need_renaming_match_the_row_by_row_builder():
     assert_same_model(build_relaxation(inst), reference_relaxation(inst))
 
 
+UNTRIMMED_CASES = [tiny_instance(seed) for seed in range(40)] + [
+    gen_random_dag(12, 3, 0.35, (1, 4), (0.25, 1), rho, seed)
+    for rho in (0.0, 1.0, 16.0) for seed in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("inst", UNTRIMMED_CASES)
+def test_optimum_equals_the_untrimmed_reference(inst):
+    trimmed = solve_lp(build_relaxation(inst))
+    untrimmed = solve_lp(reference_relaxation(inst, trimmed=False))
+    assert trimmed.status == untrimmed.status == "optimal"
+    assert trimmed.objective == pytest.approx(untrimmed.objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_embedding_meets_the_rows_chaining_implies(seed):
+    inst = tiny_instance(seed)
+    _, witness = exact_optimal_makespan(inst, allow_duplication=True)
+    for model in (build_relaxation(inst), reference_relaxation(inst, trimmed=False)):
+        assert not check_lp_feasibility(embed_schedule_as_lp(inst, witness, model), model)
+
+
+@pytest.mark.parametrize("L, d, seed", [(2, 1, 1), (2, 2, 0), (4, 1, 2)])
+def test_gap_certificate_meets_the_rows_chaining_implies(L, d, seed):
+    inst = gen_layered_gap(L, d, seed)
+    for model in (build_relaxation(inst), reference_relaxation(inst, trimmed=False)):
+        assert not check_lp_feasibility(gap_lp_certificate(inst, model), model)
+
+
 def test_structural_keys_identify_what_names_do():
     inst = gen_random_dag(10, 3, 0.4, (1, 4), (0.25, 1), 4.0, 7)
     full = build_relaxation(inst)
@@ -143,9 +190,9 @@ def test_structural_keys_identify_what_names_do():
 # (seed 1), as the pipeline builds them: normalized, slow machines dropped
 PINNED = {
     (32, 8, 0.2, (1.0, 4.0), (0.25, 1.0), 16.0, 1):
-        "268262cd55b08e04367b7ee1e2de1ee6d19e2eb12affbb0484565c285bd82582",
+        "53a03587fa4d9e8a120772562c0e1569696fac390eee91ac6a24594438cb7c03",
     (150, 4, 0.01, (1.0, 4.0), (0.25, 1.0), 1.0, 1):
-        "28dd8965934acf5a246121646af494a1c5fae2abd20b7ea2f8885c6f17647035",
+        "683dd92dca2f908fb2d9b656d2b0d411b363e48aadc17c8c46f6aa61438a4bae",
 }
 
 
@@ -175,7 +222,7 @@ def test_first_round_highs_input_is_pinned(args):
 
 
 def test_the_pipeline_makes_no_names(monkeypatch):
-    inst = pipeline_input((12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 5))  # two rounds
+    inst = pipeline_input((12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 52))  # two rounds
 
     def no_names(_inst):
         raise AssertionError("a name was made")

@@ -69,7 +69,7 @@ RHOS = [0.3, 1.0, math.e**math.e, 16.0, 64.0, 0.0]
 
 def separation_instance():
     """Needs two rounds: the direct edges, then implied pairs."""
-    return pipeline_input(12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 5)
+    return pipeline_input(12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 52)
 
 
 @pytest.mark.parametrize("rho", RHOS)
@@ -107,7 +107,7 @@ def test_separation_adds_pairs_until_none_violate(monkeypatch):
         return real(model, *args, **kwargs)
 
     monkeypatch.setattr(lp, "solve_lp", counting)
-    inst = pipeline_input(12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 5)
+    inst = pipeline_input(12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 52)
     assert_exact(inst)  # its reference solve does not go through lp.solve_lp
     assert len(calls) >= 2
     assert calls[0] == len(set(inst.edges)) * inst.m  # the first round has the direct edges
@@ -245,6 +245,28 @@ def test_precedence_rows_per_distinct_direct_edge():
     doubled = make_instance(unit[:2], machines, [("a", "b"), ("a", "b")], 2.0)
     c2 = [name for name, *_ in build_relaxation(doubled).rows if name.startswith("c2_")]
     assert c2 == ["c2_a_b"]
+
+
+@pytest.mark.parametrize("edges, sinks, reduction", [
+    # diamond: no edge is implied, d is the only sink
+    ([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")], ["d"],
+     [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]),
+    # chain with the shortcut (a, c) and the isolated job d
+    ([("a", "b"), ("b", "c"), ("a", "c")], ["c", "d"], [("a", "b"), ("b", "c")]),
+    # duplicate edges, the shortcut among them
+    ([("a", "c"), ("a", "b"), ("b", "c"), ("a", "b"), ("c", "d"), ("a", "c")], ["d"],
+     [("a", "b"), ("b", "c"), ("c", "d")]),
+])
+@pytest.mark.parametrize("rho", [0.0, 2.0])
+def test_rows_one_and_two_only_where_chaining_does_not_imply_them(edges, sinks, reduction, rho):
+    inst = make_instance([Job(x, 1.0 + k) for k, x in enumerate("abcd")],
+                         [Machine("m0", 0.5), Machine("m1", 1.0)], edges, rho)
+    want_c1 = [f"c1_{v}" for v in sinks]
+    want_c2 = [f"c2_{u}_{v}" for u, v in reduction]
+    for model in (build_relaxation(inst), build_relaxation(inst, set(edges))):
+        names = [name for name, *_ in model.rows]
+        assert [name for name in names if name.startswith("c1_")] == want_c1
+        assert [name for name in names if name.startswith("c2_")] == want_c2
 
 
 def test_restricted_model_keeps_only_chosen_pairs():

@@ -23,12 +23,11 @@ variable and row at a time with ``add_var`` and ``add_row`` hold lists
 instead; :func:`solve_lp` takes both.
 
 Column and row names are made only when something reads them: ``var_names``,
-``row_names``, ``rows``, :func:`export_lp_text` and error messages.  For the
-warm start every structural column and row has an integer key made from its
-block and its job, pair or machine indices, so a column or row keeps its
-status from one separation round to the next even when two ids give equal
-names; a column or row added with ``add_var`` or ``add_row`` is keyed by its
-position among the added ones.
+``row_names``, ``rows``, :func:`export_lp_text` and error messages.  A
+separation round starts from the previous round's basis, carried over by
+position (:meth:`_Relaxation.carry`): the two relaxations share an instance,
+so a column or row keeps its status by its place in the layout, not by a
+name that two ids can share.
 
 Every model is solved by the HiGHS dual simplex bundled with scipy (1.15 or
 later), driven through scipy's private binding: the arrays go to HiGHS in
@@ -183,22 +182,6 @@ class LpModel:
     def row_names(self) -> list[str]:
         return (self._layout.row_names if self._layout else []) + self._added_rows
 
-    def col_keys(self):
-        """One distinct integer per column: structural keys are >= 0, added
-        columns get -1, -2, ... in order."""
-        return self._keys(self._layout.col_keys() if self._layout else None, self._added_vars)
-
-    def row_keys(self):
-        """One distinct integer per row, as :meth:`col_keys`."""
-        return self._keys(self._layout.row_keys() if self._layout else None, self._added_rows)
-
-    @staticmethod
-    def _keys(structural, added):
-        import numpy as np
-
-        tail = -1 - np.arange(len(added), dtype=np.int64)
-        return tail if structural is None else np.concatenate((structural, tail))
-
 
 @dataclass
 class LpSolution:
@@ -206,7 +189,8 @@ class LpSolution:
     (not solver-optimal) solutions such as embeddings and gap certificates.
     ``values`` is aligned with the model's ``var_names``.  ``iterations``
     holds the simplex iteration count of each solve behind the solution, and
-    ``basis`` the final HiGHS basis that :func:`solve_lp` can start from."""
+    ``basis`` the final HiGHS basis of a relaxation, which :func:`solve_lp`
+    can start a later relaxation of the same instance from."""
 
     values: tuple[float, ...]
     objective: float
@@ -215,7 +199,7 @@ class LpSolution:
     z: dict[tuple[str, str, str], float] = field(default_factory=dict)
     start: dict[str, float] = field(default_factory=dict)
     iterations: tuple[int, ...] = ()
-    # (col_keys, col_status, row_keys, row_status) of the solved model
+    # (layout, col_status, row_status) of a solved relaxation
     basis: tuple | None = field(default=None, repr=False, compare=False)
 
 
@@ -231,8 +215,8 @@ def _safe_ids(inst: Instance) -> tuple[dict[str, str], dict[str, str]]:
 
 class _Scaffold:
     """The structural columns every relaxation starts with: C, then S_v per
-    job, then x_{v,i} per job and machine, with no rows.  A column's key is
-    its index; names are made on first read and kept."""
+    job, then x_{v,i} per job and machine, with no rows.  Names are made on
+    first read and kept."""
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -257,16 +241,6 @@ class _Scaffold:
 
     def _row_names(self, jobs: list[str], machines: list[str]) -> list[str]:
         return []
-
-    def col_keys(self):
-        import numpy as np
-
-        return np.arange(1 + self.n + self.n * self.m, dtype=np.int64)
-
-    def row_keys(self):
-        import numpy as np
-
-        return np.zeros(0, dtype=np.int64)
 
 
 def _scaffold(inst: Instance) -> LpModel:
@@ -307,10 +281,7 @@ class _Relaxation(_Scaffold):
 
     ``chosen`` marks the pairs of ``pairs`` that have z columns; ``c1`` are
     the jobs with rows (1) and ``eu``, ``ev`` the edges with rows (2), in row
-    order (:func:`_unimplied`).  Keys: z[u,v,i] is
-    ``1 + n + n*m + (u*n + v)*m + i``; rows (1) ``v``, (2) ``n + u*n + v``,
-    (3) ``n + n^2 + (u*n + v)*m + i``, then (4) ``v*m + i``, (5) ``i`` and
-    (6) ``v``, each family offset past the previous one's key range.
+    order (:func:`_unimplied`); ``c4`` are the jobs with rows (4).
     """
 
     def __init__(self, inst: Instance, pairs: _Pairs, chosen):
@@ -330,13 +301,6 @@ class _Relaxation(_Scaffold):
             f"z_{jobs[u]}_{jobs[v]}_{i}" for u, v in pairs for i in machines
         ]
 
-    def col_keys(self):
-        import numpy as np
-
-        n, m = self.n, self.m
-        z = self.z_base + ((self.pu * n + self.pv) * m)[:, None] + np.arange(m)
-        return np.concatenate((super().col_keys(), z.ravel()))
-
     def _row_names(self, jobs: list[str], machines: list[str]) -> list[str]:
         pairs = list(zip(self.pu.tolist(), self.pv.tolist()))
         return [
@@ -348,21 +312,35 @@ class _Relaxation(_Scaffold):
             *(f"c6_{v}" for v in jobs),
         ]
 
-    def row_keys(self):
+    def carry(self, old: _Relaxation, col_status: list, row_status: list, lower, basic):
+        """Statuses for this relaxation's columns and rows, carried over from
+        those of ``old``, an earlier relaxation of the same instance.  C, S, x
+        and rows (1), (2), (5) and (6) keep theirs by position; z columns and
+        rows (3) follow their pair's rank in ``old.chosen``, rows (4) their
+        job's rank in ``old.c4``.  What ``old`` lacks starts at ``lower``
+        (columns) or ``basic`` (rows)."""
         import numpy as np
 
         n, m = self.n, self.m
-        on_machines = np.arange(m)
-        families = (
-            self.c1,  # (1)
-            self.eu * n + self.ev,  # (2), within n*n
-            (((self.pu * n + self.pv) * m)[:, None] + on_machines).ravel(),  # (3)
-            ((self.c4 * m)[:, None] + on_machines).ravel(),  # (4)
-            on_machines,  # (5)
-            np.arange(n),  # (6)
-        )
-        offsets = np.cumsum((0, n, n * n, n * n * m, n * m, m))  # each family's key span
-        return np.concatenate([keys + off for keys, off in zip(families, offsets)])
+        pair_at = np.where(old.chosen, np.cumsum(old.chosen) - 1, -1)[self.chosen]
+        job_at = np.full(n, -1)
+        job_at[old.c4] = np.arange(len(old.c4))
+
+        def per_machine(at, base):
+            # item k's m entries start at base + at[k] * m in old; -1 where old lacks it
+            return np.where(at[:, None] < 0, -1, base + at[:, None] * m + np.arange(m)).ravel()
+
+        rows3 = len(old.c1) + len(old.eu)
+        rows4 = rows3 + len(old.pu) * m
+        rows5 = rows4 + len(old.c4) * m
+        cols = np.concatenate((np.arange(old.z_base), per_machine(pair_at, old.z_base)))
+        rows = np.concatenate((
+            np.arange(rows3), per_machine(pair_at, rows3), per_machine(job_at[self.c4], rows4),
+            rows5 + np.arange(m + n),
+        ))
+        # index -1 picks the appended default
+        return (list(map([*col_status, lower].__getitem__, cols.tolist())),
+                list(map([*row_status, basic].__getitem__, rows.tolist())))
 
 
 def _unimplied(inst: Instance, pairs: _Pairs):
@@ -540,11 +518,13 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     or matrix value, a NaN bound or right-hand side, or an objective or row
     naming a column the model lacks raises ``ValueError``.
 
-    ``warm``, an optimal solution of a related model, starts the simplex from
-    its final basis, matched by column and row key (:meth:`LpModel.col_keys`):
-    a column or row it lacks starts nonbasic at its lower bound or basic,
-    respectively.  HiGHS checks and repairs the basis it is given, so a poor
-    match costs iterations, not correctness.
+    ``warm``, an optimal solution of an earlier relaxation of the same
+    instance, starts the simplex from its final basis, carried over by
+    position (:meth:`_Relaxation.carry`): a column or row it lacks starts
+    nonbasic at its lower bound or basic, respectively.  Any other ``warm``
+    (another instance, a :mod:`gaplab` alternate, a model built by hand)
+    starts cold.  HiGHS checks and repairs the basis it is given, so a poor
+    start costs iterations, not correctness.
 
     The model goes to HiGHS in one call of the binding's array form of
     ``passModel``.
@@ -596,12 +576,12 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     )
     if status == HighsStatus.kError:
         raise ValueError("HiGHS rejected the model")
-    col_keys, row_keys = model.col_keys(), model.row_keys()
-    if warm is not None and warm.basis is not None:
-        old_cols, col_status, old_rows, row_status = warm.basis
+    layout = model._layout if isinstance(model._layout, _Relaxation) else None
+    old = warm.basis if warm is not None else None
+    if layout is not None and old is not None and old[0].inst is layout.inst:
         basis = HighsBasis()  # alien: HiGHS factors it and repairs a singular one
-        basis.col_status = _carry(old_cols, col_status, col_keys, HighsBasisStatus.kLower)
-        basis.row_status = _carry(old_rows, row_status, row_keys, HighsBasisStatus.kBasic)
+        basis.col_status, basis.row_status = layout.carry(
+            *old, HighsBasisStatus.kLower, HighsBasisStatus.kBasic)
         highs.setBasis(basis)  # on failure the solve simply starts cold
     highs.run()
 
@@ -611,8 +591,9 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
         sol = _solution_from_values(
             model, highs.getSolution().col_value, "optimal", info.objective_function_value
         )
-        final = highs.getBasis()
-        sol.basis = (col_keys, final.col_status, row_keys, final.row_status)
+        if layout is not None:
+            final = highs.getBasis()
+            sol.basis = (layout, final.col_status, final.row_status)
     else:
         if status in (HighsModelStatus.kUnbounded, HighsModelStatus.kUnboundedOrInfeasible):
             name = "unbounded"
@@ -631,19 +612,6 @@ def _first_nonfinite(values) -> int | None:
 
     bad = ~np.isfinite(values)
     return int(bad.argmax()) if bad.any() else None
-
-
-def _carry(old_keys, old_status: list, new_keys, missing) -> list:
-    """The status of each of ``new_keys``: that of the equal key among the
-    distinct ``old_keys``, else ``missing``."""
-    import numpy as np
-
-    if len(old_keys) == 0:
-        return [missing] * len(new_keys)
-    order = np.argsort(old_keys)
-    at = order[np.minimum(np.searchsorted(old_keys, new_keys, sorter=order), len(order) - 1)]
-    src = np.where(old_keys[at] == new_keys, at, len(order))  # len(order) picks `missing`
-    return list(map([*old_status, missing].__getitem__, src.tolist()))
 
 
 def solve_relaxation(inst: Instance) -> tuple[LpModel, LpSolution]:

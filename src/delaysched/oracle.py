@@ -71,7 +71,7 @@ def exact_optimal_makespan(
     direct_preds = inst.direct_predecessors()
     topo_pos = {v: k for k, v in enumerate(topological_order(inst))}
     rho = inst.rho
-    deadline = time.monotonic() + limits.time_budget if limits.time_budget else None
+    deadline = None if limits.time_budget is None else time.monotonic() + limits.time_budget
 
     if allow_duplication:
         subsets = [
@@ -91,7 +91,7 @@ def exact_optimal_makespan(
     global_lb = max(path_lb, load_lb)
 
     for combo in itertools.product(*[subsets for _ in jobs]):
-        if deadline and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             raise OracleLimitError("oracle time budget exhausted")
         if incumbent <= global_lb + 1e-12:
             break
@@ -148,7 +148,7 @@ def _search_orders(inst, assign, dpreds, topo_pos, size, speed, rho, bound, dead
         return t
 
     def descend(last_start, cur_max):
-        if deadline and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             raise OracleLimitError("oracle time budget exhausted")
         if cur_max >= best[0] - 1e-12:
             return

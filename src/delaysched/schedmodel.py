@@ -75,7 +75,9 @@ def validate_schedule(inst: Instance, sched: Schedule) -> ScheduleReport:
             bad.append(f"unknown job {p.job}")
         if p.machine not in inst._speeds:
             bad.append(f"unknown machine {p.machine}")
-        if p.start < -TOL:
+        if not math.isfinite(p.start):
+            bad.append(f"non-finite start for {p.job} on {p.machine}")
+        elif p.start < -TOL:
             bad.append(f"negative start for {p.job} on {p.machine}")
         placed_jobs.add(p.job)
     if bad:
@@ -288,6 +290,8 @@ def lemma_diagnostics(inst, lp_sol, assignment, sched, eta=None, strict=True):
     from .scheduler import default_eta
 
     eta = eta if eta is not None else default_eta(inst.rho)
+    if not eta >= 1:
+        raise ValueError("eta must be >= 1")
     rho = inst.rho
     c_lp = lp_sol.objective
     checks: dict[str, dict] = {}

@@ -53,6 +53,25 @@ def test_validate_exit_code_on_bad_schedule(tmp_path):
     assert run(["validate", "--input", str(inst_path), "--schedule", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("start", ["NaN", "Infinity"])
+def test_validate_rejects_a_non_finite_start(tmp_path, capsys, start):
+    inst_path = tmp_path / "inst.json"
+    sched_path = tmp_path / "sched.json"
+    run(["gen", "--kind", "random", "--n", "4", "--m", "2", "--seed", "3",
+         "--output", str(inst_path)])
+    run(["schedule", "--input", str(inst_path), "--output", str(sched_path)])
+    doc = json.loads(sched_path.read_text())
+    sink = next(p for p in doc["placements"] if p["job"] == "j3")
+    other = "m0" if sink["machine"] == "m1" else "m1"
+    doc["placements"].append({**sink, "machine": other, "start": "START"})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"START"', start))  # the codec reads NaN and Infinity
+    capsys.readouterr()
+    assert run(["validate", "--input", str(inst_path), "--schedule", str(bad)]) == 2
+    out = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)  # no NaN or Infinity
+    assert not out["valid"] and out["violations"][0].startswith("non-finite start for j3")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["gen"])  # missing required --kind
@@ -161,6 +180,19 @@ def test_analyze_cli(tmp_path):
                 "--output", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert "phase_counts" in doc
+
+
+@pytest.mark.parametrize("eta", ["nan", "0.5", "-3"])
+def test_analyze_rejects_eta_below_one(tmp_path, capsys, eta):
+    inst_path = tmp_path / "inst.json"
+    sched_path = tmp_path / "sched.json"
+    run(["gen", "--kind", "random", "--n", "6", "--m", "2", "--rho", "2",
+         "--seed", "6", "--output", str(inst_path)])
+    run(["schedule", "--input", str(inst_path), "--output", str(sched_path)])
+    capsys.readouterr()
+    assert run(["analyze", "--input", str(inst_path), "--schedule", str(sched_path),
+                f"--eta={eta}", "--output", str(tmp_path / "analysis.json")]) == 2
+    assert capsys.readouterr().err == "error: eta must be >= 1\n"
 
 
 def test_bench_cli(tmp_path):

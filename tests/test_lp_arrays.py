@@ -171,21 +171,6 @@ def test_gap_certificate_meets_the_rows_chaining_implies(L, d, seed):
         assert not check_lp_feasibility(gap_lp_certificate(inst, model), model)
 
 
-def test_structural_keys_identify_what_names_do():
-    inst = gen_random_dag(10, 3, 0.4, (1, 4), (0.25, 1), 4.0, 7)
-    full = build_relaxation(inst)
-    restricted = build_relaxation(inst, set(inst.edges))
-    for kind in ("col", "row"):
-        keys = {}
-        for model in (full, restricted):
-            got = getattr(model, f"{kind}_keys")().tolist()
-            names = model.var_names if kind == "col" else model.row_names
-            assert len(set(got)) == len(got) == len(names)
-            for key, name in zip(got, names):
-                assert keys.setdefault(key, name) == name
-        assert len(set(keys.values())) == len(keys)
-
-
 # first-round models of gen_random_dag at the benchmark workloads' parameters
 # (seed 1), as the pipeline builds them: normalized, slow machines dropped
 PINNED = {

@@ -82,6 +82,12 @@ def test_limits_enforced():
     exact_optimal_makespan(inst, allow_duplication=False)  # within no-dup limits
 
 
+@pytest.mark.parametrize("budget", [0.0, -1.0, 1e-9])
+def test_exhausted_time_budget_stops_the_search(budget):
+    with pytest.raises(OracleLimitError, match="time budget exhausted"):
+        exact_optimal_makespan(tiny_instance(7), True, OracleLimits(time_budget=budget))
+
+
 def _fixpoint_makespan(inst, seqs):
     """Earliest starts for fixed per-machine sequences, by naive relaxation.
 

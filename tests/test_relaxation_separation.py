@@ -156,39 +156,49 @@ def row_identity(model):
     ]
 
 
-def round_two_statuses(monkeypatch, inst):
-    """The first two rounds as (model, solution), and the statuses round two
-    was started from."""
+def spy_on_set_basis(monkeypatch):
+    """The (col_status, row_status) of every ``setBasis`` call from now on."""
     from scipy.optimize._highspy import _core
 
-    solved = []  # (model, solution) of each round
-    given = []  # (col_status, row_status) passed to setBasis
-    real = lp.solve_lp
-
-    def recording(model, *args, **kwargs):
-        solved.append((model, real(model, *args, **kwargs)))
-        return solved[-1][1]
+    given = []
 
     class Spy(_core._Highs):
         def setBasis(self, basis):
             given.append((list(basis.col_status), list(basis.row_status)))
             return super().setBasis(basis)
 
-    monkeypatch.setattr(lp, "solve_lp", recording)
     monkeypatch.setattr(_core, "_Highs", Spy)
+    return given
+
+
+def solved_rounds(monkeypatch, inst):
+    """Every round as (model, solution), and the statuses each round after
+    the first was started from."""
+    solved = []
+    real = lp.solve_lp
+
+    def recording(model, *args, **kwargs):
+        solved.append((model, real(model, *args, **kwargs)))
+        return solved[-1][1]
+
+    given = spy_on_set_basis(monkeypatch)
+    monkeypatch.setattr(lp, "solve_lp", recording)
     solve_relaxation(inst)
     assert len(solved) >= 2 and len(given) == len(solved) - 1  # round one starts cold
-    return solved[0], solved[1][0], given[0]
+    return solved, given
 
 
-def assert_round_two_keeps_round_one_statuses(monkeypatch, inst):
+def assert_carried(first, sol, second, cols, rows):
+    """``cols`` and ``rows``, the statuses ``second`` was started from, are
+    those ``sol`` ended with on the same column or row of ``first``, and the
+    defaults where ``first`` has none."""
     from scipy.optimize._highspy import _core
 
-    (first, sol), second, (cols, rows) = round_two_statuses(monkeypatch, inst)
-    _, col_status, _, row_status = sol.basis
+    layout, col_status, row_status = sol.basis
+    assert layout is first._layout
     col_was = dict(zip(column_identity(first), col_status))
     row_was = dict(zip(row_identity(first), row_status))
-    # every column and row stands for something different, in both rounds
+    # every column and row stands for something different, in both models
     assert len(col_was) == first.n_vars and len(row_was) == len(first.rows)
     assert len(set(row_identity(second))) == len(second.rows)
     assert col_was.keys() <= set(column_identity(second))
@@ -199,8 +209,70 @@ def assert_round_two_keeps_round_one_statuses(monkeypatch, inst):
     assert len(cols) > first.n_vars and len(rows) > len(first.rows)  # new ones exist
 
 
+def assert_each_round_keeps_the_previous_statuses(monkeypatch, inst):
+    """Returns the rounds as (model, solution)."""
+    solved, given = solved_rounds(monkeypatch, inst)
+    for (first, sol), (second, _), (cols, rows) in zip(solved, solved[1:], given):
+        assert_carried(first, sol, second, cols, rows)
+    return solved
+
+
 def test_round_two_basis_keeps_round_one_statuses(monkeypatch):
-    assert_round_two_keeps_round_one_statuses(monkeypatch, separation_instance())
+    assert_each_round_keeps_the_previous_statuses(monkeypatch, separation_instance())
+
+
+def test_every_round_keeps_the_previous_round_statuses(monkeypatch):
+    # lp_heavy-shaped, three rounds; new z columns land between carried ones
+    inst = pipeline_input(32, 8, 0.2, (1, 4), (0.25, 1), 16.0, 2)
+    solved = assert_each_round_keeps_the_previous_statuses(monkeypatch, inst)
+    assert len(solved) >= 3
+    models = [model for model, _ in solved]
+    assert any(
+        column_identity(second)[: first.n_vars] != column_identity(first)
+        for first, second in zip(models, models[1:])
+    )
+
+
+def test_new_rows_four_between_carried_ones_keep_their_order(monkeypatch):
+    # every round of solve_relaxation has the direct edges, so its rows (4)
+    # never change; a warm start between relaxations with different pairs
+    # adds rows (4) between the carried ones
+    inst = separation_instance()
+    every = lp._Pairs(inst).ids
+    with_pairs = {v for _, v in every}
+    jobs = [v.id for v in inst.jobs if v.id in with_pairs]
+    few = {(u, v) for u, v in every if v in jobs[::2]}
+    first = build_relaxation(inst, few)
+    sol = solve_lp(first)
+    second = build_relaxation(inst, set(every))
+    new = set(second._layout.c4.tolist()) - set(first._layout.c4.tolist())
+    assert min(first._layout.c4) < min(new) < max(first._layout.c4)
+    given = spy_on_set_basis(monkeypatch)
+    assert solve_lp(second, warm=sol).status == "optimal"
+    (cols, rows), = given
+    assert_carried(first, sol, second, cols, rows)
+
+
+def test_other_warm_sources_start_cold(monkeypatch):
+    from delaysched.gaplab import build_alternate_relaxation
+
+    inst = separation_instance()
+    model = build_relaxation(inst, set(inst.edges))
+    sol = solve_lp(model)
+    equal = make_instance(inst.jobs, inst.machines, inst.edges, inst.rho)  # another object
+    alternate = build_alternate_relaxation(inst, "same_machine")
+    alternate_sol = solve_lp(alternate)
+    assert alternate_sol.status == "optimal" and alternate_sol.basis is None
+    given = spy_on_set_basis(monkeypatch)
+    for target, warm in [
+        (build_relaxation(equal, set(inst.edges)), sol),
+        (build_relaxation(inst, set(inst.edges)), alternate_sol),
+        (alternate, sol),
+    ]:
+        assert solve_lp(target, warm=warm).status == "optimal"
+    assert given == []
+    assert solve_lp(build_relaxation(inst), warm=sol).status == "optimal"
+    assert len(given) == 1  # the same instance, a later relaxation
 
 
 def test_colliding_ids_reach_the_full_optimum(monkeypatch):
@@ -219,7 +291,7 @@ def test_colliding_ids_reach_the_full_optimum(monkeypatch):
     assert len(set(z_names)) < len(z_names)
     assert len(sol.iterations) >= 2
     assert_exact(inst)
-    assert_round_two_keeps_round_one_statuses(monkeypatch, inst)
+    assert_each_round_keeps_the_previous_statuses(monkeypatch, inst)
 
 
 @settings(max_examples=200, deadline=None)

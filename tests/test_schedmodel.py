@@ -83,6 +83,16 @@ def test_overlap_detected():
     assert any("overlap" in v for v in rep.violations)
 
 
+@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_detected(start):
+    inst = unit_pair(4.0)
+    sched = Schedule((Placement("a", "m0", 0.0), Placement("b", "m0", 1.0),
+                      Placement("b", "m1", start)))
+    rep = validate_schedule(inst, sched)
+    assert not rep.valid and rep.makespan == 0.0
+    assert rep.violations == ("non-finite start for b on m1",)
+
+
 def test_unplaced_job_detected():
     inst = unit_pair(1.0)
     rep = validate_schedule(inst, Schedule((Placement("a", "m0", 0.0),)))

@@ -101,10 +101,10 @@ def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> Pipeli
 
     groups = grouping.partition_machine_groups(work)
     assignment = grouping.assign_job_groups(work, sol, groups)
-    eta = config.eta if config.eta is not None else scheduler.default_eta(work.rho)
 
     trace: list | None = [] if config.emit_trace else None
     with _stage("schedule", (ValueError, scheduler.SchedulerInvariantError)):
+        eta = scheduler.resolve_eta(config.eta, work.rho)
         sched_norm = scheduler.run_group_scheduler(work, assignment, eta, trace=trace)
 
     sreport = schedmodel.validate_schedule(work, sched_norm)
@@ -261,15 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--sweep", help="semicolon list of L,d pairs for a CSV sweep")
     gp.add_argument("--csv", help="CSV output path for --sweep")
 
-    bn = sub.add_parser("bench", help="pipeline over a batch of seeded instances")
-    bn.add_argument("--count", type=int, default=5)
-    bn.add_argument("--n", type=int, default=12)
-    bn.add_argument("--m", type=int, default=3)
-    bn.add_argument("--rho", type=float, default=4.0)
-    bn.add_argument("--edge-prob", type=float, default=0.3)
-    bn.add_argument("--seed", type=int)
-    bn.add_argument("--eta", type=float)
-    bn.add_argument("--output")
     return p
 
 
@@ -364,6 +355,7 @@ def _dispatch(args) -> int:
             sys.stderr.write("error: schedule invalid; run validate for details\n")
             return 2
         norm, scale = normalize_instance(inst)
+        eta = scheduler.resolve_eta(args.eta, norm.rho)  # before the solve
         norm_sched = Schedule(
             tuple(
                 schedmodel.Placement(p.job, p.machine, scale.time_to_normalized(p.start))
@@ -374,7 +366,7 @@ def _dispatch(args) -> int:
         groups = grouping.partition_machine_groups(norm)
         assignment = grouping.assign_job_groups(norm, sol, groups)
         report = schedmodel.lemma_diagnostics(
-            norm, sol, assignment, norm_sched, eta=args.eta, strict=False
+            norm, sol, assignment, norm_sched, eta=eta, strict=False
         )
         _write(report.to_json(), args.output)
         if args.gantt:
@@ -448,29 +440,6 @@ def _dispatch(args) -> int:
             inst = gen_layered_gap(args.layers, args.degree, _seed(args))
         rep = measure_gap(inst, eta=args.eta)
         _write(rep.to_json(), args.output)
-        return 0
-
-    if cmd == "bench":
-        seed = _seed(args)
-        lines = []
-        for k in range(args.count):
-            inst = gen_random_dag(
-                args.n, args.m, args.edge_prob, (1.0, 4.0), (0.25, 1.0),
-                args.rho, seed + k,
-            )
-            result = run_pipeline(inst, PipelineConfig(eta=args.eta))
-            lines.append(
-                json.dumps(
-                    {
-                        "seed": seed + k,
-                        "makespan": result.makespan,
-                        "lp_objective": result.lp_objective,
-                        "phases": result.report.phase_counts,
-                    },
-                    sort_keys=True,
-                )
-            )
-        _write("\n".join(lines), args.output)
         return 0
 
     raise SystemExit(1)

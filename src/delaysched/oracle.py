@@ -38,6 +38,9 @@ class OracleLimits:
     time_budget: float | None = None  # seconds; None = unlimited
 
     def check(self, inst: Instance, allow_duplication: bool):
+        if self.time_budget is not None and math.isnan(self.time_budget):
+            # a NaN deadline is never reached, so the search would run unlimited
+            raise OracleLimitError(f"oracle time budget {self.time_budget} is not a number")
         max_jobs = self.max_jobs_dup if allow_duplication else self.max_jobs_nodup
         max_m = self.max_machines_dup if allow_duplication else self.max_machines_nodup
         if inst.n > max_jobs or inst.m > max_m:

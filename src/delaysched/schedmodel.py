@@ -287,11 +287,9 @@ def lemma_diagnostics(inst, lp_sol, assignment, sched, eta=None, strict=True):
     (strict mode); asymptotic bounds are reported with measured constants only.
     """
     from .grouping import band_bound_check, capacity_monotonic, load_bound_check
-    from .scheduler import default_eta
+    from .scheduler import resolve_eta
 
-    eta = eta if eta is not None else default_eta(inst.rho)
-    if not eta >= 1:
-        raise ValueError("eta must be >= 1")
+    eta = resolve_eta(eta, inst.rho)
     rho = inst.rho
     c_lp = lp_sol.objective
     checks: dict[str, dict] = {}

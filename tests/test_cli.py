@@ -142,6 +142,17 @@ def test_oracle_cli(tmp_path):
     assert doc["makespan"] > 0 and doc["placements"]
 
 
+def test_oracle_cli_rejects_a_nan_time_budget(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    run(["gen", "--kind", "random", "--n", "3", "--m", "2", "--rho", "2",
+         "--seed", "4", "--output", str(inst_path)])
+    out = tmp_path / "oracle.json"
+    assert run(["oracle", "--input", str(inst_path), "--allow-dup",
+                "--time-budget", "nan", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: oracle time budget nan is not a number\n"
+    assert not out.exists()
+
+
 def test_dedup_cli(tmp_path):
     from conftest import everywhere_schedule
     from delaysched.schedmodel import schedule_to_json
@@ -195,12 +206,23 @@ def test_analyze_rejects_eta_below_one(tmp_path, capsys, eta):
     assert capsys.readouterr().err == "error: eta must be >= 1\n"
 
 
-def test_bench_cli(tmp_path):
-    out = tmp_path / "bench.jsonl"
-    assert run(["bench", "--count", "2", "--n", "6", "--m", "2", "--rho", "2",
-                "--seed", "3", "--output", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 2 and all(json.loads(x)["makespan"] > 0 for x in lines)
+def test_analyze_checks_eta_before_the_solve(tmp_path, capsys, monkeypatch):
+    from delaysched import cli
+
+    inst_path = tmp_path / "inst.json"
+    sched_path = tmp_path / "sched.json"
+    run(["gen", "--kind", "random", "--n", "6", "--m", "2", "--rho", "2",
+         "--seed", "6", "--output", str(inst_path)])
+    run(["schedule", "--input", str(inst_path), "--output", str(sched_path)])
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        pytest.fail("analyze solved the relaxation before checking --eta")
+
+    monkeypatch.setattr(cli.lp, "solve_relaxation", fail)
+    assert run(["analyze", "--input", str(inst_path), "--schedule", str(sched_path),
+                "--eta", "0.5", "--output", str(tmp_path / "analysis.json")]) == 2
+    assert capsys.readouterr().err == "error: eta must be >= 1\n"
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch):

@@ -88,6 +88,12 @@ def test_exhausted_time_budget_stops_the_search(budget):
         exact_optimal_makespan(tiny_instance(7), True, OracleLimits(time_budget=budget))
 
 
+def test_nan_time_budget_is_rejected():
+    # a NaN deadline is never reached: without the check the search ran unlimited
+    with pytest.raises(OracleLimitError, match="time budget nan is not a number"):
+        exact_optimal_makespan(tiny_instance(7), True, OracleLimits(time_budget=math.nan))
+
+
 def _fixpoint_makespan(inst, seqs):
     """Earliest starts for fixed per-machine sequences, by naive relaxation.
 

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import pytest
@@ -21,9 +22,10 @@ from delaysched import (
     solve_lp,
     validate_schedule,
 )
+from delaysched import scheduler
 from delaysched.cli import PipelineConfig, run_pipeline
 from delaysched.instance import TOL
-from delaysched.scheduler import _EventClock, _merged_events
+from delaysched.scheduler import SchedulerInvariantError, _merged_events, _next_event
 
 
 def schedule_via_lp(inst, eta=None, trace=None):
@@ -134,10 +136,10 @@ def test_rejects_bad_eta_and_partial_assignment():
         run_group_scheduler(norm, broken, 2.0)
 
 
-# times on a coarse grid, each raised by up to 3 * TOL: exact repeats and
-# runs of times closer than TOL, which the merge thins by chaining, often
-# added below the clock
-EVENT_TIMES = st.builds(
+# offsets above the clock on a coarse grid, each raised by up to 3 * TOL:
+# exact repeats, the clock itself, clock + TOL exactly, and runs of times
+# closer than TOL, which the merge thins by chaining
+EVENT_OFFSETS = st.builds(
     lambda base, lift: base * 0.5 + lift * TOL,
     st.integers(0, 3),
     st.one_of(st.integers(0, 3), st.floats(0.0, 3.0)),
@@ -145,16 +147,16 @@ EVENT_TIMES = st.builds(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(EVENT_TIMES, max_size=6), min_size=1, max_size=12))
+@given(st.lists(st.lists(EVENT_OFFSETS, max_size=6), min_size=1, max_size=12))
 def test_event_clock_matches_the_full_merge_at_every_advance(batches):
-    events, seen, clock = _EventClock(), [0.0], 0.0
+    # every time is pushed at or after the clock, as the scheduler pushes them
+    events, seen, clock = [], [0.0], 0.0
     for batch in batches:
-        for t in batch:
-            events.add(t)
+        for t in (clock + offset for offset in batch):
+            heapq.heappush(events, t)
             seen.append(t)
-        assert events.raw == sorted(set(seen))
         want = next((t for t in _merged_events(seen) if t > clock + TOL), None)
-        assert events.next_after(clock) == want
+        assert _next_event(events, clock) == want
         if want is not None:
             clock = want
 
@@ -164,20 +166,30 @@ def test_merge_keeps_a_time_by_chaining():
     # lies within TOL of it
     step = 0.9 * TOL
     assert _merged_events([0.0, step, 2 * step, 2 * step, 3 * step]) == [0.0, 2 * step]
-    events = _EventClock()
+    events = []
     for t in (3 * step, step, 2 * step):
-        events.add(t)
-    assert events.next_after(0.0) == 2 * step
-    assert events.next_after(2 * step) is None
+        heapq.heappush(events, t)
+    assert _next_event(events, 0.0) == 2 * step
+    assert _next_event(events, 2 * step) is None
 
 
-def test_a_time_added_below_the_clock_changes_what_is_next():
-    events = _EventClock()
-    events.add(2 * TOL)
-    assert events.next_after(0.0) == 2 * TOL
-    # 1.5 is kept, so 2 is dropped and 2.6 kept, which absorbs 3.3: the first
-    # raw time above 2 + 1 is no event
-    for t in (1.5 * TOL, 2.6 * TOL, 3.3 * TOL):
-        events.add(t)
-    assert _merged_events(events.raw) == [0.0, 1.5 * TOL, 2.6 * TOL]
-    assert events.next_after(2 * TOL) is None
+def test_replay_catches_a_skipped_clock_event(monkeypatch):
+    # the replay against _merged_events is the only check of the heap rule in
+    # a real run, so a _next_event that skips one event must trip it
+    inst = mid_instance(3, n_max=40, m_max=8, rho_choices=(1.0, 4.0, 16.0))
+    norm, _ = normalize_instance(inst)
+    asg = assign_job_groups(norm, solve_lp(build_relaxation(norm)))
+    run_group_scheduler(norm, asg, None)  # the real rule passes the replay
+    skipped = []
+
+    def skip_one(events, clock):
+        nxt = _next_event(events, clock)
+        if nxt is not None and not skipped:
+            skipped.append(nxt)
+            nxt = _next_event(events, nxt)
+        return nxt
+
+    monkeypatch.setattr(scheduler, "_next_event", skip_one)
+    with pytest.raises(SchedulerInvariantError, match="clock visited") as info:
+        run_group_scheduler(norm, asg, None)
+    assert str(info.value).endswith(f"expected event {skipped[0]}")

@@ -204,7 +204,17 @@ def _scale_factors(inst: Instance) -> tuple[float, float]:
 
 def _normalization_overflows(inst: Instance) -> list[str]:
     """Numbers :func:`normalize_instance` would scale out of the float range,
-    for finite positive sizes and speeds and a finite non-negative rho."""
+    for finite positive sizes and speeds and a finite non-negative rho.
+
+    The time scale ``alpha / beta`` must have a finite inverse, ``min size /
+    max speed``: below about 5e-309 :meth:`ScaleRecord.time_to_original`
+    would divide by 0 or map every time back to infinity.  With that inverse
+    finite, a positive rho that normalizes to 0 was below 1e-15 (the smallest
+    positive float times the largest), far under TOL, so it is accepted.  An
+    infinite time scale is accepted too: it maps times back to 0, and a time
+    of TOL or more would normalize to over 1e299, far beyond the coefficients
+    HiGHS accepts.
+    """
     alpha, beta = _scale_factors(inst)
     if not math.isfinite(alpha):
         return ["1 / min job size is not finite"]
@@ -214,6 +224,8 @@ def _normalization_overflows(inst: Instance) -> list[str]:
            for j in inst.jobs if not math.isfinite(j.size * alpha)]
     bad += [f"machine {mc.id}: speed / max speed is 0"
             for mc in inst.machines if not mc.speed * beta > 0]
+    if not math.isfinite(beta / alpha):
+        bad.append("min size / max speed is not finite")
     if not math.isfinite(inst.rho * alpha / beta):
         bad.append("rho * max speed / min size is not finite")
     return bad

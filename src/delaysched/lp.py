@@ -9,7 +9,9 @@ non-negative: precedence rows (2) for the edges of the transitive reduction
 (the rows of transitive pairs and of shortcut edges follow along paths), and
 makespan rows (1) for the sinks (a job's row follows from a successor's row
 (1) and the row (2) between them).  :func:`solve_relaxation` solves the full
-relaxation exactly while generating same-phase pairs lazily by separation.
+relaxation exactly while generating same-phase pairs lazily by separation:
+its first model has no pairs, only C, S and x with rows (1), (2), (5) and
+(6), and each later round adds the pairs behind violated rows (4).
 
 A model is held in the layout HiGHS reads: column bounds, row bounds (a row's
 sense is its bounds) and the rows' terms flat and row-wise (``row_start``,
@@ -42,8 +44,11 @@ instances at n=150, m=4, and 0.40 s instead of 0.50 s over 30 at n=32,
 m=8.  Dantzig pricing replaces HiGHS's default dual steepest edge because
 on these small, degenerate relaxations the cold first solve needs about
 half the iterations, each cheaper, which halves the time per pipeline
-instance at n=32, m=8.  It is slower on the large, fully symmetric layered gap instances
-(see ROADMAP).  Solves are deterministic for a fixed model and start.
+instance at n=32, m=8.  It stalled on the large, fully symmetric layered gap
+instances while the first model held a z column per direct edge and
+machine (151 s on layered (4, 2), 13.7 s on (2, 4)); from no pairs both
+solve in one round, in 0.05-0.08 s.  Solves are deterministic for a fixed
+model and start.
 
 Package import loads neither scipy nor numpy: both are imported inside the
 functions that use them.  The first solve loads only scipy's compiled HiGHS
@@ -617,9 +622,12 @@ def _first_nonfinite(values) -> int | None:
 def solve_relaxation(inst: Instance) -> tuple[LpModel, LpSolution]:
     """Optimum of the full relaxation, found by lazy same-phase pair generation.
 
-    The first restricted model takes the direct edges as its same-phase pairs.
-    After each solve every omitted pair (u, v) gets the least z its delay rows
-    (3) allow, ``z[u,v,i] = max(0, X[v,i] - (S_v - S_u) / rho)`` with
+    The first restricted model has no same-phase pairs: C, S and x, with rows
+    (1), (2), (5) and (6) only.  Nothing needs pairs up front, since the
+    stopping rule below checks rows (4) of every job and machine, also of the
+    jobs with no row (4) in the model.  After each solve every omitted pair
+    (u, v) gets the least z its delay rows (3) allow,
+    ``z[u,v,i] = max(0, X[v,i] - (S_v - S_u) / rho)`` with
     ``X[v,i] = x[v,1] + ... + x[v,i]``; the omitted pairs with z > 0 behind
     each row (4) these values violate by more than ``SEPARATION_TOL`` join the
     model, which is rebuilt and solved again.  When none joins, the extended
@@ -634,7 +642,7 @@ def solve_relaxation(inst: Instance) -> tuple[LpModel, LpSolution]:
     solve, ``z`` holds a value for every transitive pair, and ``iterations``
     one count per round.
     """
-    pairs = set(inst.edges)
+    pairs = set()
     sol, iterations = None, ()
     while True:
         model = build_relaxation(inst, pairs)
@@ -688,26 +696,40 @@ def _separate(model: LpModel, sol: LpSolution):
 
 
 def check_lp_feasibility(solution: LpSolution, model: LpModel, tol: float = FEAS_TOL):
-    """Every violated row or bound, as (name, residual) with residual < -tol."""
+    """Every violated row or bound, as (name, residual) with residual < -tol:
+    the rows in row order, then the bounds by column, lower before upper.
+
+    A row's residual follows its sense as ``model.rows`` reads it:
+    ``lhs - lo`` for >=, ``hi - lhs`` for <= and ``-|lhs - lo|`` for =.  Each
+    row's terms are summed in entry order, as a loop over the row would, and
+    names are made only when something is violated.
+    """
+    import numpy as np
+
     arr = solution.values
     if len(arr) != model.n_vars:
         raise ValueError(f"solution has {len(arr)} values for {model.n_vars} variables")
+    x = np.asarray(arr, dtype=np.float64)
+    lo, hi, col_lo, col_hi, vals = (np.asarray(a, dtype=np.float64) for a in (
+        model.row_lower, model.row_upper, model.col_lower, model.col_upper, model.row_vals))
+    cols = np.asarray(model.row_cols, dtype=np.int64)
+    row_of = np.repeat(np.arange(len(lo)), np.diff(np.asarray(model.row_start, dtype=np.int64)))
+    lhs = np.bincount(row_of, weights=vals * x[cols], minlength=len(lo))
+    with np.errstate(invalid="ignore"):
+        resid = np.where(lo == -math.inf, hi - lhs,
+                         np.where(hi == math.inf, lhs - lo, -np.abs(lhs - lo)))
     out = []
-    for name, coeffs, sense, rhs in model.rows:
-        lhs = sum(a * arr[j] for j, a in coeffs.items())
-        if sense == ">=":
-            resid = lhs - rhs
-        elif sense == "<=":
-            resid = rhs - lhs
-        else:
-            resid = -abs(lhs - rhs)
-        if resid < -tol:
-            out.append((name, resid))
-    for j, (lo, hi) in enumerate(model.bounds):
-        if arr[j] < lo - tol:
-            out.append((f"bound_lo_{model.var_names[j]}", arr[j] - lo))
-        if arr[j] > hi + tol:
-            out.append((f"bound_hi_{model.var_names[j]}", hi - arr[j]))
+    if (bad := np.flatnonzero(resid < -tol).tolist()):
+        names = model.row_names
+        out += [(names[r], float(resid[r])) for r in bad]
+    below, above = x < col_lo - tol, x > col_hi + tol
+    if (bad := np.flatnonzero(below | above).tolist()):
+        names = model.var_names
+        for j in bad:
+            if below[j]:
+                out.append((f"bound_lo_{names[j]}", float(x[j] - col_lo[j])))
+            if above[j]:
+                out.append((f"bound_hi_{names[j]}", float(col_hi[j] - x[j])))
     return out
 
 

@@ -327,6 +327,17 @@ def test_normalization_overflow_is_a_validation_error(tmp_path, capsys, flags):
     assert capsys.readouterr().err == "error: [validate] job b: size / min size is not finite\n"
 
 
+def test_time_scale_that_underflows_is_a_validation_error(tmp_path, capsys):
+    # sizes 1e308 at speed 1e-300: alpha / beta is 1e-608, which is 0 as a float
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({
+        "rho": 1.0, "jobs": [{"id": "a", "size": 1e308}, {"id": "b", "size": 1e308}],
+        "machines": [{"id": "m0", "speed": 1e-300}], "edges": [],
+    }))
+    assert run(["schedule", "--input", str(inst_path)]) == 2
+    assert capsys.readouterr().err == "error: [validate] min size / max speed is not finite\n"
+
+
 @pytest.mark.parametrize("command", [
     ["solve"], ["preprocess"], ["validate", "--schedule"], ["analyze", "--schedule"],
     ["dedup", "--schedule"], ["oracle"], ["gap"],

@@ -69,11 +69,29 @@ def test_unsorted_machines_reported():
          "machine m0: speed / max speed is 0"),
         ([Job("a", 1e-300)], [Machine("m0", 1e10)], 1.0,
          "rho * max speed / min size is not finite"),
+        # the time scale alpha / beta underflows to 0, or to a subnormal
+        # whose inverse is not finite
+        ([Job("a", 1e308), Job("b", 1e308)], [Machine("m0", 1e-300)], 1.0,
+         "min size / max speed is not finite"),
+        ([Job("a", 1e308)], [Machine("m0", 1e-300)], 0.0, "min size / max speed is not finite"),
+        ([Job("a", 1e308)], [Machine("m0", 1e-7)], 1e-9, "min size / max speed is not finite"),
     ],
 )
 def test_bad_numbers_and_empty_sets_reported(jobs, machines, rho, expected):
     inst = Instance(tuple(jobs), tuple(machines), (), rho)
     assert expected in validate_instance(inst).violations
+
+
+def test_positive_rho_that_normalizes_to_zero_is_valid():
+    # under a time scale with a finite inverse, such a rho is below 1e-15
+    for jobs, machines, rho in [
+        ([Job("a", 2.0)], [Machine("m0", 1.0)], 5e-324),
+        ([Job("a", 1e305)], [Machine("m0", 1e300)], 1e-20),  # rho * alpha underflows
+    ]:
+        inst = Instance(tuple(jobs), tuple(machines), (), rho)
+        assert validate_instance(inst).ok
+        norm, _ = normalize_instance(inst)
+        assert norm.rho == 0.0 and validate_instance(fresh_copy(norm)).ok
 
 
 def test_extreme_scale_that_normalizes_finitely_is_valid():

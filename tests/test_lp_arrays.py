@@ -5,10 +5,11 @@ that appends the same rows one at a time with ``add_row`` is the reference,
 and a loop over each job's pairs is the reference for separation.  Both must
 agree exactly.  The same builder with every row (1) and (2) kept must reach
 the same optimum, and the constructed points must meet those rows too.  The
-first-round HiGHS input of two benchmark-shaped instances is pinned by
-digest, and names are shown to be made only on read.
+HiGHS input of two benchmark-shaped instances, restricted to the direct
+edges, is pinned by digest, and names are shown to be made only on read.
 """
 
+import functools
 import hashlib
 import math
 
@@ -171,8 +172,9 @@ def test_gap_certificate_meets_the_rows_chaining_implies(L, d, seed):
         assert not check_lp_feasibility(gap_lp_certificate(inst, model), model)
 
 
-# first-round models of gen_random_dag at the benchmark workloads' parameters
-# (seed 1), as the pipeline builds them: normalized, slow machines dropped
+# restricted models with the direct edges as their pairs, which hold every
+# family, of gen_random_dag at the benchmark workloads' parameters (seed 1),
+# normalized and with slow machines dropped as the pipeline builds them
 PINNED = {
     (32, 8, 0.2, (1.0, 4.0), (0.25, 1.0), 16.0, 1):
         "53a03587fa4d9e8a120772562c0e1569696fac390eee91ac6a24594438cb7c03",
@@ -254,7 +256,7 @@ def reference_separate(inst, sol, pairs):
 ])
 def test_separation_matches_the_loop_in_every_round(args):
     inst = pipeline_input(args)
-    pairs, sol = set(inst.edges), None
+    pairs, sol = set(), None  # the rounds solve_relaxation takes
     while True:
         model = build_relaxation(inst, pairs)
         sol = solve_lp(model, warm=sol)
@@ -265,3 +267,66 @@ def test_separation_matches_the_loop_in_every_round(args):
         if not added:
             break
         pairs |= added
+
+
+def reference_feasibility(solution, model, tol):
+    """Violated rows and bounds as a loop over ``model.rows``, then over the
+    columns: (name, residual) with residual < -tol."""
+    arr = solution.values
+    out = []
+    for name, coeffs, sense, rhs in model.rows:
+        lhs = sum(a * arr[j] for j, a in coeffs.items())
+        if sense == ">=":
+            resid = lhs - rhs
+        elif sense == "<=":
+            resid = rhs - lhs
+        else:
+            resid = -abs(lhs - rhs)
+        if resid < -tol:
+            out.append((name, resid))
+    for j, (lo, hi) in enumerate(model.bounds):
+        if arr[j] < lo - tol:
+            out.append((f"bound_lo_{model.var_names[j]}", arr[j] - lo))
+        if arr[j] > hi + tol:
+            out.append((f"bound_hi_{model.var_names[j]}", hi - arr[j]))
+    return out
+
+
+@functools.cache
+def feasibility_cases():
+    """(model, feasible point) pairs: the optima of a full and a restricted
+    model, an embedded schedule on an array-built and a row-by-row model, and
+    a gap certificate."""
+    inst = pipeline_input((12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 52))
+    full, restricted = build_relaxation(inst), build_relaxation(inst, set())
+    cases = [(full, solve_lp(full)), (restricted, solve_lp(restricted))]
+    tiny = tiny_instance(3)
+    _, witness = exact_optimal_makespan(tiny, allow_duplication=True)
+    for model in (build_relaxation(tiny), reference_relaxation(tiny, trimmed=False)):
+        cases.append((model, embed_schedule_as_lp(tiny, witness, model)))
+    layered = gen_layered_gap(2, 2, 0)
+    model = build_relaxation(layered)
+    cases.append((model, gap_lp_certificate(layered, model)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("noise", [0.0, 1e-7, 1e-3, 0.5])
+def test_feasibility_check_matches_the_loop(case, noise):
+    model, point = feasibility_cases()[case]
+    rng = np.random.default_rng(case)
+    values = np.asarray(point.values) + noise * rng.standard_normal(model.n_vars)
+    if noise:
+        values[rng.integers(model.n_vars)] = math.nan  # a NaN term makes its row's lhs NaN
+    perturbed = lp.LpSolution(tuple(values.tolist()), point.objective, "feasible")
+    for tol in (0.0, 1e-6):
+        got = check_lp_feasibility(perturbed, model, tol)
+        want = reference_feasibility(perturbed, model, tol)
+        assert got == want
+        assert all(type(r) is float for _, r in got)
+    if not noise:
+        assert check_lp_feasibility(perturbed, model) == []
+    if noise >= 1e-3:
+        names = [name for name, _ in check_lp_feasibility(perturbed, model)]
+        assert any(name.startswith("c") for name in names)
+        assert any(name.startswith("bound_") for name in names)

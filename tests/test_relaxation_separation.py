@@ -18,6 +18,7 @@ from delaysched import (
     build_relaxation,
     check_lp_feasibility,
     filter_slow_machines,
+    gen_layered_gap,
     gen_random_dag,
     make_instance,
     normalize_instance,
@@ -26,6 +27,7 @@ from delaysched import (
     transitive_predecessors,
 )
 from delaysched import lp
+from delaysched.gaplab import gap_lp_certificate
 from delaysched.lp import FEAS_TOL, LpSolution
 
 
@@ -68,7 +70,7 @@ RHOS = [0.3, 1.0, math.e**math.e, 16.0, 64.0, 0.0]
 
 
 def separation_instance():
-    """Needs two rounds: the direct edges, then implied pairs."""
+    """Needs two rounds: no pairs, then the pairs behind violated rows (4)."""
     return pipeline_input(12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 52)
 
 
@@ -80,7 +82,7 @@ def test_random_dags_match_full_model(rho, seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_lp_heavy_scale_matches_full_model(seed):
-    # the benchmark's lp_heavy shape; these seeds take one, three and two separation rounds
+    # the benchmark's lp_heavy shape; these seeds take three, three and four separation rounds
     assert_exact(pipeline_input(32, 8, 0.2, (1, 4), (0.25, 1), 16.0, seed))
 
 
@@ -110,8 +112,28 @@ def test_separation_adds_pairs_until_none_violate(monkeypatch):
     inst = pipeline_input(12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 52)
     assert_exact(inst)  # its reference solve does not go through lp.solve_lp
     assert len(calls) >= 2
-    assert calls[0] == len(set(inst.edges)) * inst.m  # the first round has the direct edges
+    assert calls[0] == 0  # the first round has no same-phase pairs
     assert calls == sorted(set(calls))  # every later round adds pairs
+
+
+@pytest.mark.parametrize("layers, degree, seed", [(2, 4, 0), (4, 2, 1)])
+def test_layered_gap_reaches_the_certificate_value(monkeypatch, layers, degree, seed):
+    # the certificate's value rho is the LP optimum of the layered family
+    first = []
+    real = lp.solve_lp
+
+    def recording(model, *args, **kwargs):
+        if not first:
+            first.append(len(model.z_index))
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", recording)
+    inst = gen_layered_gap(layers, degree, seed)
+    _, sol = solve_relaxation(inst)
+    assert first == [0]  # the first round has no z column
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(gap_lp_certificate(inst).objective, rel=1e-9)
+    assert sol.objective == pytest.approx(inst.rho, rel=1e-9)
 
 
 def test_later_rounds_start_warm(monkeypatch):
@@ -234,9 +256,9 @@ def test_every_round_keeps_the_previous_round_statuses(monkeypatch):
 
 
 def test_new_rows_four_between_carried_ones_keep_their_order(monkeypatch):
-    # every round of solve_relaxation has the direct edges, so its rows (4)
-    # never change; a warm start between relaxations with different pairs
-    # adds rows (4) between the carried ones
+    # a job gains its rows (4) in the round that adds its first pair, so a
+    # later round can add rows (4) between carried ones; this builds such a
+    # step directly, whatever rounds solve_relaxation happens to take
     inst = separation_instance()
     every = lp._Pairs(inst).ids
     with_pairs = {v for _, v in every}
@@ -276,10 +298,11 @@ def test_other_warm_sources_start_cold(monkeypatch):
 
 
 def test_colliding_ids_reach_the_full_optimum(monkeypatch):
-    # "a-b" and "a_b" give the same model names; round two still starts each
-    # column and row from the status of its own job, pair and machine
+    # "a-b" and "a_b" give the same model names, and both are chosen
+    # predecessors of j0; round two still starts each column and row from the
+    # status of its own job, pair and machine
     base = separation_instance()
-    rename = {"j5": "a-b", "j4": "a_b"}.get
+    rename = {"j1": "a-b", "j2": "a_b"}.get
     inst = make_instance(
         [Job(rename(v.id, v.id), v.size) for v in base.jobs],
         base.machines,
@@ -302,7 +325,8 @@ def test_colliding_ids_reach_the_full_optimum(monkeypatch):
     st.sampled_from([0.3, 1.0, math.e**math.e, 16.0]),
     st.integers(0, 2**32 - 1),
 )
-@example(10, 3, 0.8, math.e**math.e, 112)  # two rounds
+@example(10, 3, 0.8, math.e**math.e, 112)
+@example(10, 3, 0.8, math.e**math.e, 12)  # three rounds
 @example(5, 1, 0.8, math.e**math.e, 235)
 def test_random_dags_match_full_model_property(n, m, p, rho, seed):
     assert_exact(gen_random_dag(n, m, p, (1, 4), (0.25, 1), rho, seed))

@@ -520,8 +520,9 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     certificate row.  Only an undersized time-indexed horizon makes a model
     infeasible: a valid instance always embeds its serial schedule, and its
     relaxations are bounded below by zero.  A non-finite objective coefficient
-    or matrix value, a NaN bound or right-hand side, or an objective or row
-    naming a column the model lacks raises ``ValueError``.
+    or matrix value, a matrix value at or above HiGHS's ``large_matrix_value``
+    (which HiGHS refuses without naming it), a NaN bound or right-hand side, or
+    an objective or row naming a column the model lacks raises ``ValueError``.
 
     ``warm``, an optimal solution of an earlier relaxation of the same
     instance, starts the simplex from its final basis, carried over by
@@ -558,14 +559,23 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
             raise ValueError(f"objective names column {j} of a model with {n} variables")
         cost[j] = cj
     # HiGHS would report such a model optimal, so it is rejected here
-    if (j := _first_nonfinite(cost)) is not None:
+    if (j := _first_true(~np.isfinite(cost))) is not None:
         raise ValueError(f"objective coefficient of {model.var_names[j]} is {cost[j]}")
-    values = np.asarray(model.row_vals, dtype=np.float64)
-    if (k := _first_nonfinite(values)) is not None:
-        r = int(np.searchsorted(model.row_start, k, side="right")) - 1
-        raise ValueError(f"row {model.row_names[r]} has coefficient {values[k]}")
 
+    def row_of(k: int) -> str:
+        return model.row_names[int(np.searchsorted(model.row_start, k, side="right")) - 1]
+
+    values = np.asarray(model.row_vals, dtype=np.float64)
+    if (k := _first_true(~np.isfinite(values))) is not None:
+        raise ValueError(f"row {row_of(k)} has coefficient {values[k]}")
     highs = _Highs()
+    # HiGHS refuses a matrix value at or above this limit without naming it
+    _, limit = highs.getOptionValue("large_matrix_value")
+    if (k := _first_true(np.abs(values) >= limit)) is not None:
+        raise ValueError(
+            f"row {row_of(k)} has coefficient {values[k]}; "
+            f"HiGHS refuses magnitudes of {limit:g} and above"
+        )
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("log_to_console", False)
     highs.setOptionValue("presolve", "off")
@@ -611,12 +621,9 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     return sol
 
 
-def _first_nonfinite(values) -> int | None:
-    """Index of the first NaN or infinite entry of a numpy array, if any."""
-    import numpy as np
-
-    bad = ~np.isfinite(values)
-    return int(bad.argmax()) if bad.any() else None
+def _first_true(mask) -> int | None:
+    """Index of the first true entry of a boolean numpy array, if any."""
+    return int(mask.argmax()) if mask.any() else None
 
 
 def solve_relaxation(inst: Instance) -> tuple[LpModel, LpSolution]:

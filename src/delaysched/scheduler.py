@@ -8,6 +8,21 @@ packed mass is new work, and every packed job is assigned to this group or a
 faster one.  The clock then advances through the event set of completion
 times and communication arrivals, kept in a heap: the next event is the first
 time more than TOL above the clock.
+
+A rejected job is not evaluated again until its verdict can change.  The
+verdict for job v depends only on the chosen machine i, its frontier t_i, and
+for each candidate u of v on ``comp_on[u]``, ``earliest_comp[u]`` and whether
+u is placed; those candidate values change only when u gets a placement, and
+a placement of u drops the record of every job that has u as a candidate.
+With the same i, t_i only grows, so the batch can only shrink, and it shrinks
+exactly when a member becomes done.  No member has a copy on i, since every
+copy there ends by t_i; so a member becomes done only when its least
+completion anywhere reaches ``t_i - rho + TOL``, the comparison the batch is
+built with, which is monotone in the least such completion over the batch.
+So a rejection records ``(i, min_far)``, and a later visit skips v while the
+least-loaded machine is still i and ``min_far > t_i - rho + TOL``.  Each
+group's least-loaded machine is cached until one of its frontiers moves: by
+a placement in the group, or by a clock advance past it.
 """
 
 from __future__ import annotations
@@ -89,6 +104,12 @@ def run_group_scheduler(
     # each job's batch candidates: itself and its predecessors, in topological order
     candidates = {v: sorted(preds[v] | {v}, key=topo_pos.__getitem__) for v in order}
     group_jobs = {g.index: [v for v in order if kappa[v] == g.index] for g in assignment.groups}
+    # the jobs that have each job as a candidate: itself and its successors
+    dependents: dict[str, list[str]] = {v: [] for v in order}
+    for v in order:
+        for u in candidates[v]:
+            dependents[u].append(v)
+    group_of = {mid: g.index for g in assignment.groups for mid in g.machine_ids}
 
     clock = 0.0
     clock_history = [clock]
@@ -99,6 +120,8 @@ def run_group_scheduler(
     earliest_comp: dict[str, float] = {v.id: math.inf for v in inst.jobs}
     max_comp_on = {mc.id: 0.0 for mc in inst.machines}
     events: list[float] = []  # heap of completion and arrival times
+    least: dict[int, str] = {}  # each group's least-loaded machine, while valid
+    rejected: dict[str, tuple[str, float]] = {}  # v -> (i, min_far)
     n, m = inst.n, inst.m
     max_rounds = 2 * m * (n - 1) + 2
 
@@ -119,8 +142,13 @@ def run_group_scheduler(
             for v in group_jobs[g.index]:
                 if v in placed:
                     continue
-                i = min(g.machine_ids, key=lambda mid: (frontier[mid], mid))
+                i = least.get(g.index)
+                if i is None:
+                    i = least[g.index] = min(g.machine_ids, key=lambda mid: (frontier[mid], mid))
                 t_i = frontier[i]
+                seen = rejected.get(v)
+                if seen is not None and seen[0] == i and not seen[1] <= t_i - rho + TOL:
+                    continue  # the same batch, rejected again
                 batch = []
                 for u in candidates[v]:
                     done_here = comp_on[u].get(i, math.inf) <= t_i + TOL
@@ -130,11 +158,12 @@ def run_group_scheduler(
                 mass = sum(size[u] for u in batch)
                 mass_minus_v = mass - (size[v] if v in batch else 0.0)
                 new_mass = sum(size[u] for u in batch if u not in placed)
-                if mass_minus_v > PRED_MASS_FACTOR * rho * g.gamma + TOL:
-                    continue
-                if new_mass < mass / eta - TOL:
-                    continue
-                if any(kappa[u] < g.index for u in batch):
+                if (
+                    mass_minus_v > PRED_MASS_FACTOR * rho * g.gamma + TOL
+                    or new_mass < mass / eta - TOL
+                    or any(kappa[u] < g.index for u in batch)
+                ):
+                    rejected[v] = (i, min(earliest_comp[u] for u in batch))
                     continue
                 for u in batch:
                     if i in comp_on[u]:
@@ -156,7 +185,10 @@ def run_group_scheduler(
                         )
                     if abs(frontier[i] - max(clock, max_comp_on[i])) > TOL:
                         raise SchedulerInvariantError(f"frontier drift on {i}")
+                    for w in dependents[u]:
+                        rejected.pop(w, None)
                 placed |= set(batch)
+                del least[g.index]
 
         if len(placed) == n:
             break
@@ -167,8 +199,10 @@ def run_group_scheduler(
             )
         clock = nxt
         clock_history.append(nxt)
-        for mid in frontier:
-            frontier[mid] = max(frontier[mid], clock)
+        for mid, t in frontier.items():
+            if t < clock:
+                frontier[mid] = clock
+                least.pop(group_of.get(mid), None)
         if trace is not None:
             trace.append({"event": "sweep", "clock": clock})
         assert_frontiers()

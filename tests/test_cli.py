@@ -338,6 +338,21 @@ def test_time_scale_that_underflows_is_a_validation_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: [validate] min size / max speed is not finite\n"
 
 
+def test_coefficient_highs_refuses_is_named(tmp_path, capsys):
+    # valid, and finite once normalized, but job b's normalized size 1e307
+    # enters its row (1) far past what HiGHS accepts
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({
+        "rho": 0.0, "jobs": [{"id": "a", "size": 1e-300}, {"id": "b", "size": 1e7}],
+        "machines": [{"id": "m0", "speed": 1e10}], "edges": [],
+    }))
+    assert run(["schedule", "--input", str(inst_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: [lp] row c1_b has coefficient -9.999999999999999e+306; "
+        "HiGHS refuses magnitudes of 1e+15 and above\n"
+    )
+
+
 @pytest.mark.parametrize("command", [
     ["solve"], ["preprocess"], ["validate", "--schedule"], ["analyze", "--schedule"],
     ["dedup", "--schedule"], ["oracle"], ["gap"],

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -405,6 +406,41 @@ def test_non_finite_model_is_rejected(cost, coeff, rhs, match):
     model.add_row("r", {x: coeff}, ">=", rhs)
     with pytest.raises(ValueError, match=match):
         solve_lp(model)
+
+
+def _one_row_model(coeff):
+    model = LpModel()
+    x = model.add_var("x")
+    model.objective = {x: 1.0}
+    model.add_row("q", {x: 1.0}, "<=", 5.0)
+    model.add_row("r", {x: coeff}, ">=", 1.0)
+    return model
+
+
+def test_matrix_value_limit_is_highs_own(monkeypatch):
+    from delaysched.lp import _load_highs_core
+
+    _load_highs_core()
+    from scipy.optimize._highspy import _core
+
+    limit = _core._Highs().getOptionValue("large_matrix_value")[1]
+    # one ulp below the limit, HiGHS takes the model
+    assert solve_lp(_one_row_model(math.nextafter(limit, 0.0))).status == "optimal"
+    for coeff in (limit, -limit):
+        with pytest.raises(ValueError, match=(
+            rf"^row r has coefficient {re.escape(repr(coeff))}; "
+            rf"HiGHS refuses magnitudes of {re.escape(f'{limit:g}')} and above$"
+        )):
+            solve_lp(_one_row_model(coeff))
+
+    # with the check lifted, HiGHS itself refuses the limit, naming nothing
+    class Unlimited(_core._Highs):
+        def getOptionValue(self, name):
+            return _core.HighsStatus.kOk, math.inf
+
+    monkeypatch.setattr(_core, "_Highs", Unlimited)
+    with pytest.raises(ValueError, match="^HiGHS rejected the model$"):
+        solve_lp(_one_row_model(limit))
 
 
 def test_finite_objective_whose_sum_overflows_is_accepted():

@@ -7,13 +7,19 @@ from hypothesis import strategies as st
 
 from conftest import mid_instance, tiny_instance
 from delaysched import (
+    GroupAssignment,
     Job,
     Machine,
+    MachineGroup,
+    Placement,
+    Schedule,
     assign_job_groups,
     build_relaxation,
     default_eta,
     exact_optimal_makespan,
     gen_binary_tree,
+    gen_layered_gap,
+    gen_random_dag,
     make_instance,
     makespan,
     normalize_instance,
@@ -24,8 +30,13 @@ from delaysched import (
 )
 from delaysched import scheduler
 from delaysched.cli import PipelineConfig, run_pipeline
-from delaysched.instance import TOL
-from delaysched.scheduler import SchedulerInvariantError, _merged_events, _next_event
+from delaysched.instance import TOL, topological_order, transitive_predecessors
+from delaysched.scheduler import (
+    PRED_MASS_FACTOR,
+    SchedulerInvariantError,
+    _merged_events,
+    _next_event,
+)
 
 
 def schedule_via_lp(inst, eta=None, trace=None):
@@ -193,3 +204,134 @@ def test_replay_catches_a_skipped_clock_event(monkeypatch):
     with pytest.raises(SchedulerInvariantError, match="clock visited") as info:
         run_group_scheduler(norm, asg, None)
     assert str(info.value).endswith(f"expected event {skipped[0]}")
+
+
+def rescan_scheduler(inst, assignment, eta, trace, visits=None):
+    """Reference: the batch loop that evaluates every unplaced job on every
+    visit, with no skip and no cached machine.  ``visits`` collects
+    ``(job, machine, accepted)`` per evaluation."""
+    rho = inst.rho
+    preds = transitive_predecessors(inst)
+    size, speed = inst._sizes, inst._speeds
+    bands, kappa = assignment.bands, assignment.kappa
+    order = topological_order(inst, key=lambda v: (bands[v], v))
+    topo_pos = {v: k for k, v in enumerate(order)}
+    candidates = {v: sorted(preds[v] | {v}, key=topo_pos.__getitem__) for v in order}
+    group_jobs = {g.index: [v for v in order if kappa[v] == g.index] for g in assignment.groups}
+    clock = 0.0
+    frontier = {mc.id: 0.0 for mc in inst.machines}
+    placed, placements, events = set(), [], []
+    comp_on = {v.id: {} for v in inst.jobs}
+    earliest_comp = {v.id: math.inf for v in inst.jobs}
+    while len(placed) < inst.n:
+        for g in assignment.groups:
+            for v in group_jobs[g.index]:
+                if v in placed:
+                    continue
+                i = min(g.machine_ids, key=lambda mid: (frontier[mid], mid))
+                t_i = frontier[i]
+                batch = []
+                for u in candidates[v]:
+                    done_here = comp_on[u].get(i, math.inf) <= t_i + TOL
+                    done_far = earliest_comp[u] <= t_i - rho + TOL
+                    if not (done_here or done_far):
+                        batch.append(u)
+                mass = sum(size[u] for u in batch)
+                mass_minus_v = mass - (size[v] if v in batch else 0.0)
+                new_mass = sum(size[u] for u in batch if u not in placed)
+                accepted = not (
+                    mass_minus_v > PRED_MASS_FACTOR * rho * g.gamma + TOL
+                    or new_mass < mass / eta - TOL
+                    or any(kappa[u] < g.index for u in batch)
+                )
+                if visits is not None:
+                    visits.append((v, i, accepted))
+                if not accepted:
+                    continue
+                for u in batch:
+                    start = frontier[i]
+                    placements.append(Placement(u, i, start))
+                    end = start + size[u] / speed[i]
+                    frontier[i] = comp_on[u][i] = end
+                    earliest_comp[u] = min(earliest_comp[u], end)
+                    heapq.heappush(events, end)
+                    heapq.heappush(events, end + rho)
+                    trace.append({"event": "place", "job": u, "machine": i, "start": start})
+                placed |= set(batch)
+        if len(placed) == inst.n:
+            break
+        clock = _next_event(events, clock)
+        for mid in frontier:
+            frontier[mid] = max(frontier[mid], clock)
+        trace.append({"event": "sweep", "clock": clock})
+    return Schedule(tuple(placements))
+
+
+def _assert_matches_rescan(inst, assignment, eta):
+    trace, want_trace = [], []
+    got = run_group_scheduler(inst, assignment, eta, trace=trace)
+    want = rescan_scheduler(inst, assignment, eta, want_trace)
+    assert got.placements == want.placements
+    assert trace == want_trace
+
+
+DIFFERENTIAL_CORPORA = {
+    "tiny": [tiny_instance(s, rho_choices=(0.0, 0.5, 1.0, 4.0)) for s in range(40)],
+    "mid": [mid_instance(s) for s in range(20)],
+    "layered-4-2": [gen_layered_gap(4, 2, seed=1)],
+    "tied-speeds": [
+        gen_random_dag(20, 4, 0.2, (1.0, 4.0), (0.5, 0.5), rho, seed=s)
+        for s, rho in enumerate((0.0, 1.0, 4.0, 16.0) * 3)
+    ],
+    "lp_heavy-shape": [
+        gen_random_dag(32, 8, 0.2, (1.0, 4.0), (0.25, 1.0), 16.0, seed=s) for s in range(10)
+    ],
+    "many_phases-shape": [
+        gen_random_dag(150, 4, 0.01, (1.0, 4.0), (0.25, 1.0), 1.0, seed=s) for s in range(10)
+    ],
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(DIFFERENTIAL_CORPORA))
+def test_skip_matches_the_rescan_loop(corpus, monkeypatch):
+    # run_pipeline's own (work, assignment, eta), captured at the call
+    calls = []
+    real = scheduler.run_group_scheduler
+
+    def capture(work, assignment, eta, trace=None):
+        calls.append((work, assignment, eta))
+        return real(work, assignment, eta, trace=trace)
+
+    monkeypatch.setattr(scheduler, "run_group_scheduler", capture)
+    for inst in DIFFERENTIAL_CORPORA[corpus]:
+        run_pipeline(inst)
+    monkeypatch.undo()
+    assert len(calls) == len(DIFFERENTIAL_CORPORA[corpus])
+    for work, assignment, eta in calls:
+        _assert_matches_rescan(work, assignment, eta)
+
+
+def test_skipped_job_is_accepted_later_on_another_machine():
+    # b (after a, size 3) is rejected on m1 at time 0: its batch {a, b} is
+    # three quarters old work.  c then moves m1's frontier to 0.5, and b's
+    # second visit finds the same machine and the same batch, so it is
+    # skipped.  At clock 3, m0 (where a ran) is least loaded by id and b
+    # goes there alone.
+    inst = make_instance(
+        [Job("a", 3.0), Job("b", 1.0), Job("c", 0.5)],
+        [Machine("m0", 1.0), Machine("m1", 1.0)],
+        [("a", "b")],
+        4.0,
+    )
+    one = {v: 1 for v in ("a", "b", "c")}
+    asg = GroupAssignment((MachineGroup(1, ("m0", "m1"), 1.0),), one, one, one)
+    visits = []
+    rescan_scheduler(inst, asg, 2.0, [], visits)
+    assert [(i, ok) for v, i, ok in visits if v == "b"] == [
+        ("m1", False), ("m1", False), ("m0", True)
+    ]
+    _assert_matches_rescan(inst, asg, 2.0)
+    sched = run_group_scheduler(inst, asg, 2.0)
+    assert [(p.job, p.machine, p.start) for p in sched.placements] == [
+        ("a", "m0", 0.0), ("c", "m1", 0.0), ("b", "m0", 3.0)
+    ]

@@ -25,30 +25,30 @@ variable and row at a time with ``add_var`` and ``add_row`` hold lists
 instead; :func:`solve_lp` takes both.
 
 Column and row names are made only when something reads them: ``var_names``,
-``row_names``, ``rows``, :func:`export_lp_text` and error messages.  A
-separation round starts from the previous round's basis, carried over by
-position (:meth:`_Relaxation.carry`): the two relaxations share an instance,
-so a column or row keeps its status by its place in the layout, not by a
-name that two ids can share.
+``row_names``, ``rows``, :func:`export_lp_text` and error messages.
+:func:`solve_relaxation` keeps one HiGHS object per instance (:class:`_Session`):
+the first model goes in whole, and each separation round appends its columns
+and rows to the model HiGHS holds, so HiGHS keeps its basis and factorization
+from one round to the next.
 
 Every model is solved by the HiGHS dual simplex bundled with scipy (1.15 or
 later), driven through scipy's private binding: the arrays go to HiGHS in
 one ``passModel`` call, the rows row-wise with each row's sense in its
-bounds, and a solve can start from an earlier solution's basis, which later
-separation rounds do.  Every solve uses one setting: presolve off, dual
-simplex, Dantzig pricing and no output.  Presolve is off because these
-models are small and, with the implied rows left out, built without
-redundancy, so its reductions and postsolve cost more than they save:
-without it HiGHS took 0.19 s instead of 0.31 s over the pipeline runs of 40
-instances at n=150, m=4, and 0.40 s instead of 0.50 s over 30 at n=32,
-m=8.  Dantzig pricing replaces HiGHS's default dual steepest edge because
-on these small, degenerate relaxations the cold first solve needs about
-half the iterations, each cheaper, which halves the time per pipeline
-instance at n=32, m=8.  It stalled on the large, fully symmetric layered gap
-instances while the first model held a z column per direct edge and
-machine (151 s on layered (4, 2), 13.7 s on (2, 4)); from no pairs both
-solve in one round, in 0.05-0.08 s.  Solves are deterministic for a fixed
-model and start.
+bounds; separation rounds add theirs with ``addRows`` and ``addCols``.
+Every solve uses one setting: presolve off, dual simplex, Dantzig pricing and
+no output.  Presolve is off because these models are small and, with the
+implied rows left out, built without redundancy, so its reductions and
+postsolve cost more than they save: without it HiGHS took 0.19 s instead
+of 0.31 s over the pipeline runs of 40 instances at n=150, m=4, and 0.40 s
+instead of 0.50 s over 30 at n=32, m=8.  Dantzig pricing replaces HiGHS's
+default dual steepest edge because on these small, degenerate relaxations
+the cold first solve needs about half the iterations, each cheaper, which
+halves the time per pipeline instance at n=32, m=8.  It stalled on the
+large, fully symmetric layered gap instances while the first model held a z
+column per direct edge and machine (151 s on layered (4, 2), 13.7 s on
+(2, 4)); from no pairs both solve in one round, in 0.05-0.08 s.  Solves are
+deterministic for a fixed model, and a session's rounds for a fixed
+instance.
 
 Package import loads neither scipy nor numpy: both are imported inside the
 functions that use them.  The first solve loads only scipy's compiled HiGHS
@@ -193,9 +193,7 @@ class LpSolution:
     """Variable assignment with objective; status 'feasible' marks constructed
     (not solver-optimal) solutions such as embeddings and gap certificates.
     ``values`` is aligned with the model's ``var_names``.  ``iterations``
-    holds the simplex iteration count of each solve behind the solution, and
-    ``basis`` the final HiGHS basis of a relaxation, which :func:`solve_lp`
-    can start a later relaxation of the same instance from."""
+    holds the simplex iteration count of each solve behind the solution."""
 
     values: tuple[float, ...]
     objective: float
@@ -204,8 +202,6 @@ class LpSolution:
     z: dict[tuple[str, str, str], float] = field(default_factory=dict)
     start: dict[str, float] = field(default_factory=dict)
     iterations: tuple[int, ...] = ()
-    # (layout, col_status, row_status) of a solved relaxation
-    basis: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _safe(name: str) -> str:
@@ -268,7 +264,9 @@ def _scaffold(inst: Instance) -> LpModel:
 class _Pairs:
     """Every transitive pair (u, v) of an instance in z order (by v's job
     index, then u's id), as id tuples and as job-index arrays ``u`` and
-    ``v``."""
+    ``v``; with what else every relaxation of the instance shares, whatever
+    pairs it chooses: the rows (1) and (2) it keeps (``unimplied``, see
+    :func:`_unimplied`), and the jobs' sizes and machines' speeds by index."""
 
     def __init__(self, inst: Instance):
         import numpy as np
@@ -278,6 +276,9 @@ class _Pairs:
         self.ids = [(u, v.id) for v in inst.jobs for u in sorted(closure[v.id])]
         self.u = np.array([pos[u] for u, _ in self.ids], dtype=np.int64)
         self.v = np.array([pos[v] for _, v in self.ids], dtype=np.int64)
+        self.unimplied = _unimplied(inst, self)
+        self.size = np.array([v.size for v in inst.jobs])
+        self.speed = np.array([mc.speed for mc in inst.machines])
 
 
 class _Relaxation(_Scaffold):
@@ -294,7 +295,7 @@ class _Relaxation(_Scaffold):
 
         super().__init__(inst)
         self.pairs, self.chosen = pairs, chosen
-        self.c1, self.eu, self.ev = _unimplied(inst, pairs)
+        self.c1, self.eu, self.ev = pairs.unimplied
         self.pu, self.pv = pairs.u[chosen], pairs.v[chosen]
         # jobs with rows (4), in job order (np.unique would load numpy.ma)
         self.c4 = np.flatnonzero(np.bincount(self.pv, minlength=self.n))
@@ -316,36 +317,6 @@ class _Relaxation(_Scaffold):
             *(f"c5_{i}" for i in machines),
             *(f"c6_{v}" for v in jobs),
         ]
-
-    def carry(self, old: _Relaxation, col_status: list, row_status: list, lower, basic):
-        """Statuses for this relaxation's columns and rows, carried over from
-        those of ``old``, an earlier relaxation of the same instance.  C, S, x
-        and rows (1), (2), (5) and (6) keep theirs by position; z columns and
-        rows (3) follow their pair's rank in ``old.chosen``, rows (4) their
-        job's rank in ``old.c4``.  What ``old`` lacks starts at ``lower``
-        (columns) or ``basic`` (rows)."""
-        import numpy as np
-
-        n, m = self.n, self.m
-        pair_at = np.where(old.chosen, np.cumsum(old.chosen) - 1, -1)[self.chosen]
-        job_at = np.full(n, -1)
-        job_at[old.c4] = np.arange(len(old.c4))
-
-        def per_machine(at, base):
-            # item k's m entries start at base + at[k] * m in old; -1 where old lacks it
-            return np.where(at[:, None] < 0, -1, base + at[:, None] * m + np.arange(m)).ravel()
-
-        rows3 = len(old.c1) + len(old.eu)
-        rows4 = rows3 + len(old.pu) * m
-        rows5 = rows4 + len(old.c4) * m
-        cols = np.concatenate((np.arange(old.z_base), per_machine(pair_at, old.z_base)))
-        rows = np.concatenate((
-            np.arange(rows3), per_machine(pair_at, rows3), per_machine(job_at[self.c4], rows4),
-            rows5 + np.arange(m + n),
-        ))
-        # index -1 picks the appended default
-        return (list(map([*col_status, lower].__getitem__, cols.tolist())),
-                list(map([*row_status, basic].__getitem__, rows.tolist())))
 
 
 def _unimplied(inst: Instance, pairs: _Pairs):
@@ -402,13 +373,19 @@ def build_relaxation(inst: Instance, pairs=None) -> LpModel:
     else:
         wanted = set(pairs)
         chosen = np.fromiter((p in wanted for p in every.ids), dtype=bool, count=len(every.ids))
-    layout = _Relaxation(inst, every, chosen)
-    model = _scaffold(inst)
-    model._layout = layout
+    return _build(_Relaxation(inst, every, chosen), _scaffold(inst))
 
+
+def _build(layout: _Relaxation, model: LpModel) -> LpModel:
+    """``model``, which has the index dicts and objective of
+    :func:`_scaffold` for ``layout``'s instance, holding the columns and rows
+    of ``layout``; the arrays it held before are replaced."""
+    import numpy as np
+
+    inst, every = layout.inst, layout.pairs
+    model._layout = layout
     n, m, rho = inst.n, inst.m, inst.rho
-    size = np.array([v.size for v in inst.jobs])
-    speed = np.array([mc.speed for mc in inst.machines])
+    size, speed = every.size, every.speed
     pu, pv, c1, eu, ev, c4 = layout.pu, layout.pv, layout.c1, layout.eu, layout.ev, layout.c4
     n_pairs, n1 = len(pu), len(c1)
     S = 1 + np.arange(n)
@@ -421,17 +398,8 @@ def build_relaxation(inst: Instance, pairs=None) -> LpModel:
     # (2) a job starts after each reduction predecessor's fractional completion
     cols2 = np.column_stack((S[ev], S[eu], X[eu]))
     vals2 = np.column_stack((np.ones(len(eu)), -np.ones(len(eu)), -size[eu][:, None] / speed))
-    # (3) delay: rho gap unless u shares v's phase at index <= i.  One pair's m
-    # rows follow a fixed template of slots (S_v, S_u, x_{v,0..i}, z_{u,v,i})
-    slot_base, slot_off, slot_val = [], [], []
-    for i in range(m):
-        slot_base += [0, 1] + [2] * (i + 1) + [3]
-        slot_off += [0, 0, *range(i + 1), i]
-        slot_val += [1.0, -1.0] + [-rho] * (i + 1) + [rho]
-    bases = np.column_stack((S[pv], S[pu], X[pv, 0], Z[:, 0]))
-    cols3 = bases[:, slot_base] + np.array(slot_off, dtype=np.int64)
-    vals3 = np.tile(slot_val, n_pairs)
-    len3 = np.tile(np.arange(4, m + 4), n_pairs)
+    # (3) delay: rho gap unless u shares v's phase at index <= i
+    cols3, vals3, len3 = _delay_rows(S[pv], S[pu], X[pv, 0], Z[:, 0], m, rho)
     # (4) same-phase predecessors fit in rho time at speed s_i: row (v, i) has
     # x_{v,0..i}, then z_{u,v,i} for v's chosen pairs in z order
     per_job = np.bincount(pv, minlength=n)[c4]
@@ -462,15 +430,33 @@ def build_relaxation(inst: Instance, pairs=None) -> LpModel:
     model.row_lower = np.concatenate((np.zeros(n_rows - n), np.ones(n)))
     model.row_upper = np.concatenate((np.full(n_rows - n, math.inf), np.ones(n)))
     model.col_lower = np.zeros(layout.z_base + n_pairs * m)
-    model.col_upper = np.concatenate((model.col_upper, np.ones(n_pairs * m)))
+    model.col_upper = np.concatenate((np.full(1 + n, math.inf), np.ones(n * m + n_pairs * m)))
     machine_ids = [mc.id for mc in inst.machines]
     z_keys = (
         (u, v, i)
-        for (u, v), c in zip(every.ids, chosen.tolist()) if c
+        for (u, v), c in zip(every.ids, layout.chosen.tolist()) if c
         for i in machine_ids
     )
     model.z_index = dict(zip(z_keys, range(layout.z_base, layout.z_base + n_pairs * m)))
     return model
+
+
+def _delay_rows(s_v, s_u, x_v, z_uv, m: int, rho: float):
+    """Rows (3) of pairs (u, v), given by the columns of S_v, S_u, x_{v,0} and
+    z_{u,v,0} (the x and z columns of a pair run consecutively by machine), as
+    row-wise (cols, vals, lengths), pair by pair and machine by machine.  One
+    pair's m rows follow a fixed template of slots (S_v, S_u, x_{v,0..i},
+    z_{u,v,i})."""
+    import numpy as np
+
+    slot_base, slot_off, slot_val = [], [], []
+    for i in range(m):
+        slot_base += [0, 1] + [2] * (i + 1) + [3]
+        slot_off += [0, 0, *range(i + 1), i]
+        slot_val += [1.0, -1.0] + [-rho] * (i + 1) + [rho]
+    bases = np.column_stack((s_v, s_u, x_v, z_uv))
+    cols = bases[:, slot_base] + np.array(slot_off, dtype=np.int64)
+    return cols.ravel(), np.tile(slot_val, len(s_v)), np.tile(np.arange(4, m + 4), len(s_v))
 
 
 def _solution_from_values(model: LpModel, values_arr, status, objective):
@@ -512,7 +498,7 @@ def _load_highs_core() -> None:
                 return
 
 
-def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
+def solve_lp(model: LpModel) -> LpSolution:
     """Minimize the model objective with HiGHS; deterministic for identical inputs.
 
     Status is 'optimal', 'infeasible', 'unbounded' (also when HiGHS cannot
@@ -524,29 +510,23 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     (which HiGHS refuses without naming it), a NaN bound or right-hand side, or
     an objective or row naming a column the model lacks raises ``ValueError``.
 
-    ``warm``, an optimal solution of an earlier relaxation of the same
-    instance, starts the simplex from its final basis, carried over by
-    position (:meth:`_Relaxation.carry`): a column or row it lacks starts
-    nonbasic at its lower bound or basic, respectively.  Any other ``warm``
-    (another instance, a :mod:`gaplab` alternate, a model built by hand)
-    starts cold.  HiGHS checks and repairs the basis it is given, so a poor
-    start costs iterations, not correctness.
-
     The model goes to HiGHS in one call of the binding's array form of
-    ``passModel``.
+    ``passModel`` (:func:`_open`), and the solve starts cold.
+    :func:`solve_relaxation` opens its first model the same way.
     """
+    status, values, objective, count = _run(_open(model))
+    sol = _solution_from_values(model, values, status, objective)
+    sol.iterations = (count,)
+    return sol
+
+
+def _open(model: LpModel):
+    """A HiGHS object holding ``model``, with every option set, after the
+    checks :func:`solve_lp` lists."""
     import numpy as np
 
     _load_highs_core()
-    from scipy.optimize._highspy._core import (
-        HighsBasis,
-        HighsBasisStatus,
-        HighsModelStatus,
-        HighsStatus,
-        MatrixFormat,
-        ObjSense,
-        _Highs,
-    )
+    from scipy.optimize._highspy._core import HighsStatus, MatrixFormat, ObjSense, _Highs
     from scipy.optimize._highspy._core.simplex_constants import (
         SimplexEdgeWeightStrategy,
         SimplexStrategy,
@@ -566,16 +546,8 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
         return model.row_names[int(np.searchsorted(model.row_start, k, side="right")) - 1]
 
     values = np.asarray(model.row_vals, dtype=np.float64)
-    if (k := _first_true(~np.isfinite(values))) is not None:
-        raise ValueError(f"row {row_of(k)} has coefficient {values[k]}")
     highs = _Highs()
-    # HiGHS refuses a matrix value at or above this limit without naming it
-    _, limit = highs.getOptionValue("large_matrix_value")
-    if (k := _first_true(np.abs(values) >= limit)) is not None:
-        raise ValueError(
-            f"row {row_of(k)} has coefficient {values[k]}; "
-            f"HiGHS refuses magnitudes of {limit:g} and above"
-        )
+    _check_entries(highs, values, row_of)
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("log_to_console", False)
     highs.setOptionValue("presolve", "off")
@@ -591,39 +563,128 @@ def solve_lp(model: LpModel, *, warm: LpSolution | None = None) -> LpSolution:
     )
     if status == HighsStatus.kError:
         raise ValueError("HiGHS rejected the model")
-    layout = model._layout if isinstance(model._layout, _Relaxation) else None
-    old = warm.basis if warm is not None else None
-    if layout is not None and old is not None and old[0].inst is layout.inst:
-        basis = HighsBasis()  # alien: HiGHS factors it and repairs a singular one
-        basis.col_status, basis.row_status = layout.carry(
-            *old, HighsBasisStatus.kLower, HighsBasisStatus.kBasic)
-        highs.setBasis(basis)  # on failure the solve simply starts cold
-    highs.run()
+    return highs
 
+
+def _check_entries(highs, values, row_of) -> None:
+    """Raise ``ValueError`` naming the row of the first entry of ``values``
+    that is not finite, else of the first at or above HiGHS's
+    ``large_matrix_value`` in magnitude, which HiGHS refuses without naming
+    it; ``row_of(k)`` names the row of entry ``k``."""
+    import numpy as np
+
+    if (k := _first_true(~np.isfinite(values))) is not None:
+        raise ValueError(f"row {row_of(k)} has coefficient {values[k]}")
+    _, limit = highs.getOptionValue("large_matrix_value")
+    if (k := _first_true(np.abs(values) >= limit)) is not None:
+        raise ValueError(
+            f"row {row_of(k)} has coefficient {values[k]}; "
+            f"HiGHS refuses magnitudes of {limit:g} and above"
+        )
+
+
+def _run(highs):
+    """Solve the model ``highs`` holds, from the basis it holds.  Returns the
+    status name, the column values (zeros unless optimal), the objective (NaN
+    unless optimal) and this run's simplex iteration count."""
+    import numpy as np
+    from scipy.optimize._highspy._core import HighsModelStatus
+
+    highs.run()
     info = highs.getInfo()
     status = highs.getModelStatus()
     if status == HighsModelStatus.kOptimal:
-        sol = _solution_from_values(
-            model, highs.getSolution().col_value, "optimal", info.objective_function_value
-        )
-        if layout is not None:
-            final = highs.getBasis()
-            sol.basis = (layout, final.col_status, final.row_status)
+        values = np.asarray(highs.getSolution().col_value, dtype=np.float64)
+        return "optimal", values, info.objective_function_value, info.simplex_iteration_count
+    if status in (HighsModelStatus.kUnbounded, HighsModelStatus.kUnboundedOrInfeasible):
+        name = "unbounded"
+    elif status == HighsModelStatus.kInfeasible:
+        name = "infeasible"
     else:
-        if status in (HighsModelStatus.kUnbounded, HighsModelStatus.kUnboundedOrInfeasible):
-            name = "unbounded"
-        elif status == HighsModelStatus.kInfeasible:
-            name = "infeasible"
-        else:
-            name = "error"
-        sol = _solution_from_values(model, [0.0] * n, name, math.nan)
-    sol.iterations = (info.simplex_iteration_count,)
-    return sol
+        name = "error"
+    return name, np.zeros(highs.getNumCol()), math.nan, info.simplex_iteration_count
 
 
 def _first_true(mask) -> int | None:
     """Index of the first true entry of a boolean numpy array, if any."""
     return int(mask.argmax()) if mask.any() else None
+
+
+class _Session:
+    """One HiGHS object holding a restricted relaxation of one instance, which
+    separation rounds grow in place.
+
+    It opens with a model without pairs (C, S and x with rows (1), (2), (5)
+    and (6)).  :meth:`add` appends the rows (4) of the jobs that gain their
+    first pair, then m z columns per new pair, with their entries in rows (4),
+    then the pairs' rows (3).  Columns and rows are never removed or moved,
+    so HiGHS keeps its basis and factorization and each run starts from the
+    last.  ``z_at[k]`` is the column of z_{u,v,0} of pair k of
+    ``layout.pairs`` (its m columns run by machine), or -1 while the pair is
+    left out; ``row4_at[v]`` is the row of job v's row (4) for machine 0, or
+    -1 while v has none.
+    """
+
+    def __init__(self, model: LpModel):
+        import numpy as np
+
+        self.layout = model._layout
+        self.highs = _open(model)
+        self.z_at = np.full(len(self.layout.pairs.ids), -1, dtype=np.int64)
+        self.row4_at = np.full(self.layout.n, -1, dtype=np.int64)
+
+    def add(self, added) -> None:
+        """Append pairs ``added`` (indices into ``layout.pairs``, ascending).
+
+        Every new entry goes through the checks of the first model
+        (:func:`_check_entries`) before any is added, in the row order of
+        :func:`build_relaxation`: rows (3), then rows (4).  There the z
+        entries are the only ones that can fail, and a pair's
+        ``-size_u / (rho * s_i)`` grows in magnitude towards the slow
+        machines, so taking them pair by pair finds the same first failure."""
+        import numpy as np
+        from scipy.optimize._highspy._core import HighsStatus
+
+        layout, highs = self.layout, self.highs
+        n, m, rho = layout.n, layout.m, layout.inst.rho
+        pu, pv = layout.pairs.u[added], layout.pairs.v[added]
+        new4 = np.flatnonzero((np.bincount(pv, minlength=n) > 0) & (self.row4_at < 0))
+        x_at = 1 + n + m * np.arange(n)  # column of x_{v,0}, by job
+        z0 = highs.getNumCol() + m * np.arange(len(added))  # column of z_{u,v,0}, by new pair
+        cols3, vals3, len3 = _delay_rows(1 + pv, 1 + pu, x_at[pv], z0, m, rho)
+        vals_z = (-layout.pairs.size[pu][:, None] / (rho * layout.pairs.speed)).ravel()
+        # rows (4) of new4: row (v, i) holds x_{v,0..i}; z entries join by column
+        _, tri_j = np.tril_indices(m)
+        cols4 = (x_at[new4][:, None] + tri_j).ravel()
+        len4 = np.tile(np.arange(1, m + 1), len(new4))
+        start3, start4 = np.cumsum(len3) - len3, np.cumsum(len4) - len4
+
+        def row_of(k: int) -> str:
+            jobs, machines = layout._ids()
+            if k < len(vals3):
+                r = int(np.searchsorted(start3, k, side="right")) - 1
+                return f"c3_{jobs[pu[r // m]]}_{jobs[pv[r // m]]}_{machines[r % m]}"
+            if (k := k - len(vals3)) < len(vals_z):
+                return f"c4_{jobs[pv[k // m]]}_{machines[k % m]}"
+            r = int(np.searchsorted(start4, k - len(vals_z), side="right")) - 1
+            return f"c4_{jobs[new4[r // m]]}_{machines[r % m]}"
+
+        vals4 = np.ones(len(cols4))
+        _check_entries(highs, np.concatenate((vals3, vals_z, vals4)), row_of)
+        self.row4_at[new4] = highs.getNumRow() + m * np.arange(len(new4))
+        self.z_at[added] = z0
+        rows_z = (self.row4_at[pv][:, None] + np.arange(m)).ravel()
+        n3, n4, nz = len(len3), len(len4), len(vals_z)
+        statuses = (
+            highs.addRows(n4, np.zeros(n4), np.full(n4, math.inf), len(vals4),
+                          start4.astype(np.int32), cols4.astype(np.int32), vals4),
+            highs.addCols(nz, np.zeros(nz), np.zeros(nz), np.ones(nz), nz,
+                          np.arange(nz, dtype=np.int32), rows_z.astype(np.int32), vals_z),
+            highs.addRows(n3, np.zeros(n3), np.full(n3, math.inf), len(vals3),
+                          start3.astype(np.int32), cols3.astype(np.int32), vals3),
+        )
+        if any(status != HighsStatus.kOk for status in statuses):
+            raise ValueError("HiGHS rejected the rows and columns of a separation round")
 
 
 def solve_relaxation(inst: Instance) -> tuple[LpModel, LpSolution]:
@@ -637,69 +698,88 @@ def solve_relaxation(inst: Instance) -> tuple[LpModel, LpSolution]:
     ``z[u,v,i] = max(0, X[v,i] - (S_v - S_u) / rho)`` with
     ``X[v,i] = x[v,1] + ... + x[v,i]``; the omitted pairs with z > 0 behind
     each row (4) these values violate by more than ``SEPARATION_TOL`` join the
-    model, which is rebuilt and solved again.  When none joins, the extended
-    point is feasible for the full relaxation (z <= 1 as X <= 1 and S_v >= S_u)
-    and has the restricted optimum's value; the restricted model being a
+    model, and it is solved again.  When none joins, the extended point is
+    feasible for the full relaxation (z <= 1 as X <= 1 and S_v >= S_u) and
+    has the restricted optimum's value; the restricted model being a
     relaxation of the full one, that value is the full optimum.  Each round
     adds a pair, so there are at most as many rounds as transitive pairs.
 
-    Every round after the first starts from the previous round's basis.
-    Returns the last restricted model and its solution: ``values`` (aligned
-    with that model), ``x``, ``start`` and ``objective`` come from the last
-    solve, ``z`` holds a value for every transitive pair, and ``iterations``
-    one count per round.
-    """
-    pairs = set()
-    sol, iterations = None, ()
-    while True:
-        model = build_relaxation(inst, pairs)
-        sol = solve_lp(model, warm=sol)
-        iterations = sol.iterations = iterations + sol.iterations
-        if sol.status != "optimal" or inst.rho <= 0:
-            return model, sol
-        z, added = _separate(model, sol)
-        if not added:
-            every = model._layout.pairs
-            machine_ids = [mc.id for mc in inst.machines]
-            keys = ((u, v, i) for u, v in every.ids for i in machine_ids)
-            sol.z = dict(zip(keys, z.ravel().tolist()))
-            return model, sol
-        pairs |= added
-
-
-def _separate(model: LpModel, sol: LpSolution):
-    """z for every transitive pair, as an array in z order by machine (solved
-    values for the model's chosen pairs, least values meeting rows (3) for the
-    others), and the omitted pairs with z > 0 behind each row (4) that z
-    violates, as id tuples.
-
-    Sums run in the same order as a loop over each job's pairs would, so the
-    pairs added do not depend on how the arithmetic is laid out.
+    One HiGHS object serves every round (:class:`_Session`): a round appends
+    the new pairs' columns and rows to the model HiGHS holds, and HiGHS
+    starts from the basis it ended the last round with.  Returns the last
+    restricted model, ``build_relaxation(inst, pairs)`` for the pairs that
+    joined (the first model when none did), and its solution: ``values``
+    (aligned with that model), ``x``, ``start`` and ``objective`` come from
+    the last solve, ``z`` holds a value for every transitive pair, and
+    ``iterations`` one count per round.  A ``ValueError`` from the checks of
+    :func:`solve_lp` can come from any round.
     """
     import numpy as np
 
-    layout = model._layout
+    model = build_relaxation(inst, ())
+    session = _Session(model)
+    layout, iterations = session.layout, ()
+    while True:
+        status, values, objective, count = _run(session.highs)
+        iterations += (count,)
+        if status != "optimal" or inst.rho <= 0:
+            z = None
+            break
+        z, added = _separate(layout, values, session.z_at)
+        if not len(added):
+            break
+        session.add(added)
+    if len(iterations) > 1:
+        # build_relaxation(inst, pairs) for the pairs that joined; the first
+        # model, which holds no z column, lends its scaffold and is replaced
+        chosen = session.z_at >= 0
+        model = _build(_Relaxation(inst, layout.pairs, chosen), model)
+        # the z columns joined round by round; the model lists them by pair
+        z_cols = (session.z_at[chosen][:, None] + np.arange(layout.m)).ravel()
+        values = values[np.concatenate((np.arange(layout.z_base), z_cols))]
+    sol = _solution_from_values(model, values, status, objective)
+    sol.iterations = iterations
+    if z is not None:
+        machine_ids = [mc.id for mc in inst.machines]
+        keys = ((u, v, i) for u, v in layout.pairs.ids for i in machine_ids)
+        sol.z = dict(zip(keys, z.ravel().tolist()))
+    return model, sol
+
+
+def _separate(layout: _Relaxation, values, z_at):
+    """z for every transitive pair, as an array in z order by machine (solved
+    values for the pairs in the model, least values meeting rows (3) for the
+    others), and the omitted pairs with z > 0 behind each row (4) that z
+    violates, as ascending indices into ``layout.pairs``.
+
+    ``values`` are the solved column values of a model whose C, S and x
+    columns are laid out as in ``layout``; ``z_at[k]`` is the column of
+    z_{u,v,0} of pair k (its m columns run by machine), or -1 where the model
+    omits the pair.  Sums run in the same order as a loop over each job's
+    pairs would, so the pairs added do not depend on how the arithmetic is
+    laid out.
+    """
+    import numpy as np
+
     inst, n, m = layout.inst, layout.n, layout.m
     rho = inst.rho
-    every, chosen = layout.pairs, layout.chosen
+    every = layout.pairs
     tu, tv = every.u, every.v
-    values = np.asarray(sol.values)
     start = values[1 : 1 + n]
     prefix = np.cumsum(values[1 + n : layout.z_base].reshape(n, m), axis=1)  # X[v, i]
+    chosen = z_at >= 0
     z = np.empty((len(every.ids), m))
-    z[chosen] = values[layout.z_base :].reshape(-1, m)
+    z[chosen] = values[z_at[chosen][:, None] + np.arange(m)]
     free = ~chosen
     gap = (start[tv[free]] - start[tu[free]]) / rho
     least = prefix[tv[free]] - gap[:, None]
     z[free] = np.where(least > 0.0, least, 0.0)
-    size = np.array([v.size for v in inst.jobs])
-    speed = np.array([mc.speed for mc in inst.machines])
     slot = (tv[:, None] * m + np.arange(m)).ravel()  # (v, i) of each z entry
-    mass = np.bincount(slot, weights=(size[tu][:, None] * z).ravel(), minlength=n * m)
-    load = mass.reshape(n, m) / (rho * speed)
+    mass = np.bincount(slot, weights=(every.size[tu][:, None] * z).ravel(), minlength=n * m)
+    load = mass.reshape(n, m) / (rho * every.speed)
     violated = prefix - load < -SEPARATION_TOL
     added = free & (violated[tv] & (z > 0)).any(axis=1)
-    return z, {every.ids[k] for k in np.flatnonzero(added).tolist()}
+    return z, np.flatnonzero(added)
 
 
 def check_lp_feasibility(solution: LpSolution, model: LpModel, tol: float = FEAS_TOL):

@@ -353,6 +353,23 @@ def test_coefficient_highs_refuses_is_named(tmp_path, capsys):
     )
 
 
+def test_coefficient_first_added_in_round_two_is_named(tmp_path, capsys):
+    # round one holds no row (3); rho = 1e15 enters the rows (3) of the pairs
+    # that round two adds behind v's violated row (4)
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({
+        "rho": 1e15,
+        "jobs": [{"id": f"u{k}", "size": 4e14} for k in range(5)] + [{"id": "v", "size": 1.0}],
+        "machines": [{"id": "m0", "speed": 1.0}],
+        "edges": [[f"u{k}", "v"] for k in range(5)],
+    }))
+    assert run(["schedule", "--input", str(inst_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: [lp] row c3_u0_v_m0 has coefficient -1000000000000000.0; "
+        "HiGHS refuses magnitudes of 1e+15 and above\n"
+    )
+
+
 @pytest.mark.parametrize("command", [
     ["solve"], ["preprocess"], ["validate", "--schedule"], ["analyze", "--schedule"],
     ["dedup", "--schedule"], ["oracle"], ["gap"],

@@ -443,6 +443,24 @@ def test_matrix_value_limit_is_highs_own(monkeypatch):
         solve_lp(_one_row_model(limit))
 
 
+def test_coefficient_first_added_in_round_two_is_named():
+    # round one holds no z column; the z_{u,v,slow} that round two adds has
+    # the entry -size_u / (rho * s_slow) = -5e15 in row (4) of (v, slow), and
+    # the error names it as a rebuilt model's check would
+    jobs = [Job(f"u{k}", 1.0) for k in range(5)] + [Job("v", 1.0)]
+    jobs += [Job(f"w{k}", 1.0) for k in range(4)]
+    edges = [(f"u{k}", "v") for k in range(5)] + [("v", "w0")]
+    edges += [(f"w{k}", f"w{k + 1}") for k in range(3)]
+    machines = [Machine("slow", 1e-11)] + [Machine(f"f{k}", 1e5) for k in range(4)]
+    inst = make_instance(jobs, machines, edges, 2e-5)
+    assert solve_lp(build_relaxation(inst, ())).status == "optimal"  # round one passes
+    with pytest.raises(ValueError, match=re.escape(
+        "row c4_v_slow has coefficient -5000000000000000.0; "
+        "HiGHS refuses magnitudes of 1e+15 and above"
+    )):
+        solve_relaxation(inst)
+
+
 def test_finite_objective_whose_sum_overflows_is_accepted():
     model = LpModel()
     model.objective = {model.add_var(name, 0.0, 1.0): 1e308 for name in "xy"}
@@ -538,19 +556,24 @@ _FALLBACK_ARGS = (10, 3, 0.3, (1, 4), (0.25, 1), 4.0, 2)
 
 
 def test_first_solve_loads_only_the_highs_extension():
-    # also runs on the dependency floor: every binding name solve_lp uses,
-    # the array form of passModel among them, must be there
+    # also runs on the dependency floor: every binding name solve_lp and
+    # solve_relaxation use, the array form of passModel, addRows and addCols
+    # among them, must be there
     facts = _facts_from_fresh_interpreter(f"""
 import json, sys
-from delaysched import LpModel, gen_random_dag, run_pipeline, solve_lp
+from delaysched import (LpModel, filter_slow_machines, gen_random_dag, normalize_instance,
+                        run_pipeline, solve_lp, solve_relaxation)
 run_pipeline(gen_random_dag(8, 2, 0.3, (1, 4), (0.25, 1), 4.0, 1))
+# two separation rounds, so addRows and addCols run too
+norm, _ = normalize_instance(gen_random_dag(12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 52))
+rounds = len(solve_relaxation(filter_slow_machines(norm).filtered)[1].iterations)
 model = LpModel()
 x, y = model.add_var("x"), model.add_var("y")
 model.objective = {{x: 1.0, y: 1.0}}
 model.add_row("a", {{x: 1.0, y: 2.0}}, ">=", 2.0)
 model.add_row("b", {{x: 3.0, y: 1.0}}, ">=", 3.0)
 two_by_two = solve_lp(model)
-facts = {{"optimize_loaded": "scipy.optimize" in sys.modules,
+facts = {{"optimize_loaded": "scipy.optimize" in sys.modules, "rounds": rounds,
           "two_by_two": [two_by_two.status, two_by_two.values]}}
 used = sys.modules["scipy.optimize._highspy._core"]  # solve_lp reads its names from this entry
 from scipy.optimize import linprog
@@ -561,6 +584,7 @@ print(json.dumps(facts))
 """)
     status, values = facts.pop("two_by_two")
     assert status == "optimal" and values == pytest.approx([0.8, 0.6], rel=1e-9)
+    assert facts.pop("rounds") == 2
     assert facts == {"optimize_loaded": False, "status": 0, "fun": 1.0, "same_core": True}
 
 

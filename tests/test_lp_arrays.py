@@ -12,6 +12,7 @@ edges, is pinned by digest, and names are shown to be made only on read.
 import functools
 import hashlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -254,19 +255,35 @@ def reference_separate(inst, sol, pairs):
     (32, 8, 0.2, (1, 4), (0.25, 1), 16.0, 3),
     (40, 4, 0.1, (1, 4), (0.25, 1), 1.0, 4),
 ])
-def test_separation_matches_the_loop_in_every_round(args):
+def test_separation_matches_the_loop_in_every_round(monkeypatch, args):
     inst = pipeline_input(args)
-    pairs, sol = set(), None  # the rounds solve_relaxation takes
-    while True:
-        model = build_relaxation(inst, pairs)
-        sol = solve_lp(model, warm=sol)
-        z, added = lp._separate(model, sol)
+    rounds = []  # what _separate saw and gave in each round solve_relaxation takes
+    real = lp._separate
+
+    def recording(layout, values, z_at):
+        z, added = real(layout, values, z_at)
+        rounds.append((values.copy(), z_at.copy(), z, added))
+        return z, added
+
+    monkeypatch.setattr(lp, "_separate", recording)
+    lp.solve_relaxation(inst)
+    ids = lp._Pairs(inst).ids
+    n, m = inst.n, inst.m
+    machine_ids = [mc.id for mc in inst.machines]
+    for values, z_at, z, added in rounds:
+        # the solved point by id: C, S and x columns come first, as in every model
+        sol = types.SimpleNamespace(
+            start={v.id: values[1 + a] for a, v in enumerate(inst.jobs)},
+            x={(v.id, i): values[1 + n + a * m + b]
+               for a, v in enumerate(inst.jobs) for b, i in enumerate(machine_ids)},
+            z={(u, v, i): values[z_at[k] + b]
+               for k, (u, v) in enumerate(ids) if z_at[k] >= 0 for b, i in enumerate(machine_ids)},
+        )
+        pairs = {ids[k] for k in np.flatnonzero(z_at >= 0).tolist()}
         want_z, want_added = reference_separate(inst, sol, pairs)
-        assert added == want_added
+        assert {ids[k] for k in added.tolist()} == want_added
         assert dict(zip(want_z, z.ravel().tolist())) == want_z
-        if not added:
-            break
-        pairs |= added
+    assert rounds and not len(rounds[-1][3])  # the last round adds none
 
 
 def reference_feasibility(solution, model, tol):

@@ -7,6 +7,7 @@ must be feasible for the full model.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,6 @@ from delaysched import (
     solve_relaxation,
     transitive_predecessors,
 )
-from delaysched import lp
 from delaysched.gaplab import gap_lp_certificate
 from delaysched.lp import FEAS_TOL, LpSolution
 
@@ -100,207 +100,160 @@ def test_duplicate_edges_match_full_model():
     assert_exact(inst)
 
 
+def spy_on_highs(monkeypatch):
+    """Every HiGHS object made from now on; each lists, per run, the columns
+    it held and the simplex iterations the run took."""
+    from scipy.optimize._highspy import _core
+
+    made = []
+
+    class Spy(_core._Highs):
+        def __init__(self):
+            super().__init__()
+            self.runs = []
+            made.append(self)
+
+        def run(self):
+            status = super().run()
+            self.runs.append((self.getNumCol(), self.getInfo().simplex_iteration_count))
+            return status
+
+    monkeypatch.setattr(_core, "_Highs", Spy)
+    return made
+
+
 def test_separation_adds_pairs_until_none_violate(monkeypatch):
-    calls = []
-    real = lp.solve_lp
-
-    def counting(model, *args, **kwargs):
-        calls.append(len(model.z_index))
-        return real(model, *args, **kwargs)
-
-    monkeypatch.setattr(lp, "solve_lp", counting)
-    inst = pipeline_input(12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 52)
-    assert_exact(inst)  # its reference solve does not go through lp.solve_lp
-    assert len(calls) >= 2
-    assert calls[0] == 0  # the first round has no same-phase pairs
-    assert calls == sorted(set(calls))  # every later round adds pairs
+    inst = separation_instance()
+    made = spy_on_highs(monkeypatch)
+    solve_relaxation(inst)
+    (session,) = made  # one HiGHS object serves every round
+    cols = [n_cols for n_cols, _ in session.runs]
+    assert len(cols) >= 2
+    assert cols[0] == 1 + inst.n + inst.n * inst.m  # the first round has no same-phase pairs
+    assert cols == sorted(set(cols))  # every later round adds pairs
+    assert_exact(inst)
 
 
 @pytest.mark.parametrize("layers, degree, seed", [(2, 4, 0), (4, 2, 1)])
 def test_layered_gap_reaches_the_certificate_value(monkeypatch, layers, degree, seed):
     # the certificate's value rho is the LP optimum of the layered family
-    first = []
-    real = lp.solve_lp
-
-    def recording(model, *args, **kwargs):
-        if not first:
-            first.append(len(model.z_index))
-        return real(model, *args, **kwargs)
-
-    monkeypatch.setattr(lp, "solve_lp", recording)
     inst = gen_layered_gap(layers, degree, seed)
+    made = spy_on_highs(monkeypatch)
     _, sol = solve_relaxation(inst)
-    assert first == [0]  # the first round has no z column
+    assert made[0].runs[0][0] == 1 + inst.n + inst.n * inst.m  # the first round has no z column
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(gap_lp_certificate(inst).objective, rel=1e-9)
     assert sol.objective == pytest.approx(inst.rho, rel=1e-9)
 
 
 def test_later_rounds_start_warm(monkeypatch):
-    rounds = []  # each solve's own iteration counts
-    real = lp.solve_lp
-
-    def recording(model, *args, **kwargs):
-        sol = real(model, *args, **kwargs)
-        rounds.append(sol.iterations)
-        return sol
-
-    monkeypatch.setattr(lp, "solve_lp", recording)
+    made = spy_on_highs(monkeypatch)
     model, sol = solve_relaxation(separation_instance())
-    assert len(rounds) >= 2 and all(len(counts) == 1 for counts in rounds)
-    assert sol.iterations == sum(rounds, ())
+    (session,) = made
+    assert len(session.runs) >= 2
+    assert sol.iterations == tuple(count for _, count in session.runs)
     first, *later = sol.iterations
     assert all(k < first for k in later)
-    assert sol.iterations[-1] < real(model).iterations[0]  # the same model, cold
+    assert sol.iterations[-1] < solve_lp(model).iterations[0]  # the same model, cold
 
 
-def column_identity(model):
-    """What each column stands for: ("C",), ("S", v), ("x", v, i) or ("z", u, v, i)."""
-    out = [None] * model.n_vars
-    out[model.c_index] = ("C",)
-    for v, idx in model.s_index.items():
-        out[idx] = ("S", v)
-    for key, idx in model.x_index.items():
-        out[idx] = ("x", *key)
-    for key, idx in model.z_index.items():
-        out[idx] = ("z", *key)
-    return out
-
-
-def row_identity(model):
-    """What each row stands for, read from the row itself: its family and the
-    columns other than z in it, which tell the pair, job or machine apart
-    whatever the ids are called (a row (4) gains z terms between rounds)."""
-    cols = column_identity(model)
-    return [
-        (name.split("_")[0], frozenset(cols[j] for j in coeffs if cols[j][0] != "z"))
-        for name, coeffs, _, _ in model.rows
+def canonical(cost, col_lower, col_upper, row_lower, row_upper, entries, fixed):
+    """A model as sets that do not depend on the order of its z columns and
+    rows: the first ``fixed`` columns (C, S and x) by position, every other
+    column by its bounds and its entries, every row by its bounds and its
+    entries in the fixed columns.  ``entries`` are (row, column, value).
+    Asserts that no two rows and no two columns get the same key, so two
+    models with equal canonical forms differ by a permutation only."""
+    rows = [[] for _ in row_lower]
+    cols = [[] for _ in col_lower]
+    for r, j, a in entries:
+        rows[r].append((j, a))
+        cols[j].append((r, a))
+    row_key = [
+        (lo, hi, frozenset((j, a) for j, a in terms if j < fixed))
+        for lo, hi, terms in zip(row_lower, row_upper, rows)
     ]
-
-
-def spy_on_set_basis(monkeypatch):
-    """The (col_status, row_status) of every ``setBasis`` call from now on."""
-    from scipy.optimize._highspy import _core
-
-    given = []
-
-    class Spy(_core._Highs):
-        def setBasis(self, basis):
-            given.append((list(basis.col_status), list(basis.row_status)))
-            return super().setBasis(basis)
-
-    monkeypatch.setattr(_core, "_Highs", Spy)
-    return given
-
-
-def solved_rounds(monkeypatch, inst):
-    """Every round as (model, solution), and the statuses each round after
-    the first was started from."""
-    solved = []
-    real = lp.solve_lp
-
-    def recording(model, *args, **kwargs):
-        solved.append((model, real(model, *args, **kwargs)))
-        return solved[-1][1]
-
-    given = spy_on_set_basis(monkeypatch)
-    monkeypatch.setattr(lp, "solve_lp", recording)
-    solve_relaxation(inst)
-    assert len(solved) >= 2 and len(given) == len(solved) - 1  # round one starts cold
-    return solved, given
-
-
-def assert_carried(first, sol, second, cols, rows):
-    """``cols`` and ``rows``, the statuses ``second`` was started from, are
-    those ``sol`` ended with on the same column or row of ``first``, and the
-    defaults where ``first`` has none."""
-    from scipy.optimize._highspy import _core
-
-    layout, col_status, row_status = sol.basis
-    assert layout is first._layout
-    col_was = dict(zip(column_identity(first), col_status))
-    row_was = dict(zip(row_identity(first), row_status))
-    # every column and row stands for something different, in both models
-    assert len(col_was) == first.n_vars and len(row_was) == len(first.rows)
-    assert len(set(row_identity(second))) == len(second.rows)
-    assert col_was.keys() <= set(column_identity(second))
-    assert row_was.keys() <= set(row_identity(second))
-    kept, kept_rows = _core.HighsBasisStatus.kLower, _core.HighsBasisStatus.kBasic
-    assert cols == [col_was.get(c, kept) for c in column_identity(second)]
-    assert rows == [row_was.get(r, kept_rows) for r in row_identity(second)]
-    assert len(cols) > first.n_vars and len(rows) > len(first.rows)  # new ones exist
-
-
-def assert_each_round_keeps_the_previous_statuses(monkeypatch, inst):
-    """Returns the rounds as (model, solution)."""
-    solved, given = solved_rounds(monkeypatch, inst)
-    for (first, sol), (second, _), (cols, rows) in zip(solved, solved[1:], given):
-        assert_carried(first, sol, second, cols, rows)
-    return solved
-
-
-def test_round_two_basis_keeps_round_one_statuses(monkeypatch):
-    assert_each_round_keeps_the_previous_statuses(monkeypatch, separation_instance())
-
-
-def test_every_round_keeps_the_previous_round_statuses(monkeypatch):
-    # lp_heavy-shaped, three rounds; new z columns land between carried ones
-    inst = pipeline_input(32, 8, 0.2, (1, 4), (0.25, 1), 16.0, 2)
-    solved = assert_each_round_keeps_the_previous_statuses(monkeypatch, inst)
-    assert len(solved) >= 3
-    models = [model for model, _ in solved]
-    assert any(
-        column_identity(second)[: first.n_vars] != column_identity(first)
-        for first, second in zip(models, models[1:])
+    col_key = [
+        j if j < fixed else (lo, hi, c, frozenset((row_key[r], a) for r, a in terms))
+        for j, (lo, hi, c, terms) in enumerate(zip(col_lower, col_upper, cost, cols))
+    ]
+    assert len(set(row_key)) == len(rows) and len(set(col_key)) == len(cols)
+    return (
+        [(lo, hi, c) for lo, hi, c in zip(col_lower[:fixed], col_upper[:fixed], cost[:fixed])],
+        set(col_key[fixed:]),
+        {(key, frozenset((col_key[j], a) for j, a in terms)) for key, terms in zip(row_key, rows)},
     )
 
 
-def test_new_rows_four_between_carried_ones_keep_their_order(monkeypatch):
-    # a job gains its rows (4) in the round that adds its first pair, so a
-    # later round can add rows (4) between carried ones; this builds such a
-    # step directly, whatever rounds solve_relaxation happens to take
-    inst = separation_instance()
-    every = lp._Pairs(inst).ids
-    with_pairs = {v for _, v in every}
-    jobs = [v.id for v in inst.jobs if v.id in with_pairs]
-    few = {(u, v) for u, v in every if v in jobs[::2]}
-    first = build_relaxation(inst, few)
-    sol = solve_lp(first)
-    second = build_relaxation(inst, set(every))
-    new = set(second._layout.c4.tolist()) - set(first._layout.c4.tolist())
-    assert min(first._layout.c4) < min(new) < max(first._layout.c4)
-    given = spy_on_set_basis(monkeypatch)
-    assert solve_lp(second, warm=sol).status == "optimal"
-    (cols, rows), = given
-    assert_carried(first, sol, second, cols, rows)
+def model_form(model):
+    cost = [model.objective.get(j, 0.0) for j in range(model.n_vars)]
+    entries = [(r, j, a) for r, (_, coeffs, _, _) in enumerate(model.rows) for j, a in coeffs.items()]
+    return canonical(cost, *(list(map(float, a)) for a in (
+        model.col_lower, model.col_upper, model.row_lower, model.row_upper)),
+        entries, 1 + len(model.s_index) + len(model.x_index))
 
 
-def test_other_warm_sources_start_cold(monkeypatch):
-    from delaysched.gaplab import build_alternate_relaxation
+def highs_form(highs, fixed):
+    from scipy.optimize._highspy import _core
 
-    inst = separation_instance()
-    model = build_relaxation(inst, set(inst.edges))
-    sol = solve_lp(model)
-    equal = make_instance(inst.jobs, inst.machines, inst.edges, inst.rho)  # another object
-    alternate = build_alternate_relaxation(inst, "same_machine")
-    alternate_sol = solve_lp(alternate)
-    assert alternate_sol.status == "optimal" and alternate_sol.basis is None
-    given = spy_on_set_basis(monkeypatch)
-    for target, warm in [
-        (build_relaxation(equal, set(inst.edges)), sol),
-        (build_relaxation(inst, set(inst.edges)), alternate_sol),
-        (alternate, sol),
-    ]:
-        assert solve_lp(target, warm=warm).status == "optimal"
-    assert given == []
-    assert solve_lp(build_relaxation(inst), warm=sol).status == "optimal"
-    assert len(given) == 1  # the same instance, a later relaxation
+    held = highs.getLp()
+    matrix = held.a_matrix_
+    rowwise = matrix.format_ == _core.MatrixFormat.kRowwise
+    start, index, value = matrix.start_, matrix.index_, matrix.value_  # each read copies
+    entries = [
+        (k, index[p], value[p]) if rowwise else (index[p], k, value[p])
+        for k in range(len(start) - 1)
+        for p in range(start[k], start[k + 1])
+    ]
+    return canonical(list(held.col_cost_), list(held.col_lower_), list(held.col_upper_),
+                     list(held.row_lower_), list(held.row_upper_), entries, fixed)
+
+
+def assert_session_holds_the_final_relaxation(monkeypatch, inst):
+    """Returns the rounds solve_relaxation took."""
+    made = spy_on_highs(monkeypatch)
+    model, sol = solve_relaxation(inst)
+    (session,) = made
+    final = build_relaxation(inst, {(u, v) for u, v, _ in model.z_index})
+    for name in ("col_lower", "col_upper", "row_lower", "row_upper", "row_start", "row_cols", "row_vals"):
+        assert np.array_equal(getattr(model, name), getattr(final, name))
+    assert model.z_index == final.z_index
+    fixed = 1 + inst.n + inst.n * inst.m
+    assert highs_form(session, fixed) == model_form(final)
+    assert not check_lp_feasibility(sol, model, FEAS_TOL)
+    return len(sol.iterations)
+
+
+@pytest.mark.parametrize("inst, rounds", [
+    (pipeline_input(32, 8, 0.2, (1, 4), (0.25, 1), 16.0, 2), 3),  # lp_heavy-shaped
+    (gen_layered_gap(4, 2, 1), 1),
+    # a job that has rows (4) gains more pairs in a later round, whose z
+    # entries go into those rows
+    (pipeline_input(60, 8, 0.1, (1, 4), (0.25, 1), 16.0, 10), 4),
+], ids=["lp_heavy-2", "layered-4-2", "rows-four-grow"])
+def test_session_holds_the_final_relaxation(monkeypatch, inst, rounds):
+    # after the last round, what HiGHS holds is the model solve_relaxation
+    # returns, up to the order of the z columns and of the rows
+    assert assert_session_holds_the_final_relaxation(monkeypatch, inst) == rounds
+
+
+def test_rejected_append_raises(monkeypatch):
+    from scipy.optimize._highspy import _core
+
+    class Refusing(_core._Highs):
+        def addCols(self, *args):
+            super().addCols(*args)
+            return _core.HighsStatus.kWarning
+
+    monkeypatch.setattr(_core, "_Highs", Refusing)
+    with pytest.raises(ValueError, match="^HiGHS rejected the rows and columns of a separation round$"):
+        solve_relaxation(separation_instance())
 
 
 def test_colliding_ids_reach_the_full_optimum(monkeypatch):
     # "a-b" and "a_b" give the same model names, and both are chosen
-    # predecessors of j0; round two still starts each column and row from the
-    # status of its own job, pair and machine
+    # predecessors of j0; the columns and rows HiGHS holds still stand for
+    # their own jobs, pairs and machines
     base = separation_instance()
     rename = {"j1": "a-b", "j2": "a_b"}.get
     inst = make_instance(
@@ -314,7 +267,7 @@ def test_colliding_ids_reach_the_full_optimum(monkeypatch):
     assert len(set(z_names)) < len(z_names)
     assert len(sol.iterations) >= 2
     assert_exact(inst)
-    assert_each_round_keeps_the_previous_statuses(monkeypatch, inst)
+    assert assert_session_holds_the_final_relaxation(monkeypatch, inst) >= 2
 
 
 @settings(max_examples=200, deadline=None)

@@ -80,6 +80,16 @@ def _require_valid(inst: Instance) -> Instance:
     return inst
 
 
+def _solve_relaxation(inst: Instance) -> lp.LpSolution:
+    """``lp.solve_relaxation(inst)``, with a ``ValueError`` from it or a
+    solution that is not optimal raised as ``PipelineError("lp", ...)``."""
+    with _stage("lp"):
+        sol = lp.solve_relaxation(inst)
+    if sol.status != "optimal":
+        raise PipelineError("lp", f"solver returned {sol.status}")
+    return sol
+
+
 def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> PipelineResult:
     config = config or PipelineConfig()
     _require_valid(inst)
@@ -94,10 +104,7 @@ def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> Pipeli
         work = filtered.filtered
         removed = filtered.removed_ids
 
-    with _stage("lp"):
-        _, sol = lp.solve_relaxation(work)
-    if sol.status != "optimal":
-        raise PipelineError("lp", f"solver returned {sol.status}")
+    sol = _solve_relaxation(work)
 
     groups = grouping.partition_machine_groups(work)
     assignment = grouping.assign_job_groups(work, sol, groups)
@@ -302,7 +309,7 @@ def _dispatch(args) -> int:
             # the export writes the full model; the solve generates pairs lazily
             if args.export_lp:
                 _write(lp.export_lp_text(lp.build_relaxation(norm)), args.export_lp)
-            _, sol = lp.solve_relaxation(norm)
+            sol = lp.solve_relaxation(norm)
         else:
             from .gaplab import build_alternate_relaxation
 
@@ -362,7 +369,7 @@ def _dispatch(args) -> int:
                 for p in sched.placements
             )
         )
-        _, sol = lp.solve_relaxation(norm)
+        sol = _solve_relaxation(norm)
         groups = grouping.partition_machine_groups(norm)
         assignment = grouping.assign_job_groups(norm, sol, groups)
         report = schedmodel.lemma_diagnostics(

@@ -22,7 +22,6 @@ from .lp import (
     _scaffold,
     _solution_from_values,
     build_relaxation,
-    solve_relaxation,
 )
 
 _LAYER_RE = re.compile(r"^L(\d+)_j\d+$")
@@ -279,7 +278,7 @@ class GapReport:
 
 def measure_gap(inst: Instance, eta: float | None = None) -> GapReport:
     """LP value (certificate when layered), pipeline and baseline makespans."""
-    from .cli import PipelineConfig, run_pipeline
+    from .cli import PipelineConfig, _solve_relaxation, run_pipeline
     from .oracle import combinatorial_baseline
     from .schedmodel import makespan
 
@@ -288,8 +287,7 @@ def measure_gap(inst: Instance, eta: float | None = None) -> GapReport:
         lp_value = float(inst.rho)
         lp_source = "certificate"
     except ValueError:
-        _, sol = solve_relaxation(inst)
-        lp_value = sol.objective
+        lp_value = _solve_relaxation(inst).objective
         lp_source = "solved"
 
     result = run_pipeline(inst, PipelineConfig(eta=eta))

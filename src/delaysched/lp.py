@@ -29,7 +29,8 @@ Column and row names are made only when something reads them: ``var_names``,
 :func:`solve_relaxation` keeps one HiGHS object per instance (:class:`_Session`):
 the first model goes in whole, and each separation round appends its columns
 and rows to the model HiGHS holds, so HiGHS keeps its basis and factorization
-from one round to the next.
+from one round to the next.  Its solution holds the columns in HiGHS's order
+and names the pairs that joined; only the first model is built in Python.
 
 Every model is solved by the HiGHS dual simplex bundled with scipy (1.15 or
 later), driven through scipy's private binding: the arrays go to HiGHS in
@@ -192,16 +193,22 @@ class LpModel:
 class LpSolution:
     """Variable assignment with objective; status 'feasible' marks constructed
     (not solver-optimal) solutions such as embeddings and gap certificates.
-    ``values`` is aligned with the model's ``var_names``.  ``iterations``
-    holds the simplex iteration count of each solve behind the solution."""
+    ``values`` is aligned with the model's ``var_names``, except on the
+    solution of :func:`solve_relaxation`, which has no model: there it holds
+    C, S and x, then m z columns per pair of ``pairs`` in that order.
+    ``pairs`` (empty on every other solution) names the same-phase pairs
+    (u, v) in the order they joined, and ``build_relaxation(inst,
+    set(pairs))`` is the last restricted model, up to the order of its z
+    columns.  ``iterations`` holds the simplex iteration count of each solve
+    behind the solution."""
 
     values: tuple[float, ...]
     objective: float
     status: str
     x: dict[tuple[str, str], float] = field(default_factory=dict)
-    z: dict[tuple[str, str, str], float] = field(default_factory=dict)
     start: dict[str, float] = field(default_factory=dict)
     iterations: tuple[int, ...] = ()
+    pairs: tuple[tuple[str, str], ...] = ()
 
 
 def _safe(name: str) -> str:
@@ -285,16 +292,17 @@ class _Relaxation(_Scaffold):
     """Structure of a (restricted) relaxation: the scaffold's columns, then
     z_{u,v,i} per chosen pair and machine, then rows (1) to (6).
 
-    ``chosen`` marks the pairs of ``pairs`` that have z columns; ``c1`` are
-    the jobs with rows (1) and ``eu``, ``ev`` the edges with rows (2), in row
-    order (:func:`_unimplied`); ``c4`` are the jobs with rows (4).
+    ``chosen`` marks the pairs of ``pairs`` that have z columns, ``pu`` and
+    ``pv`` by job index; ``c1`` are the jobs with rows (1) and ``eu``, ``ev``
+    the edges with rows (2), in row order (:func:`_unimplied`); ``c4`` are
+    the jobs with rows (4).
     """
 
     def __init__(self, inst: Instance, pairs: _Pairs, chosen):
         import numpy as np
 
         super().__init__(inst)
-        self.pairs, self.chosen = pairs, chosen
+        self.pairs = pairs
         self.c1, self.eu, self.ev = pairs.unimplied
         self.pu, self.pv = pairs.u[chosen], pairs.v[chosen]
         # jobs with rows (4), in job order (np.unique would load numpy.ma)
@@ -373,16 +381,8 @@ def build_relaxation(inst: Instance, pairs=None) -> LpModel:
     else:
         wanted = set(pairs)
         chosen = np.fromiter((p in wanted for p in every.ids), dtype=bool, count=len(every.ids))
-    return _build(_Relaxation(inst, every, chosen), _scaffold(inst))
-
-
-def _build(layout: _Relaxation, model: LpModel) -> LpModel:
-    """``model``, which has the index dicts and objective of
-    :func:`_scaffold` for ``layout``'s instance, holding the columns and rows
-    of ``layout``; the arrays it held before are replaced."""
-    import numpy as np
-
-    inst, every = layout.inst, layout.pairs
+    layout = _Relaxation(inst, every, chosen)
+    model = _scaffold(inst)
     model._layout = layout
     n, m, rho = inst.n, inst.m, inst.rho
     size, speed = every.size, every.speed
@@ -434,7 +434,7 @@ def _build(layout: _Relaxation, model: LpModel) -> LpModel:
     machine_ids = [mc.id for mc in inst.machines]
     z_keys = (
         (u, v, i)
-        for (u, v), c in zip(every.ids, layout.chosen.tolist()) if c
+        for (u, v), c in zip(every.ids, chosen.tolist()) if c
         for i in machine_ids
     )
     model.z_index = dict(zip(z_keys, range(layout.z_base, layout.z_base + n_pairs * m)))
@@ -463,7 +463,6 @@ def _solution_from_values(model: LpModel, values_arr, status, objective):
     values = tuple(map(float, values_arr))
     sol = LpSolution(values=values, objective=float(objective), status=status)
     sol.x = {key: values[idx] for key, idx in model.x_index.items()}
-    sol.z = {key: values[idx] for key, idx in model.z_index.items()}
     sol.start = {key: values[idx] for key, idx in model.s_index.items()}
     return sol
 
@@ -687,7 +686,7 @@ class _Session:
             raise ValueError("HiGHS rejected the rows and columns of a separation round")
 
 
-def solve_relaxation(inst: Instance) -> tuple[LpModel, LpSolution]:
+def solve_relaxation(inst: Instance) -> LpSolution:
     """Optimum of the full relaxation, found by lazy same-phase pair generation.
 
     The first restricted model has no same-phase pairs: C, S and x, with rows
@@ -707,43 +706,29 @@ def solve_relaxation(inst: Instance) -> tuple[LpModel, LpSolution]:
     One HiGHS object serves every round (:class:`_Session`): a round appends
     the new pairs' columns and rows to the model HiGHS holds, and HiGHS
     starts from the basis it ended the last round with.  Returns the last
-    restricted model, ``build_relaxation(inst, pairs)`` for the pairs that
-    joined (the first model when none did), and its solution: ``values``
-    (aligned with that model), ``x``, ``start`` and ``objective`` come from
-    the last solve, ``z`` holds a value for every transitive pair, and
-    ``iterations`` one count per round.  A ``ValueError`` from the checks of
-    :func:`solve_lp` can come from any round.
+    solve's solution: ``values`` are the columns as HiGHS holds them (C, S
+    and x, then m z columns per joined pair), ``pairs`` the joined pairs in
+    the order of those columns, ``x``, ``start`` and ``objective`` as read
+    from them, and ``iterations`` one count per round.  A ``ValueError``
+    from the checks of :func:`solve_lp` can come from any round.
     """
-    import numpy as np
-
     model = build_relaxation(inst, ())
     session = _Session(model)
-    layout, iterations = session.layout, ()
+    iterations, joined = (), []
     while True:
         status, values, objective, count = _run(session.highs)
         iterations += (count,)
         if status != "optimal" or inst.rho <= 0:
-            z = None
             break
-        z, added = _separate(layout, values, session.z_at)
+        _, added = _separate(session.layout, values, session.z_at)
         if not len(added):
             break
         session.add(added)
-    if len(iterations) > 1:
-        # build_relaxation(inst, pairs) for the pairs that joined; the first
-        # model, which holds no z column, lends its scaffold and is replaced
-        chosen = session.z_at >= 0
-        model = _build(_Relaxation(inst, layout.pairs, chosen), model)
-        # the z columns joined round by round; the model lists them by pair
-        z_cols = (session.z_at[chosen][:, None] + np.arange(layout.m)).ravel()
-        values = values[np.concatenate((np.arange(layout.z_base), z_cols))]
+        joined += added.tolist()
     sol = _solution_from_values(model, values, status, objective)
     sol.iterations = iterations
-    if z is not None:
-        machine_ids = [mc.id for mc in inst.machines]
-        keys = ((u, v, i) for u, v in layout.pairs.ids for i in machine_ids)
-        sol.z = dict(zip(keys, z.ravel().tolist()))
-    return model, sol
+    sol.pairs = tuple(session.layout.pairs.ids[k] for k in joined)
+    return sol
 
 
 def _separate(layout: _Relaxation, values, z_at):

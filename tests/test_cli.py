@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -223,6 +224,58 @@ def test_analyze_checks_eta_before_the_solve(tmp_path, capsys, monkeypatch):
     assert run(["analyze", "--input", str(inst_path), "--schedule", str(sched_path),
                 "--eta", "0.5", "--output", str(tmp_path / "analysis.json")]) == 2
     assert capsys.readouterr().err == "error: eta must be >= 1\n"
+
+
+def _first_solve_fails(monkeypatch, failure):
+    """Make the first ``lp.solve_relaxation`` call fail: return a solution of
+    status ``error`` (x all zero, objective NaN) when ``failure`` is "error",
+    else raise ``ValueError``; later calls solve as usual."""
+    from delaysched import lp
+
+    real = lp.solve_relaxation
+    calls = []
+
+    def first_fails(inst):
+        calls.append(inst)
+        if len(calls) > 1:
+            return real(inst)
+        if failure != "error":
+            raise ValueError("injected failure")
+        x = {(v.id, mc.id): 0.0 for v in inst.jobs for mc in inst.machines}
+        return lp.LpSolution((), math.nan, "error", x=x, start={v.id: 0.0 for v in inst.jobs})
+
+    monkeypatch.setattr(lp, "solve_relaxation", first_fails)
+
+
+@pytest.mark.parametrize("failure, message", [
+    ("error", "[lp] solver returned error"),
+    ("raise", "[lp] injected failure"),
+])
+def test_analyze_stops_when_the_lp_fails(tmp_path, capsys, monkeypatch, failure, message):
+    inst_path = tmp_path / "inst.json"
+    sched_path = tmp_path / "sched.json"
+    out = tmp_path / "analysis.json"
+    run(["gen", "--kind", "random", "--n", "6", "--m", "2", "--rho", "2",
+         "--seed", "6", "--output", str(inst_path)])
+    run(["schedule", "--input", str(inst_path), "--output", str(sched_path)])
+    capsys.readouterr()
+    _first_solve_fails(monkeypatch, failure)
+    assert run(["analyze", "--input", str(inst_path), "--schedule", str(sched_path),
+                "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_gap_stops_when_the_lp_fails(tmp_path, capsys, monkeypatch):
+    # measure_gap solves the relaxation of a non-layered instance before the
+    # pipeline does; a NaN LP value would be written as bare NaN, not JSON
+    inst_path = tmp_path / "inst.json"
+    out = tmp_path / "gap.json"
+    inst_path.write_text(json.dumps(_RANDOM))
+    _first_solve_fails(monkeypatch, "error")
+    assert run(["gap", "--input", str(inst_path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [lp] solver returned error\n"
+    assert not out.exists()
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch):

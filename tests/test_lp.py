@@ -566,7 +566,7 @@ from delaysched import (LpModel, filter_slow_machines, gen_random_dag, normalize
 run_pipeline(gen_random_dag(8, 2, 0.3, (1, 4), (0.25, 1), 4.0, 1))
 # two separation rounds, so addRows and addCols run too
 norm, _ = normalize_instance(gen_random_dag(12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 52))
-rounds = len(solve_relaxation(filter_slow_machines(norm).filtered)[1].iterations)
+rounds = len(solve_relaxation(filter_slow_machines(norm).filtered).iterations)
 model = LpModel()
 x, y = model.add_var("x"), model.add_var("y")
 model.objective = {{x: 1.0, y: 1.0}}
@@ -595,8 +595,8 @@ import importlib.machinery, json, sys
 importlib.machinery.EXTENSION_SUFFIXES = []
 from delaysched import gen_random_dag, normalize_instance, solve_relaxation
 inst, _ = normalize_instance(gen_random_dag(*{_FALLBACK_ARGS!r}))
-objective = solve_relaxation(inst)[1].objective
+objective = solve_relaxation(inst).objective
 print(json.dumps({{"objective": objective, "optimize_loaded": "scipy.optimize" in sys.modules}}))
 """)
     inst, _ = normalize_instance(gen_random_dag(*_FALLBACK_ARGS))
-    assert facts == {"objective": solve_relaxation(inst)[1].objective, "optimize_loaded": True}
+    assert facts == {"objective": solve_relaxation(inst).objective, "optimize_loaded": True}

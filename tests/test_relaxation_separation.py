@@ -1,13 +1,13 @@
 """Lazy same-phase pair generation against the full relaxation.
 
 ``solve_relaxation`` must reach the full model's optimum, and its extended
-point (C, S and x from the last restricted solve, z for every transitive pair)
-must be feasible for the full model.
+point (C, S and x from the last restricted solve, the solved z of the pairs
+that joined, the least z rows (3) allow for every other transitive pair) must
+be feasible for the full model.
 """
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,29 +31,53 @@ from delaysched.gaplab import gap_lp_certificate
 from delaysched.lp import FEAS_TOL, LpSolution
 
 
-def extended_point(full, model, sol):
-    """The restricted solution as a point of the full model ``full``."""
-    values = [0.0] * full.n_vars
-    values[full.c_index] = sol.values[model.c_index]
-    for key, idx in full.x_index.items():
+def solved_z(inst, sol):
+    """The z values of ``solve_relaxation``'s solution by (u, v, i): m
+    columns per pair of ``sol.pairs``, in that order, after C, S and x."""
+    base = 1 + inst.n + inst.n * inst.m
+    machines = [mc.id for mc in inst.machines]
+    return {
+        (u, v, i): sol.values[base + k * inst.m + b]
+        for k, (u, v) in enumerate(sol.pairs) for b, i in enumerate(machines)
+    }
+
+
+def least_z(inst, sol, u, v, i):
+    """The least z_{u,v,i} rows (3) allow at the solved x and S:
+    max(0, X[v,i] - (S_v - S_u) / rho) with X[v,i] = x[v,1] + ... + x[v,i]."""
+    machines = [mc.id for mc in inst.machines]
+    prefix = sum(sol.x[(v, k)] for k in machines[: machines.index(i) + 1])
+    return max(0.0, prefix - (sol.start[v] - sol.start[u]) / inst.rho)
+
+
+def point(model, sol, z):
+    """C, S and x of ``sol`` and the values ``z`` as a point of ``model``."""
+    values = [0.0] * model.n_vars
+    values[model.c_index] = sol.values[0]
+    for key, idx in model.x_index.items():
         values[idx] = sol.x[key]
-    for key, idx in full.s_index.items():
+    for key, idx in model.s_index.items():
         values[idx] = sol.start[key]
-    for key, idx in full.z_index.items():
-        values[idx] = sol.z[key]
+    for key, idx in model.z_index.items():
+        values[idx] = z[key]
     return LpSolution(tuple(values), sol.objective, "feasible")
 
 
 def assert_exact(inst):
     full = build_relaxation(inst)
     reference = solve_lp(full)
-    model, sol = solve_relaxation(inst)
+    sol = solve_relaxation(inst)
     assert sol.status == reference.status == "optimal"
     assert sol.objective == pytest.approx(reference.objective, rel=1e-9)
-    assert set(sol.z) == set(full.z_index)
-    assert sol.values[model.c_index] == pytest.approx(sol.objective, rel=1e-9)
-    assert not check_lp_feasibility(extended_point(full, model, sol), full, FEAS_TOL)
-    assert not check_lp_feasibility(sol, model, FEAS_TOL)
+    assert len(set(sol.pairs)) == len(sol.pairs)
+    assert len(sol.values) == 1 + inst.n + inst.n * inst.m + inst.m * len(sol.pairs)
+    assert sol.values[0] == pytest.approx(sol.objective, rel=1e-9)  # C
+    z = solved_z(inst, sol)
+    extended = {key: z[key] if key in z else least_z(inst, sol, *key) for key in full.z_index}
+    assert not check_lp_feasibility(point(full, sol, extended), full, FEAS_TOL)
+    model = build_relaxation(inst, set(sol.pairs))
+    assert set(model.z_index) == set(z)
+    assert not check_lp_feasibility(point(model, sol, z), model, FEAS_TOL)
 
 
 def pipeline_input(*args):
@@ -139,7 +163,7 @@ def test_layered_gap_reaches_the_certificate_value(monkeypatch, layers, degree, 
     # the certificate's value rho is the LP optimum of the layered family
     inst = gen_layered_gap(layers, degree, seed)
     made = spy_on_highs(monkeypatch)
-    _, sol = solve_relaxation(inst)
+    sol = solve_relaxation(inst)
     assert made[0].runs[0][0] == 1 + inst.n + inst.n * inst.m  # the first round has no z column
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(gap_lp_certificate(inst).objective, rel=1e-9)
@@ -147,53 +171,56 @@ def test_layered_gap_reaches_the_certificate_value(monkeypatch, layers, degree, 
 
 
 def test_later_rounds_start_warm(monkeypatch):
+    inst = separation_instance()
     made = spy_on_highs(monkeypatch)
-    model, sol = solve_relaxation(separation_instance())
+    sol = solve_relaxation(inst)
     (session,) = made
     assert len(session.runs) >= 2
     assert sol.iterations == tuple(count for _, count in session.runs)
     first, *later = sol.iterations
     assert all(k < first for k in later)
+    model = build_relaxation(inst, set(sol.pairs))
     assert sol.iterations[-1] < solve_lp(model).iterations[0]  # the same model, cold
 
 
-def canonical(cost, col_lower, col_upper, row_lower, row_upper, entries, fixed):
-    """A model as sets that do not depend on the order of its z columns and
-    rows: the first ``fixed`` columns (C, S and x) by position, every other
-    column by its bounds and its entries, every row by its bounds and its
-    entries in the fixed columns.  ``entries`` are (row, column, value).
-    Asserts that no two rows and no two columns get the same key, so two
-    models with equal canonical forms differ by a permutation only."""
+def canonical(cost, col_lower, col_upper, row_lower, row_upper, entries):
+    """A model as its columns by position and its rows as a set, so that two
+    models compare equal when they differ in the order of their rows only.
+    ``entries`` are (row, column, value).  Asserts that no two rows are
+    equal."""
     rows = [[] for _ in row_lower]
-    cols = [[] for _ in col_lower]
     for r, j, a in entries:
         rows[r].append((j, a))
-        cols[j].append((r, a))
-    row_key = [
-        (lo, hi, frozenset((j, a) for j, a in terms if j < fixed))
-        for lo, hi, terms in zip(row_lower, row_upper, rows)
-    ]
-    col_key = [
-        j if j < fixed else (lo, hi, c, frozenset((row_key[r], a) for r, a in terms))
-        for j, (lo, hi, c, terms) in enumerate(zip(col_lower, col_upper, cost, cols))
-    ]
-    assert len(set(row_key)) == len(rows) and len(set(col_key)) == len(cols)
-    return (
-        [(lo, hi, c) for lo, hi, c in zip(col_lower[:fixed], col_upper[:fixed], cost[:fixed])],
-        set(col_key[fixed:]),
-        {(key, frozenset((col_key[j], a) for j, a in terms)) for key, terms in zip(row_key, rows)},
-    )
+    row_key = [(lo, hi, frozenset(terms)) for lo, hi, terms in zip(row_lower, row_upper, rows)]
+    assert len(set(row_key)) == len(rows)
+    return list(zip(col_lower, col_upper, cost)), set(row_key)
 
 
-def model_form(model):
-    cost = [model.objective.get(j, 0.0) for j in range(model.n_vars)]
-    entries = [(r, j, a) for r, (_, coeffs, _, _) in enumerate(model.rows) for j, a in coeffs.items()]
-    return canonical(cost, *(list(map(float, a)) for a in (
-        model.col_lower, model.col_upper, model.row_lower, model.row_upper)),
-        entries, 1 + len(model.s_index) + len(model.x_index))
+def session_columns(inst, model, pairs):
+    """Where HiGHS holds each column of ``model`` when the z columns joined in
+    the order of ``pairs``: C, S and x in place, then m columns per pair."""
+    at = list(range(model.n_vars))
+    k_of = {pair: k for k, pair in enumerate(pairs)}
+    b_of = {mc.id: b for b, mc in enumerate(inst.machines)}
+    base = 1 + inst.n + inst.n * inst.m
+    for (u, v, i), j in model.z_index.items():
+        at[j] = base + k_of[(u, v)] * inst.m + b_of[i]
+    return at
 
 
-def highs_form(highs, fixed):
+def model_form(model, at):
+    """The canonical form of ``model`` with its column j moved to ``at[j]``."""
+    n = model.n_vars
+    cost, lower, upper = [0.0] * n, [0.0] * n, [0.0] * n
+    for j, lo, hi in zip(range(n), model.col_lower, model.col_upper):
+        cost[at[j]], lower[at[j]], upper[at[j]] = model.objective.get(j, 0.0), float(lo), float(hi)
+    entries = [(r, at[j], a) for r, (_, coeffs, _, _) in enumerate(model.rows)
+               for j, a in coeffs.items()]
+    return canonical(cost, lower, upper, *(list(map(float, a)) for a in (
+        model.row_lower, model.row_upper)), entries)
+
+
+def highs_form(highs):
     from scipy.optimize._highspy import _core
 
     held = highs.getLp()
@@ -206,21 +233,21 @@ def highs_form(highs, fixed):
         for p in range(start[k], start[k + 1])
     ]
     return canonical(list(held.col_cost_), list(held.col_lower_), list(held.col_upper_),
-                     list(held.row_lower_), list(held.row_upper_), entries, fixed)
+                     list(held.row_lower_), list(held.row_upper_), entries)
 
 
 def assert_session_holds_the_final_relaxation(monkeypatch, inst):
     """Returns the rounds solve_relaxation took."""
     made = spy_on_highs(monkeypatch)
-    model, sol = solve_relaxation(inst)
+    sol = solve_relaxation(inst)
     (session,) = made
-    final = build_relaxation(inst, {(u, v) for u, v, _ in model.z_index})
-    for name in ("col_lower", "col_upper", "row_lower", "row_upper", "row_start", "row_cols", "row_vals"):
-        assert np.array_equal(getattr(model, name), getattr(final, name))
-    assert model.z_index == final.z_index
-    fixed = 1 + inst.n + inst.n * inst.m
-    assert highs_form(session, fixed) == model_form(final)
-    assert not check_lp_feasibility(sol, model, FEAS_TOL)
+    final = build_relaxation(inst, set(sol.pairs))
+    # every column at its position: the z columns of sol.pairs[k] are the
+    # k-th m columns after C, S and x
+    assert highs_form(session) == model_form(
+        final, session_columns(inst, final, sol.pairs))
+    assert sol.values == tuple(session.getSolution().col_value)
+    assert not check_lp_feasibility(point(final, sol, solved_z(inst, sol)), final, FEAS_TOL)
     return len(sol.iterations)
 
 
@@ -232,8 +259,9 @@ def assert_session_holds_the_final_relaxation(monkeypatch, inst):
     (pipeline_input(60, 8, 0.1, (1, 4), (0.25, 1), 16.0, 10), 4),
 ], ids=["lp_heavy-2", "layered-4-2", "rows-four-grow"])
 def test_session_holds_the_final_relaxation(monkeypatch, inst, rounds):
-    # after the last round, what HiGHS holds is the model solve_relaxation
-    # returns, up to the order of the z columns and of the rows
+    # after the last round, what HiGHS holds is build_relaxation(inst,
+    # set(sol.pairs)) with its z columns in the order of sol.pairs, up to the
+    # order of the rows
     assert assert_session_holds_the_final_relaxation(monkeypatch, inst) == rounds
 
 
@@ -262,7 +290,8 @@ def test_colliding_ids_reach_the_full_optimum(monkeypatch):
         [(rename(u, u), rename(v, v)) for u, v in base.edges],
         base.rho,
     )
-    model, sol = solve_relaxation(inst)
+    sol = solve_relaxation(inst)
+    model = build_relaxation(inst, set(sol.pairs))
     z_names = [model.var_names[idx] for idx in model.z_index.values()]
     assert len(set(z_names)) < len(z_names)
     assert len(sol.iterations) >= 2

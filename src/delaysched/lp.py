@@ -8,34 +8,46 @@ that chaining does not imply, since fractional processing times are
 non-negative: precedence rows (2) for the edges of the transitive reduction
 (the rows of transitive pairs and of shortcut edges follow along paths), and
 makespan rows (1) for the sinks (a job's row follows from a successor's row
-(1) and the row (2) between them).  :func:`solve_relaxation` solves the full
-relaxation exactly while generating same-phase pairs lazily by separation:
-its first model has no pairs, only C, S and x with rows (1), (2), (5) and
-(6), and each later round adds the pairs behind violated rows (4).
+(1) and the row (2) between them).
+
+:func:`solve_relaxation` solves the full relaxation exactly without its z
+columns.  At any (x, S) the least z the delay rows (3) allow is
+``max(0, X[v,i] - g_uv)``, with ``X[v,i] = x[v,0] + ... + x[v,i]`` and
+``g_uv = (S_v - S_u) / rho >= 0`` by rows (2); it is at most 1, so z's upper
+bound never binds.  Projecting z out of rows (3) and (4) leaves, for each job
+v and machine index i, ``X[v,i] >= sum_u size_u max(0, X[v,i] - g_uv) /
+(rho s_i)``.  A sum of positive parts is the largest of its partial sums, so
+this is the family of subset cuts "for every set U of v's transitive
+predecessors, ``(rho s_i - A_U) X[v,i] + sum_{u in U} size_u (S_v - S_u) /
+rho >= 0``", scaled by rho s_i, with ``A_U = sum_{u in U} size_u``.  The
+family is exponential, but its oracle is exact and cheap: at a given point
+the most violated U of (v, i) is ``{u : X[v,i] > g_uv}``.  The first model has
+C, S and x with rows (1), (2), (5) and (6) only, and each round adds the most
+violated cut of every violated (v, i).
 
 A model is held in the layout HiGHS reads: column bounds, row bounds (a row's
 sense is its bounds) and the rows' terms flat and row-wise (``row_start``,
 ``row_cols``, ``row_vals``).  :func:`build_relaxation` computes these arrays
 by index arithmetic over job, pair and machine indices, a few numpy
-operations per constraint family and no loop per row.  The columns are C,
-then S per job, then x per job and machine (:func:`_scaffold`, which the
-alternate relaxations of :mod:`gaplab` share), then z per chosen pair and
-machine; the rows are families (1) to (6) in that order.  Models built one
-variable and row at a time with ``add_var`` and ``add_row`` hold lists
-instead; :func:`solve_lp` takes both.
+operations per constraint family and no loop per row; the cuts of a round are
+assembled the same way.  The columns are C, then S per job, then x per job and
+machine (:func:`_scaffold`, which the alternate relaxations of :mod:`gaplab`
+share), then z per pair and machine in the full model; the rows are families
+(1) to (6) in that order.  Models built one variable and row at a time with
+``add_var`` and ``add_row`` hold lists instead; :func:`solve_lp` takes both.
 
 Column and row names are made only when something reads them: ``var_names``,
 ``row_names``, ``rows``, :func:`export_lp_text` and error messages.
 :func:`solve_relaxation` keeps one HiGHS object per instance (:class:`_Session`):
-the first model goes in whole, and each separation round appends its columns
-and rows to the model HiGHS holds, so HiGHS keeps its basis and factorization
-from one round to the next.  Its solution holds the columns in HiGHS's order
-and names the pairs that joined; only the first model is built in Python.
+the first model goes in whole, and each separation round appends its cut rows
+to the model HiGHS holds, so HiGHS keeps its basis and factorization from one
+round to the next.  Cuts add no columns, so its solution's values are the
+first model's columns; only the first model is built in Python.
 
 Every model is solved by the HiGHS dual simplex bundled with scipy (1.15 or
 later), driven through scipy's private binding: the arrays go to HiGHS in
 one ``passModel`` call, the rows row-wise with each row's sense in its
-bounds; separation rounds add theirs with ``addRows`` and ``addCols``.
+bounds; separation rounds add theirs with ``addRows``.
 Every solve uses one setting: presolve off, dual simplex, Dantzig pricing and
 no output.  Presolve is off because these models are small and, with the
 implied rows left out, built without redundancy, so its reductions and
@@ -193,12 +205,9 @@ class LpModel:
 class LpSolution:
     """Variable assignment with objective; status 'feasible' marks constructed
     (not solver-optimal) solutions such as embeddings and gap certificates.
-    ``values`` is aligned with the model's ``var_names``, except on the
-    solution of :func:`solve_relaxation`, which has no model: there it holds
-    C, S and x, then m z columns per pair of ``pairs`` in that order.
-    ``pairs`` (empty on every other solution) names the same-phase pairs
-    (u, v) in the order they joined, and ``build_relaxation(inst,
-    set(pairs))`` is the last restricted model, up to the order of its z
+    ``values`` is aligned with the model's ``var_names``; on the solution of
+    :func:`solve_relaxation` that model is its first one,
+    ``build_relaxation(inst, pairs=False)``: C, S and x, since cuts add no
     columns.  ``iterations`` holds the simplex iteration count of each solve
     behind the solution."""
 
@@ -208,7 +217,6 @@ class LpSolution:
     x: dict[tuple[str, str], float] = field(default_factory=dict)
     start: dict[str, float] = field(default_factory=dict)
     iterations: tuple[int, ...] = ()
-    pairs: tuple[tuple[str, str], ...] = ()
 
 
 def _safe(name: str) -> str:
@@ -289,22 +297,22 @@ class _Pairs:
 
 
 class _Relaxation(_Scaffold):
-    """Structure of a (restricted) relaxation: the scaffold's columns, then
-    z_{u,v,i} per chosen pair and machine, then rows (1) to (6).
+    """Structure of a relaxation: the scaffold's columns, then z_{u,v,i} per
+    pair and machine, then rows (1) to (6).
 
-    ``chosen`` marks the pairs of ``pairs`` that have z columns, ``pu`` and
-    ``pv`` by job index; ``c1`` are the jobs with rows (1) and ``eu``, ``ev``
-    the edges with rows (2), in row order (:func:`_unimplied`); ``c4`` are
-    the jobs with rows (4).
+    ``pu`` and ``pv`` are the model's pairs by job index: every pair of
+    ``pairs`` when ``with_pairs`` is set, else none; ``c1`` are the jobs with
+    rows (1) and ``eu``, ``ev`` the edges with rows (2), in row order
+    (:func:`_unimplied`); ``c4`` are the jobs with rows (4).
     """
 
-    def __init__(self, inst: Instance, pairs: _Pairs, chosen):
+    def __init__(self, inst: Instance, pairs: _Pairs, with_pairs: bool):
         import numpy as np
 
         super().__init__(inst)
         self.pairs = pairs
         self.c1, self.eu, self.ev = pairs.unimplied
-        self.pu, self.pv = pairs.u[chosen], pairs.v[chosen]
+        self.pu, self.pv = (pairs.u, pairs.v) if with_pairs else (pairs.u[:0], pairs.v[:0])
         # jobs with rows (4), in job order (np.unique would load numpy.ma)
         self.c4 = np.flatnonzero(np.bincount(self.pv, minlength=self.n))
         self.z_base = 1 + self.n + self.n * self.m
@@ -359,29 +367,24 @@ def _unimplied(inst: Instance, pairs: _Pairs):
     return sinks, eu[keep], ev[keep]
 
 
-def build_relaxation(inst: Instance, pairs=None) -> LpModel:
+def build_relaxation(inst: Instance, pairs: bool = True) -> LpModel:
     """Instantiate the nine constraint families over a valid instance.
 
-    ``pairs``, a collection of transitive predecessor pairs (u, v), restricts
-    the same-phase pairs: their z variables, delay rows (3) and terms in rows
-    (4).  Without it every transitive pair takes part, which is the full
-    relaxation.  With rho = 0 the same-phase machinery is vacuous: z variables
-    and the delay/phase rows are omitted (the pipeline skips delay logic
+    Every transitive predecessor pair (u, v) has z variables, delay rows (3)
+    and terms in rows (4), which is the full relaxation.  ``pairs=False``
+    leaves out all three: C, S and x with rows (1), (2), (5) and (6), the
+    first model of :func:`solve_relaxation`.  With rho = 0 the same-phase
+    machinery is vacuous and is left out too (the pipeline skips delay logic
     entirely).  Rows (1) and (2) are emitted for the sinks and the edges of
     the transitive reduction only (:func:`_unimplied`).  Families (7) to (9)
     are the column bounds.
     """
     import numpy as np
 
+    if not isinstance(pairs, bool):
+        raise TypeError(f"pairs must be True or False, not {pairs!r}")
     every = _Pairs(inst)  # validates the instance
-    if inst.rho <= 0:
-        chosen = np.zeros(len(every.ids), dtype=bool)
-    elif pairs is None:
-        chosen = np.ones(len(every.ids), dtype=bool)
-    else:
-        wanted = set(pairs)
-        chosen = np.fromiter((p in wanted for p in every.ids), dtype=bool, count=len(every.ids))
-    layout = _Relaxation(inst, every, chosen)
+    layout = _Relaxation(inst, every, pairs and inst.rho > 0)
     model = _scaffold(inst)
     model._layout = layout
     n, m, rho = inst.n, inst.m, inst.rho
@@ -401,7 +404,7 @@ def build_relaxation(inst: Instance, pairs=None) -> LpModel:
     # (3) delay: rho gap unless u shares v's phase at index <= i
     cols3, vals3, len3 = _delay_rows(S[pv], S[pu], X[pv, 0], Z[:, 0], m, rho)
     # (4) same-phase predecessors fit in rho time at speed s_i: row (v, i) has
-    # x_{v,0..i}, then z_{u,v,i} for v's chosen pairs in z order
+    # x_{v,0..i}, then z_{u,v,i} for v's pairs in z order
     per_job = np.bincount(pv, minlength=n)[c4]
     len4 = (np.arange(1, m + 1) + per_job[:, None]).ravel()
     at4 = (np.cumsum(len4) - len4).reshape(-1, m)  # first entry of row (v, i)
@@ -431,13 +434,9 @@ def build_relaxation(inst: Instance, pairs=None) -> LpModel:
     model.row_upper = np.concatenate((np.full(n_rows - n, math.inf), np.ones(n)))
     model.col_lower = np.zeros(layout.z_base + n_pairs * m)
     model.col_upper = np.concatenate((np.full(1 + n, math.inf), np.ones(n * m + n_pairs * m)))
-    machine_ids = [mc.id for mc in inst.machines]
-    z_keys = (
-        (u, v, i)
-        for (u, v), c in zip(every.ids, chosen.tolist()) if c
-        for i in machine_ids
-    )
-    model.z_index = dict(zip(z_keys, range(layout.z_base, layout.z_base + n_pairs * m)))
+    if n_pairs:
+        z_keys = ((u, v, mc.id) for u, v in every.ids for mc in inst.machines)
+        model.z_index = dict(zip(z_keys, range(layout.z_base, layout.z_base + n_pairs * m)))
     return model
 
 
@@ -610,161 +609,156 @@ def _first_true(mask) -> int | None:
 
 
 class _Session:
-    """One HiGHS object holding a restricted relaxation of one instance, which
+    """One HiGHS object holding the first model of one instance, which
     separation rounds grow in place.
 
     It opens with a model without pairs (C, S and x with rows (1), (2), (5)
-    and (6)).  :meth:`add` appends the rows (4) of the jobs that gain their
-    first pair, then m z columns per new pair, with their entries in rows (4),
-    then the pairs' rows (3).  Columns and rows are never removed or moved,
-    so HiGHS keeps its basis and factorization and each run starts from the
-    last.  ``z_at[k]`` is the column of z_{u,v,0} of pair k of
-    ``layout.pairs`` (its m columns run by machine), or -1 while the pair is
-    left out; ``row4_at[v]`` is the row of job v's row (4) for machine 0, or
-    -1 while v has none.
+    and (6)), and :meth:`add` appends cut rows.  No column is added and no
+    row removed or moved, so HiGHS keeps its basis and factorization and each
+    run starts from the last.  ``held`` holds the columns of every cut row
+    added, as bytes: they name v, i and U, which fix the row's values.
     """
 
     def __init__(self, model: LpModel):
-        import numpy as np
-
         self.layout = model._layout
         self.highs = _open(model)
-        self.z_at = np.full(len(self.layout.pairs.ids), -1, dtype=np.int64)
-        self.row4_at = np.full(self.layout.n, -1, dtype=np.int64)
+        self.held: set[bytes] = set()
 
-    def add(self, added) -> None:
-        """Append pairs ``added`` (indices into ``layout.pairs``, ascending).
+    def add(self, cuts) -> int:
+        """Append the cuts of :func:`_separate` whose rows the model does not
+        hold yet, and return how many there were.
 
-        Every new entry goes through the checks of the first model
-        (:func:`_check_entries`) before any is added, in the row order of
-        :func:`build_relaxation`: rows (3), then rows (4).  There the z
-        entries are the only ones that can fail, and a pair's
-        ``-size_u / (rho * s_i)`` grows in magnitude towards the slow
-        machines, so taking them pair by pair finds the same first failure."""
+        Their entries go through the checks of the first model
+        (:func:`_check_entries`) before any is added, and an error names the
+        row (4) of the cut, ``c4_<job>_<machine>``."""
         import numpy as np
         from scipy.optimize._highspy._core import HighsStatus
 
         layout, highs = self.layout, self.highs
-        n, m, rho = layout.n, layout.m, layout.inst.rho
-        pu, pv = layout.pairs.u[added], layout.pairs.v[added]
-        new4 = np.flatnonzero((np.bincount(pv, minlength=n) > 0) & (self.row4_at < 0))
-        x_at = 1 + n + m * np.arange(n)  # column of x_{v,0}, by job
-        z0 = highs.getNumCol() + m * np.arange(len(added))  # column of z_{u,v,0}, by new pair
-        cols3, vals3, len3 = _delay_rows(1 + pv, 1 + pu, x_at[pv], z0, m, rho)
-        vals_z = (-layout.pairs.size[pu][:, None] / (rho * layout.pairs.speed)).ravel()
-        # rows (4) of new4: row (v, i) holds x_{v,0..i}; z entries join by column
-        _, tri_j = np.tril_indices(m)
-        cols4 = (x_at[new4][:, None] + tri_j).ravel()
-        len4 = np.tile(np.arange(1, m + 1), len(new4))
-        start3, start4 = np.cumsum(len3) - len3, np.cumsum(len4) - len4
+        start, cols, vals = _cut_rows(layout, *cuts)
+        blob, at = cols.tobytes(), (start * cols.itemsize).tolist()
+        keys = [blob[a:b] for a, b in zip(at, at[1:])]
+        keep = np.array([key not in self.held for key in keys], dtype=bool)
+        self.held.update(keys)
+        lengths = np.diff(start)
+        cols, vals = cols[np.repeat(keep, lengths)], vals[np.repeat(keep, lengths)]
+        start = np.concatenate(([0], np.cumsum(lengths[keep])))
+        job, machine = cuts[0][keep], cuts[1][keep]
 
         def row_of(k: int) -> str:
             jobs, machines = layout._ids()
-            if k < len(vals3):
-                r = int(np.searchsorted(start3, k, side="right")) - 1
-                return f"c3_{jobs[pu[r // m]]}_{jobs[pv[r // m]]}_{machines[r % m]}"
-            if (k := k - len(vals3)) < len(vals_z):
-                return f"c4_{jobs[pv[k // m]]}_{machines[k % m]}"
-            r = int(np.searchsorted(start4, k - len(vals_z), side="right")) - 1
-            return f"c4_{jobs[new4[r // m]]}_{machines[r % m]}"
+            c = int(np.searchsorted(start, k, side="right")) - 1
+            return f"c4_{jobs[job[c]]}_{machines[machine[c]]}"
 
-        vals4 = np.ones(len(cols4))
-        _check_entries(highs, np.concatenate((vals3, vals_z, vals4)), row_of)
-        self.row4_at[new4] = highs.getNumRow() + m * np.arange(len(new4))
-        self.z_at[added] = z0
-        rows_z = (self.row4_at[pv][:, None] + np.arange(m)).ravel()
-        n3, n4, nz = len(len3), len(len4), len(vals_z)
-        statuses = (
-            highs.addRows(n4, np.zeros(n4), np.full(n4, math.inf), len(vals4),
-                          start4.astype(np.int32), cols4.astype(np.int32), vals4),
-            highs.addCols(nz, np.zeros(nz), np.zeros(nz), np.ones(nz), nz,
-                          np.arange(nz, dtype=np.int32), rows_z.astype(np.int32), vals_z),
-            highs.addRows(n3, np.zeros(n3), np.full(n3, math.inf), len(vals3),
-                          start3.astype(np.int32), cols3.astype(np.int32), vals3),
-        )
-        if any(status != HighsStatus.kOk for status in statuses):
-            raise ValueError("HiGHS rejected the rows and columns of a separation round")
+        _check_entries(highs, vals, row_of)
+        n_rows = len(job)
+        if n_rows and highs.addRows(
+            n_rows, np.zeros(n_rows), np.full(n_rows, math.inf), len(vals),
+            start[:-1].astype(np.int32), cols.astype(np.int32), vals,
+        ) != HighsStatus.kOk:
+            raise ValueError("HiGHS rejected the cut rows of a separation round")
+        return n_rows
 
 
 def solve_relaxation(inst: Instance) -> LpSolution:
-    """Optimum of the full relaxation, found by lazy same-phase pair generation.
+    """Optimum of the full relaxation, found by separating rows (4) as cuts.
 
-    The first restricted model has no same-phase pairs: C, S and x, with rows
-    (1), (2), (5) and (6) only.  Nothing needs pairs up front, since the
-    stopping rule below checks rows (4) of every job and machine, also of the
-    jobs with no row (4) in the model.  After each solve every omitted pair
-    (u, v) gets the least z its delay rows (3) allow,
-    ``z[u,v,i] = max(0, X[v,i] - (S_v - S_u) / rho)`` with
-    ``X[v,i] = x[v,1] + ... + x[v,i]``; the omitted pairs with z > 0 behind
-    each row (4) these values violate by more than ``SEPARATION_TOL`` join the
-    model, and it is solved again.  When none joins, the extended point is
-    feasible for the full relaxation (z <= 1 as X <= 1 and S_v >= S_u) and
-    has the restricted optimum's value; the restricted model being a
-    relaxation of the full one, that value is the full optimum.  Each round
-    adds a pair, so there are at most as many rounds as transitive pairs.
+    The first model has no same-phase pairs: C, S and x, with rows (1), (2),
+    (5) and (6) only (``build_relaxation(inst, pairs=False)``).  After each
+    solve, every job v and machine index i whose row (4) the least z
+    (``max(0, X[v,i] - g_uv)`` for every pair, see the module docstring)
+    violates by more than ``SEPARATION_TOL`` gets its most violated subset
+    cut, and the model is solved again.  When no (v, i) is violated, the
+    extended point, C, S and x with the least z, is feasible for the full
+    relaxation (z <= 1 as X <= 1 and S_v >= S_u) and has the cut model's
+    optimal value.  Each cut follows from rows (3), (4) and z >= 0, so the
+    cut model is a relaxation of the full one, and that value is the full
+    optimum.
 
-    One HiGHS object serves every round (:class:`_Session`): a round appends
-    the new pairs' columns and rows to the model HiGHS holds, and HiGHS
-    starts from the basis it ended the last round with.  Returns the last
-    solve's solution: ``values`` are the columns as HiGHS holds them (C, S
-    and x, then m z columns per joined pair), ``pairs`` the joined pairs in
-    the order of those columns, ``x``, ``start`` and ``objective`` as read
-    from them, and ``iterations`` one count per round.  A ``ValueError``
-    from the checks of :func:`solve_lp` can come from any round.
+    No cut is added twice (:class:`_Session`).  HiGHS meets a row only to
+    within its primal feasibility tolerance (1e-7), which is above
+    ``SEPARATION_TOL``, so a cut the model holds can read as violated again.
+    The loop also stops when every violated (v, i)'s cut is held: each row
+    (4) of the extended point is then violated by at most 1e-7 / (rho s_i),
+    as HiGHS meets the held cut, scaled by rho s_i, to within 1e-7.  There
+    are finitely many cuts, so the loop ends.
+
+    One HiGHS object serves every round: a round appends its cut rows to the
+    model HiGHS holds, and HiGHS starts from the basis it ended the last
+    round with.  Returns the last solve's solution: ``values`` are C, S and
+    x as HiGHS holds them, ``x``, ``start`` and ``objective`` are read from
+    them, and ``iterations`` has one count per round.  A ``ValueError`` from
+    the checks of :func:`solve_lp` can come from any round.
     """
-    model = build_relaxation(inst, ())
+    model = build_relaxation(inst, pairs=False)
     session = _Session(model)
-    iterations, joined = (), []
+    iterations = ()
     while True:
         status, values, objective, count = _run(session.highs)
         iterations += (count,)
         if status != "optimal" or inst.rho <= 0:
             break
-        _, added = _separate(session.layout, values, session.z_at)
-        if not len(added):
-            break
-        session.add(added)
-        joined += added.tolist()
+        if not session.add(_separate(session.layout, values)):
+            break  # nothing violated, or every violated cut held
     sol = _solution_from_values(model, values, status, objective)
     sol.iterations = iterations
-    sol.pairs = tuple(session.layout.pairs.ids[k] for k in joined)
     return sol
 
 
-def _separate(layout: _Relaxation, values, z_at):
-    """z for every transitive pair, as an array in z order by machine (solved
-    values for the pairs in the model, least values meeting rows (3) for the
-    others), and the omitted pairs with z > 0 behind each row (4) that z
-    violates, as ascending indices into ``layout.pairs``.
+def _separate(layout: _Relaxation, values):
+    """The most violated cut of every (v, i) whose row (4) the least z
+    violates by more than ``SEPARATION_TOL`` at the point ``values`` (C, S
+    and x, laid out as in ``layout``).
 
-    ``values`` are the solved column values of a model whose C, S and x
-    columns are laid out as in ``layout``; ``z_at[k]`` is the column of
-    z_{u,v,0} of pair k (its m columns run by machine), or -1 where the model
-    omits the pair.  Sums run in the same order as a loop over each job's
-    pairs would, so the pairs added do not depend on how the arithmetic is
-    laid out.
+    Returns ``(job, machine, member, cut)``: cut c is for job ``job[c]`` and
+    machine index ``machine[c]``, in job then machine order, and its set U is
+    the pairs (u, v) with ``X[v,i] > g_uv``, as the indices into
+    ``layout.pairs`` of ``member[cut == c]``, in pair order.  Each row's load
+    is summed in pair order, as a loop over each job's pairs would, so the
+    cuts do not depend on how the arithmetic is laid out.
     """
     import numpy as np
 
-    inst, n, m = layout.inst, layout.n, layout.m
-    rho = inst.rho
+    n, m, rho = layout.n, layout.m, layout.inst.rho
     every = layout.pairs
     tu, tv = every.u, every.v
     start = values[1 : 1 + n]
     prefix = np.cumsum(values[1 + n : layout.z_base].reshape(n, m), axis=1)  # X[v, i]
-    chosen = z_at >= 0
-    z = np.empty((len(every.ids), m))
-    z[chosen] = values[z_at[chosen][:, None] + np.arange(m)]
-    free = ~chosen
-    gap = (start[tv[free]] - start[tu[free]]) / rho
-    least = prefix[tv[free]] - gap[:, None]
-    z[free] = np.where(least > 0.0, least, 0.0)
-    slot = (tv[:, None] * m + np.arange(m)).ravel()  # (v, i) of each z entry
-    mass = np.bincount(slot, weights=(every.size[tu][:, None] * z).ravel(), minlength=n * m)
-    load = mass.reshape(n, m) / (rho * every.speed)
+    least = prefix[tv] - ((start[tv] - start[tu]) / rho)[:, None]  # X[v,i] - g_uv
+    inside = least > 0.0
+    slot = (tv[:, None] * m + np.arange(m)).ravel()  # (v, i) of each entry
+    weights = (every.size[tu][:, None] * np.where(inside, least, 0.0)).ravel()
+    load = np.bincount(slot, weights=weights, minlength=n * m).reshape(n, m) / (rho * every.speed)
     violated = prefix - load < -SEPARATION_TOL
-    added = free & (violated[tv] & (z > 0)).any(axis=1)
-    return z, np.flatnonzero(added)
+    member, i = np.nonzero(inside & violated[tv])
+    cut = (np.cumsum(violated) - 1).reshape(n, m)[tv[member], i]
+    return (*np.nonzero(violated), member, cut)
+
+
+def _cut_rows(layout: _Relaxation, job, machine, member, cut):
+    """The rows of the cuts :func:`_separate` returns, row-wise as
+    ``(start, cols, vals)``.
+
+    The cut of job v, machine index i and set U reads, scaled by rho s_i,
+    ``(rho s_i - A_U) (x_{v,0} + ... + x_{v,i}) + (A_U / rho) S_v
+    - sum_{u in U} (size_u / rho) S_u >= 0``, with ``A_U`` the sum of the
+    sizes of U in pair order.  Its entries are the x terms, then S_v, then
+    the S_u in pair order.  ``rho s_i - A_U`` is negative on a violated cut,
+    since rows (2) keep S_v above S_u.
+    """
+    import numpy as np
+
+    n, m, rho = layout.n, layout.m, layout.inst.rho
+    every = layout.pairs
+    n_cuts, pred = len(job), every.u[member]
+    mass = np.bincount(cut, weights=every.size[pred], minlength=n_cuts)  # A_U
+    x_cut, x_j = np.nonzero(np.arange(m) <= machine[:, None])  # x_{v,0..i} of each cut
+    row = np.concatenate((x_cut, np.arange(n_cuts), cut))
+    order = np.argsort(row, kind="stable")
+    cols = np.concatenate((1 + n + m * job[x_cut] + x_j, 1 + job, 1 + pred))[order]
+    coef = rho * every.speed[machine] - mass
+    vals = np.concatenate((coef[x_cut], mass / rho, -every.size[pred] / rho))[order]
+    return np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_cuts)))), cols, vals
 
 
 def check_lp_feasibility(solution: LpSolution, model: LpModel, tol: float = FEAS_TOL):

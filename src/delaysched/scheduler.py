@@ -151,7 +151,9 @@ def run_group_scheduler(
                     continue  # the same batch, rejected again
                 batch = []
                 for u in candidates[v]:
-                    done_here = comp_on[u].get(i, math.inf) <= t_i + TOL
+                    # every completion on i is at or before t_i, as the
+                    # frontier check above asserts each round
+                    done_here = i in comp_on[u]
                     done_far = earliest_comp[u] <= t_i - rho + TOL
                     if not (done_here or done_far):
                         batch.append(u)

@@ -1,9 +1,10 @@
-"""Shared corpus builders for the test suite."""
+"""Shared corpus builders and references for the test suite."""
 
 import random
 
 from delaysched import Job, Machine, Placement, Schedule, make_instance
-from delaysched.instance import Instance, gen_random_dag, topological_order
+from delaysched.instance import Instance, gen_random_dag, topological_order, transitive_predecessors
+from delaysched.lp import SEPARATION_TOL
 
 
 def tiny_instance(seed, n_max=5, m_max=2, rho_choices=(0.5, 1.0, 4.0)):
@@ -77,3 +78,33 @@ def round_robin_schedule(inst, offset=0) -> Schedule:
         frontier[mc.id] = comp[v]
     return Schedule(tuple(placements))
 
+
+
+def reference_cuts(inst, values):
+    """The cut rows of one separation round, as a loop over each job's pairs.
+
+    ``values`` are C, S and x.  For every job v and machine index i whose row
+    (4) the least z, max(0, X[v,i] - (S_v - S_u) / rho), violates by more than
+    SEPARATION_TOL, in job then machine order: (v, i, {column: value}) with
+    x_{v,0..i}, S_v, then S_u for the u in U = {u : X[v,i] > (S_v - S_u) /
+    rho} in id order, scaled by rho s_i."""
+    preds = transitive_predecessors(inst)
+    n, m, rho = inst.n, inst.m, inst.rho
+    col_s = {v.id: 1 + a for a, v in enumerate(inst.jobs)}
+    cuts = []
+    for a, v in enumerate(inst.jobs):
+        us = sorted(preds[v.id])
+        gap = {u: (values[col_s[v.id]] - values[col_s[u]]) / rho for u in us}
+        x_sum = 0.0
+        for i, mc in enumerate(inst.machines):
+            x_sum += values[1 + n + a * m + i]
+            load = sum(inst.size(u) * max(0.0, x_sum - gap[u]) for u in us) / (rho * mc.speed)
+            if x_sum - load >= -SEPARATION_TOL:
+                continue
+            inside = [u for u in us if x_sum - gap[u] > 0.0]
+            mass = sum(inst.size(u) for u in inside)
+            row = {1 + n + a * m + j: rho * mc.speed - mass for j in range(i + 1)}
+            row[col_s[v.id]] = mass / rho
+            row |= {col_s[u]: -inst.size(u) / rho for u in inside}
+            cuts.append((v.id, mc.id, row))
+    return cuts

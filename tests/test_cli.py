@@ -407,8 +407,8 @@ def test_coefficient_highs_refuses_is_named(tmp_path, capsys):
 
 
 def test_coefficient_first_added_in_round_two_is_named(tmp_path, capsys):
-    # round one holds no row (3); rho = 1e15 enters the rows (3) of the pairs
-    # that round two adds behind v's violated row (4)
+    # round one holds no cut; the cut that round two adds for v's violated
+    # row (4) has the x coefficient rho s - A_U = 1e15 - 5 * 4e14
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps({
         "rho": 1e15,
@@ -418,7 +418,7 @@ def test_coefficient_first_added_in_round_two_is_named(tmp_path, capsys):
     }))
     assert run(["schedule", "--input", str(inst_path)]) == 2
     assert capsys.readouterr().err == (
-        "error: [lp] row c3_u0_v_m0 has coefficient -1000000000000000.0; "
+        "error: [lp] row c4_v_m0 has coefficient -1000000000000000.0; "
         "HiGHS refuses magnitudes of 1e+15 and above\n"
     )
 
@@ -469,6 +469,14 @@ def test_import_loads_neither_scipy_nor_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_module_entry_runs_without_warnings():
+    src = str(Path(delaysched.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "delaysched", "--help"],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.startswith("usage: ")
 
 
 def _speeds_doc(*machines):

@@ -444,18 +444,15 @@ def test_matrix_value_limit_is_highs_own(monkeypatch):
 
 
 def test_coefficient_first_added_in_round_two_is_named():
-    # round one holds no z column; the z_{u,v,slow} that round two adds has
-    # the entry -size_u / (rho * s_slow) = -5e15 in row (4) of (v, slow), and
-    # the error names it as a rebuilt model's check would
-    jobs = [Job(f"u{k}", 1.0) for k in range(5)] + [Job("v", 1.0)]
-    jobs += [Job(f"w{k}", 1.0) for k in range(4)]
-    edges = [(f"u{k}", "v") for k in range(5)] + [("v", "w0")]
-    edges += [(f"w{k}", f"w{k + 1}") for k in range(3)]
-    machines = [Machine("slow", 1e-11)] + [Machine(f"f{k}", 1e5) for k in range(4)]
-    inst = make_instance(jobs, machines, edges, 2e-5)
-    assert solve_lp(build_relaxation(inst, ())).status == "optimal"  # round one passes
+    # round one holds no cut; at its point every u is in U of row (4) of
+    # (v, m0), so the cut that round two adds has the x coefficient
+    # rho s - A_U = 1e15 - 5 * 4e14 = -1e15, and the error names that row
+    jobs = [Job(f"u{k}", 4e14) for k in range(5)] + [Job("v", 1.0)]
+    edges = [(f"u{k}", "v") for k in range(5)]
+    inst = make_instance(jobs, [Machine("m0", 1.0)], edges, 1e15)
+    assert solve_lp(build_relaxation(inst, pairs=False)).status == "optimal"  # round one passes
     with pytest.raises(ValueError, match=re.escape(
-        "row c4_v_slow has coefficient -5000000000000000.0; "
+        "row c4_v_m0 has coefficient -1000000000000000.0; "
         "HiGHS refuses magnitudes of 1e+15 and above"
     )):
         solve_relaxation(inst)
@@ -557,14 +554,14 @@ _FALLBACK_ARGS = (10, 3, 0.3, (1, 4), (0.25, 1), 4.0, 2)
 
 def test_first_solve_loads_only_the_highs_extension():
     # also runs on the dependency floor: every binding name solve_lp and
-    # solve_relaxation use, the array form of passModel, addRows and addCols
-    # among them, must be there
+    # solve_relaxation use, the array forms of passModel and addRows among
+    # them, must be there
     facts = _facts_from_fresh_interpreter(f"""
 import json, sys
 from delaysched import (LpModel, filter_slow_machines, gen_random_dag, normalize_instance,
                         run_pipeline, solve_lp, solve_relaxation)
 run_pipeline(gen_random_dag(8, 2, 0.3, (1, 4), (0.25, 1), 4.0, 1))
-# two separation rounds, so addRows and addCols run too
+# two separation rounds, so addRows runs too
 norm, _ = normalize_instance(gen_random_dag(12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 52))
 rounds = len(solve_relaxation(filter_slow_machines(norm).filtered).iterations)
 model = LpModel()

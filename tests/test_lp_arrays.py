@@ -2,24 +2,23 @@
 
 ``build_relaxation`` computes its rows by index arithmetic; here a builder
 that appends the same rows one at a time with ``add_row`` is the reference,
-and a loop over each job's pairs is the reference for separation.  Both must
-agree exactly.  The same builder with every row (1) and (2) kept must reach
-the same optimum, and the constructed points must meet those rows too.  The
-HiGHS input of two benchmark-shaped instances, restricted to the direct
-edges, is pinned by digest, and names are shown to be made only on read.
+and a loop over each job's pairs is the reference for the cut rows of
+separation.  Both must agree exactly.  The same builder with every row (1)
+and (2) kept must reach the same optimum, and the constructed points must
+meet those rows too.  The first-round HiGHS input of two benchmark-shaped
+instances is pinned by digest, and names are shown to be made only on read.
 """
 
 import functools
 import hashlib
 import math
-import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_instance
+from conftest import reference_cuts, tiny_instance
 from delaysched import (
     Job,
     build_relaxation,
@@ -37,22 +36,18 @@ from delaysched import (
 )
 from delaysched import lp
 from delaysched.gaplab import gap_lp_certificate
-from delaysched.lp import SEPARATION_TOL
 
 
-def reference_relaxation(inst, pairs=None, trimmed=True):
+def reference_relaxation(inst, pairs=True, trimmed=True):
     """Rows (1) to (6) appended one at a time, in the builder's order.
 
+    ``pairs=False`` leaves out every same-phase pair, as the builder does.
     ``trimmed`` keeps rows (1) for the sinks and rows (2) for the edges no
     other direct predecessor's closure contains, as the builder does; without
     it every job has a row (1) and every distinct direct edge a row (2).
     """
     closure = transitive_predecessors(inst)
-    preds = {
-        v.id: [] if inst.rho <= 0 else
-        sorted(u for u in closure[v.id] if pairs is None or (u, v.id) in pairs)
-        for v in inst.jobs
-    }
+    preds = {v.id: sorted(closure[v.id]) if pairs and inst.rho > 0 else [] for v in inst.jobs}
     direct = {v: set(us) for v, us in inst.direct_predecessors().items()}
     has_successor = {u for us in direct.values() for u in us}
     rho, size = inst.rho, inst.size
@@ -109,14 +104,6 @@ def assert_same_model(got, want):
     assert (got.c_index, got.objective) == (want.c_index, want.objective)
 
 
-def some_pairs(inst, seed):
-    """A seeded subset of the transitive pairs."""
-    closure = transitive_predecessors(inst)
-    every = [(u, v) for v in sorted(closure) for u in sorted(closure[v])]
-    rng = np.random.default_rng(seed)
-    return {p for p in every if rng.random() < 0.5}
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 12),
@@ -126,9 +113,8 @@ def some_pairs(inst, seed):
     st.integers(0, 2**32 - 1),
     st.booleans(),
 )
-def test_arrays_match_the_row_by_row_builder(n, m, p, rho, seed, restrict):
+def test_arrays_match_the_row_by_row_builder(n, m, p, rho, seed, pairs):
     inst = gen_random_dag(n, m, p, (1, 4), (0.25, 1), rho, seed)
-    pairs = some_pairs(inst, seed) if restrict else None
     assert_same_model(build_relaxation(inst, pairs), reference_relaxation(inst, pairs))
 
 
@@ -175,17 +161,12 @@ def test_gap_certificate_meets_the_rows_chaining_implies(L, d, seed):
 
 # HiGHS inputs of gen_random_dag at the benchmark workloads' parameters (seed
 # 1), normalized and with slow machines dropped as the pipeline builds them:
-# the model without pairs, which is the first round solve_relaxation solves,
-# then the model with the direct edges as its pairs, which holds every family
+# the model without pairs, which is the first round solve_relaxation solves
 PINNED = {
-    (32, 8, 0.2, (1.0, 4.0), (0.25, 1.0), 16.0, 1): (
+    (32, 8, 0.2, (1.0, 4.0), (0.25, 1.0), 16.0, 1):
         "91a6781e9558fad0404d01a3fa6ff900ad23c5893b45dc1da10431e090ca1b46",
-        "53a03587fa4d9e8a120772562c0e1569696fac390eee91ac6a24594438cb7c03",
-    ),
-    (150, 4, 0.01, (1.0, 4.0), (0.25, 1.0), 1.0, 1): (
+    (150, 4, 0.01, (1.0, 4.0), (0.25, 1.0), 1.0, 1):
         "073172a64d5aae6035cdd910693a8c8cd2c125e25157142b078c008ff8ef89b8",
-        "683dd92dca2f908fb2d9b656d2b0d411b363e48aadc17c8c46f6aa61438a4bae",
-    ),
 }
 
 
@@ -211,13 +192,7 @@ def highs_input_digest(model):
 @pytest.mark.parametrize("args", list(PINNED))
 def test_first_round_highs_input_is_pinned(args):
     inst = pipeline_input(args)
-    assert highs_input_digest(build_relaxation(inst, ())) == PINNED[args][0]
-
-
-@pytest.mark.parametrize("args", list(PINNED))
-def test_direct_edge_highs_input_is_pinned(args):
-    inst = pipeline_input(args)
-    assert highs_input_digest(build_relaxation(inst, set(inst.edges))) == PINNED[args][1]
+    assert highs_input_digest(build_relaxation(inst, pairs=False)) == PINNED[args]
 
 
 def test_the_pipeline_makes_no_names(monkeypatch):
@@ -233,33 +208,6 @@ def test_the_pipeline_makes_no_names(monkeypatch):
     assert len(set(model.var_names)) == model.n_vars and model.row_names[0].startswith("c1_")
 
 
-def reference_separate(inst, sol, pairs):
-    """Separation as a loop over each job's pairs: z for every transitive pair
-    and the omitted pairs it adds."""
-    preds = transitive_predecessors(inst)
-    rho = inst.rho
-    z, added = {}, set()
-    for v in inst.jobs:
-        us = sorted(preds[v.id])
-        prefix, total = [], 0.0
-        for mc in inst.machines:
-            total += sol.x[(v.id, mc.id)]
-            prefix.append(total)
-        for u in us:
-            gap = (sol.start[v.id] - sol.start[u]) / rho
-            for mc, x_sum in zip(inst.machines, prefix):
-                key = (u, v.id, mc.id)
-                z[key] = sol.z[key] if (u, v.id) in pairs else max(0.0, x_sum - gap)
-        for mc, x_sum in zip(inst.machines, prefix):
-            load = sum(inst.size(u) * z[(u, v.id, mc.id)] for u in us) / (rho * mc.speed)
-            if x_sum - load < -SEPARATION_TOL:
-                added |= {
-                    (u, v.id) for u in us
-                    if (u, v.id) not in pairs and z[(u, v.id, mc.id)] > 0
-                }
-    return z, added
-
-
 @pytest.mark.parametrize("args", [
     (12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 5),
     (32, 8, 0.2, (1, 4), (0.25, 1), 16.0, 2),
@@ -268,33 +216,27 @@ def reference_separate(inst, sol, pairs):
 ])
 def test_separation_matches_the_loop_in_every_round(monkeypatch, args):
     inst = pipeline_input(args)
-    rounds = []  # what _separate saw and gave in each round solve_relaxation takes
-    real = lp._separate
+    rounds = []  # the point and the cut rows of each round solve_relaxation takes
+    real_separate, real_rows = lp._separate, lp._cut_rows
 
-    def recording(layout, values, z_at):
-        z, added = real(layout, values, z_at)
-        rounds.append((values.copy(), z_at.copy(), z, added))
-        return z, added
+    def separate(layout, values):
+        rounds.append([values.copy()])
+        return real_separate(layout, values)
 
-    monkeypatch.setattr(lp, "_separate", recording)
+    def cut_rows(*args):
+        rows = real_rows(*args)
+        rounds[-1].append(rows)
+        return rows
+
+    monkeypatch.setattr(lp, "_separate", separate)
+    monkeypatch.setattr(lp, "_cut_rows", cut_rows)
     lp.solve_relaxation(inst)
-    ids = lp._Pairs(inst).ids
-    n, m = inst.n, inst.m
-    machine_ids = [mc.id for mc in inst.machines]
-    for values, z_at, z, added in rounds:
-        # the solved point by id: C, S and x columns come first, as in every model
-        sol = types.SimpleNamespace(
-            start={v.id: values[1 + a] for a, v in enumerate(inst.jobs)},
-            x={(v.id, i): values[1 + n + a * m + b]
-               for a, v in enumerate(inst.jobs) for b, i in enumerate(machine_ids)},
-            z={(u, v, i): values[z_at[k] + b]
-               for k, (u, v) in enumerate(ids) if z_at[k] >= 0 for b, i in enumerate(machine_ids)},
-        )
-        pairs = {ids[k] for k in np.flatnonzero(z_at >= 0).tolist()}
-        want_z, want_added = reference_separate(inst, sol, pairs)
-        assert {ids[k] for k in added.tolist()} == want_added
-        assert dict(zip(want_z, z.ravel().tolist())) == want_z
-    assert rounds and not len(rounds[-1][3])  # the last round adds none
+    for values, (start, cols, vals) in rounds:
+        bounds = start.tolist()
+        got = [list(zip(cols[a:b].tolist(), vals[a:b].tolist()))
+               for a, b in zip(bounds, bounds[1:])]
+        assert got == [list(row.items()) for _, _, row in reference_cuts(inst, values)]
+    assert rounds and len(rounds[-1][1][0]) == 1  # the last round cuts none
 
 
 def reference_feasibility(solution, model, tol):
@@ -326,7 +268,7 @@ def feasibility_cases():
     model, an embedded schedule on an array-built and a row-by-row model, and
     a gap certificate."""
     inst = pipeline_input((12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 52))
-    full, restricted = build_relaxation(inst), build_relaxation(inst, set())
+    full, restricted = build_relaxation(inst), build_relaxation(inst, pairs=False)
     cases = [(full, solve_lp(full)), (restricted, solve_lp(restricted))]
     tiny = tiny_instance(3)
     _, witness = exact_optimal_makespan(tiny, allow_duplication=True)

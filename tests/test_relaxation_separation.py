@@ -1,18 +1,18 @@
-"""Lazy same-phase pair generation against the full relaxation.
+"""Subset-cut separation of rows (4) against the full relaxation.
 
 ``solve_relaxation`` must reach the full model's optimum, and its extended
-point (C, S and x from the last restricted solve, the solved z of the pairs
-that joined, the least z rows (3) allow for every other transitive pair) must
-be feasible for the full model.
+point (C, S and x from the last solve, with the least z rows (3) allow for
+every transitive pair) must be feasible for the full model.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_instance
+from conftest import mid_instance, reference_cuts, tiny_instance
 from delaysched import (
     Job,
     Machine,
@@ -27,19 +27,9 @@ from delaysched import (
     solve_relaxation,
     transitive_predecessors,
 )
+from delaysched import lp
 from delaysched.gaplab import gap_lp_certificate
 from delaysched.lp import FEAS_TOL, LpSolution
-
-
-def solved_z(inst, sol):
-    """The z values of ``solve_relaxation``'s solution by (u, v, i): m
-    columns per pair of ``sol.pairs``, in that order, after C, S and x."""
-    base = 1 + inst.n + inst.n * inst.m
-    machines = [mc.id for mc in inst.machines]
-    return {
-        (u, v, i): sol.values[base + k * inst.m + b]
-        for k, (u, v) in enumerate(sol.pairs) for b, i in enumerate(machines)
-    }
 
 
 def least_z(inst, sol, u, v, i):
@@ -69,15 +59,12 @@ def assert_exact(inst):
     sol = solve_relaxation(inst)
     assert sol.status == reference.status == "optimal"
     assert sol.objective == pytest.approx(reference.objective, rel=1e-9)
-    assert len(set(sol.pairs)) == len(sol.pairs)
-    assert len(sol.values) == 1 + inst.n + inst.n * inst.m + inst.m * len(sol.pairs)
     assert sol.values[0] == pytest.approx(sol.objective, rel=1e-9)  # C
-    z = solved_z(inst, sol)
-    extended = {key: z[key] if key in z else least_z(inst, sol, *key) for key in full.z_index}
+    # cuts add no columns: the values are the first model's C, S and x
+    first = build_relaxation(inst, pairs=False)
+    assert not check_lp_feasibility(sol, first, FEAS_TOL)
+    extended = {key: least_z(inst, sol, *key) for key in full.z_index}
     assert not check_lp_feasibility(point(full, sol, extended), full, FEAS_TOL)
-    model = build_relaxation(inst, set(sol.pairs))
-    assert set(model.z_index) == set(z)
-    assert not check_lp_feasibility(point(model, sol, z), model, FEAS_TOL)
 
 
 def pipeline_input(*args):
@@ -85,16 +72,24 @@ def pipeline_input(*args):
     return filter_slow_machines(norm).filtered
 
 
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", range(200))  # the acceptance suite's tiny corpus
 def test_tiny_corpus_matches_full_model(seed):
     assert_exact(tiny_instance(seed, n_max=5, m_max=2))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_pipeline_corpus_matches_full_model(seed):
+    # the acceptance suite's pipeline corpus, as the pipeline solves it
+    inst = mid_instance(seed, n_max=40, m_max=8, rho_choices=(1.0, 4.0, 16.0))
+    norm, _ = normalize_instance(inst)
+    assert_exact(filter_slow_machines(norm).filtered)
 
 
 RHOS = [0.3, 1.0, math.e**math.e, 16.0, 64.0, 0.0]
 
 
 def separation_instance():
-    """Needs two rounds: no pairs, then the pairs behind violated rows (4)."""
+    """Needs two rounds: no cuts, then the cuts of the violated rows (4)."""
     return pipeline_input(12, 3, 0.5709, (1, 4), (0.25, 1), 16.0, 52)
 
 
@@ -106,7 +101,7 @@ def test_random_dags_match_full_model(rho, seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_lp_heavy_scale_matches_full_model(seed):
-    # the benchmark's lp_heavy shape; these seeds take three, three and four separation rounds
+    # the benchmark's lp_heavy shape; these seeds take two, four and three separation rounds
     assert_exact(pipeline_input(32, 8, 0.2, (1, 4), (0.25, 1), 16.0, seed))
 
 
@@ -126,7 +121,7 @@ def test_duplicate_edges_match_full_model():
 
 def spy_on_highs(monkeypatch):
     """Every HiGHS object made from now on; each lists, per run, the columns
-    it held and the simplex iterations the run took."""
+    and rows it held and the simplex iterations the run took."""
     from scipy.optimize._highspy import _core
 
     made = []
@@ -139,22 +134,37 @@ def spy_on_highs(monkeypatch):
 
         def run(self):
             status = super().run()
-            self.runs.append((self.getNumCol(), self.getInfo().simplex_iteration_count))
+            self.runs.append((self.getNumCol(), self.getNumRow(),
+                              self.getInfo().simplex_iteration_count))
             return status
 
     monkeypatch.setattr(_core, "_Highs", Spy)
     return made
 
 
-def test_separation_adds_pairs_until_none_violate(monkeypatch):
+def record_points(monkeypatch):
+    """The point (C, S and x) that each separation round starts from."""
+    points, real = [], lp._separate
+
+    def recording(layout, values):
+        points.append(values.copy())
+        return real(layout, values)
+
+    monkeypatch.setattr(lp, "_separate", recording)
+    return points
+
+
+def test_separation_adds_cuts_until_none_violate(monkeypatch):
     inst = separation_instance()
     made = spy_on_highs(monkeypatch)
     solve_relaxation(inst)
     (session,) = made  # one HiGHS object serves every round
-    cols = [n_cols for n_cols, _ in session.runs]
-    assert len(cols) >= 2
-    assert cols[0] == 1 + inst.n + inst.n * inst.m  # the first round has no same-phase pairs
-    assert cols == sorted(set(cols))  # every later round adds pairs
+    cols = {n_cols for n_cols, _, _ in session.runs}
+    rows = [n_rows for _, n_rows, _ in session.runs]
+    assert cols == {1 + inst.n + inst.n * inst.m}  # cuts add no columns
+    assert len(rows) >= 2
+    assert rows[0] == len(build_relaxation(inst, pairs=False).row_lower)
+    assert rows == sorted(set(rows))  # every later round adds cuts
     assert_exact(inst)
 
 
@@ -164,23 +174,40 @@ def test_layered_gap_reaches_the_certificate_value(monkeypatch, layers, degree, 
     inst = gen_layered_gap(layers, degree, seed)
     made = spy_on_highs(monkeypatch)
     sol = solve_relaxation(inst)
-    assert made[0].runs[0][0] == 1 + inst.n + inst.n * inst.m  # the first round has no z column
+    assert made[0].runs[0][0] == 1 + inst.n + inst.n * inst.m  # no z column
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(gap_lp_certificate(inst).objective, rel=1e-9)
     assert sol.objective == pytest.approx(inst.rho, rel=1e-9)
 
 
+def cut_model(inst, points):
+    """The first model with the reference cut rows of each point appended in
+    turn, each distinct row once: the model a session holds after rounds
+    that start from ``points``."""
+    model = build_relaxation(inst, pairs=False)
+    for name in ("row_lower", "row_upper", "row_start", "row_cols", "row_vals"):
+        setattr(model, name, np.asarray(getattr(model, name)).tolist())
+    held = set()
+    for values in points:
+        for v, i, row in reference_cuts(inst, values):
+            if (key := tuple(row.items())) not in held:
+                held.add(key)
+                model.add_row(f"c4_{v}_{i}", row, ">=", 0.0)
+    return model
+
+
 def test_later_rounds_start_warm(monkeypatch):
     inst = separation_instance()
     made = spy_on_highs(monkeypatch)
+    points = record_points(monkeypatch)
     sol = solve_relaxation(inst)
     (session,) = made
     assert len(session.runs) >= 2
-    assert sol.iterations == tuple(count for _, count in session.runs)
+    assert sol.iterations == tuple(count for _, _, count in session.runs)
     first, *later = sol.iterations
     assert all(k < first for k in later)
-    model = build_relaxation(inst, set(sol.pairs))
-    assert sol.iterations[-1] < solve_lp(model).iterations[0]  # the same model, cold
+    # the same model, cold
+    assert sol.iterations[-1] < solve_lp(cut_model(inst, points)).iterations[0]
 
 
 def canonical(cost, col_lower, col_upper, row_lower, row_upper, entries):
@@ -196,28 +223,12 @@ def canonical(cost, col_lower, col_upper, row_lower, row_upper, entries):
     return list(zip(col_lower, col_upper, cost)), set(row_key)
 
 
-def session_columns(inst, model, pairs):
-    """Where HiGHS holds each column of ``model`` when the z columns joined in
-    the order of ``pairs``: C, S and x in place, then m columns per pair."""
-    at = list(range(model.n_vars))
-    k_of = {pair: k for k, pair in enumerate(pairs)}
-    b_of = {mc.id: b for b, mc in enumerate(inst.machines)}
-    base = 1 + inst.n + inst.n * inst.m
-    for (u, v, i), j in model.z_index.items():
-        at[j] = base + k_of[(u, v)] * inst.m + b_of[i]
-    return at
-
-
-def model_form(model, at):
-    """The canonical form of ``model`` with its column j moved to ``at[j]``."""
-    n = model.n_vars
-    cost, lower, upper = [0.0] * n, [0.0] * n, [0.0] * n
-    for j, lo, hi in zip(range(n), model.col_lower, model.col_upper):
-        cost[at[j]], lower[at[j]], upper[at[j]] = model.objective.get(j, 0.0), float(lo), float(hi)
-    entries = [(r, at[j], a) for r, (_, coeffs, _, _) in enumerate(model.rows)
+def model_form(model):
+    cost = [model.objective.get(j, 0.0) for j in range(model.n_vars)]
+    entries = [(r, j, a) for r, (_, coeffs, _, _) in enumerate(model.rows)
                for j, a in coeffs.items()]
-    return canonical(cost, lower, upper, *(list(map(float, a)) for a in (
-        model.row_lower, model.row_upper)), entries)
+    return canonical(cost, *(list(map(float, a)) for a in (
+        model.col_lower, model.col_upper, model.row_lower, model.row_upper)), entries)
 
 
 def highs_form(highs):
@@ -239,49 +250,80 @@ def highs_form(highs):
 def assert_session_holds_the_final_relaxation(monkeypatch, inst):
     """Returns the rounds solve_relaxation took."""
     made = spy_on_highs(monkeypatch)
+    points = record_points(monkeypatch)
     sol = solve_relaxation(inst)
     (session,) = made
-    final = build_relaxation(inst, set(sol.pairs))
-    # every column at its position: the z columns of sol.pairs[k] are the
-    # k-th m columns after C, S and x
-    assert highs_form(session) == model_form(
-        final, session_columns(inst, final, sol.pairs))
+    final = cut_model(inst, points)
+    assert highs_form(session) == model_form(final)
     assert sol.values == tuple(session.getSolution().col_value)
-    assert not check_lp_feasibility(point(final, sol, solved_z(inst, sol)), final, FEAS_TOL)
+    assert not check_lp_feasibility(sol, final, FEAS_TOL)
     return len(sol.iterations)
 
 
 @pytest.mark.parametrize("inst, rounds", [
-    (pipeline_input(32, 8, 0.2, (1, 4), (0.25, 1), 16.0, 2), 3),  # lp_heavy-shaped
+    (pipeline_input(32, 8, 0.2, (1, 4), (0.25, 1), 16.0, 2), 4),  # lp_heavy-shaped
     (gen_layered_gap(4, 2, 1), 1),
-    # a job that has rows (4) gains more pairs in a later round, whose z
-    # entries go into those rows
-    (pipeline_input(60, 8, 0.1, (1, 4), (0.25, 1), 16.0, 10), 4),
+    # some (v, i) gets a second cut, with another U, in a later round
+    (pipeline_input(60, 8, 0.1, (1, 4), (0.25, 1), 16.0, 10), 5),
 ], ids=["lp_heavy-2", "layered-4-2", "rows-four-grow"])
 def test_session_holds_the_final_relaxation(monkeypatch, inst, rounds):
-    # after the last round, what HiGHS holds is build_relaxation(inst,
-    # set(sol.pairs)) with its z columns in the order of sol.pairs, up to the
-    # order of the rows
+    # after the last round, what HiGHS holds is the first model with the
+    # loop-built cut rows of every round, up to the order of the rows
     assert assert_session_holds_the_final_relaxation(monkeypatch, inst) == rounds
+
+
+def test_a_held_cut_is_not_added_again(monkeypatch):
+    # real runs never find a held cut violated again; here every run reports
+    # the first run's point, and the first round keeps only its first cut, so
+    # round two adds the others and round three none
+    inst = pipeline_input(32, 8, 0.2, (1, 4), (0.25, 1), 16.0, 2)
+    made = spy_on_highs(monkeypatch)
+    runs, real_run = [], lp._run
+
+    def replay(highs):
+        runs.append(real_run(highs))
+        return runs[0]
+
+    points, real_separate = [], lp._separate
+
+    def first_cut_first(layout, values):
+        points.append(values.copy())
+        job, machine, member, cut = real_separate(layout, values)
+        if len(points) > 1:
+            return job, machine, member, cut
+        keep = np.arange(len(job)) == 0
+        sel = keep[cut]
+        return job[keep], machine[keep], member[sel], (np.cumsum(keep) - 1)[cut[sel]]
+
+    monkeypatch.setattr(lp, "_run", replay)
+    monkeypatch.setattr(lp, "_separate", first_cut_first)
+    sol = solve_relaxation(inst)
+    (session,) = made
+    rows = [n_rows for _, n_rows, _ in session.runs]
+    cuts = reference_cuts(inst, points[0])
+    assert len(cuts) >= 2
+    assert len(rows) == 3 and rows[0] < rows[1] < rows[2] == session.getNumRow()
+    assert rows[2] - rows[0] == len(cuts)
+    assert highs_form(session) == model_form(cut_model(inst, points[:1]))  # no row twice
+    assert sol.objective == runs[0][2]
 
 
 def test_rejected_append_raises(monkeypatch):
     from scipy.optimize._highspy import _core
 
     class Refusing(_core._Highs):
-        def addCols(self, *args):
-            super().addCols(*args)
+        def addRows(self, *args):
+            super().addRows(*args)
             return _core.HighsStatus.kWarning
 
     monkeypatch.setattr(_core, "_Highs", Refusing)
-    with pytest.raises(ValueError, match="^HiGHS rejected the rows and columns of a separation round$"):
+    with pytest.raises(ValueError, match="^HiGHS rejected the cut rows of a separation round$"):
         solve_relaxation(separation_instance())
 
 
 def test_colliding_ids_reach_the_full_optimum(monkeypatch):
-    # "a-b" and "a_b" give the same model names, and both are chosen
-    # predecessors of j0; the columns and rows HiGHS holds still stand for
-    # their own jobs, pairs and machines
+    # "a-b" and "a_b" give the same model names, and both are predecessors of
+    # j0; the cut rows HiGHS holds still stand for their own jobs and machines
     base = separation_instance()
     rename = {"j1": "a-b", "j2": "a_b"}.get
     inst = make_instance(
@@ -290,11 +332,9 @@ def test_colliding_ids_reach_the_full_optimum(monkeypatch):
         [(rename(u, u), rename(v, v)) for u, v in base.edges],
         base.rho,
     )
-    sol = solve_relaxation(inst)
-    model = build_relaxation(inst, set(sol.pairs))
+    model = build_relaxation(inst)
     z_names = [model.var_names[idx] for idx in model.z_index.values()]
     assert len(set(z_names)) < len(z_names)
-    assert len(sol.iterations) >= 2
     assert_exact(inst)
     assert assert_session_holds_the_final_relaxation(monkeypatch, inst) >= 2
 
@@ -341,17 +381,19 @@ def test_rows_one_and_two_only_where_chaining_does_not_imply_them(edges, sinks, 
                          [Machine("m0", 0.5), Machine("m1", 1.0)], edges, rho)
     want_c1 = [f"c1_{v}" for v in sinks]
     want_c2 = [f"c2_{u}_{v}" for u, v in reduction]
-    for model in (build_relaxation(inst), build_relaxation(inst, set(edges))):
+    for model in (build_relaxation(inst), build_relaxation(inst, pairs=False)):
         names = [name for name, *_ in model.rows]
         assert [name for name in names if name.startswith("c1_")] == want_c1
         assert [name for name in names if name.startswith("c2_")] == want_c2
 
 
-def test_restricted_model_keeps_only_chosen_pairs():
+def test_first_model_has_no_pairs():
     inst = make_instance(
         [Job(x, 1.0) for x in "abc"], [Machine("m0", 1.0)], [("a", "b"), ("b", "c")], 2.0
     )
-    model = build_relaxation(inst, {("a", "b"), ("b", "c")})
-    assert sorted(model.z_index) == [("a", "b", "m0"), ("b", "c", "m0")]
-    assert sum(1 for name, *_ in model.rows if name.startswith("c3_")) == 2
+    first = build_relaxation(inst, pairs=False)
+    assert not first.z_index and first.n_vars == 1 + 3 + 3
+    assert not [name for name in first.row_names if name.startswith(("c3_", "c4_"))]
     assert len(build_relaxation(inst).z_index) == 3
+    with pytest.raises(TypeError, match="^pairs must be True or False"):
+        build_relaxation(inst, {("a", "b")})  # the subset form is gone

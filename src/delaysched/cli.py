@@ -117,7 +117,7 @@ def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> Pipeli
     sreport = schedmodel.validate_schedule(work, sched_norm)
     if not sreport.valid:
         raise PipelineError("schedule", "; ".join(sreport.violations[:3]))
-    with _stage("diagnostics", schedmodel.LemmaViolation):
+    with _stage("diagnostics", (schedmodel.LemmaViolation, ValueError)):
         analysis = schedmodel.lemma_diagnostics(work, sol, assignment, sched_norm, eta=eta)
 
     out_sched = Schedule(

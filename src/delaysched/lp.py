@@ -63,6 +63,21 @@ column per direct edge and machine (151 s on layered (4, 2), 13.7 s on
 deterministic for a fixed model, and a session's rounds for a fixed
 instance.
 
+:func:`solve_lp` starts cold, from the all-slack basis.  The first run of
+:func:`solve_relaxation` starts from a basis built from the instance
+(:func:`_critical_path_basis`): every job's x on the fastest machine, S
+from the longest-path schedule under fastest times and C basic, and the rows
+of the critical chain tight.  Its duals are 1 along the critical chain and the
+reduced cost of moving a chain job to a slower machine is its longer time, so
+the start is dual feasible, and the dual simplex only has to repair machine
+loads; jobs move to slower machines within their free float first.  Over 60
+instances at n=32, m=8 the first run took 1,515 iterations instead of
+10,013, and over 60 at n=150, m=4, 2,362 instead of 20,936.  When every
+machine has one speed there is nowhere to move a job, and the start is cold:
+with every job on one machine, layered (4, 2) took 0.09 s instead of 0.03 s
+and layered (3, 3) 2.1 s instead of 0.5 s, and spreading the jobs over the
+tied machines stalled Dantzig pricing for over 60 s on layered (2, 4).
+
 Package import loads neither scipy nor numpy: both are imported inside the
 functions that use them.  The first solve loads only scipy's compiled HiGHS
 module, ``scipy.optimize._highspy._core``, from its file: importing it by
@@ -510,7 +525,8 @@ def solve_lp(model: LpModel) -> LpSolution:
 
     The model goes to HiGHS in one call of the binding's array form of
     ``passModel`` (:func:`_open`), and the solve starts cold.
-    :func:`solve_relaxation` opens its first model the same way.
+    :func:`solve_relaxation` opens its first model the same way, then sets
+    its starting basis.
     """
     status, values, objective, count = _run(_open(model))
     sol = _solution_from_values(model, values, status, objective)
@@ -608,21 +624,120 @@ def _first_true(mask) -> int | None:
     return int(mask.argmax()) if mask.any() else None
 
 
+def _critical_path_basis(layout: _Relaxation):
+    """A starting basis for the first model of :func:`solve_relaxation`, as
+    boolean ``(basic_cols, basic_rows)``; every nonbasic column and row sits
+    at its lower bound.  None when every machine has one speed.
+
+    With every job on the fastest machine f, the basic columns are each
+    job's x_{v,a(v)} (a(v) = f), S_v for every job with a row (2), that row
+    taken from v's longest-path predecessor under fastest-machine times, and
+    C.  The tight rows are every row (6), each chosen row (2) and the row (1)
+    of the sink that finishes last; every other row keeps its slack basic.
+    Ordered by a topological order, the basic columns against the tight rows
+    form a triangular matrix, so the basis is nonsingular.  The duals are 1
+    on the rows of the critical chain, 0 on the other rows (2) and (1), and
+    ``size_v / s_a(v)`` on the row (6) of a chain job, so the reduced cost of
+    x_{v,i} is ``size_v / s_i - size_v / s_f >= 0`` on the chain and 0 off
+    it: the start is dual feasible, and only row (5) of f can be violated.
+
+    While f's load is above ``C0 s_f``, with ``C0`` the larger of the
+    critical path and the total size over the total speed, jobs in job order
+    move to the fastest strictly slower machine i where the longer time fits
+    in the job's free float (its earliest successor's start, or the critical
+    path for a sink, less its finish) and ``load_i + size_v <= C0 s_i``.  A
+    move within the free float changes no start and no chosen row, and a job
+    with a float is off the chain, so the duals stay as they are; the rows
+    (5) of the machines that took jobs can be violated only where ``C0`` is
+    above the critical path, which C keeps.
+    """
+    import numpy as np
+
+    speed, size = layout.pairs.speed, layout.pairs.size
+    if speed.max() == speed.min():
+        return None
+    n, m = layout.n, layout.m
+    c1, eu, ev = layout.c1, layout.eu, layout.ev
+    f = m - 1 - int(np.argmax(speed[::-1]))  # the last of the fastest machines
+    fast = size / speed[f]
+    # earliest starts under fastest times, from the kept rows (2) only; the
+    # edges are sorted by v, so v's rows are eu[first[v]:first[v + 1]]
+    first = np.searchsorted(ev, np.arange(n + 1)).tolist()
+    src, fast_l = eu.tolist(), fast.tolist()
+    pos = {v.id: k for k, v in enumerate(layout.inst.jobs)}
+    start, chosen = [0.0] * n, [-1] * n  # chosen: the row (2) index taken for v
+    for vid in layout.inst._order:
+        v = pos[vid]
+        for k in range(first[v], first[v + 1]):
+            t = start[src[k]] + fast_l[src[k]]
+            if chosen[v] < 0 or t > start[v]:
+                start[v], chosen[v] = t, k
+    start = np.array(start)
+    finish = start + fast
+    last = int(np.argmax(finish[c1]))  # the row (1) of the sink that finishes last
+    path = float(finish[c1[last]])
+    succ_start = np.full(n, path)
+    np.minimum.at(succ_start, eu, start[ev])
+    slack = (succ_start - finish).tolist()
+
+    sizes, speeds = size.tolist(), speed.tolist()
+    machine = [f] * n
+    load = [0.0] * m
+    load[f] = sum(sizes)
+    bound = max(path, load[f] / sum(speeds))
+    slower = [i for i in range(m - 1, -1, -1) if speeds[i] < speeds[f]]
+    for v in range(n):
+        if load[f] <= bound * speeds[f]:
+            break
+        for i in slower:
+            if (sizes[v] / speeds[i] - fast_l[v] <= slack[v]
+                    and load[i] + sizes[v] <= bound * speeds[i]):
+                machine[v] = i
+                load[i] += sizes[v]
+                load[f] -= sizes[v]
+                break
+
+    cols = np.zeros(1 + n + n * m, dtype=bool)
+    cols[0] = True
+    chosen = np.array(chosen)
+    cols[1 + np.flatnonzero(chosen >= 0)] = True
+    cols[1 + n + m * np.arange(n) + np.array(machine)] = True
+    n1, n2 = len(c1), len(eu)
+    rows = np.ones(n1 + n2 + m + n, dtype=bool)  # rows (1), (2), (5), (6)
+    rows[last] = False
+    rows[n1 + chosen[chosen >= 0]] = False
+    rows[n1 + n2 + m:] = False
+    return cols, rows
+
+
 class _Session:
     """One HiGHS object holding the first model of one instance, which
     separation rounds grow in place.
 
     It opens with a model without pairs (C, S and x with rows (1), (2), (5)
-    and (6)), and :meth:`add` appends cut rows.  No column is added and no
-    row removed or moved, so HiGHS keeps its basis and factorization and each
-    run starts from the last.  ``held`` holds the columns of every cut row
-    added, as bytes: they name v, i and U, which fix the row's values.
+    and (6)) and the basis :func:`_critical_path_basis` builds, where there
+    is one, so the first run starts from it rather than from every slack;
+    :meth:`add` appends cut rows.  No column is added and no row removed or
+    moved, so HiGHS keeps its basis and factorization and each later run
+    starts from the last.  ``held`` holds the columns of every cut row added,
+    as bytes: they name v, i and U, which fix the row's values.
     """
 
     def __init__(self, model: LpModel):
         self.layout = model._layout
         self.highs = _open(model)
         self.held: set[bytes] = set()
+        start = _critical_path_basis(self.layout)
+        if start is not None:
+            from scipy.optimize._highspy._core import HighsBasis, HighsBasisStatus, HighsStatus
+
+            basis = HighsBasis()
+            basic, lower = HighsBasisStatus.kBasic, HighsBasisStatus.kLower
+            basis.col_status = [basic if b else lower for b in start[0].tolist()]
+            basis.row_status = [basic if b else lower for b in start[1].tolist()]
+            basis.alien = False
+            if self.highs.setBasis(basis) != HighsStatus.kOk:
+                raise ValueError("HiGHS rejected the starting basis")
 
     def add(self, cuts) -> int:
         """Append the cuts of :func:`_separate` whose rows the model does not
@@ -683,11 +798,13 @@ def solve_relaxation(inst: Instance) -> LpSolution:
     as HiGHS meets the held cut, scaled by rho s_i, to within 1e-7.  There
     are finitely many cuts, so the loop ends.
 
-    One HiGHS object serves every round: a round appends its cut rows to the
-    model HiGHS holds, and HiGHS starts from the basis it ended the last
-    round with.  Returns the last solve's solution: ``values`` are C, S and
-    x as HiGHS holds them, ``x``, ``start`` and ``objective`` are read from
-    them, and ``iterations`` has one count per round.  A ``ValueError`` from
+    One HiGHS object serves every round: the first run starts from the
+    critical-path basis of :func:`_critical_path_basis` (cold when every
+    machine has one speed), a round appends its cut rows to the model HiGHS
+    holds, and HiGHS starts from the basis it ended the last round with.
+    Returns the last solve's solution: ``values`` are C, S and x as HiGHS
+    holds them, ``x``, ``start`` and ``objective`` are read from them, and
+    ``iterations`` has one count per round.  A ``ValueError`` from
     the checks of :func:`solve_lp` can come from any round.
     """
     model = build_relaxation(inst, pairs=False)

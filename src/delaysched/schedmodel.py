@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .instance import TOL, CodecError, Instance, _number, _objects, _string, transitive_predecessors
 
 LONG_FACTOR = 8.0  # a placement is long when its execution time exceeds 8*rho
+MAX_PHASES = 1_000_000  # phase analysis keeps a few lists of this length per machine
 
 
 @dataclass(frozen=True)
@@ -192,10 +193,17 @@ def build_chain(inst: Instance, sched: Schedule) -> Chain:
 
 
 def phase_count(inst: Instance, sched: Schedule) -> int:
+    """Phases the makespan spans, at least 1; ``ValueError`` above
+    ``MAX_PHASES``, before anything is allocated per phase."""
     if inst.rho <= 0:
         raise ValueError("phases are undefined for rho <= 0")
-    ms = makespan(inst, sched)
-    return max(1, math.ceil(ms / inst.rho - TOL))
+    spans = makespan(inst, sched) / inst.rho  # inf once rho is tiny enough
+    if not spans - TOL <= MAX_PHASES:
+        raise ValueError(
+            f"the makespan spans {spans:.3g} phases of length rho; "
+            f"phase analysis stops above {MAX_PHASES:,}"
+        )
+    return max(1, math.ceil(spans - TOL))
 
 
 def _overlap(lo: float, hi: float, a: float, b: float) -> float:

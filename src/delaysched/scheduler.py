@@ -194,6 +194,10 @@ def run_group_scheduler(
 
         if len(placed) == n:
             break
+        # later rounds visit only the jobs still to place; the check inside
+        # the round stays, as a batch can place jobs of later groups
+        for g, jobs in group_jobs.items():
+            group_jobs[g] = [v for v in jobs if v not in placed]
         nxt = _next_event(events, clock)
         if nxt is None:
             raise SchedulerInvariantError(

@@ -479,6 +479,25 @@ def test_module_entry_runs_without_warnings():
     assert out.stdout.startswith("usage: ")
 
 
+def test_tiny_rho_stops_before_phase_analysis(tmp_path):
+    # the makespan spans about 4e12 phases; allocating per phase exhausted
+    # memory, so this runs in a subprocess with a timeout rather than in-process
+    doc = {"rho": 1e-12, "jobs": [{"id": "a", "size": 1}, {"id": "b", "size": 1},
+                                  {"id": "c", "size": 2}],
+           "machines": [{"id": "m1", "speed": 0.5}, {"id": "m0", "speed": 1}],
+           "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(doc))
+    src = str(Path(delaysched.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "delaysched", "schedule", "--input", str(inst_path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2
+    assert out.stderr == ("error: [diagnostics] the makespan spans 4e+12 phases of length rho; "
+                          "phase analysis stops above 1,000,000\n")
+
+
 def _speeds_doc(*machines):
     return {"rho": 1, "jobs": [{"id": "a", "size": 1}, {"id": "b", "size": 2}],
             "machines": [{"id": k, "speed": s} for k, s in machines], "edges": [["a", "b"]]}

@@ -264,7 +264,7 @@ def assert_session_holds_the_final_relaxation(monkeypatch, inst):
     (pipeline_input(32, 8, 0.2, (1, 4), (0.25, 1), 16.0, 2), 4),  # lp_heavy-shaped
     (gen_layered_gap(4, 2, 1), 1),
     # some (v, i) gets a second cut, with another U, in a later round
-    (pipeline_input(60, 8, 0.1, (1, 4), (0.25, 1), 16.0, 10), 5),
+    (pipeline_input(60, 8, 0.1, (1, 4), (0.25, 1), 16.0, 10), 4),
 ], ids=["lp_heavy-2", "layered-4-2", "rows-four-grow"])
 def test_session_holds_the_final_relaxation(monkeypatch, inst, rounds):
     # after the last round, what HiGHS holds is the first model with the
@@ -318,6 +318,18 @@ def test_rejected_append_raises(monkeypatch):
 
     monkeypatch.setattr(_core, "_Highs", Refusing)
     with pytest.raises(ValueError, match="^HiGHS rejected the cut rows of a separation round$"):
+        solve_relaxation(separation_instance())
+
+
+def test_refused_starting_basis_raises(monkeypatch):
+    from scipy.optimize._highspy import _core
+
+    class Refusing(_core._Highs):
+        def setBasis(self, basis):
+            return _core.HighsStatus.kError
+
+    monkeypatch.setattr(_core, "_Highs", Refusing)
+    with pytest.raises(ValueError, match="^HiGHS rejected the starting basis$"):
         solve_relaxation(separation_instance())
 
 
@@ -397,3 +409,94 @@ def test_first_model_has_no_pairs():
     assert len(build_relaxation(inst).z_index) == 3
     with pytest.raises(TypeError, match="^pairs must be True or False"):
         build_relaxation(inst, {("a", "b")})  # the subset form is gone
+
+
+def start_point(inst):
+    """The first model of ``inst``, its starting basis (basic columns, basic
+    rows), and the duals, reduced costs and point that basis fixes, with
+    every nonbasic column at 0 and every tight row at its lower bound; None
+    without a basis.  Asserts that the basis is square and nonsingular."""
+    model = build_relaxation(inst, pairs=False)
+    start = lp._critical_path_basis(model._layout)
+    if start is None:
+        return None
+    cols, rows = start
+    n_rows = len(model.row_lower)
+    A = np.zeros((n_rows, model.n_vars))
+    for r, (_, coeffs, _, _) in enumerate(model.rows):
+        for j, a in coeffs.items():
+            A[r, j] = a
+    cost = np.zeros(model.n_vars)
+    cost[model.c_index] = 1.0
+    tight = ~rows
+    assert tight.sum() == cols.sum()  # a square basic submatrix
+    B = A[np.ix_(tight, cols)]
+    assert np.linalg.matrix_rank(B) == len(B)
+    y = np.zeros(n_rows)
+    y[tight] = np.linalg.solve(B.T, cost[cols])
+    d = cost - A.T @ y
+    x = np.zeros(model.n_vars)
+    x[cols] = np.linalg.solve(B, np.asarray(model.row_lower)[tight])
+    return model, cols, rows, y, d, x
+
+
+def assert_dual_feasible_start(inst):
+    """The starting basis is dual feasible, and only rows (5) can be
+    violated at its point.  Returns whether a job left the fastest machine
+    (None without a basis)."""
+    got = start_point(inst)
+    if got is None:
+        return None
+    model, cols, rows, y, d, x = got
+    assert (d[~cols] >= -1e-9).all()
+    assert np.allclose(d[cols], 0.0, atol=1e-9)
+    names = model.row_names
+    ge = np.array([not name.startswith("c6_") for name in names])  # rows >= 0
+    assert (y[ge] >= -1e-9).all()
+    assert (x >= -1e-9).all() and (x[1 + inst.n:] <= 1 + 1e-9).all()
+    activity = np.array([sum(a * x[j] for j, a in coeffs.items())
+                         for _, coeffs, _, _ in model.rows])
+    met = ((activity >= np.asarray(model.row_lower) - 1e-9)
+           & (activity <= np.asarray(model.row_upper) + 1e-9))
+    assert all(ok or name.startswith("c5_") for ok, name in zip(met, names))
+    on = x[1 + inst.n:].reshape(inst.n, inst.m) > 0.5
+    return bool((~on[:, -1]).any())
+
+
+def test_starting_basis_is_dual_feasible_on_the_tiny_corpus():
+    moved = [assert_dual_feasible_start(tiny_instance(seed, n_max=5, m_max=2))
+             for seed in range(200)]
+    assert moved.count(None) < len(moved)
+
+
+def test_starting_basis_is_dual_feasible_on_the_pipeline_corpus():
+    moved = []
+    for seed in range(100):
+        inst = mid_instance(seed, n_max=40, m_max=8, rho_choices=(1.0, 4.0, 16.0))
+        norm, _ = normalize_instance(inst)
+        moved.append(assert_dual_feasible_start(filter_slow_machines(norm).filtered))
+    assert True in moved  # the load moves are exercised
+
+
+def test_starting_basis_cuts_the_first_round():
+    inst = pipeline_input(32, 8, 0.2, (1, 4), (0.25, 1), 16.0, 2)  # lp_heavy-2
+    assert assert_dual_feasible_start(inst)
+    cold = solve_lp(build_relaxation(inst, pairs=False))
+    sol = solve_relaxation(inst)
+    assert sol.iterations[0] < cold.iterations[0]
+
+
+@pytest.mark.parametrize("inst", [
+    gen_layered_gap(4, 2, 1),
+    pipeline_input(32, 8, 0.2, (1, 4), (0.5, 0.5), 16.0, 2),
+], ids=["layered-4-2", "lp_heavy-shaped-one-speed"])
+def test_one_speed_starts_cold(inst):
+    # with no strictly slower machine there is no basis, and the first round
+    # is the cold solve of the first model
+    assert len({mc.speed for mc in inst.machines}) == 1
+    assert lp._critical_path_basis(build_relaxation(inst, pairs=False)._layout) is None
+    cold = solve_lp(build_relaxation(inst, pairs=False))
+    sol = solve_relaxation(inst)
+    assert sol.iterations[0] == cold.iterations[0]
+    if len(sol.iterations) == 1:
+        assert sol.values == cold.values

@@ -21,7 +21,7 @@ from delaysched import (
 )
 from delaysched.grouping import partition_machine_groups
 from delaysched.instance import TOL, CodecError
-from delaysched.schedmodel import Chain, _phase_sums, gantt_rows, phase_count
+from delaysched.schedmodel import MAX_PHASES, Chain, _phase_sums, gantt_rows, phase_count
 
 
 def unit_pair(rho):
@@ -279,6 +279,20 @@ def test_classify_phases_matches_per_phase_reference(case):
         assert _phase_sums(inst, placements, count) == [
             _reference_overlaps(inst, placements, tau) for tau in range(count)
         ]
+
+
+@pytest.mark.parametrize("makespan_in_phases, count", [
+    (MAX_PHASES, MAX_PHASES), (2 * MAX_PHASES, None), (math.inf, None),
+])
+def test_phase_count_is_bounded(makespan_in_phases, count):
+    # a makespan of 2 over rho 5e-324 spans an infinite number of phases
+    rho = 2.0 / makespan_in_phases if math.isfinite(makespan_in_phases) else 5e-324
+    sched = Schedule((Placement("a", "m0", 0.0), Placement("b", "m0", 1.0)))
+    if count is None:
+        with pytest.raises(ValueError, match="phase analysis stops above 1,000,000"):
+            phase_count(unit_pair(rho), sched)
+    else:
+        assert phase_count(unit_pair(rho), sched) == count
 
 
 def test_schedule_codec_round_trip():

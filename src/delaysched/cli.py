@@ -293,7 +293,7 @@ def _dispatch(args) -> int:
             inst = gen_layered_gap(args.layers, args.degree, seed)
         else:
             inst = gen_binary_tree(args.rho_exp)
-        _write(instance_to_json(inst), args.output)
+        _write(instance_to_json(_require_valid(inst)), args.output)
         return 0
 
     if cmd == "preprocess":
@@ -306,7 +306,7 @@ def _dispatch(args) -> int:
         inst = _read_instance(args.input)
         norm, scale = normalize_instance(inst)
         if args.relaxation == "main":
-            # the export writes the full model; the solve generates pairs lazily
+            # the export writes the full model; the solve separates rows (4) as cuts
             if args.export_lp:
                 _write(lp.export_lp_text(lp.build_relaxation(norm)), args.export_lp)
             sol = lp.solve_relaxation(norm)

@@ -482,11 +482,19 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def instance_from_json(text: str) -> Instance:
+def _json_document(text: str):
+    """``json.loads(text)``, with text that is not JSON, or that nests too
+    deeply for the decoder, raised as ``CodecError``."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CodecError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise CodecError("JSON nested too deeply to decode") from None
+
+
+def instance_from_json(text: str) -> Instance:
+    doc = _json_document(text)
     if not isinstance(doc, dict):
         raise CodecError("instance document must be a JSON object")
     rho = _number(doc, "rho", "instance document")

@@ -31,13 +31,17 @@ sense is its bounds) and the rows' terms flat and row-wise (``row_start``,
 by index arithmetic over job, pair and machine indices, a few numpy
 operations per constraint family and no loop per row; the cuts of a round are
 assembled the same way.  The columns are C, then S per job, then x per job and
-machine (:func:`_scaffold`, which the alternate relaxations of :mod:`gaplab`
-share), then z per pair and machine in the full model; the rows are families
-(1) to (6) in that order.  Models built one variable and row at a time with
-``add_var`` and ``add_row`` hold lists instead; :func:`solve_lp` takes both.
+machine, then z per pair and machine in the full model; the rows are families
+(1) to (6) in that order.  Each model holds this structure by index in one
+:class:`_Layout`, which the builder, the separation oracle and the starting
+basis read.  The alternate relaxations of :mod:`gaplab` start from the same
+C, S and x columns (:func:`_scaffold`) and add variables and rows one at a
+time with ``add_var`` and ``add_row``, so they hold lists instead;
+:func:`solve_lp` takes both.
 
-Column and row names are made only when something reads them: ``var_names``,
-``row_names``, ``rows``, :func:`export_lp_text` and error messages.
+A relaxation's column and row names are made only when something reads them:
+``var_names``, ``row_names``, ``rows``, :func:`export_lp_text` and error
+messages.
 :func:`solve_relaxation` keeps one HiGHS object per instance (:class:`_Session`):
 the first model goes in whole, and each separation round appends its cut rows
 to the model HiGHS holds, so HiGHS keeps its basis and factorization from one
@@ -103,7 +107,7 @@ from functools import cached_property
 from .instance import TOL, Instance, transitive_predecessors
 
 FEAS_TOL = 1e-6
-SEPARATION_TOL = 1e-9  # row (4) violation that brings omitted same-phase pairs in
+SEPARATION_TOL = 1e-9  # row (4) violation of the least z that adds a subset cut
 
 
 def _as_list(seq):
@@ -157,7 +161,8 @@ class LpModel:
     ``[row_lower[r], row_upper[r]]``.  :func:`build_relaxation` fills these
     with numpy arrays; ``add_var`` and ``add_row`` append to the lists of a
     model built from ``LpModel()`` or :func:`_scaffold`.  ``rows`` reads the
-    rows back as tuples; ``var_names`` and ``row_names`` are made on read.
+    rows back as tuples.  ``var_names`` and ``row_names`` are a relaxation's
+    names, made on first read, then the names a model holds as a list.
     """
 
     col_lower: Sequence[float] = field(default_factory=list)
@@ -173,16 +178,16 @@ class LpModel:
     z_index: dict[tuple[str, str, str], int] = field(default_factory=dict)
     s_index: dict[str, int] = field(default_factory=dict)
     c_index: int | None = None
-    # the structural columns and rows, which come first; then the names given
-    # to add_var and add_row
-    _layout: _Scaffold | None = field(default=None, repr=False)
-    _added_vars: list[str] = field(default_factory=list, repr=False)
-    _added_rows: list[str] = field(default_factory=list, repr=False)
+    # a relaxation's columns and rows, which come first; then the names of
+    # the scaffold's columns and of those given to add_var and add_row
+    _layout: _Layout | None = field(default=None, repr=False)
+    _var_names: list[str] = field(default_factory=list, repr=False)
+    _row_names: list[str] = field(default_factory=list, repr=False)
 
     def add_var(self, name: str, lo: float = 0.0, hi: float = math.inf) -> int:
         self.col_lower.append(lo)
         self.col_upper.append(hi)
-        self._added_vars.append(name)
+        self._var_names.append(name)
         return len(self.col_lower) - 1
 
     def add_row(self, name: str, coeffs: dict[int, float], sense: str, rhs: float):
@@ -193,7 +198,7 @@ class LpModel:
         self.row_lower.append(-math.inf if sense == "<=" else rhs)
         self.row_upper.append(math.inf if sense == ">=" else rhs)
         self.row_start.append(len(self.row_cols))
-        self._added_rows.append(name)
+        self._row_names.append(name)
 
     @property
     def rows(self) -> _Rows:
@@ -209,11 +214,11 @@ class LpModel:
 
     @property
     def var_names(self) -> list[str]:
-        return (self._layout.col_names if self._layout else []) + self._added_vars
+        return (self._layout.col_names if self._layout else []) + self._var_names
 
     @property
     def row_names(self) -> list[str]:
-        return (self._layout.row_names if self._layout else []) + self._added_rows
+        return (self._layout.row_names if self._layout else []) + self._row_names
 
 
 @dataclass
@@ -238,107 +243,88 @@ def _safe(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_]", "_", name)
 
 
-def _safe_ids(inst: Instance) -> tuple[dict[str, str], dict[str, str]]:
-    """``_safe`` of every job id and of every machine id, computed once."""
-    return ({v.id: _safe(v.id) for v in inst.jobs},
-            {mc.id: _safe(mc.id) for mc in inst.machines})
+def _safe_ids(inst: Instance) -> tuple[list[str], list[str]]:
+    """Model-name forms of the job ids and of the machine ids, by index."""
+    return [_safe(v.id) for v in inst.jobs], [_safe(mc.id) for mc in inst.machines]
 
 
-class _Scaffold:
-    """The structural columns every relaxation starts with: C, then S_v per
-    job, then x_{v,i} per job and machine, with no rows.  Names are made on
-    first read and kept."""
+def _scaffold_names(jobs: list[str], machines: list[str]) -> list[str]:
+    """Names of the columns every relaxation starts with, C, S_v and x_{v,i},
+    from the model-name forms of the job and machine ids by index."""
+    return ["C", *(f"S_{v}" for v in jobs), *(f"x_{v}_{i}" for v in jobs for i in machines)]
 
-    def __init__(self, inst: Instance):
-        self.inst = inst
-        self.n, self.m = inst.n, inst.m
 
-    @cached_property
-    def col_names(self) -> list[str]:
-        return self._col_names(*self._ids())
-
-    @cached_property
-    def row_names(self) -> list[str]:
-        return self._row_names(*self._ids())
-
-    def _ids(self) -> tuple[list[str], list[str]]:
-        """Model-name forms of the job ids and the machine ids, by index."""
-        jn, mn = _safe_ids(self.inst)
-        return [jn[v.id] for v in self.inst.jobs], [mn[mc.id] for mc in self.inst.machines]
-
-    def _col_names(self, jobs: list[str], machines: list[str]) -> list[str]:
-        return ["C", *(f"S_{v}" for v in jobs),
-                *(f"x_{v}_{i}" for v in jobs for i in machines)]
-
-    def _row_names(self, jobs: list[str], machines: list[str]) -> list[str]:
-        return []
+def _scaffold_index(inst: Instance) -> tuple[dict, dict]:
+    """``x_index`` and ``s_index`` of the columns C, S_v per job and x_{v,i}
+    per job and machine."""
+    n, m = inst.n, inst.m
+    job_ids = [v.id for v in inst.jobs]
+    x_keys = ((v, mc.id) for v in job_ids for mc in inst.machines)
+    return dict(zip(x_keys, range(1 + n, 1 + n + n * m))), dict(zip(job_ids, range(1, 1 + n)))
 
 
 def _scaffold(inst: Instance) -> LpModel:
     """Model minimizing C, with C, then S_v per job, then x_{v,i} per job and
-    machine; the relaxations append their own variables and rows after these."""
+    machine, named now; the alternate relaxations of :mod:`gaplab` append
+    their own variables and rows after these."""
     n, m = inst.n, inst.m
-    job_ids = [v.id for v in inst.jobs]
-    x_keys = ((v, mc.id) for v in job_ids for mc in inst.machines)
+    x_index, s_index = _scaffold_index(inst)
     return LpModel(
         col_lower=[0.0] * (1 + n + n * m),
         col_upper=[math.inf] * (1 + n) + [1.0] * (n * m),
         objective={0: 1.0},
-        x_index=dict(zip(x_keys, range(1 + n, 1 + n + n * m))),
-        s_index=dict(zip(job_ids, range(1, 1 + n))),
+        x_index=x_index,
+        s_index=s_index,
         c_index=0,
-        _layout=_Scaffold(inst),
+        _var_names=_scaffold_names(*_safe_ids(inst)),
     )
 
 
-class _Pairs:
-    """Every transitive pair (u, v) of an instance in z order (by v's job
-    index, then u's id), as id tuples and as job-index arrays ``u`` and
-    ``v``; with what else every relaxation of the instance shares, whatever
-    pairs it chooses: the rows (1) and (2) it keeps (``unimplied``, see
-    :func:`_unimplied`), and the jobs' sizes and machines' speeds by index."""
+class _Layout:
+    """The structure of one relaxation by index: C, then S_v per job, then
+    x_{v,i} per job and machine, then z_{u,v,i} per model pair and machine;
+    rows (1) to (6).  Built once per model, from a valid instance.
 
-    def __init__(self, inst: Instance):
+    ``pos`` maps a job id to its index, and ``size`` and ``speed`` hold the
+    jobs' sizes and machines' speeds by index.  ``u`` and ``v`` are every
+    transitive pair (u, v) by job index, in z order (by v's index, then u's
+    id), as the separation oracle reads them; ``pu`` and ``pv`` are the
+    model's own pairs: all of them when ``with_pairs`` is set, else none.
+    ``c1`` are the jobs with rows (1) and ``eu``, ``ev`` the edges with rows
+    (2), in row order (:func:`_unimplied`); ``c4`` are the jobs with rows
+    (4).  The x columns end at ``x_end``.  Names are made on first read and
+    kept.
+    """
+
+    def __init__(self, inst: Instance, with_pairs: bool):
         import numpy as np
 
         closure = transitive_predecessors(inst)  # raises ValueError on an invalid instance
-        pos = {v.id: k for k, v in enumerate(inst.jobs)}
-        self.ids = [(u, v.id) for v in inst.jobs for u in sorted(closure[v.id])]
-        self.u = np.array([pos[u] for u, _ in self.ids], dtype=np.int64)
-        self.v = np.array([pos[v] for _, v in self.ids], dtype=np.int64)
-        self.unimplied = _unimplied(inst, self)
+        self.inst = inst
+        self.n, self.m = n, m = inst.n, inst.m
+        self.pos = pos = {v.id: k for k, v in enumerate(inst.jobs)}
         self.size = np.array([v.size for v in inst.jobs])
         self.speed = np.array([mc.speed for mc in inst.machines])
-
-
-class _Relaxation(_Scaffold):
-    """Structure of a relaxation: the scaffold's columns, then z_{u,v,i} per
-    pair and machine, then rows (1) to (6).
-
-    ``pu`` and ``pv`` are the model's pairs by job index: every pair of
-    ``pairs`` when ``with_pairs`` is set, else none; ``c1`` are the jobs with
-    rows (1) and ``eu``, ``ev`` the edges with rows (2), in row order
-    (:func:`_unimplied`); ``c4`` are the jobs with rows (4).
-    """
-
-    def __init__(self, inst: Instance, pairs: _Pairs, with_pairs: bool):
-        import numpy as np
-
-        super().__init__(inst)
-        self.pairs = pairs
-        self.c1, self.eu, self.ev = pairs.unimplied
-        self.pu, self.pv = (pairs.u, pairs.v) if with_pairs else (pairs.u[:0], pairs.v[:0])
+        preds = [sorted(closure[v.id]) for v in inst.jobs]
+        self.u = np.array([pos[u] for us in preds for u in us], dtype=np.int64)
+        self.v = np.repeat(np.arange(n, dtype=np.int64), [len(us) for us in preds])
+        self.c1, self.eu, self.ev = _unimplied(self)
+        self.pu, self.pv = (self.u, self.v) if with_pairs else (self.u[:0], self.v[:0])
         # jobs with rows (4), in job order (np.unique would load numpy.ma)
-        self.c4 = np.flatnonzero(np.bincount(self.pv, minlength=self.n))
-        self.z_base = 1 + self.n + self.n * self.m
+        self.c4 = np.flatnonzero(np.bincount(self.pv, minlength=n))
+        self.x_end = 1 + n + n * m
 
-    def _col_names(self, jobs: list[str], machines: list[str]) -> list[str]:
+    @cached_property
+    def col_names(self) -> list[str]:
+        jobs, machines = _safe_ids(self.inst)
         pairs = zip(self.pu.tolist(), self.pv.tolist())
-        return super()._col_names(jobs, machines) + [
+        return _scaffold_names(jobs, machines) + [
             f"z_{jobs[u]}_{jobs[v]}_{i}" for u, v in pairs for i in machines
         ]
 
-    def _row_names(self, jobs: list[str], machines: list[str]) -> list[str]:
+    @cached_property
+    def row_names(self) -> list[str]:
+        jobs, machines = _safe_ids(self.inst)
         pairs = list(zip(self.pu.tolist(), self.pv.tolist()))
         return [
             *(f"c1_{jobs[v]}" for v in self.c1.tolist()),
@@ -350,7 +336,7 @@ class _Relaxation(_Scaffold):
         ]
 
 
-def _unimplied(inst: Instance, pairs: _Pairs):
+def _unimplied(layout: _Layout):
     """The rows (1) and (2) that chaining does not imply, as job-index arrays.
 
     Row (1) is kept for the sinks only: a job u with a successor has one, v,
@@ -363,20 +349,19 @@ def _unimplied(inst: Instance, pairs: _Pairs):
     """
     import numpy as np
 
-    n = inst.n
-    pos = {v.id: k for k, v in enumerate(inst.jobs)}
+    n, pos, inst = layout.n, layout.pos, layout.inst
     direct = inst.direct_predecessors()
     edges = [(pos[u], k) for k, v in enumerate(inst.jobs) for u in sorted(set(direct[v.id]))]
     eu = np.array([u for u, _ in edges], dtype=np.int64)
     ev = np.array([v for _, v in edges], dtype=np.int64)
     # every pair (u, w) followed by an edge (w, v) implies (u, v); the pairs
-    # ending at w are contiguous in ``pairs``
-    per_job = np.bincount(pairs.v, minlength=n)
+    # ending at w are contiguous in the layout's pairs
+    per_job = np.bincount(layout.v, minlength=n)
     first = np.cumsum(per_job) - per_job
     reps = per_job[eu]
     through = np.repeat(first[eu] - (np.cumsum(reps) - reps), reps) + np.arange(reps.sum())
     implied = np.zeros(n * n, dtype=bool)
-    implied[pairs.u[through] * n + np.repeat(ev, reps)] = True
+    implied[layout.u[through] * n + np.repeat(ev, reps)] = True
     keep = ~implied[eu * n + ev]
     sinks = np.flatnonzero(np.bincount(eu, minlength=n) == 0)
     return sinks, eu[keep], ev[keep]
@@ -398,17 +383,14 @@ def build_relaxation(inst: Instance, pairs: bool = True) -> LpModel:
 
     if not isinstance(pairs, bool):
         raise TypeError(f"pairs must be True or False, not {pairs!r}")
-    every = _Pairs(inst)  # validates the instance
-    layout = _Relaxation(inst, every, pairs and inst.rho > 0)
-    model = _scaffold(inst)
-    model._layout = layout
+    layout = _Layout(inst, pairs and inst.rho > 0)  # validates the instance
     n, m, rho = inst.n, inst.m, inst.rho
-    size, speed = every.size, every.speed
+    size, speed = layout.size, layout.speed
     pu, pv, c1, eu, ev, c4 = layout.pu, layout.pv, layout.c1, layout.eu, layout.ev, layout.c4
     n_pairs, n1 = len(pu), len(c1)
     S = 1 + np.arange(n)
     X = (1 + n + np.arange(n * m)).reshape(n, m)  # X[v, i] is x_{v,i}; x_{v,i} = X[v, 0] + i
-    Z = (layout.z_base + np.arange(n_pairs * m)).reshape(n_pairs, m)
+    Z = (layout.x_end + np.arange(n_pairs * m)).reshape(n_pairs, m)
 
     # (1) makespan covers a sink's start plus its fractional execution time
     cols1 = np.column_stack((np.zeros(n1, dtype=np.int64), S[c1], X[c1]))
@@ -441,18 +423,26 @@ def build_relaxation(inst: Instance, pairs: bool = True) -> LpModel:
     lengths = np.concatenate((
         np.full(n1 + len(eu), 2 + m), len3, len4, np.full(m, 1 + n), np.full(n, m),
     ))
-    model.row_start = np.concatenate(([0], np.cumsum(lengths)))
-    model.row_cols = np.concatenate([a.ravel() for a in (cols1, cols2, cols3, cols4, cols5, cols6)])
-    model.row_vals = np.concatenate([a.ravel() for a in (vals1, vals2, vals3, vals4, vals5, vals6)])
     n_rows = len(lengths)
-    model.row_lower = np.concatenate((np.zeros(n_rows - n), np.ones(n)))
-    model.row_upper = np.concatenate((np.full(n_rows - n, math.inf), np.ones(n)))
-    model.col_lower = np.zeros(layout.z_base + n_pairs * m)
-    model.col_upper = np.concatenate((np.full(1 + n, math.inf), np.ones(n * m + n_pairs * m)))
-    if n_pairs:
-        z_keys = ((u, v, mc.id) for u, v in every.ids for mc in inst.machines)
-        model.z_index = dict(zip(z_keys, range(layout.z_base, layout.z_base + n_pairs * m)))
-    return model
+    x_index, s_index = _scaffold_index(inst)
+    job_ids, machine_ids = [v.id for v in inst.jobs], [mc.id for mc in inst.machines]
+    z_keys = ((job_ids[u], job_ids[v], i)
+              for u, v in zip(pu.tolist(), pv.tolist()) for i in machine_ids)
+    return LpModel(
+        col_lower=np.zeros(layout.x_end + n_pairs * m),
+        col_upper=np.concatenate((np.full(1 + n, math.inf), np.ones(n * m + n_pairs * m))),
+        row_lower=np.concatenate((np.zeros(n_rows - n), np.ones(n))),
+        row_upper=np.concatenate((np.full(n_rows - n, math.inf), np.ones(n))),
+        row_start=np.concatenate(([0], np.cumsum(lengths))),
+        row_cols=np.concatenate([a.ravel() for a in (cols1, cols2, cols3, cols4, cols5, cols6)]),
+        row_vals=np.concatenate([a.ravel() for a in (vals1, vals2, vals3, vals4, vals5, vals6)]),
+        objective={0: 1.0},
+        x_index=x_index,
+        z_index=dict(zip(z_keys, range(layout.x_end, layout.x_end + n_pairs * m))),
+        s_index=s_index,
+        c_index=0,
+        _layout=layout,
+    )
 
 
 def _delay_rows(s_v, s_u, x_v, z_uv, m: int, rho: float):
@@ -624,7 +614,7 @@ def _first_true(mask) -> int | None:
     return int(mask.argmax()) if mask.any() else None
 
 
-def _critical_path_basis(layout: _Relaxation):
+def _critical_path_basis(layout: _Layout):
     """A starting basis for the first model of :func:`solve_relaxation`, as
     boolean ``(basic_cols, basic_rows)``; every nonbasic column and row sits
     at its lower bound.  None when every machine has one speed.
@@ -653,7 +643,7 @@ def _critical_path_basis(layout: _Relaxation):
     """
     import numpy as np
 
-    speed, size = layout.pairs.speed, layout.pairs.size
+    speed, size = layout.speed, layout.size
     if speed.max() == speed.min():
         return None
     n, m = layout.n, layout.m
@@ -664,10 +654,9 @@ def _critical_path_basis(layout: _Relaxation):
     # edges are sorted by v, so v's rows are eu[first[v]:first[v + 1]]
     first = np.searchsorted(ev, np.arange(n + 1)).tolist()
     src, fast_l = eu.tolist(), fast.tolist()
-    pos = {v.id: k for k, v in enumerate(layout.inst.jobs)}
     start, chosen = [0.0] * n, [-1] * n  # chosen: the row (2) index taken for v
     for vid in layout.inst._order:
-        v = pos[vid]
+        v = layout.pos[vid]
         for k in range(first[v], first[v + 1]):
             t = start[src[k]] + fast_l[src[k]]
             if chosen[v] < 0 or t > start[v]:
@@ -761,7 +750,7 @@ class _Session:
         job, machine = cuts[0][keep], cuts[1][keep]
 
         def row_of(k: int) -> str:
-            jobs, machines = layout._ids()
+            jobs, machines = _safe_ids(layout.inst)
             c = int(np.searchsorted(start, k, side="right")) - 1
             return f"c4_{jobs[job[c]]}_{machines[machine[c]]}"
 
@@ -822,37 +811,36 @@ def solve_relaxation(inst: Instance) -> LpSolution:
     return sol
 
 
-def _separate(layout: _Relaxation, values):
+def _separate(layout: _Layout, values):
     """The most violated cut of every (v, i) whose row (4) the least z
     violates by more than ``SEPARATION_TOL`` at the point ``values`` (C, S
     and x, laid out as in ``layout``).
 
     Returns ``(job, machine, member, cut)``: cut c is for job ``job[c]`` and
     machine index ``machine[c]``, in job then machine order, and its set U is
-    the pairs (u, v) with ``X[v,i] > g_uv``, as the indices into
-    ``layout.pairs`` of ``member[cut == c]``, in pair order.  Each row's load
+    the pairs (u, v) with ``X[v,i] > g_uv``, as the indices into the
+    layout's ``u`` and ``v`` of ``member[cut == c]``, in pair order.  Each row's load
     is summed in pair order, as a loop over each job's pairs would, so the
     cuts do not depend on how the arithmetic is laid out.
     """
     import numpy as np
 
     n, m, rho = layout.n, layout.m, layout.inst.rho
-    every = layout.pairs
-    tu, tv = every.u, every.v
+    tu, tv = layout.u, layout.v
     start = values[1 : 1 + n]
-    prefix = np.cumsum(values[1 + n : layout.z_base].reshape(n, m), axis=1)  # X[v, i]
+    prefix = np.cumsum(values[1 + n : layout.x_end].reshape(n, m), axis=1)  # X[v, i]
     least = prefix[tv] - ((start[tv] - start[tu]) / rho)[:, None]  # X[v,i] - g_uv
     inside = least > 0.0
     slot = (tv[:, None] * m + np.arange(m)).ravel()  # (v, i) of each entry
-    weights = (every.size[tu][:, None] * np.where(inside, least, 0.0)).ravel()
-    load = np.bincount(slot, weights=weights, minlength=n * m).reshape(n, m) / (rho * every.speed)
+    weights = (layout.size[tu][:, None] * np.where(inside, least, 0.0)).ravel()
+    load = np.bincount(slot, weights=weights, minlength=n * m).reshape(n, m) / (rho * layout.speed)
     violated = prefix - load < -SEPARATION_TOL
     member, i = np.nonzero(inside & violated[tv])
     cut = (np.cumsum(violated) - 1).reshape(n, m)[tv[member], i]
     return (*np.nonzero(violated), member, cut)
 
 
-def _cut_rows(layout: _Relaxation, job, machine, member, cut):
+def _cut_rows(layout: _Layout, job, machine, member, cut):
     """The rows of the cuts :func:`_separate` returns, row-wise as
     ``(start, cols, vals)``.
 
@@ -866,15 +854,14 @@ def _cut_rows(layout: _Relaxation, job, machine, member, cut):
     import numpy as np
 
     n, m, rho = layout.n, layout.m, layout.inst.rho
-    every = layout.pairs
-    n_cuts, pred = len(job), every.u[member]
-    mass = np.bincount(cut, weights=every.size[pred], minlength=n_cuts)  # A_U
+    n_cuts, pred = len(job), layout.u[member]
+    mass = np.bincount(cut, weights=layout.size[pred], minlength=n_cuts)  # A_U
     x_cut, x_j = np.nonzero(np.arange(m) <= machine[:, None])  # x_{v,0..i} of each cut
     row = np.concatenate((x_cut, np.arange(n_cuts), cut))
     order = np.argsort(row, kind="stable")
     cols = np.concatenate((1 + n + m * job[x_cut] + x_j, 1 + job, 1 + pred))[order]
-    coef = rho * every.speed[machine] - mass
-    vals = np.concatenate((coef[x_cut], mass / rho, -every.size[pred] / rho))[order]
+    coef = rho * layout.speed[machine] - mass
+    vals = np.concatenate((coef[x_cut], mass / rho, -layout.size[pred] / rho))[order]
     return np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_cuts)))), cols, vals
 
 

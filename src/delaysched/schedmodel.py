@@ -12,7 +12,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .instance import TOL, CodecError, Instance, _number, _objects, _string, transitive_predecessors
+from .instance import (
+    TOL, CodecError, Instance, _json_document, _number, _objects, _string, transitive_predecessors,
+)
 
 LONG_FACTOR = 8.0  # a placement is long when its execution time exceeds 8*rho
 MAX_PHASES = 1_000_000  # phase analysis keeps a few lists of this length per machine
@@ -413,10 +415,7 @@ def schedule_to_json(sched: Schedule) -> str:
 
 
 def schedule_from_json(text: str) -> Schedule:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CodecError(f"not valid JSON: {exc}") from exc
+    doc = _json_document(text)
     if not isinstance(doc, dict):
         raise CodecError("schedule document must be a JSON object")
     placements = [

@@ -10,7 +10,7 @@ import pytest
 import delaysched
 
 from delaysched.cli import main, run_pipeline, PipelineConfig
-from delaysched import gen_random_dag, instance_to_json, instance_from_json
+from delaysched import gen_random_dag, instance_to_json, instance_from_json, normalize_instance
 from delaysched.schedmodel import schedule_from_json
 
 
@@ -121,15 +121,26 @@ def test_solve_cli_with_lp_export(tmp_path):
     assert doc["status"] == "optimal"
 
 
-def test_solve_cli_alternate_relaxation(tmp_path):
+@pytest.mark.parametrize("kind", ["same_machine", "same_phase", "time_indexed"])
+def test_solve_cli_alternate_relaxation(tmp_path, kind):
     inst_path = tmp_path / "inst.json"
-    run(["gen", "--kind", "random", "--n", "3", "--m", "1", "--rho", "1",
+    run(["gen", "--kind", "random", "--n", "3", "--m", "2", "--rho", "1",
          "--edge-prob", "1.0", "--seed", "1", "--output", str(inst_path)])
-    out = tmp_path / "sol.json"
-    assert run(["solve", "--input", str(inst_path), "--relaxation", "time_indexed",
-                "--horizon", "6", "--output", str(out)]) == 0
+    out, lp_path = tmp_path / "sol.json", tmp_path / "model.lp"
+    assert run(["solve", "--input", str(inst_path), "--relaxation", kind,
+                "--horizon", "6", "--output", str(out), "--export-lp", str(lp_path)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["relaxation"] == "time_indexed" and doc["status"] == "optimal"
+    assert doc["relaxation"] == kind and doc["status"] == "optimal"
+    text = lp_path.read_text()
+    assert text.startswith("Minimize")
+    if kind != "time_indexed":
+        # the scaffold's columns come first, named: C, then S per job, then x
+        # per job and machine, machines in the normalized order
+        norm, _ = normalize_instance(instance_from_json(inst_path.read_text()))
+        jobs, machines = [v.id for v in norm.jobs], [mc.id for mc in norm.machines]
+        want = ["C", *(f"S_{v}" for v in jobs), *(f"x_{v}_{i}" for v in jobs for i in machines)]
+        bounds = text.split("\nBounds\n")[1].splitlines()
+        assert [line.split()[2] for line in bounds[:len(want)]] == want
 
 
 def test_oracle_cli(tmp_path):
@@ -304,6 +315,29 @@ def test_gap_sweep_names_a_malformed_entry(tmp_path, capsys, sweep):
         f"error: --sweep entry {bad!r} is not an L,d pair of integers\n"
     )
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--speed-range", "-1", "-0.5", "--rho", "-3"], "machine m0: speed must be > 0"),
+    (["--size-range", "1", "nan"], "job j0: size must be finite"),
+])
+def test_gen_refuses_an_instance_no_command_reads(tmp_path, capsys, flags, message):
+    out = tmp_path / "inst.json"
+    assert run(["gen", "--kind", "random", "--n", "4", "--m", "2", *flags,
+                "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [validate] ") and message in err
+    assert not out.exists()
+
+
+def test_deeply_nested_json_exits_2_without_traceback(tmp_path, capsys):
+    deep, inst_path = tmp_path / "deep.json", tmp_path / "inst.json"
+    deep.write_text("[" * 100_000)
+    run(["gen", "--kind", "random", "--n", "3", "--m", "1", "--output", str(inst_path)])
+    for args in (["schedule", "--input", str(deep)],
+                 ["validate", "--input", str(inst_path), "--schedule", str(deep)]):
+        assert run(args) == 2
+        assert capsys.readouterr().err == "error: JSON nested too deeply to decode\n"
 
 
 def test_nan_rho_exits_2_without_traceback(tmp_path, capsys):

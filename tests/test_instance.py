@@ -474,10 +474,15 @@ _GOOD_MACHINES = '[{"id": "m0", "speed": 1.0}]'
          "'size' in jobs[0] must be a number"),
         ("1.0", _GOOD_JOBS, '[{"id": "m0", "speed": " 1e0 "}]', "[]",
          "'speed' in machines[0] must be a number"),
+        ("", _GOOD_JOBS, _GOOD_MACHINES, "[]", "not valid JSON: "),
+        ("[" * 100_000, _GOOD_JOBS, _GOOD_MACHINES, "[]", "JSON nested too deeply to decode"),
+        ("[" * 100_000 + "]" * 100_000, _GOOD_JOBS, _GOOD_MACHINES, "[]",
+         "JSON nested too deeply to decode"),
     ],
     ids=["null-rho", "null-size", "text-speed", "scalar-job", "object-jobs", "null-machines",
          "text-edges", "huge-rho", "null-job-id", "number-machine-id", "number-edge-end",
-         "null-edge-start", "text-rho", "bool-size", "padded-text-speed"],
+         "null-edge-start", "text-rho", "bool-size", "padded-text-speed", "missing-rho-value",
+         "unclosed-deep-rho", "deep-rho"],
 )
 def test_codec_rejects_malformed_fields(rho, jobs, machines, edges, field):
     doc = f'{{"rho": {rho}, "jobs": {jobs}, "machines": {machines}, "edges": {edges}}}'

@@ -321,9 +321,11 @@ def test_schedule_codec_missing_field():
          "'start' in placements[0] must be a number"),
         ('{"placements": [{"job": "a", "machine": "m0", "start": false}]}',
          "'start' in placements[0] must be a number"),
+        ('{"placements": [', "not valid JSON: "),
+        ("[" * 100_000, "JSON nested too deeply to decode"),
     ],
     ids=["null-start", "scalar-placement", "text-placements", "null-job", "number-machine",
-         "text-start", "bool-start"],
+         "text-start", "bool-start", "truncated", "deep"],
 )
 def test_schedule_codec_rejects_malformed_fields(doc, field):
     with pytest.raises(CodecError, match=re.escape(field)):

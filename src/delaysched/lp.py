@@ -52,20 +52,18 @@ Every model is solved by the HiGHS dual simplex bundled with scipy (1.15 or
 later), driven through scipy's private binding: the arrays go to HiGHS in
 one ``passModel`` call, the rows row-wise with each row's sense in its
 bounds; separation rounds add theirs with ``addRows``.
-Every solve uses one setting: presolve off, dual simplex, Dantzig pricing and
-no output.  Presolve is off because these models are small and, with the
-implied rows left out, built without redundancy, so its reductions and
-postsolve cost more than they save: without it HiGHS took 0.19 s instead
-of 0.31 s over the pipeline runs of 40 instances at n=150, m=4, and 0.40 s
-instead of 0.50 s over 30 at n=32, m=8.  Dantzig pricing replaces HiGHS's
-default dual steepest edge because on these small, degenerate relaxations
-the cold first solve needs about half the iterations, each cheaper, which
-halves the time per pipeline instance at n=32, m=8.  It stalled on the
-large, fully symmetric layered gap instances while the first model held a z
-column per direct edge and machine (151 s on layered (4, 2), 13.7 s on
-(2, 4)); from no pairs both solve in one round, in 0.05-0.08 s.  Solves are
-deterministic for a fixed model, and a session's rounds for a fixed
-instance.
+Every solve uses one setting: Devex pricing (Forrest and Goldfarb, Math.
+Programming 57, 1992), no output, and HiGHS's defaults otherwise.  Devex was
+the fastest rule measured as models grow: at n=2000, m=8 (edge probability
+.0032) :func:`solve_relaxation` took 3.2 s, against 6.5 s under the Dantzig
+pricing used before and 9.0 s under HiGHS's default dual steepest edge, and
+:mod:`gaplab`'s same-machine relaxation of an n=32, m=8 pipeline instance
+took 1 s where Dantzig ran for minutes.  On the pipeline instances at n=32,
+m=8 and n=150, m=4 it took fewer iterations than Dantzig, in the same time.
+Presolve runs only on cold starts, since HiGHS skips it once a basis is set;
+on the equal-speed cold starts it pays (layered (3, 3) took 0.22 s with it
+and 2.4 s without).  Solves are deterministic for a fixed model, and a
+session's rounds for a fixed instance.
 
 :func:`solve_lp` starts cold, from the all-slack basis.  The first run of
 :func:`solve_relaxation` starts from a basis built from the instance
@@ -75,12 +73,11 @@ of the critical chain tight.  Its duals are 1 along the critical chain and the
 reduced cost of moving a chain job to a slower machine is its longer time, so
 the start is dual feasible, and the dual simplex only has to repair machine
 loads; jobs move to slower machines within their free float first.  Over 60
-instances at n=32, m=8 the first run took 1,515 iterations instead of
-10,013, and over 60 at n=150, m=4, 2,362 instead of 20,936.  When every
+instances at n=32, m=8 the first run took 1,448 iterations instead of
+10,422, and over 60 at n=150, m=4, 2,235 instead of 12,371.  When every
 machine has one speed there is nowhere to move a job, and the start is cold:
-with every job on one machine, layered (4, 2) took 0.09 s instead of 0.03 s
-and layered (3, 3) 2.1 s instead of 0.5 s, and spreading the jobs over the
-tied machines stalled Dantzig pricing for over 60 s on layered (2, 4).
+with every job on one machine, layered (4, 2) took 0.07 s instead of 0.04 s
+and layered (3, 3) 1.2 s instead of 0.22 s.
 
 Package import loads neither scipy nor numpy: both are imported inside the
 functions that use them.  The first solve loads only scipy's compiled HiGHS
@@ -514,7 +511,8 @@ def solve_lp(model: LpModel) -> LpSolution:
     an objective or row naming a column the model lacks raises ``ValueError``.
 
     The model goes to HiGHS in one call of the binding's array form of
-    ``passModel`` (:func:`_open`), and the solve starts cold.
+    ``passModel`` (:func:`_open`), and the solve starts cold, so HiGHS
+    presolves it.
     :func:`solve_relaxation` opens its first model the same way, then sets
     its starting basis.
     """
@@ -525,16 +523,15 @@ def solve_lp(model: LpModel) -> LpSolution:
 
 
 def _open(model: LpModel):
-    """A HiGHS object holding ``model``, with every option set, after the
-    checks :func:`solve_lp` lists."""
+    """A HiGHS object holding ``model``, after the checks :func:`solve_lp`
+    lists, with the module's one setting: Devex pricing and no output, every
+    other option at HiGHS's default.  Raises ``ValueError`` if HiGHS refuses
+    either value."""
     import numpy as np
 
     _load_highs_core()
     from scipy.optimize._highspy._core import HighsStatus, MatrixFormat, ObjSense, _Highs
-    from scipy.optimize._highspy._core.simplex_constants import (
-        SimplexEdgeWeightStrategy,
-        SimplexStrategy,
-    )
+    from scipy.optimize._highspy._core.simplex_constants import SimplexEdgeWeightStrategy
 
     n, n_rows = model.n_vars, len(model.row_lower)
     cost = np.zeros(n)
@@ -552,12 +549,13 @@ def _open(model: LpModel):
     values = np.asarray(model.row_vals, dtype=np.float64)
     highs = _Highs()
     _check_entries(highs, values, row_of)
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("log_to_console", False)
-    highs.setOptionValue("presolve", "off")
-    highs.setOptionValue("simplex_strategy", SimplexStrategy.kSimplexStrategyDual)
-    highs.setOptionValue("simplex_dual_edge_weight_strategy",
-                         SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDantzig)
+    for option, value in (
+        ("output_flag", False),
+        ("simplex_dual_edge_weight_strategy",
+         SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex),
+    ):
+        if highs.setOptionValue(option, value) != HighsStatus.kOk:
+            raise ValueError(f"HiGHS refused the value {value!r} of option {option}")
     floats = (np.asarray(a, dtype=np.float64) for a in (
         model.col_lower, model.col_upper, model.row_lower, model.row_upper))
     ints = (np.asarray(a, dtype=np.int32) for a in (model.row_start, model.row_cols))

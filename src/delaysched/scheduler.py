@@ -116,7 +116,7 @@ def run_group_scheduler(
     frontier = {mc.id: 0.0 for mc in inst.machines}
     placed: set[str] = set()
     placements: list[Placement] = []
-    comp_on: dict[str, dict[str, float]] = {v.id: {} for v in inst.jobs}
+    comp_on: dict[str, set[str]] = {v.id: set() for v in inst.jobs}  # machines holding a copy
     earliest_comp: dict[str, float] = {v.id: math.inf for v in inst.jobs}
     max_comp_on = {mc.id: 0.0 for mc in inst.machines}
     events: list[float] = []  # heap of completion and arrival times
@@ -176,7 +176,7 @@ def run_group_scheduler(
                     placements.append(Placement(u, i, start))
                     end = start + size[u] / speed[i]
                     frontier[i] = end
-                    comp_on[u][i] = end
+                    comp_on[u].add(i)
                     earliest_comp[u] = min(earliest_comp[u], end)
                     max_comp_on[i] = max(max_comp_on[i], end)
                     heapq.heappush(events, end)  # start is the frontier, at or after the clock

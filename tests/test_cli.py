@@ -532,6 +532,26 @@ def test_tiny_rho_stops_before_phase_analysis(tmp_path):
                           "phase analysis stops above 1,000,000\n")
 
 
+def test_same_machine_relaxation_solves_lp_heavy_instance(tmp_path):
+    # lp_heavy instance 3 at seed 7; under Dantzig pricing HiGHS sat in this
+    # solve for minutes, so it runs in a subprocess with a timeout
+    inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
+    src = str(Path(delaysched.__file__).resolve().parents[1])
+    for args in (
+        ["gen", "--kind", "random", "--n", "32", "--m", "8", "--edge-prob", "0.2",
+         "--size-range", "1", "4", "--speed-range", "0.25", "1", "--rho", "16",
+         "--seed", "7000003", "--output", str(inst_path)],
+        ["solve", "--relaxation", "same_machine", "--input", str(inst_path),
+         "--output", str(sol_path)],
+    ):
+        out = subprocess.run(
+            [sys.executable, "-m", "delaysched", *args],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+    assert json.loads(sol_path.read_text())["status"] == "optimal"
+
+
 def _speeds_doc(*machines):
     return {"rho": 1, "jobs": [{"id": "a", "size": 1}, {"id": "b", "size": 2}],
             "machines": [{"id": k, "speed": s} for k, s in machines], "edges": [["a", "b"]]}

@@ -20,6 +20,7 @@ from delaysched import (
     check_lp_feasibility,
     embed_schedule_as_lp,
     exact_optimal_makespan,
+    gen_layered_gap,
     gen_random_dag,
     make_instance,
     normalize_instance,
@@ -176,6 +177,52 @@ def test_unbounded_status():
     sol = solve_lp(model)
     assert sol.status == "unbounded"
     assert math.isnan(sol.objective)
+
+
+def test_solves_print_nothing(capfd):
+    # HiGHS writes to the file descriptors, past sys.stdout; a session from
+    # the critical-path basis, cold full-model and equal-speed (presolved)
+    # solves, and an infeasible model
+    lp_heavy, _ = normalize_instance(gen_random_dag(32, 8, 0.2, (1, 4), (0.25, 1), 16.0, 7))
+    assert solve_relaxation(lp_heavy).status == "optimal"
+    assert solve_lp(build_relaxation(lp_heavy)).status == "optimal"
+    layered, _ = normalize_instance(gen_layered_gap(2, 2, 0))
+    assert solve_relaxation(layered).status == "optimal"
+    model = LpModel()
+    x = model.add_var("x", 0.0, 1.0)
+    model.add_row("force_two", {x: 1.0}, "=", 2.0)
+    assert solve_lp(model).status == "infeasible"
+    assert capfd.readouterr() == ("", "")
+
+
+def test_open_sets_devex_and_leaves_highs_defaults():
+    from delaysched.lp import _open
+    from scipy.optimize._highspy import _core
+    from scipy.optimize._highspy._core.simplex_constants import SimplexEdgeWeightStrategy
+
+    highs, fresh = _open(build_relaxation(unit(2, 2, [("a", "b")], 2.0))), _core._Highs()
+    devex = int(SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex)
+    assert highs.getOptionValue("simplex_dual_edge_weight_strategy") == (_core.HighsStatus.kOk, devex)
+    for option in ("presolve", "simplex_strategy"):
+        assert highs.getOptionValue(option) == fresh.getOptionValue(option)
+
+
+def test_refused_option_raises(monkeypatch):
+    from delaysched.lp import _load_highs_core
+
+    _load_highs_core()
+    from scipy.optimize._highspy import _core
+
+    class NoDevex(_core._Highs):
+        def setOptionValue(self, name, value):
+            if name == "simplex_dual_edge_weight_strategy":
+                return _core.HighsStatus.kError
+            return super().setOptionValue(name, value)
+
+    monkeypatch.setattr(_core, "_Highs", NoDevex)
+    with pytest.raises(ValueError, match="^HiGHS refused the value .* of option "
+                                         "simplex_dual_edge_weight_strategy$"):
+        solve_lp(build_relaxation(unit(1, 1, [], 2.0)))
 
 
 def test_embed_single_job():

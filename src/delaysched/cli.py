@@ -278,6 +278,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, PipelineError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return 2
 
 
 def _dispatch(args) -> int:
@@ -406,14 +409,7 @@ def _dispatch(args) -> int:
         from .oracle import OracleLimits, exact_optimal_makespan
 
         inst = _read_instance(args.input)
-        kw = {}
-        if args.max_jobs is not None:
-            kw["max_jobs_dup"] = kw["max_jobs_nodup"] = args.max_jobs
-        if args.max_machines is not None:
-            kw["max_machines_dup"] = kw["max_machines_nodup"] = args.max_machines
-        if args.time_budget is not None:
-            kw["time_budget"] = args.time_budget
-        limits = OracleLimits(**kw)
+        limits = OracleLimits(args.max_jobs, args.max_machines, args.time_budget)
         value, witness = exact_optimal_makespan(inst, args.allow_dup, limits)
         rep = schedmodel.validate_schedule(inst, witness)
         if not rep.valid:

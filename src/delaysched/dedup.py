@@ -74,21 +74,6 @@ def conflict_graph(group_jobs, preds) -> dict[str, set[str]]:
     return adj
 
 
-def _ball(adj, alive, center, radius) -> set[str]:
-    seen = {center}
-    frontier = {center}
-    for _ in range(radius):
-        nxt = set()
-        for v in frontier:
-            nxt |= adj[v] & alive
-        nxt -= seen
-        if not nxt:
-            break
-        seen |= nxt
-        frontier = nxt
-    return seen
-
-
 def ball_grow_decomposition(adj) -> list[BallRegion]:
     """Disjoint, pairwise non-adjacent sink sets covering at least half of H.
 
@@ -101,13 +86,15 @@ def ball_grow_decomposition(adj) -> list[BallRegion]:
     max_radius = math.ceil(math.log2(n_h)) if n_h > 1 else 0
     while alive:
         center = min(alive)
-        x = 0
+        # inner is the ball of radius x and ring its outermost hop; each step
+        # adds the next hop, one breadth-first search per ball
+        inner, ring, x = {center}, {center}, 0
         while True:
-            inner = _ball(adj, alive, center, x)
-            outer = _ball(adj, alive, center, x + 1)
+            ring = {w for v in ring for w in adj[v] & alive} - inner
+            outer = inner | ring
             if len(outer) <= 2 * len(inner):
                 break
-            x += 1
+            inner, x = outer, x + 1
         if x > max_radius:
             raise DedupError(f"ball radius {x} exceeds log2 of {n_h}")
         regions.append(BallRegion(center, frozenset(inner), x))

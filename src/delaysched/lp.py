@@ -3,12 +3,10 @@
 The relaxation has per-copy assignment variables x[v,i], same-phase variables
 z[u,v,i] for transitive predecessor pairs and machines, start times S[v], and
 the makespan C.  Machine indices follow nondecreasing speed order, which the
-delay and phase rows depend on.  Every model emits only the rows (1) and (2)
-that chaining does not imply, since fractional processing times are
-non-negative: precedence rows (2) for the edges of the transitive reduction
-(the rows of transitive pairs and of shortcut edges follow along paths), and
-makespan rows (1) for the sinks (a job's row follows from a successor's row
-(1) and the row (2) between them).
+delay and phase rows depend on.  Every model has one precedence row (2) per
+distinct direct edge, and makespan rows (1) for the sinks only: a job's row
+(1) follows from a successor's row (1) and the row (2) between them, since
+fractional processing times are non-negative.
 
 :func:`solve_relaxation` solves the full relaxation exactly without its z
 columns.  At any (x, S) the least z the delay rows (3) allow is
@@ -119,34 +117,6 @@ def _sense(lo: float, hi: float) -> tuple[str, float]:
     return (">=", lo) if hi == math.inf else ("=", lo)
 
 
-class _Rows(Sequence):
-    """Read-only view of a model's rows as ``(name, {col: value}, sense, rhs)``;
-    each access builds a fresh coefficient dict in the row's entry order."""
-
-    __slots__ = ("_model",)
-
-    def __init__(self, model: LpModel):
-        self._model = model
-
-    def __len__(self) -> int:
-        return len(self._model.row_lower)
-
-    def __getitem__(self, r: int):
-        m = self._model
-        r = range(len(self))[r]
-        lo, hi = int(m.row_start[r]), int(m.row_start[r + 1])
-        coeffs = dict(zip(_as_list(m.row_cols[lo:hi]), _as_list(m.row_vals[lo:hi])))
-        return (m.row_names[r], coeffs, *_sense(float(m.row_lower[r]), float(m.row_upper[r])))
-
-    def __iter__(self):
-        m = self._model
-        cols, vals, start = (_as_list(a) for a in (m.row_cols, m.row_vals, m.row_start))
-        bounds = zip(_as_list(m.row_lower), _as_list(m.row_upper))
-        for r, (name, (lo, hi)) in enumerate(zip(m.row_names, bounds)):
-            a, b = start[r], start[r + 1]
-            yield (name, dict(zip(cols[a:b], vals[a:b])), *_sense(lo, hi))
-
-
 @dataclass(eq=False)
 class LpModel:
     """Sparse LP: variables with bounds, rows with bounds, min objective.
@@ -158,8 +128,9 @@ class LpModel:
     ``[row_lower[r], row_upper[r]]``.  :func:`build_relaxation` fills these
     with numpy arrays; ``add_var`` and ``add_row`` append to the lists of a
     model built from ``LpModel()`` or :func:`_scaffold`.  ``rows`` reads the
-    rows back as tuples.  ``var_names`` and ``row_names`` are a relaxation's
-    names, made on first read, then the names a model holds as a list.
+    rows back as a list of tuples.  ``var_names`` and ``row_names`` are a
+    relaxation's names, made on first read, then the names a model holds as
+    a list.
     """
 
     col_lower: Sequence[float] = field(default_factory=list)
@@ -170,7 +141,8 @@ class LpModel:
     row_cols: Sequence[int] = field(default_factory=list)
     row_vals: Sequence[float] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
-    # semantic lookup for scheduling models (empty for alternate relaxations)
+    # columns by job, machine and pair: x and S in every model built on the
+    # scaffold, alternates included; z in the full relaxation only
     x_index: dict[tuple[str, str], int] = field(default_factory=dict)
     z_index: dict[tuple[str, str, str], int] = field(default_factory=dict)
     s_index: dict[str, int] = field(default_factory=dict)
@@ -198,8 +170,16 @@ class LpModel:
         self._row_names.append(name)
 
     @property
-    def rows(self) -> _Rows:
-        return _Rows(self)
+    def rows(self) -> list[tuple[str, dict[int, float], str, float]]:
+        """Every row as ``(name, {col: value}, sense, rhs)``, in row order,
+        each coefficient dict in the row's entry order; built on each read."""
+        cols, vals, start = (_as_list(a) for a in (self.row_cols, self.row_vals, self.row_start))
+        bounds = zip(_as_list(self.row_lower), _as_list(self.row_upper))
+        return [
+            (name, dict(zip(cols[start[r]:start[r + 1]], vals[start[r]:start[r + 1]])),
+             *_sense(lo, hi))
+            for r, (name, (lo, hi)) in enumerate(zip(self.row_names, bounds))
+        ]
 
     @property
     def n_vars(self) -> int:
@@ -287,10 +267,10 @@ class _Layout:
     transitive pair (u, v) by job index, in z order (by v's index, then u's
     id), as the separation oracle reads them; ``pu`` and ``pv`` are the
     model's own pairs: all of them when ``with_pairs`` is set, else none.
-    ``c1`` are the jobs with rows (1) and ``eu``, ``ev`` the edges with rows
-    (2), in row order (:func:`_unimplied`); ``c4`` are the jobs with rows
-    (4).  The x columns end at ``x_end``.  Names are made on first read and
-    kept.
+    ``eu`` and ``ev`` are the distinct direct edges (u, v), one row (2) each,
+    in row order (by v's index, then u's id); ``c1`` are the sinks, the jobs
+    with rows (1), and ``c4`` the jobs with rows (4).  The x columns end at
+    ``x_end``.  Names are made on first read and kept.
     """
 
     def __init__(self, inst: Instance, with_pairs: bool):
@@ -305,7 +285,11 @@ class _Layout:
         preds = [sorted(closure[v.id]) for v in inst.jobs]
         self.u = np.array([pos[u] for us in preds for u in us], dtype=np.int64)
         self.v = np.repeat(np.arange(n, dtype=np.int64), [len(us) for us in preds])
-        self.c1, self.eu, self.ev = _unimplied(self)
+        direct = inst.direct_predecessors()
+        ups = [sorted(set(direct[v.id])) for v in inst.jobs]
+        self.eu = np.array([pos[u] for us in ups for u in us], dtype=np.int64)
+        self.ev = np.repeat(np.arange(n, dtype=np.int64), [len(us) for us in ups])
+        self.c1 = np.flatnonzero(np.bincount(self.eu, minlength=n) == 0)
         self.pu, self.pv = (self.u, self.v) if with_pairs else (self.u[:0], self.v[:0])
         # jobs with rows (4), in job order (np.unique would load numpy.ma)
         self.c4 = np.flatnonzero(np.bincount(self.pv, minlength=n))
@@ -333,37 +317,6 @@ class _Layout:
         ]
 
 
-def _unimplied(layout: _Layout):
-    """The rows (1) and (2) that chaining does not imply, as job-index arrays.
-
-    Row (1) is kept for the sinks only: a job u with a successor has one, v,
-    that no other path from u reaches, and row (2) for (u, v) with row (1)
-    for v gives row (1) for u, since fractional processing times are
-    non-negative.  Row (2) is kept for the edges of the transitive reduction
-    only: an edge (u, v) with u before another direct predecessor w of v
-    follows from the rows along the path through w.  Returns the sinks by
-    index, and the kept edges (u, v) by v's index, then u's id.
-    """
-    import numpy as np
-
-    n, pos, inst = layout.n, layout.pos, layout.inst
-    direct = inst.direct_predecessors()
-    edges = [(pos[u], k) for k, v in enumerate(inst.jobs) for u in sorted(set(direct[v.id]))]
-    eu = np.array([u for u, _ in edges], dtype=np.int64)
-    ev = np.array([v for _, v in edges], dtype=np.int64)
-    # every pair (u, w) followed by an edge (w, v) implies (u, v); the pairs
-    # ending at w are contiguous in the layout's pairs
-    per_job = np.bincount(layout.v, minlength=n)
-    first = np.cumsum(per_job) - per_job
-    reps = per_job[eu]
-    through = np.repeat(first[eu] - (np.cumsum(reps) - reps), reps) + np.arange(reps.sum())
-    implied = np.zeros(n * n, dtype=bool)
-    implied[layout.u[through] * n + np.repeat(ev, reps)] = True
-    keep = ~implied[eu * n + ev]
-    sinks = np.flatnonzero(np.bincount(eu, minlength=n) == 0)
-    return sinks, eu[keep], ev[keep]
-
-
 def build_relaxation(inst: Instance, pairs: bool = True) -> LpModel:
     """Instantiate the nine constraint families over a valid instance.
 
@@ -372,9 +325,9 @@ def build_relaxation(inst: Instance, pairs: bool = True) -> LpModel:
     leaves out all three: C, S and x with rows (1), (2), (5) and (6), the
     first model of :func:`solve_relaxation`.  With rho = 0 the same-phase
     machinery is vacuous and is left out too (the pipeline skips delay logic
-    entirely).  Rows (1) and (2) are emitted for the sinks and the edges of
-    the transitive reduction only (:func:`_unimplied`).  Families (7) to (9)
-    are the column bounds.
+    entirely).  Row (2) is emitted for every distinct direct edge and row (1)
+    for the sinks only, since the rows (1) of the other jobs follow from them.
+    Families (7) to (9) are the column bounds.
     """
     import numpy as np
 
@@ -392,7 +345,7 @@ def build_relaxation(inst: Instance, pairs: bool = True) -> LpModel:
     # (1) makespan covers a sink's start plus its fractional execution time
     cols1 = np.column_stack((np.zeros(n1, dtype=np.int64), S[c1], X[c1]))
     vals1 = np.column_stack((np.ones(n1), -np.ones(n1), -size[c1][:, None] / speed))
-    # (2) a job starts after each reduction predecessor's fractional completion
+    # (2) a job starts after each direct predecessor's fractional completion
     cols2 = np.column_stack((S[ev], S[eu], X[eu]))
     vals2 = np.column_stack((np.ones(len(eu)), -np.ones(len(eu)), -size[eu][:, None] / speed))
     # (3) delay: rho gap unless u shares v's phase at index <= i
@@ -620,8 +573,10 @@ def _critical_path_basis(layout: _Layout):
     With every job on the fastest machine f, the basic columns are each
     job's x_{v,a(v)} (a(v) = f), S_v for every job with a row (2), that row
     taken from v's longest-path predecessor under fastest-machine times, and
-    C.  The tight rows are every row (6), each chosen row (2) and the row (1)
-    of the sink that finishes last; every other row keeps its slack basic.
+    C.  A shortcut edge (u, v) is never chosen: the path through v's other
+    predecessor w that follows u is longer by w's positive size.  The tight
+    rows are every row (6), each chosen row (2) and the row (1) of the sink
+    that finishes last; every other row keeps its slack basic.
     Ordered by a topological order, the basic columns against the tight rows
     form a triangular matrix, so the basis is nonsingular.  The duals are 1
     on the rows of the critical chain, 0 on the other rows (2) and (1), and
@@ -648,8 +603,8 @@ def _critical_path_basis(layout: _Layout):
     c1, eu, ev = layout.c1, layout.eu, layout.ev
     f = m - 1 - int(np.argmax(speed[::-1]))  # the last of the fastest machines
     fast = size / speed[f]
-    # earliest starts under fastest times, from the kept rows (2) only; the
-    # edges are sorted by v, so v's rows are eu[first[v]:first[v + 1]]
+    # earliest starts under fastest times, from the rows (2); the edges are
+    # sorted by v, so v's rows are eu[first[v]:first[v + 1]]
     first = np.searchsorted(ev, np.arange(n + 1)).tolist()
     src, fast_l = eu.tolist(), fast.tolist()
     start, chosen = [0.0] * n, [-1] * n  # chosen: the row (2) index taken for v

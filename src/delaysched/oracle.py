@@ -31,18 +31,21 @@ class OracleLimitError(ValueError):
 
 @dataclass(frozen=True)
 class OracleLimits:
-    max_jobs_dup: int = 5
-    max_jobs_nodup: int = 7
-    max_machines_dup: int = 2
-    max_machines_nodup: int = 3
+    """The largest instance the exact search takes, in either mode, and its
+    time budget.  A ``None`` size limit is the mode's default: 5 jobs and 2
+    machines with duplication, 7 jobs and 3 machines without."""
+
+    max_jobs: int | None = None
+    max_machines: int | None = None
     time_budget: float | None = None  # seconds; None = unlimited
 
     def check(self, inst: Instance, allow_duplication: bool):
         if self.time_budget is not None and math.isnan(self.time_budget):
             # a NaN deadline is never reached, so the search would run unlimited
             raise OracleLimitError(f"oracle time budget {self.time_budget} is not a number")
-        max_jobs = self.max_jobs_dup if allow_duplication else self.max_jobs_nodup
-        max_m = self.max_machines_dup if allow_duplication else self.max_machines_nodup
+        default_jobs, default_m = (5, 2) if allow_duplication else (7, 3)
+        max_jobs = default_jobs if self.max_jobs is None else self.max_jobs
+        max_m = default_m if self.max_machines is None else self.max_machines
         if inst.n > max_jobs or inst.m > max_m:
             raise OracleLimitError(
                 f"instance ({inst.n} jobs, {inst.m} machines) exceeds oracle "

@@ -154,6 +154,17 @@ def test_oracle_cli(tmp_path):
     assert doc["makespan"] > 0 and doc["placements"]
 
 
+def test_oracle_cli_max_jobs_zero_refuses_every_instance(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    run(["gen", "--kind", "random", "--n", "3", "--m", "2", "--rho", "2",
+         "--seed", "4", "--output", str(inst_path)])
+    out = tmp_path / "oracle.json"
+    assert run(["oracle", "--input", str(inst_path), "--max-jobs", "0",
+                "--output", str(out)]) == 2
+    assert "exceeds oracle limits (0 jobs, 3 machines)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_cli_rejects_a_nan_time_budget(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     run(["gen", "--kind", "random", "--n", "3", "--m", "2", "--rho", "2",
@@ -493,6 +504,25 @@ def test_value_errors_name_their_stage(tmp_path, capsys, monkeypatch, failing, f
     inst_path.write_text(json.dumps(_RANDOM))
     assert run(["schedule", "--input", str(inst_path), *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("module, func", [
+    ("lp", "solve_relaxation"), ("scheduler", "run_group_scheduler"),
+])
+def test_out_of_memory_exits_2_without_a_traceback(tmp_path, capsys, monkeypatch, module, func):
+    # the stage is replaced by one that raises; no memory is allocated to provoke it
+    from delaysched import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(getattr(cli, module), func, exhausted)
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(_RANDOM))
+    out = tmp_path / "sched.json"
+    assert run(["schedule", "--input", str(inst_path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not out.exists()
 
 
 def test_import_loads_neither_scipy_nor_numpy():

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import everywhere_schedule, mid_instance, tiny_instance
 from delaysched import (
@@ -96,6 +98,54 @@ def test_ball_grow_properties_on_random_graphs():
         for r in regions:
             assert not (r.members & seen)
             seen |= r.members
+
+
+def reference_ball(adj, alive, center, radius):
+    """The ball of ``radius`` hops around ``center`` within ``alive``, by a
+    breadth-first search from the center."""
+    seen = {center}
+    frontier = {center}
+    for _ in range(radius):
+        nxt = set()
+        for v in frontier:
+            nxt |= adj[v] & alive
+        nxt -= seen
+        if not nxt:
+            break
+        seen |= nxt
+        frontier = nxt
+    return seen
+
+
+def reference_ball_grow(adj):
+    """Ball growing with the balls of radius x and x + 1 rebuilt from the
+    center at every step, as (center, members, radius) per region."""
+    alive = set(adj)
+    regions = []
+    while alive:
+        center = min(alive)
+        x = 0
+        while True:
+            inner = reference_ball(adj, alive, center, x)
+            outer = reference_ball(adj, alive, center, x + 1)
+            if len(outer) <= 2 * len(inner):
+                break
+            x += 1
+        regions.append((center, frozenset(inner), x))
+        alive -= outer
+    return regions
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 24), st.sets(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=80))
+def test_ball_growing_matches_the_two_search_reference(n, pairs):
+    adj = {f"v{k}": set() for k in range(n)}
+    for a, b in pairs:
+        if a != b and a < n and b < n:
+            adj[f"v{a}"].add(f"v{b}")
+            adj[f"v{b}"].add(f"v{a}")
+    got = [(r.center, r.members, r.radius) for r in ball_grow_decomposition(adj)]
+    assert got == reference_ball_grow(adj)
 
 
 def test_duplication_width_guard():

@@ -4,9 +4,9 @@
 that appends the same rows one at a time with ``add_row`` is the reference,
 and a loop over each job's pairs is the reference for the cut rows of
 separation.  Both must agree exactly.  The same builder with every row (1)
-and (2) kept must reach the same optimum, and the constructed points must
-meet those rows too.  The first-round HiGHS input of two benchmark-shaped
-instances is pinned by digest, and names are shown to be made only on read.
+kept must reach the same optimum, and the constructed points must meet those
+rows too.  The first-round HiGHS input of two benchmark-shaped instances is
+pinned by digest, and names are shown to be made only on read.
 """
 
 import functools
@@ -42,9 +42,8 @@ def reference_relaxation(inst, pairs=True, trimmed=True):
     """Rows (1) to (6) appended one at a time, in the builder's order.
 
     ``pairs=False`` leaves out every same-phase pair, as the builder does.
-    ``trimmed`` keeps rows (1) for the sinks and rows (2) for the edges no
-    other direct predecessor's closure contains, as the builder does; without
-    it every job has a row (1) and every distinct direct edge a row (2).
+    Every distinct direct edge has a row (2).  ``trimmed`` keeps rows (1) for
+    the sinks only, as the builder does; without it every job has a row (1).
     """
     closure = transitive_predecessors(inst)
     preds = {v.id: sorted(closure[v.id]) if pairs and inst.rho > 0 else [] for v in inst.jobs}
@@ -68,8 +67,6 @@ def reference_relaxation(inst, pairs=True, trimmed=True):
         model.add_row(f"c1_{lp._safe(v.id)}", row, ">=", 0.0)
     for v in inst.jobs:
         for u in sorted(direct[v.id]):
-            if trimmed and any(u in closure[w] for w in direct[v.id]):
-                continue
             row = {S[v.id]: 1.0, S[u]: -1.0} | {x[(u, i)]: -size(u) / s for i, s in machines}
             model.add_row(f"c2_{lp._safe(u)}_{lp._safe(v.id)}", row, ">=", 0.0)
     for v in inst.jobs:
@@ -164,9 +161,9 @@ def test_gap_certificate_meets_the_rows_chaining_implies(L, d, seed):
 # the model without pairs, which is the first round solve_relaxation solves
 PINNED = {
     (32, 8, 0.2, (1.0, 4.0), (0.25, 1.0), 16.0, 1):
-        "91a6781e9558fad0404d01a3fa6ff900ad23c5893b45dc1da10431e090ca1b46",
+        "2d4a7df937e50a3179c344c8773b96484e89f5dd7028da9e72b51c09d3b81859",
     (150, 4, 0.01, (1.0, 4.0), (0.25, 1.0), 1.0, 1):
-        "073172a64d5aae6035cdd910693a8c8cd2c125e25157142b078c008ff8ef89b8",
+        "a92f6d6cd4be59479a2a1e36be093377176493a6b713a50ff6a2470e3cddb5ec",
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -80,6 +81,33 @@ def test_limits_enforced():
     with pytest.raises(OracleLimitError):
         exact_optimal_makespan(inst, allow_duplication=True)
     exact_optimal_makespan(inst, allow_duplication=False)  # within no-dup limits
+
+
+def test_limits_default_per_mode():
+    assert [f.name for f in dataclasses.fields(OracleLimits)] == [
+        "max_jobs", "max_machines", "time_budget"]
+    for dup, jobs, machines in ((True, 5, 2), (False, 7, 3)):
+        too_many_jobs = make_instance(
+            [Job(f"j{k}", 1.0) for k in range(jobs + 1)], [Machine("m0", 1.0)], [], 1.0
+        )
+        with pytest.raises(OracleLimitError, match=rf"limits \({jobs} jobs, {machines} machines\)"):
+            exact_optimal_makespan(too_many_jobs, dup)
+        exact_optimal_makespan(unit(2, machines, [], 1.0), dup)
+        with pytest.raises(OracleLimitError, match=rf"limits \({jobs} jobs, {machines} machines\)"):
+            exact_optimal_makespan(unit(2, machines + 1, [], 1.0), dup)
+
+
+@pytest.mark.parametrize("dup", [True, False])
+def test_one_job_limit_and_one_machine_limit_serve_both_modes(dup):
+    three_on_four = unit(3, 4, [("a", "b")], 1.0)  # past the machine default of both modes
+    exact_optimal_makespan(three_on_four, dup, OracleLimits(max_jobs=3, max_machines=4))
+    for limits, text in (
+        (OracleLimits(max_jobs=2, max_machines=4), "2 jobs, 4 machines"),
+        (OracleLimits(max_jobs=3, max_machines=3), "3 jobs, 3 machines"),
+        (OracleLimits(max_jobs=0, max_machines=0), "0 jobs, 0 machines"),  # 0 is no default
+    ):
+        with pytest.raises(OracleLimitError, match=rf"limits \({text}\)"):
+            exact_optimal_makespan(three_on_four, dup, limits)
 
 
 @pytest.mark.parametrize("budget", [0.0, -1.0, 1e-9])

@@ -105,6 +105,41 @@ def test_lp_heavy_scale_matches_full_model(seed):
     assert_exact(pipeline_input(32, 8, 0.2, (1, 4), (0.25, 1), 16.0, seed))
 
 
+def assert_exact_at_scale(inst):
+    """Assert that the extended point of ``solve_relaxation`` (C, S and x,
+    with the least z of every transitive pair in array arithmetic) meets
+    every row and bound of the full model at ``FEAS_TOL``.  Returns whether
+    separation stopped on the held-cut rule; where it did, every row (4) is
+    also checked against the bound the ``solve_relaxation`` docstring states,
+    1e-7 / (rho s_i)."""
+    sol = solve_relaxation(inst)
+    assert sol.status == "optimal" and sol.values[0] == pytest.approx(sol.objective, rel=1e-9)
+    full = build_relaxation(inst)
+    layout, rho = full._layout, inst.rho
+    n, m, u, v = layout.n, layout.m, layout.u, layout.v
+    values = np.asarray(sol.values)
+    start = values[1 : 1 + n]
+    prefix = np.cumsum(values[1 + n : layout.x_end].reshape(n, m), axis=1)  # X[v, i]
+    z = np.maximum(0.0, prefix[v] - ((start[v] - start[u]) / rho)[:, None])
+    extended = np.concatenate((values, z.ravel()))
+    assert not check_lp_feasibility(LpSolution(extended, sol.objective, "feasible"), full, FEAS_TOL)
+    held_stop = len(lp._separate(layout, values)[0]) > 0
+    if held_stop:
+        row_of = np.repeat(np.arange(len(full.row_lower)), np.diff(full.row_start))
+        lhs = np.bincount(row_of, weights=full.row_vals * extended[full.row_cols])
+        first = len(layout.c1) + len(layout.eu) + len(u) * m  # rows (4) follow (1) to (3)
+        rows4 = lhs[first : first + len(layout.c4) * m].reshape(-1, m)
+        assert (rows4 >= -1e-7 / (rho * layout.speed)).all()
+    return held_stop
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_scale_row_1000_is_exact(seed, record_property):
+    # a CI step runs the same check at (2000, 8, .0032), too slow for tier-1
+    inst = pipeline_input(1000, 8, 0.0064, (1, 4), (0.25, 1), 16.0, seed)
+    record_property("held_cut_stop", assert_exact_at_scale(inst))
+
+
 def test_long_chain_matches_full_model():
     jobs = [Job(f"j{k}", 1.0 + (k % 3)) for k in range(14)]
     edges = [(f"j{k}", f"j{k + 1}") for k in range(13)]
@@ -378,17 +413,19 @@ def test_precedence_rows_per_distinct_direct_edge():
 
 
 @pytest.mark.parametrize("edges, sinks, reduction", [
-    # diamond: no edge is implied, d is the only sink
+    # diamond: d is the only sink
     ([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")], ["d"],
      [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]),
     # chain with the shortcut (a, c) and the isolated job d
-    ([("a", "b"), ("b", "c"), ("a", "c")], ["c", "d"], [("a", "b"), ("b", "c")]),
+    ([("a", "b"), ("b", "c"), ("a", "c")], ["c", "d"], [("a", "b"), ("a", "c"), ("b", "c")]),
     # duplicate edges, the shortcut among them
     ([("a", "c"), ("a", "b"), ("b", "c"), ("a", "b"), ("c", "d"), ("a", "c")], ["d"],
-     [("a", "b"), ("b", "c"), ("c", "d")]),
+     [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")]),
 ])
 @pytest.mark.parametrize("rho", [0.0, 2.0])
 def test_rows_one_and_two_only_where_chaining_does_not_imply_them(edges, sinks, reduction, rho):
+    # rows (1) for the sinks only; `reduction` is the edges with rows (2),
+    # which is every distinct direct edge, shortcuts included, by v, then u
     inst = make_instance([Job(x, 1.0 + k) for k, x in enumerate("abcd")],
                          [Machine("m0", 0.5), Machine("m1", 1.0)], edges, rho)
     want_c1 = [f"c1_{v}" for v in sinks]

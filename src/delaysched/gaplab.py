@@ -67,8 +67,10 @@ def gap_lp_certificate(inst: Instance, model: LpModel | None = None) -> LpSoluti
     values = [0.0] * model.n_vars
     for (v, i), idx in model.x_index.items():
         values[idx] = 1.0 / m
-    for (u, v, i), idx in model.z_index.items():
-        values[idx] = inst.machine_index(i) / m
+    if (layout := model._layout) is not None:
+        # z_{u,v,i} = (i + 1) / m for machine index i; z runs by pair, then machine
+        z = [(i + 1) / m for i in range(m)] * len(layout.pu)
+        values[layout.x_end : layout.x_end + len(z)] = z
     for v, idx in model.s_index.items():
         values[idx] = (L - layers[v]) * rho / L
     values[model.c_index] = rho

@@ -29,7 +29,9 @@ sense is its bounds) and the rows' terms flat and row-wise (``row_start``,
 by index arithmetic over job, pair and machine indices, a few numpy
 operations per constraint family and no loop per row; the cuts of a round are
 assembled the same way.  The columns are C, then S per job, then x per job and
-machine, then z per pair and machine in the full model; the rows are families
+machine, then z per pair and machine in the full model: with the pairs in z
+order (by v's index, then u's id), z of pair p and machine index i is column
+``x_end + p*m + i``, where ``x_end = 1 + n + n*m``.  The rows are families
 (1) to (6) in that order.  Each model holds this structure by index in one
 :class:`_Layout`, which the builder, the separation oracle and the starting
 basis read.  The alternate relaxations of :mod:`gaplab` start from the same
@@ -59,8 +61,8 @@ pricing used before and 9.0 s under HiGHS's default dual steepest edge, and
 took 1 s where Dantzig ran for minutes.  On the pipeline instances at n=32,
 m=8 and n=150, m=4 it took fewer iterations than Dantzig, in the same time.
 Presolve runs only on cold starts, since HiGHS skips it once a basis is set;
-on the equal-speed cold starts it pays (layered (3, 3) took 0.22 s with it
-and 2.4 s without).  Solves are deterministic for a fixed model, and a
+on the equal-speed cold starts it pays (layered (3, 3) took 1,885 iterations
+with it and 9,738 without).  Solves are deterministic for a fixed model, and a
 session's rounds for a fixed instance.
 
 :func:`solve_lp` starts cold, from the all-slack basis.  The first run of
@@ -70,12 +72,15 @@ from the longest-path schedule under fastest times and C basic, and the rows
 of the critical chain tight.  Its duals are 1 along the critical chain and the
 reduced cost of moving a chain job to a slower machine is its longer time, so
 the start is dual feasible, and the dual simplex only has to repair machine
-loads; jobs move to slower machines within their free float first.  Over 60
-instances at n=32, m=8 the first run took 1,448 iterations instead of
-10,422, and over 60 at n=150, m=4, 2,235 instead of 12,371.  When every
-machine has one speed there is nowhere to move a job, and the start is cold:
-with every job on one machine, layered (4, 2) took 0.07 s instead of 0.04 s
-and layered (3, 3) 1.2 s instead of 0.22 s.
+loads; jobs move to slower machines within their free float first.  Over the
+first 60 instances of the benchmark's workloads at seed 7, as the pipeline
+solves them, the first run took 1,410 iterations instead of 12,685 cold on
+``lp_heavy`` (n=32, m=8) and 2,224 instead of 12,411 on ``many_phases``
+(n=150, m=4).  When every machine has one speed there is nowhere to move a
+job, and the start is cold: with every job on one machine, layered (4, 2)
+took 926 iterations instead of 685 and layered (3, 3) 4,914 instead of
+1,885.  On 2 shared vCPUs the cold (3, 3) solve took 0.2-0.3 s, against
+1.7 s from every job on one machine and 2.8 s cold without presolve.
 
 Package import loads neither scipy nor numpy: both are imported inside the
 functions that use them.  The first solve loads only scipy's compiled HiGHS
@@ -141,10 +146,10 @@ class LpModel:
     row_cols: Sequence[int] = field(default_factory=list)
     row_vals: Sequence[float] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
-    # columns by job, machine and pair: x and S in every model built on the
-    # scaffold, alternates included; z in the full relaxation only
+    # columns by job and machine: x and S in every model built on the
+    # scaffold, alternates included; a relaxation's z columns are found by
+    # index through its _layout
     x_index: dict[tuple[str, str], int] = field(default_factory=dict)
-    z_index: dict[tuple[str, str, str], int] = field(default_factory=dict)
     s_index: dict[str, int] = field(default_factory=dict)
     c_index: int | None = None
     # a relaxation's columns and rows, which come first; then the names of
@@ -259,8 +264,9 @@ def _scaffold(inst: Instance) -> LpModel:
 
 class _Layout:
     """The structure of one relaxation by index: C, then S_v per job, then
-    x_{v,i} per job and machine, then z_{u,v,i} per model pair and machine;
-    rows (1) to (6).  Built once per model, from a valid instance.
+    x_{v,i} per job and machine, then z_{u,v,i} per model pair and machine
+    (z of pair p and machine index i at column ``x_end + p*m + i``); rows (1)
+    to (6).  Built once per model, from a valid instance.
 
     ``pos`` maps a job id to its index, and ``size`` and ``speed`` hold the
     jobs' sizes and machines' speeds by index.  ``u`` and ``v`` are every
@@ -282,9 +288,10 @@ class _Layout:
         self.pos = pos = {v.id: k for k, v in enumerate(inst.jobs)}
         self.size = np.array([v.size for v in inst.jobs])
         self.speed = np.array([mc.speed for mc in inst.machines])
-        preds = [sorted(closure[v.id]) for v in inst.jobs]
-        self.u = np.array([pos[u] for us in preds for u in us], dtype=np.int64)
-        self.v = np.repeat(np.arange(n, dtype=np.int64), [len(us) for us in preds])
+        counts = [len(closure[v.id]) for v in inst.jobs]
+        self.u = np.fromiter((pos[u] for v in inst.jobs for u in sorted(closure[v.id])),
+                             dtype=np.int64, count=sum(counts))
+        self.v = np.repeat(np.arange(n, dtype=np.int64), counts)
         direct = inst.direct_predecessors()
         ups = [sorted(set(direct[v.id])) for v in inst.jobs]
         self.eu = np.array([pos[u] for us in ups for u in us], dtype=np.int64)
@@ -375,9 +382,6 @@ def build_relaxation(inst: Instance, pairs: bool = True) -> LpModel:
     ))
     n_rows = len(lengths)
     x_index, s_index = _scaffold_index(inst)
-    job_ids, machine_ids = [v.id for v in inst.jobs], [mc.id for mc in inst.machines]
-    z_keys = ((job_ids[u], job_ids[v], i)
-              for u, v in zip(pu.tolist(), pv.tolist()) for i in machine_ids)
     return LpModel(
         col_lower=np.zeros(layout.x_end + n_pairs * m),
         col_upper=np.concatenate((np.full(1 + n, math.inf), np.ones(n * m + n_pairs * m))),
@@ -388,7 +392,6 @@ def build_relaxation(inst: Instance, pairs: bool = True) -> LpModel:
         row_vals=np.concatenate([a.ravel() for a in (vals1, vals2, vals3, vals4, vals5, vals6)]),
         objective={0: 1.0},
         x_index=x_index,
-        z_index=dict(zip(z_keys, range(layout.x_end, layout.x_end + n_pairs * m))),
         s_index=s_index,
         c_index=0,
         _layout=layout,
@@ -892,12 +895,18 @@ def embed_schedule_as_lp(inst: Instance, sched, model: LpModel | None = None) ->
         values[idx] = 1.0 if i == star_machine[v] else 0.0
     for v, idx in model.s_index.items():
         values[idx] = start_of[v]
-    for (u, v, i), idx in model.z_index.items():
-        on = (
-            inst.machine_index(i) >= inst.machine_index(star_machine[v])
-            and start_of[v] - start_of[u] <= rho + TOL
-        )
-        values[idx] = 1.0 if on else 0.0
+    if (layout := model._layout) is not None:
+        import numpy as np
+
+        # z_{u,v,i} is 1 where machine index i is at or after v's machine
+        # and S_v - S_u <= rho; the z columns run by pair, then machine
+        jobs, pu, pv = layout.inst.jobs, layout.pu, layout.pv
+        start = np.array([start_of[v.id] for v in jobs])
+        star = np.array([layout.inst.machine_index(star_machine[v.id]) - 1 for v in jobs])
+        late = np.arange(layout.m) >= star[pv][:, None]
+        near = start[pv] - start[pu] <= rho + TOL
+        z = (late & near[:, None]).ravel().astype(float).tolist()
+        values[layout.x_end : layout.x_end + len(z)] = z
     objective = 2.0 * sched_makespan(inst, sched)
     values[model.c_index] = objective
     return _solution_from_values(model, values, "feasible", objective)

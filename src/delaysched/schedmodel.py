@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .instance import (
-    TOL, CodecError, Instance, _json_document, _number, _objects, _string, transitive_predecessors,
+    TOL, CodecError, Instance, _json_document, _number, _objects, _scale_factors, _string,
+    transitive_predecessors,
 )
 
 LONG_FACTOR = 8.0  # a placement is long when its execution time exceeds 8*rho
@@ -70,7 +71,12 @@ def validate_schedule(inst: Instance, sched: Schedule) -> ScheduleReport:
 
     For every edge (u, v) and placement of v on machine i starting at t, some
     copy of u must complete on i by t, or on another machine by t - rho.
+    Times are compared with ``TOL`` on the normalized scale, that is with TOL
+    times min size / max speed, the time unit of :func:`normalize_instance`;
+    an instance that validation rejects is judged with ``TOL`` itself.
     """
+    alpha, beta = _scale_factors(inst) if inst._report.ok else (1.0, 1.0)
+    tol = TOL * beta / alpha
     bad: list[str] = []
     placed_jobs = set()
     for p in sched.placements:
@@ -80,7 +86,7 @@ def validate_schedule(inst: Instance, sched: Schedule) -> ScheduleReport:
             bad.append(f"unknown machine {p.machine}")
         if not math.isfinite(p.start):
             bad.append(f"non-finite start for {p.job} on {p.machine}")
-        elif p.start < -TOL:
+        elif p.start < -tol:
             bad.append(f"negative start for {p.job} on {p.machine}")
         placed_jobs.add(p.job)
     if bad:
@@ -97,7 +103,7 @@ def validate_schedule(inst: Instance, sched: Schedule) -> ScheduleReport:
                 bad.append(f"job {p.job} placed twice on machine {mc}")
             seen.add(p.job)
         for a, b in zip(lst, lst[1:]):
-            if b.start < a.end(inst) - TOL:
+            if b.start < a.end(inst) - tol:
                 bad.append(f"overlap on {mc}: {a.job} and {b.job}")
 
     # Completion lookup: per job, completions on each machine and the
@@ -117,7 +123,7 @@ def validate_schedule(inst: Instance, sched: Schedule) -> ScheduleReport:
             other = min(
                 (t for mc, t in comp[a].items() if mc != p.machine), default=math.inf
             )
-            if same > p.start + TOL and other > p.start - inst.rho + TOL:
+            if same > p.start + tol and other > p.start - inst.rho + tol:
                 bad.append(
                     f"delay violation: {b} on {p.machine} at {p.start:.6g} "
                     f"without usable copy of {a}"

@@ -582,6 +582,25 @@ def test_same_machine_relaxation_solves_lp_heavy_instance(tmp_path):
     assert json.loads(sol_path.read_text())["status"] == "optimal"
 
 
+def test_rescaled_schedule_validates(tmp_path):
+    # sizes and rho a million times those that validate at scale 1: times
+    # reach about 5e7, where an absolute TOL of 1e-9 is below float resolution
+    inst_path, sched_path = tmp_path / "big.json", tmp_path / "s.json"
+    src = str(Path(delaysched.__file__).resolve().parents[1])
+    for args in (
+        ["gen", "--kind", "random", "--n", "12", "--m", "2", "--edge-prob", "0.5",
+         "--size-range", "1e6", "4e6", "--speed-range", "0.25", "1", "--rho", "1.6e7",
+         "--seed", "0", "--output", str(inst_path)],
+        ["schedule", "--input", str(inst_path), "--output", str(sched_path)],
+        ["validate", "--input", str(inst_path), "--schedule", str(sched_path)],
+    ):
+        out = subprocess.run(
+            [sys.executable, "-m", "delaysched", *args],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stdout + out.stderr
+
+
 def _speeds_doc(*machines):
     return {"rho": 1, "jobs": [{"id": "a", "size": 1}, {"id": "b", "size": 2}],
             "machines": [{"id": k, "speed": s} for k, s in machines], "edges": [["a", "b"]]}

@@ -41,7 +41,7 @@ def unit(n_jobs, n_machines, edges, rho):
 
 def test_single_job_model_shape():
     model = build_relaxation(unit(1, 1, [], 2.0))
-    assert not model.z_index
+    assert model.n_vars == model._layout.x_end  # no z columns
     families = {name.split("_")[0] for name, *_ in model.rows}
     assert families == {"c1", "c5", "c6"}
     # bounds carry the remaining families: S >= 0, x in [0, 1]
@@ -51,14 +51,14 @@ def test_single_job_model_shape():
 
 def test_chain_model_counts():
     model = build_relaxation(unit(2, 2, [("a", "b")], 2.0))
-    assert len(model.z_index) == 2
+    assert model.n_vars - model._layout.x_end == 2  # z columns
     assert sum(1 for name, *_ in model.rows if name.startswith("c3_")) == 2
 
 
 def test_diamond_z_count():
     inst = unit(4, 2, [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")], 2.0)
     model = build_relaxation(inst)
-    assert len(model.z_index) == 5 * 2
+    assert model.n_vars - model._layout.x_end == 5 * 2  # z columns
 
 
 def test_solve_single_job():
@@ -309,7 +309,7 @@ def test_scaling_multiplies_optimum():
 
 def test_rho_zero_model_drops_delay_rows():
     model = build_relaxation(unit(2, 1, [("a", "b")], 0.0))
-    assert not model.z_index
+    assert model.n_vars == model._layout.x_end  # no z columns
     assert not any(name.startswith(("c3_", "c4_")) for name, *_ in model.rows)
     assert solve_lp(model).objective == pytest.approx(2.0, abs=1e-7)
 

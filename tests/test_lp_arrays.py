@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_cuts, tiny_instance
+from conftest import mid_instance, reference_cuts, tiny_instance
 from delaysched import (
     Job,
     build_relaxation,
@@ -36,6 +36,7 @@ from delaysched import (
 )
 from delaysched import lp
 from delaysched.gaplab import gap_lp_certificate
+from delaysched.instance import TOL
 
 
 def reference_relaxation(inst, pairs=True, trimmed=True):
@@ -53,13 +54,13 @@ def reference_relaxation(inst, pairs=True, trimmed=True):
     machines = [(mc.id, mc.speed) for mc in inst.machines]
     model = lp._scaffold(inst)
     C, S, x = model.c_index, model.s_index, model.x_index
+    z = {}
     for v in inst.jobs:
         for u in preds[v.id]:
             for i, _ in machines:
-                model.z_index[(u, v.id, i)] = model.add_var(
+                z[(u, v.id, i)] = model.add_var(
                     f"z_{lp._safe(u)}_{lp._safe(v.id)}_{lp._safe(i)}", 0.0, 1.0
                 )
-    z = model.z_index
     for v in inst.jobs:
         if trimmed and v.id in has_successor:
             continue
@@ -96,8 +97,9 @@ ARRAYS = ("col_lower", "col_upper", "row_lower", "row_upper", "row_start", "row_
 def assert_same_model(got, want):
     for name in ARRAYS:
         assert np.asarray(getattr(got, name)).tolist() == list(getattr(want, name)), name
+    # equal var_names also pin each z column's pair, machine and position
     assert got.var_names == want.var_names and got.row_names == want.row_names
-    assert (got.x_index, got.z_index, got.s_index) == (want.x_index, want.z_index, want.s_index)
+    assert (got.x_index, got.s_index) == (want.x_index, want.s_index)
     assert (got.c_index, got.objective) == (want.c_index, want.objective)
 
 
@@ -145,15 +147,67 @@ def test_optimum_equals_the_untrimmed_reference(inst):
 def test_embedding_meets_the_rows_chaining_implies(seed):
     inst = tiny_instance(seed)
     _, witness = exact_optimal_makespan(inst, allow_duplication=True)
-    for model in (build_relaxation(inst), reference_relaxation(inst, trimmed=False)):
-        assert not check_lp_feasibility(embed_schedule_as_lp(inst, witness, model), model)
+    model, untrimmed = build_relaxation(inst), reference_relaxation(inst, trimmed=False)
+    assert untrimmed.var_names == model.var_names  # one point serves both
+    embedded = embed_schedule_as_lp(inst, witness, model)
+    assert not check_lp_feasibility(embedded, model)
+    assert not check_lp_feasibility(embedded, untrimmed)
 
 
 @pytest.mark.parametrize("L, d, seed", [(2, 1, 1), (2, 2, 0), (4, 1, 2)])
 def test_gap_certificate_meets_the_rows_chaining_implies(L, d, seed):
     inst = gen_layered_gap(L, d, seed)
-    for model in (build_relaxation(inst), reference_relaxation(inst, trimmed=False)):
-        assert not check_lp_feasibility(gap_lp_certificate(inst, model), model)
+    model, untrimmed = build_relaxation(inst), reference_relaxation(inst, trimmed=False)
+    assert untrimmed.var_names == model.var_names  # one point serves both
+    certificate = gap_lp_certificate(inst, model)
+    assert not check_lp_feasibility(certificate, model)
+    assert not check_lp_feasibility(certificate, untrimmed)
+
+
+def reference_z(inst, rule):
+    """``rule(u, v, machine)`` by a loop over id triples in z order (v in job
+    order, u by id, then machine), the reference for the z values that
+    ``embed_schedule_as_lp`` and ``gap_lp_certificate`` compute by pair index."""
+    if inst.rho <= 0:
+        return ()
+    closure = transitive_predecessors(inst)
+    return tuple(rule(u, v.id, mc.id)
+                 for v in inst.jobs for u in sorted(closure[v.id]) for mc in inst.machines)
+
+
+def acceptance_schedules():
+    """The acceptance suite's corpora: the tiny one with its oracle
+    witnesses, and the pipeline one with the pipeline's schedules."""
+    for seed in range(200):
+        inst = tiny_instance(seed, n_max=5, m_max=2)
+        yield inst, exact_optimal_makespan(inst, allow_duplication=True)[1]
+    for seed in range(100):
+        result = run_pipeline(mid_instance(seed, n_max=40, m_max=8, rho_choices=(1.0, 4.0, 16.0)))
+        yield result.filtered, result.schedule
+
+
+def test_embedding_z_matches_the_loop():
+    for inst, sched in acceptance_schedules():
+        model = build_relaxation(inst)
+        sol = embed_schedule_as_lp(inst, sched, model)
+        star = {v: i for (v, i), x in sol.x.items() if x == 1.0}
+
+        def rule(u, v, i):
+            on = (inst.machine_index(i) >= inst.machine_index(star[v])
+                  and sol.start[v] - sol.start[u] <= inst.rho + TOL)
+            return 1.0 if on else 0.0
+
+        assert sol.values == sol.values[:model._layout.x_end] + reference_z(inst, rule)
+
+
+@pytest.mark.parametrize("L, d", [(2, 4), (4, 2)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gap_certificate_z_matches_the_loop(L, d, seed):
+    inst = gen_layered_gap(L, d, seed)
+    model = build_relaxation(inst)
+    cert = gap_lp_certificate(inst, model)
+    want = reference_z(inst, lambda u, v, i: inst.machine_index(i) / inst.m)
+    assert len(want) > 0 and cert.values == cert.values[:model._layout.x_end] + want
 
 
 # HiGHS inputs of gen_random_dag at the benchmark workloads' parameters (seed
@@ -269,8 +323,9 @@ def feasibility_cases():
     cases = [(full, solve_lp(full)), (restricted, solve_lp(restricted))]
     tiny = tiny_instance(3)
     _, witness = exact_optimal_makespan(tiny, allow_duplication=True)
-    for model in (build_relaxation(tiny), reference_relaxation(tiny, trimmed=False)):
-        cases.append((model, embed_schedule_as_lp(tiny, witness, model)))
+    model = build_relaxation(tiny)
+    embedded = embed_schedule_as_lp(tiny, witness, model)  # a point of both models' columns
+    cases += [(model, embedded), (reference_relaxation(tiny, trimmed=False), embedded)]
     layered = gen_layered_gap(2, 2, 0)
     model = build_relaxation(layered)
     cases.append((model, gap_lp_certificate(layered, model)))

@@ -40,15 +40,25 @@ def least_z(inst, sol, u, v, i):
     return max(0.0, prefix - (sol.start[v] - sol.start[u]) / inst.rho)
 
 
+def z_keys(model):
+    """The (u, v, machine) ids of the z columns of ``model``, in column order
+    from its layout's ``x_end``: by layout pair, then by machine."""
+    layout = model._layout
+    jobs, machines = [v.id for v in layout.inst.jobs], [mc.id for mc in layout.inst.machines]
+    pairs = zip(layout.pu.tolist(), layout.pv.tolist())
+    return [(jobs[u], jobs[v], i) for u, v in pairs for i in machines]
+
+
 def point(model, sol, z):
-    """C, S and x of ``sol`` and the values ``z`` as a point of ``model``."""
+    """C, S and x of ``sol`` and the values ``z``, by (u, v, machine) ids, as
+    a point of ``model``."""
     values = [0.0] * model.n_vars
     values[model.c_index] = sol.values[0]
     for key, idx in model.x_index.items():
         values[idx] = sol.x[key]
     for key, idx in model.s_index.items():
         values[idx] = sol.start[key]
-    for key, idx in model.z_index.items():
+    for idx, key in enumerate(z_keys(model), start=model._layout.x_end):
         values[idx] = z[key]
     return LpSolution(tuple(values), sol.objective, "feasible")
 
@@ -63,7 +73,7 @@ def assert_exact(inst):
     # cuts add no columns: the values are the first model's C, S and x
     first = build_relaxation(inst, pairs=False)
     assert not check_lp_feasibility(sol, first, FEAS_TOL)
-    extended = {key: least_z(inst, sol, *key) for key in full.z_index}
+    extended = {key: least_z(inst, sol, *key) for key in z_keys(full)}
     assert not check_lp_feasibility(point(full, sol, extended), full, FEAS_TOL)
 
 
@@ -380,7 +390,7 @@ def test_colliding_ids_reach_the_full_optimum(monkeypatch):
         base.rho,
     )
     model = build_relaxation(inst)
-    z_names = [model.var_names[idx] for idx in model.z_index.values()]
+    z_names = model.var_names[model._layout.x_end:]
     assert len(set(z_names)) < len(z_names)
     assert_exact(inst)
     assert assert_session_holds_the_final_relaxation(monkeypatch, inst) >= 2
@@ -441,9 +451,10 @@ def test_first_model_has_no_pairs():
         [Job(x, 1.0) for x in "abc"], [Machine("m0", 1.0)], [("a", "b"), ("b", "c")], 2.0
     )
     first = build_relaxation(inst, pairs=False)
-    assert not first.z_index and first.n_vars == 1 + 3 + 3
+    assert first.n_vars == first._layout.x_end == 1 + 3 + 3  # no z columns
     assert not [name for name in first.row_names if name.startswith(("c3_", "c4_"))]
-    assert len(build_relaxation(inst).z_index) == 3
+    full = build_relaxation(inst)
+    assert full.n_vars - full._layout.x_end == 3  # z columns
     with pytest.raises(TypeError, match="^pairs must be True or False"):
         build_relaxation(inst, {("a", "b")})  # the subset form is gone
 

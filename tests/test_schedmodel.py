@@ -13,8 +13,10 @@ from delaysched import (
     Schedule,
     build_chain,
     classify_phases,
+    gen_random_dag,
     make_instance,
     makespan,
+    run_pipeline,
     schedule_from_json,
     schedule_to_json,
     validate_schedule,
@@ -97,6 +99,22 @@ def test_unplaced_job_detected():
     inst = unit_pair(1.0)
     rep = validate_schedule(inst, Schedule((Placement("a", "m0", 0.0),)))
     assert any("never placed" in v for v in rep.violations)
+
+
+@pytest.mark.parametrize("k", [-20, 20, 30])
+def test_rescaled_pipeline_schedules_validate(k):
+    # lp_heavy-shaped instances with sizes and rho times 2**k normalize to the
+    # unscaled ones exactly, so the schedule scales exactly; at 2**20 its times
+    # reach about 1e7, where an absolute TOL of 1e-9 is below float resolution
+    scale = 2.0**k
+    for seed in range(30):
+        base = gen_random_dag(32, 8, 0.2, (1, 4), (0.25, 1), 16.0, seed)
+        inst = make_instance([Job(v.id, v.size * scale) for v in base.jobs], base.machines,
+                             base.edges, base.rho * scale)
+        result = run_pipeline(inst)
+        report = validate_schedule(result.filtered, result.schedule)
+        assert report.valid, (seed, report.violations[:3])
+        assert result.makespan == run_pipeline(base).makespan * scale
 
 
 def big_small_instance():

@@ -59,21 +59,20 @@ def gap_lp_certificate(inst: Instance, model: LpModel | None = None) -> LpSoluti
     grow linearly with machine index, and starts step down by rho/L per
     layer.
     """
+    import numpy as np
+
     layers = _layer_structure(inst)
     model = model if model is not None else build_relaxation(inst)
     L = max(layers.values())
-    m = inst.m
+    n, m = inst.n, inst.m
     rho = inst.rho
-    values = [0.0] * model.n_vars
-    for (v, i), idx in model.x_index.items():
-        values[idx] = 1.0 / m
+    values = np.zeros(model.n_vars)
+    values[0] = rho
+    values[1 : 1 + n] = [(L - layers[v.id]) * rho / L for v in inst.jobs]
+    values[1 + n : 1 + n + n * m] = 1.0 / m
     if (layout := model._layout) is not None:
         # z_{u,v,i} = (i + 1) / m for machine index i; z runs by pair, then machine
-        z = [(i + 1) / m for i in range(m)] * len(layout.pu)
-        values[layout.x_end : layout.x_end + len(z)] = z
-    for v, idx in model.s_index.items():
-        values[idx] = (L - layers[v]) * rho / L
-    values[model.c_index] = rho
+        values[layout.x_end :] = np.tile(np.arange(1, m + 1) / m, len(layout.pu))
     return _solution_from_values(model, values, "feasible", rho)
 
 
@@ -92,7 +91,8 @@ def build_alternate_relaxation(inst: Instance, kind: str, horizon: int | None = 
 def _same_machine_model(inst: Instance) -> LpModel:
     """Same-machine indicator program (unit-style execution/load rows)."""
     preds = transitive_predecessors(inst)
-    rho = inst.rho
+    n, m, rho = inst.n, inst.m, inst.rho
+    pos = {v.id: k for k, v in enumerate(inst.jobs)}
     model = _scaffold(inst)
     delta: dict[tuple[str, str, str], int] = {}
     for v in inst.jobs:
@@ -101,45 +101,37 @@ def _same_machine_model(inst: Instance) -> LpModel:
                 delta[(u, v.id, mc.id)] = model.add_var(
                     f"d_{_safe(u)}_{_safe(v.id)}_{_safe(mc.id)}", 0.0, 1.0
                 )
-    for v in inst.jobs:
-        model.add_row(
-            f"comp_{_safe(v.id)}",
-            {model.c_index: 1.0, model.s_index[v.id]: -1.0},
-            ">=",
-            1.0,
-        )
-    for mc in inst.machines:
-        coeffs = {model.c_index: mc.speed}
-        for v in inst.jobs:
-            coeffs[model.x_index[(v.id, mc.id)]] = -1.0
+    for k, v in enumerate(inst.jobs):
+        model.add_row(f"comp_{_safe(v.id)}", {0: 1.0, 1 + k: -1.0}, ">=", 1.0)
+    for i, mc in enumerate(inst.machines):
+        coeffs = {0: mc.speed}
+        for k in range(n):
+            coeffs[1 + n + k * m + i] = -1.0
         model.add_row(f"load_{_safe(mc.id)}", coeffs, ">=", 0.0)
-    for v in inst.jobs:
+    for k, v in enumerate(inst.jobs):
         for u in sorted(preds[v.id]):
-            coeffs = {model.s_index[v.id]: 1.0, model.s_index[u]: -1.0}
+            coeffs = {1 + k: 1.0, 1 + pos[u]: -1.0}
             for mc in inst.machines:
                 coeffs[delta[(u, v.id, mc.id)]] = rho
             model.add_row(f"delay_{_safe(u)}_{_safe(v.id)}", coeffs, ">=", rho)
             model.add_row(
-                f"exec_{_safe(u)}_{_safe(v.id)}",
-                {model.s_index[v.id]: 1.0, model.s_index[u]: -1.0},
-                ">=",
-                1.0,
+                f"exec_{_safe(u)}_{_safe(v.id)}", {1 + k: 1.0, 1 + pos[u]: -1.0}, ">=", 1.0
             )
-            for mc in inst.machines:
+            for i, mc in enumerate(inst.machines):
                 model.add_row(
                     f"dv_{_safe(u)}_{_safe(v.id)}_{_safe(mc.id)}",
-                    {model.x_index[(v.id, mc.id)]: 1.0, delta[(u, v.id, mc.id)]: -1.0},
+                    {1 + n + k * m + i: 1.0, delta[(u, v.id, mc.id)]: -1.0},
                     ">=",
                     0.0,
                 )
                 model.add_row(
                     f"du_{_safe(u)}_{_safe(v.id)}_{_safe(mc.id)}",
-                    {model.x_index[(u, mc.id)]: 1.0, delta[(u, v.id, mc.id)]: -1.0},
+                    {1 + n + pos[u] * m + i: 1.0, delta[(u, v.id, mc.id)]: -1.0},
                     ">=",
                     0.0,
                 )
-    for v in inst.jobs:
-        coeffs = {model.x_index[(v.id, mc.id)]: 1.0 for mc in inst.machines}
+    for k, v in enumerate(inst.jobs):
+        coeffs = {1 + n + k * m + i: 1.0 for i in range(m)}
         model.add_row(f"cover_{_safe(v.id)}", coeffs, "=", 1.0)
     return model
 
@@ -157,7 +149,7 @@ def _time_indexed_model(inst: Instance, horizon: int | None) -> LpModel:
     preds = transitive_predecessors(inst)
     rho = inst.rho
     model = LpModel()
-    model.c_index = model.add_var("C")
+    model.add_var("C")  # column 0
     idx: dict[tuple[str, str, int], int] = {}
     for v in inst.jobs:
         for mc in inst.machines:
@@ -165,11 +157,11 @@ def _time_indexed_model(inst: Instance, horizon: int | None) -> LpModel:
                 idx[(v.id, mc.id, t)] = model.add_var(
                     f"x_{_safe(v.id)}_{_safe(mc.id)}_{t}", 0.0, 1.0
                 )
-    model.objective = {model.c_index: 1.0}
+    model.objective = {0: 1.0}
     for v in inst.jobs:
         coeffs = {idx[(v.id, mc.id, t)]: 1.0 for mc in inst.machines for t in range(1, horizon + 1)}
         model.add_row(f"cover_{_safe(v.id)}", coeffs, "=", 1.0)
-        coeffs = {model.c_index: 1.0}
+        coeffs = {0: 1.0}
         for mc in inst.machines:
             for t in range(1, horizon + 1):
                 coeffs[idx[(v.id, mc.id, t)]] = -float(t)
@@ -209,50 +201,42 @@ def _time_indexed_model(inst: Instance, horizon: int | None) -> LpModel:
 def _same_phase_model(inst: Instance) -> LpModel:
     """Pairwise same-phase indicator program with speed-weighted phase row."""
     preds = transitive_predecessors(inst)
-    rho = inst.rho
+    n, m, rho = inst.n, inst.m, inst.rho
+    pos = {v.id: k for k, v in enumerate(inst.jobs)}
     model = _scaffold(inst)
     phi: dict[tuple[str, str], int] = {}
     for v in inst.jobs:
         for u in sorted(preds[v.id]):
             phi[(u, v.id)] = model.add_var(f"phi_{_safe(u)}_{_safe(v.id)}", 0.0, 1.0)
-    for v in inst.jobs:
-        model.add_row(
-            f"mk_{_safe(v.id)}", {model.c_index: 1.0, model.s_index[v.id]: -1.0}, ">=", 0.0
-        )
-    for mc in inst.machines:
-        coeffs = {model.c_index: mc.speed}
-        for v in inst.jobs:
-            coeffs[model.x_index[(v.id, mc.id)]] = -v.size
+    for k, v in enumerate(inst.jobs):
+        model.add_row(f"mk_{_safe(v.id)}", {0: 1.0, 1 + k: -1.0}, ">=", 0.0)
+    for i, mc in enumerate(inst.machines):
+        coeffs = {0: mc.speed}
+        for k, v in enumerate(inst.jobs):
+            coeffs[1 + n + k * m + i] = -v.size
         model.add_row(f"load_{_safe(mc.id)}", coeffs, ">=", 0.0)
-    for v in inst.jobs:
+    for k, v in enumerate(inst.jobs):
         for u in sorted(preds[v.id]):
             model.add_row(
                 f"delay_{_safe(u)}_{_safe(v.id)}",
-                {
-                    model.s_index[v.id]: 1.0,
-                    model.s_index[u]: -1.0,
-                    phi[(u, v.id)]: rho,
-                },
+                {1 + k: 1.0, 1 + pos[u]: -1.0, phi[(u, v.id)]: rho},
                 ">=",
                 rho,
             )
             model.add_row(
-                f"prec_{_safe(u)}_{_safe(v.id)}",
-                {model.s_index[v.id]: 1.0, model.s_index[u]: -1.0},
-                ">=",
-                0.0,
+                f"prec_{_safe(u)}_{_safe(v.id)}", {1 + k: 1.0, 1 + pos[u]: -1.0}, ">=", 0.0
             )
-    for v in inst.jobs:
+    for k, v in enumerate(inst.jobs):
         if not preds[v.id]:
             continue
         coeffs: dict[int, float] = {}
-        for mc in inst.machines:
-            coeffs[model.x_index[(v.id, mc.id)]] = rho * mc.speed
+        for i, mc in enumerate(inst.machines):
+            coeffs[1 + n + k * m + i] = rho * mc.speed
         for u in sorted(preds[v.id]):
             coeffs[phi[(u, v.id)]] = -inst.size(u)
         model.add_row(f"phase_{_safe(v.id)}", coeffs, ">=", 0.0)
-    for v in inst.jobs:
-        coeffs = {model.x_index[(v.id, mc.id)]: 1.0 for mc in inst.machines}
+    for k, v in enumerate(inst.jobs):
+        coeffs = {1 + n + k * m + i: 1.0 for i in range(m)}
         model.add_row(f"cover_{_safe(v.id)}", coeffs, "=", 1.0)
     return model
 

@@ -29,15 +29,19 @@ sense is its bounds) and the rows' terms flat and row-wise (``row_start``,
 by index arithmetic over job, pair and machine indices, a few numpy
 operations per constraint family and no loop per row; the cuts of a round are
 assembled the same way.  The columns are C, then S per job, then x per job and
-machine, then z per pair and machine in the full model: with the pairs in z
-order (by v's index, then u's id), z of pair p and machine index i is column
+machine, then z per pair and machine in the full model.  One index rule places
+them, for job index k and machine index i: C is column 0, S_v column ``1 + k``
+and x_{v,i} column ``1 + n + k*m + i``; with the pairs in z order (by v's
+index, then u's id), z of pair p and machine index i is column
 ``x_end + p*m + i``, where ``x_end = 1 + n + n*m``.  The rows are families
 (1) to (6) in that order.  Each model holds this structure by index in one
 :class:`_Layout`, which the builder, the separation oracle and the starting
 basis read.  The alternate relaxations of :mod:`gaplab` start from the same
 C, S and x columns (:func:`_scaffold`) and add variables and rows one at a
 time with ``add_var`` and ``add_row``, so they hold lists instead;
-:func:`solve_lp` takes both.
+:func:`solve_lp` takes both.  A model whose columns start with C, S and x
+holds its instance (``LpModel.inst``), and a solution's ``x`` and ``start``
+are read from its values by the rule.
 
 A relaxation's column and row names are made only when something reads them:
 ``var_names``, ``row_names``, ``rows``, :func:`export_lp_text` and error
@@ -135,7 +139,10 @@ class LpModel:
     model built from ``LpModel()`` or :func:`_scaffold`.  ``rows`` reads the
     rows back as a list of tuples.  ``var_names`` and ``row_names`` are a
     relaxation's names, made on first read, then the names a model holds as
-    a list.
+    a list.  ``inst`` is the instance whose C, S and x lead the columns by
+    the module's index rule (C at 0, S_v at ``1 + k``, x_{v,i} at
+    ``1 + n + k*m + i``); it is None for a model built from ``LpModel()``,
+    such as the time-indexed one, whose column 0 is still C.
     """
 
     col_lower: Sequence[float] = field(default_factory=list)
@@ -146,12 +153,7 @@ class LpModel:
     row_cols: Sequence[int] = field(default_factory=list)
     row_vals: Sequence[float] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
-    # columns by job and machine: x and S in every model built on the
-    # scaffold, alternates included; a relaxation's z columns are found by
-    # index through its _layout
-    x_index: dict[tuple[str, str], int] = field(default_factory=dict)
-    s_index: dict[str, int] = field(default_factory=dict)
-    c_index: int | None = None
+    inst: Instance | None = field(default=None, repr=False)
     # a relaxation's columns and rows, which come first; then the names of
     # the scaffold's columns and of those given to add_var and add_row
     _layout: _Layout | None = field(default=None, repr=False)
@@ -210,8 +212,11 @@ class LpSolution:
     ``values`` is aligned with the model's ``var_names``; on the solution of
     :func:`solve_relaxation` that model is its first one,
     ``build_relaxation(inst, pairs=False)``: C, S and x, since cuts add no
-    columns.  ``iterations`` holds the simplex iteration count of each solve
-    behind the solution."""
+    columns.  ``x`` and ``start`` are ``values[1 + n + k*m + i]`` and
+    ``values[1 + k]`` keyed by the model instance's ids, in job, then
+    machine, order; both are empty for a model without an instance.
+    ``iterations`` holds the simplex iteration count of each solve behind
+    the solution."""
 
     values: tuple[float, ...]
     objective: float
@@ -236,28 +241,16 @@ def _scaffold_names(jobs: list[str], machines: list[str]) -> list[str]:
     return ["C", *(f"S_{v}" for v in jobs), *(f"x_{v}_{i}" for v in jobs for i in machines)]
 
 
-def _scaffold_index(inst: Instance) -> tuple[dict, dict]:
-    """``x_index`` and ``s_index`` of the columns C, S_v per job and x_{v,i}
-    per job and machine."""
-    n, m = inst.n, inst.m
-    job_ids = [v.id for v in inst.jobs]
-    x_keys = ((v, mc.id) for v in job_ids for mc in inst.machines)
-    return dict(zip(x_keys, range(1 + n, 1 + n + n * m))), dict(zip(job_ids, range(1, 1 + n)))
-
-
 def _scaffold(inst: Instance) -> LpModel:
     """Model minimizing C, with C, then S_v per job, then x_{v,i} per job and
     machine, named now; the alternate relaxations of :mod:`gaplab` append
     their own variables and rows after these."""
     n, m = inst.n, inst.m
-    x_index, s_index = _scaffold_index(inst)
     return LpModel(
         col_lower=[0.0] * (1 + n + n * m),
         col_upper=[math.inf] * (1 + n) + [1.0] * (n * m),
         objective={0: 1.0},
-        x_index=x_index,
-        s_index=s_index,
-        c_index=0,
+        inst=inst,
         _var_names=_scaffold_names(*_safe_ids(inst)),
     )
 
@@ -381,7 +374,6 @@ def build_relaxation(inst: Instance, pairs: bool = True) -> LpModel:
         np.full(n1 + len(eu), 2 + m), len3, len4, np.full(m, 1 + n), np.full(n, m),
     ))
     n_rows = len(lengths)
-    x_index, s_index = _scaffold_index(inst)
     return LpModel(
         col_lower=np.zeros(layout.x_end + n_pairs * m),
         col_upper=np.concatenate((np.full(1 + n, math.inf), np.ones(n * m + n_pairs * m))),
@@ -391,9 +383,7 @@ def build_relaxation(inst: Instance, pairs: bool = True) -> LpModel:
         row_cols=np.concatenate([a.ravel() for a in (cols1, cols2, cols3, cols4, cols5, cols6)]),
         row_vals=np.concatenate([a.ravel() for a in (vals1, vals2, vals3, vals4, vals5, vals6)]),
         objective={0: 1.0},
-        x_index=x_index,
-        s_index=s_index,
-        c_index=0,
+        inst=inst,
         _layout=layout,
     )
 
@@ -419,8 +409,11 @@ def _delay_rows(s_v, s_u, x_v, z_uv, m: int, rho: float):
 def _solution_from_values(model: LpModel, values_arr, status, objective):
     values = tuple(map(float, values_arr))
     sol = LpSolution(values=values, objective=float(objective), status=status)
-    sol.x = {key: values[idx] for key, idx in model.x_index.items()}
-    sol.start = {key: values[idx] for key, idx in model.s_index.items()}
+    if (inst := model.inst) is not None:
+        n, jobs = inst.n, [v.id for v in inst.jobs]
+        sol.start = dict(zip(jobs, values[1 : 1 + n]))
+        keys = ((v, mc.id) for v in jobs for mc in inst.machines)
+        sol.x = dict(zip(keys, values[1 + n : 1 + n + n * inst.m]))
     return sol
 
 
@@ -862,7 +855,10 @@ def check_lp_feasibility(solution: LpSolution, model: LpModel, tol: float = FEAS
 def embed_schedule_as_lp(inst: Instance, sched, model: LpModel | None = None) -> LpSolution:
     """Turn a valid schedule into a feasible point with objective twice its
     makespan: phase-doubled starts, unit assignment to the first-completion
-    machine, and 0/1 same-phase variables."""
+    machine, and 0/1 same-phase variables.  ``model``, by default
+    ``build_relaxation(inst)``, has ``inst``'s C, S and x as its first columns."""
+    import numpy as np
+
     from .schedmodel import makespan as sched_makespan
     from .schedmodel import phase_of, require_valid_schedule
 
@@ -890,25 +886,21 @@ def embed_schedule_as_lp(inst: Instance, sched, model: LpModel | None = None) ->
             if p.job not in start_of or s2 < start_of[p.job]:
                 start_of[p.job] = s2
 
-    values = [0.0] * model.n_vars
-    for (v, i), idx in model.x_index.items():
-        values[idx] = 1.0 if i == star_machine[v] else 0.0
-    for v, idx in model.s_index.items():
-        values[idx] = start_of[v]
+    n, m = inst.n, inst.m
+    start = np.array([start_of[v.id] for v in inst.jobs])
+    star = np.array([inst.machine_index(star_machine[v.id]) - 1 for v in inst.jobs])
+    objective = 2.0 * sched_makespan(inst, sched)
+    values = np.zeros(model.n_vars)
+    values[0] = objective
+    values[1 : 1 + n] = start
+    values[1 + n + m * np.arange(n) + star] = 1.0
     if (layout := model._layout) is not None:
-        import numpy as np
-
         # z_{u,v,i} is 1 where machine index i is at or after v's machine
         # and S_v - S_u <= rho; the z columns run by pair, then machine
-        jobs, pu, pv = layout.inst.jobs, layout.pu, layout.pv
-        start = np.array([start_of[v.id] for v in jobs])
-        star = np.array([layout.inst.machine_index(star_machine[v.id]) - 1 for v in jobs])
-        late = np.arange(layout.m) >= star[pv][:, None]
+        pu, pv = layout.pu, layout.pv
+        late = np.arange(m) >= star[pv][:, None]
         near = start[pv] - start[pu] <= rho + TOL
-        z = (late & near[:, None]).ravel().astype(float).tolist()
-        values[layout.x_end : layout.x_end + len(z)] = z
-    objective = 2.0 * sched_makespan(inst, sched)
-    values[model.c_index] = objective
+        values[layout.x_end :] = (late & near[:, None]).ravel()
     return _solution_from_values(model, values, "feasible", objective)
 
 

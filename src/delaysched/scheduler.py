@@ -75,11 +75,14 @@ def _next_event(events: list[float], clock: float) -> float | None:
 
 
 def resolve_eta(eta: float | None, rho: float) -> float:
-    """``eta``, or :func:`default_eta` of ``rho`` when None; below 1 (or NaN) is an error."""
+    """``eta``, or :func:`default_eta` of ``rho`` when None; below 1, NaN or
+    infinite is an error (an infinite eta has no JSON form for the report)."""
     if eta is None:
         return default_eta(rho)
     if not eta >= 1.0:  # NaN included
         raise ValueError("eta must be >= 1")
+    if eta == math.inf:
+        raise ValueError("eta must be finite")
     return eta
 
 

@@ -229,6 +229,27 @@ def test_analyze_rejects_eta_below_one(tmp_path, capsys, eta):
     assert capsys.readouterr().err == "error: eta must be >= 1\n"
 
 
+def test_analyze_rejects_infinite_eta(tmp_path, capsys, monkeypatch):
+    # an infinite eta would reach the analysis as Infinity, which is not JSON
+    from delaysched import cli
+
+    inst_path = tmp_path / "inst.json"
+    sched_path = tmp_path / "sched.json"
+    run(["gen", "--kind", "random", "--n", "6", "--m", "2", "--rho", "2",
+         "--seed", "6", "--output", str(inst_path)])
+    run(["schedule", "--input", str(inst_path), "--output", str(sched_path)])
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        pytest.fail("analyze solved the relaxation before checking --eta")
+
+    monkeypatch.setattr(cli.lp, "solve_relaxation", fail)
+    assert run(["analyze", "--input", str(inst_path), "--schedule", str(sched_path),
+                "--eta=inf", "--output", str(tmp_path / "analysis.json")]) == 2
+    assert capsys.readouterr().err == "error: eta must be finite\n"
+    assert not (tmp_path / "analysis.json").exists()
+
+
 def test_analyze_checks_eta_before_the_solve(tmp_path, capsys, monkeypatch):
     from delaysched import cli
 
@@ -488,7 +509,8 @@ def test_every_command_validates_its_instance_first(tmp_path, capsys, command):
     (("lp", "solve_relaxation"), [], "[lp] injected failure"),
     (None, ["--eta", "0.5"], "[schedule] eta must be >= 1"),
     (None, ["--eta", "nan"], "[schedule] eta must be >= 1"),
-], ids=["preprocess", "lp", "schedule", "schedule-nan"])
+    (None, ["--eta", "inf"], "[schedule] eta must be finite"),
+], ids=["preprocess", "lp", "schedule", "schedule-nan", "schedule-inf"])
 def test_value_errors_name_their_stage(tmp_path, capsys, monkeypatch, failing, flags, message):
     # a validated instance raises no ValueError in preprocess or lp, so one is injected
     from delaysched import cli

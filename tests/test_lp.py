@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delaysched
 
@@ -27,7 +29,8 @@ from delaysched import (
     solve_lp,
     solve_relaxation,
 )
-from delaysched.lp import LpModel, LpSolution, export_lp_text
+from delaysched.gaplab import build_alternate_relaxation
+from delaysched.lp import LpModel, LpSolution, _safe, export_lp_text
 
 
 def unit(n_jobs, n_machines, edges, rho):
@@ -45,8 +48,8 @@ def test_single_job_model_shape():
     families = {name.split("_")[0] for name, *_ in model.rows}
     assert families == {"c1", "c5", "c6"}
     # bounds carry the remaining families: S >= 0, x in [0, 1]
-    assert model.bounds[model.s_index["a"]] == (0.0, math.inf)
-    assert model.bounds[model.x_index[("a", "m0")]] == (0.0, 1.0)
+    assert model.bounds[1] == (0.0, math.inf)  # S_a, column 1 + k
+    assert model.bounds[2] == (0.0, 1.0)  # x_{a,m0}, column 1 + n + k*m + i
 
 
 def test_chain_model_counts():
@@ -149,8 +152,82 @@ def test_solution_values_follow_indices_when_names_collide():
     model = build_relaxation(inst)
     assert len(set(model.var_names)) < model.n_vars
     sol = solve_lp(model)
-    assert sol.start == {v: sol.values[idx] for v, idx in model.s_index.items()}
+    assert sol.start == {v.id: sol.values[1 + k] for k, v in enumerate(inst.jobs)}
     assert not check_lp_feasibility(sol, model)
+
+
+def by_the_rule(inst, values):
+    """``x`` and ``start`` read from ``values`` by the index rule: x_{v,i} at
+    ``1 + n + k*m + i`` and S_v at ``1 + k``, for job index k and machine
+    index i, keyed by ids in job, then machine, order."""
+    n, m = inst.n, inst.m
+    x = {(v.id, mc.id): values[1 + n + k * m + i]
+         for k, v in enumerate(inst.jobs) for i, mc in enumerate(inst.machines)}
+    return x, {v.id: values[1 + k] for k, v in enumerate(inst.jobs)}
+
+
+RULE_CASES = [
+    # "a-b" and "a_b" share a model name; the machines have two speeds
+    make_instance(
+        [Job("a-b", 1.0), Job("a_b", 3.0), Job("c", 2.0)],
+        [Machine("m-0", 0.5), Machine("m_0", 1.0)],
+        [("a-b", "a_b"), ("a-b", "c")],
+        2.0,
+    ),
+    gen_random_dag(7, 3, 0.4, (1, 4), (0.25, 1), 16.0, 5),
+    gen_layered_gap(2, 2, 0),
+]
+
+
+@pytest.mark.parametrize("inst", RULE_CASES, ids=["colliding", "random", "layered"])
+def test_every_model_kind_reads_c_s_and_x_by_the_index_rule(inst):
+    models = [
+        build_relaxation(inst),
+        build_relaxation(inst, pairs=False),
+        build_alternate_relaxation(inst, "same_machine"),
+        build_alternate_relaxation(inst, "same_phase"),
+    ]
+    solutions = [solve_lp(model) for model in models] + [solve_relaxation(inst)]
+    for sol in solutions:
+        assert sol.status == "optimal"
+        x, start = by_the_rule(inst, sol.values)
+        assert list(sol.x.items()) == list(x.items())
+        assert list(sol.start.items()) == list(start.items())
+    timed = solve_lp(build_alternate_relaxation(inst, "time_indexed"))
+    assert timed.status == "optimal" and timed.x == {} and timed.start == {}
+
+
+def renamed(inst):
+    """``inst`` with every job id replaced so that the ids' sort order is
+    reversed and each holds characters the model names replace; the jobs
+    keep their order."""
+    ids = sorted(v.id for v in inst.jobs)
+    new = {old: f"job-{len(ids) - 1 - rank:02d}.{old}" for rank, old in enumerate(ids)}
+    return make_instance(
+        [Job(new[v.id], v.size) for v in inst.jobs],
+        inst.machines,
+        [(new[u], new[v]) for u, v in inst.edges],
+        inst.rho,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.integers(1, 3),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.3, 16.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_renaming_job_ids_leaves_the_lp_objective_unchanged(n, m, p, rho, seed):
+    inst = gen_random_dag(n, m, p, (1, 4), (0.25, 1), rho, seed)
+    other = renamed(inst)
+    order = sorted(range(n), key=lambda k: inst.jobs[k].id)
+    assert sorted(range(n), key=lambda k: other.jobs[k].id) == order[::-1]
+    assert all(_safe(v.id) != v.id for v in other.jobs)
+    a, b = solve_relaxation(inst), solve_relaxation(other)
+    assert a.status == b.status == "optimal"
+    assert b.objective == pytest.approx(a.objective, rel=1e-9)
 
 
 def test_solver_deterministic_bit_pattern():

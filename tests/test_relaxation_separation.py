@@ -53,11 +53,13 @@ def point(model, sol, z):
     """C, S and x of ``sol`` and the values ``z``, by (u, v, machine) ids, as
     a point of ``model``."""
     values = [0.0] * model.n_vars
-    values[model.c_index] = sol.values[0]
-    for key, idx in model.x_index.items():
-        values[idx] = sol.x[key]
-    for key, idx in model.s_index.items():
-        values[idx] = sol.start[key]
+    values[0] = sol.values[0]  # C
+    inst = model.inst
+    n, m = inst.n, inst.m
+    for k, v in enumerate(inst.jobs):
+        values[1 + k] = sol.start[v.id]
+        for i, mc in enumerate(inst.machines):
+            values[1 + n + k * m + i] = sol.x[(v.id, mc.id)]
     for idx, key in enumerate(z_keys(model), start=model._layout.x_end):
         values[idx] = z[key]
     return LpSolution(tuple(values), sol.objective, "feasible")
@@ -475,7 +477,7 @@ def start_point(inst):
         for j, a in coeffs.items():
             A[r, j] = a
     cost = np.zeros(model.n_vars)
-    cost[model.c_index] = 1.0
+    cost[0] = 1.0  # C
     tight = ~rows
     assert tight.sum() == cols.sum()  # a square basic submatrix
     B = A[np.ix_(tight, cols)]

@@ -106,8 +106,7 @@ def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> Pipeli
 
     sol = _solve_relaxation(work)
 
-    groups = grouping.partition_machine_groups(work)
-    assignment = grouping.assign_job_groups(work, sol, groups)
+    assignment = grouping.assign_job_groups(work, sol)
 
     trace: list | None = [] if config.emit_trace else None
     with _stage("schedule", (ValueError, scheduler.SchedulerInvariantError)):
@@ -320,16 +319,15 @@ def _dispatch(args) -> int:
             if args.export_lp:
                 _write(lp.export_lp_text(model), args.export_lp)
             sol = lp.solve_lp(model)
+        optimal = sol.status == "optimal"  # else the objective is no bound: write null
         doc = {
             "relaxation": args.relaxation,
             "status": sol.status,
-            "objective_normalized": sol.objective,
-            "objective_original_units": scale.time_to_original(sol.objective)
-            if sol.status == "optimal"
-            else None,
+            "objective_normalized": sol.objective if optimal else None,
+            "objective_original_units": scale.time_to_original(sol.objective) if optimal else None,
         }
         _write(json.dumps(doc, indent=2, sort_keys=True), args.output)
-        return 0 if sol.status == "optimal" else 2
+        return 0 if optimal else 2
 
     if cmd == "schedule":
         inst = _read_instance(args.input)
@@ -373,8 +371,7 @@ def _dispatch(args) -> int:
             )
         )
         sol = _solve_relaxation(norm)
-        groups = grouping.partition_machine_groups(norm)
-        assignment = grouping.assign_job_groups(norm, sol, groups)
+        assignment = grouping.assign_job_groups(norm, sol)
         report = schedmodel.lemma_diagnostics(
             norm, sol, assignment, norm_sched, eta=eta, strict=False
         )

@@ -20,7 +20,6 @@ from .lp import (
     LpSolution,
     _safe,
     _scaffold,
-    _solution_from_values,
     build_relaxation,
 )
 
@@ -73,7 +72,7 @@ def gap_lp_certificate(inst: Instance, model: LpModel | None = None) -> LpSoluti
     if (layout := model._layout) is not None:
         # z_{u,v,i} = (i + 1) / m for machine index i; z runs by pair, then machine
         values[layout.x_end :] = np.tile(np.arange(1, m + 1) / m, len(layout.pu))
-    return _solution_from_values(model, values, "feasible", rho)
+    return LpSolution(tuple(map(float, values)), float(rho), "feasible")
 
 
 def build_alternate_relaxation(inst: Instance, kind: str, horizon: int | None = None) -> LpModel:

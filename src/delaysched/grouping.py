@@ -4,7 +4,10 @@ Machines are greedily grouped so every group's speeds lie within a factor two
 of its slowest member.  Each job gets a median group (where its cumulative
 fractional assignment first reaches one half) and is rounded to the highest
 capacity group at least that fast.  Jobs are also banded by their relaxation
-start times in quarter-phase widths.
+start times in quarter-phase widths.  Both read the relaxation's point from
+``LpSolution.values`` by the index rule of :mod:`lp`: for job index k and
+machine index i, S_v is ``values[1 + k]`` and x_{v,i} is
+``values[1 + n + k*m + i]``.
 """
 
 from __future__ import annotations
@@ -65,11 +68,21 @@ def partition_machine_groups(inst: Instance) -> list[MachineGroup]:
     return groups
 
 
-def compute_bands(lp_sol: LpSolution, rho: float) -> dict[str, int]:
-    """Band r(v) = floor(4*S_v/rho) + 1; band 1 covers starts in [0, rho/4)."""
+def _lp_point(inst: Instance, lp_sol: LpSolution) -> tuple[float, ...]:
+    """``lp_sol.values``, once checked to hold C, S and x for ``inst``."""
+    if len(lp_sol.values) < (need := 1 + inst.n + inst.n * inst.m):
+        raise ValueError(f"the LP point has {len(lp_sol.values)} values; C, S and x take {need}")
+    return lp_sol.values
+
+
+def compute_bands(inst: Instance, lp_sol: LpSolution) -> dict[str, int]:
+    """Band r(v) = floor(4*S_v/rho) + 1 under ``inst.rho``; band 1 covers
+    starts in [0, rho/4)."""
+    rho = inst.rho
     if rho <= 0:
         raise ValueError("bands are undefined for rho <= 0; use the rho=0 bypass")
-    return {v: _band(s, rho) for v, s in lp_sol.start.items()}
+    starts = _lp_point(inst, lp_sol)[1 : 1 + inst.n]
+    return {v.id: _band(s, rho) for v, s in zip(inst.jobs, starts)}
 
 
 def _band(s: float, rho: float) -> int:
@@ -82,20 +95,26 @@ def _band(s: float, rho: float) -> int:
     return r
 
 
-def assign_job_groups(inst: Instance, lp_sol: LpSolution, groups=None) -> GroupAssignment:
-    """Round a fractional solution to per-job groups and bands.
+def assign_job_groups(inst: Instance, lp_sol: LpSolution) -> GroupAssignment:
+    """Round a fractional solution to per-job groups and bands, over the
+    groups of :func:`partition_machine_groups`.
 
-    With rho = 0 every job lands in band 1 (classical related-machines case).
+    Each group is a run of consecutive machine indices, so its share of a
+    job's x is one slice of that job's x row.  With rho = 0 every job lands
+    in band 1 (classical related-machines case).
     """
-    groups = groups if groups is not None else partition_machine_groups(inst)
-    groups = tuple(groups)
+    n, m = inst.n, inst.m
+    values = _lp_point(inst, lp_sol)
+    groups = tuple(partition_machine_groups(inst))
+    first = [inst.machine_index(g.machine_ids[0]) - 1 for g in groups]
     mu: dict[str, int] = {}
     kappa: dict[str, int] = {}
-    for v in inst.jobs:
+    for k, v in enumerate(inst.jobs):
+        x = values[1 + n + k * m : 1 + n + (k + 1) * m]
         acc = 0.0
         med = len(groups)
-        for g in groups:
-            acc += sum(lp_sol.x.get((v.id, mid), 0.0) for mid in g.machine_ids)
+        for g, i in zip(groups, first):
+            acc += sum(x[i : i + g.size])
             if acc >= 0.5 - MU_TOL:
                 med = g.index
                 break
@@ -107,7 +126,7 @@ def assign_job_groups(inst: Instance, lp_sol: LpSolution, groups=None) -> GroupA
                 best = g.index
         kappa[v.id] = best
     if inst.rho > 0:
-        bands = compute_bands(lp_sol, inst.rho)
+        bands = compute_bands(inst, lp_sol)
     else:
         bands = {v.id: 1 for v in inst.jobs}
     return GroupAssignment(groups=groups, mu=mu, kappa=kappa, bands=bands)

@@ -39,9 +39,8 @@ index, then u's id), z of pair p and machine index i is column
 basis read.  The alternate relaxations of :mod:`gaplab` start from the same
 C, S and x columns (:func:`_scaffold`) and add variables and rows one at a
 time with ``add_var`` and ``add_row``, so they hold lists instead;
-:func:`solve_lp` takes both.  A model whose columns start with C, S and x
-holds its instance (``LpModel.inst``), and a solution's ``x`` and ``start``
-are read from its values by the rule.
+:func:`solve_lp` takes both.  A solution holds the point only as
+``values``, by column; :mod:`grouping` reads S and x from it by the rule.
 
 A relaxation's column and row names are made only when something reads them:
 ``var_names``, ``row_names``, ``rows``, :func:`export_lp_text` and error
@@ -139,10 +138,7 @@ class LpModel:
     model built from ``LpModel()`` or :func:`_scaffold`.  ``rows`` reads the
     rows back as a list of tuples.  ``var_names`` and ``row_names`` are a
     relaxation's names, made on first read, then the names a model holds as
-    a list.  ``inst`` is the instance whose C, S and x lead the columns by
-    the module's index rule (C at 0, S_v at ``1 + k``, x_{v,i} at
-    ``1 + n + k*m + i``); it is None for a model built from ``LpModel()``,
-    such as the time-indexed one, whose column 0 is still C.
+    a list.
     """
 
     col_lower: Sequence[float] = field(default_factory=list)
@@ -153,7 +149,6 @@ class LpModel:
     row_cols: Sequence[int] = field(default_factory=list)
     row_vals: Sequence[float] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
-    inst: Instance | None = field(default=None, repr=False)
     # a relaxation's columns and rows, which come first; then the names of
     # the scaffold's columns and of those given to add_var and add_row
     _layout: _Layout | None = field(default=None, repr=False)
@@ -212,17 +207,15 @@ class LpSolution:
     ``values`` is aligned with the model's ``var_names``; on the solution of
     :func:`solve_relaxation` that model is its first one,
     ``build_relaxation(inst, pairs=False)``: C, S and x, since cuts add no
-    columns.  ``x`` and ``start`` are ``values[1 + n + k*m + i]`` and
-    ``values[1 + k]`` keyed by the model instance's ids, in job, then
-    machine, order; both are empty for a model without an instance.
+    columns.  By the module's index rule, S_v is ``values[1 + k]`` and
+    x_{v,i} is ``values[1 + n + k*m + i]`` for job index k and machine index
+    i, in every model but the time-indexed one, whose column 0 is still C.
     ``iterations`` holds the simplex iteration count of each solve behind
     the solution."""
 
     values: tuple[float, ...]
     objective: float
     status: str
-    x: dict[tuple[str, str], float] = field(default_factory=dict)
-    start: dict[str, float] = field(default_factory=dict)
     iterations: tuple[int, ...] = ()
 
 
@@ -250,7 +243,6 @@ def _scaffold(inst: Instance) -> LpModel:
         col_lower=[0.0] * (1 + n + n * m),
         col_upper=[math.inf] * (1 + n) + [1.0] * (n * m),
         objective={0: 1.0},
-        inst=inst,
         _var_names=_scaffold_names(*_safe_ids(inst)),
     )
 
@@ -383,7 +375,6 @@ def build_relaxation(inst: Instance, pairs: bool = True) -> LpModel:
         row_cols=np.concatenate([a.ravel() for a in (cols1, cols2, cols3, cols4, cols5, cols6)]),
         row_vals=np.concatenate([a.ravel() for a in (vals1, vals2, vals3, vals4, vals5, vals6)]),
         objective={0: 1.0},
-        inst=inst,
         _layout=layout,
     )
 
@@ -404,17 +395,6 @@ def _delay_rows(s_v, s_u, x_v, z_uv, m: int, rho: float):
     bases = np.column_stack((s_v, s_u, x_v, z_uv))
     cols = bases[:, slot_base] + np.array(slot_off, dtype=np.int64)
     return cols.ravel(), np.tile(slot_val, len(s_v)), np.tile(np.arange(4, m + 4), len(s_v))
-
-
-def _solution_from_values(model: LpModel, values_arr, status, objective):
-    values = tuple(map(float, values_arr))
-    sol = LpSolution(values=values, objective=float(objective), status=status)
-    if (inst := model.inst) is not None:
-        n, jobs = inst.n, [v.id for v in inst.jobs]
-        sol.start = dict(zip(jobs, values[1 : 1 + n]))
-        keys = ((v, mc.id) for v in jobs for mc in inst.machines)
-        sol.x = dict(zip(keys, values[1 + n : 1 + n + n * inst.m]))
-    return sol
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -466,9 +446,7 @@ def solve_lp(model: LpModel) -> LpSolution:
     its starting basis.
     """
     status, values, objective, count = _run(_open(model))
-    sol = _solution_from_values(model, values, status, objective)
-    sol.iterations = (count,)
-    return sol
+    return LpSolution(tuple(map(float, values)), float(objective), status, (count,))
 
 
 def _open(model: LpModel):
@@ -741,9 +719,8 @@ def solve_relaxation(inst: Instance) -> LpSolution:
     machine has one speed), a round appends its cut rows to the model HiGHS
     holds, and HiGHS starts from the basis it ended the last round with.
     Returns the last solve's solution: ``values`` are C, S and x as HiGHS
-    holds them, ``x``, ``start`` and ``objective`` are read from them, and
-    ``iterations`` has one count per round.  A ``ValueError`` from
-    the checks of :func:`solve_lp` can come from any round.
+    holds them, and ``iterations`` has one count per round.  A ``ValueError``
+    from the checks of :func:`solve_lp` can come from any round.
     """
     model = build_relaxation(inst, pairs=False)
     session = _Session(model)
@@ -755,9 +732,7 @@ def solve_relaxation(inst: Instance) -> LpSolution:
             break
         if not session.add(_separate(session.layout, values)):
             break  # nothing violated, or every violated cut held
-    sol = _solution_from_values(model, values, status, objective)
-    sol.iterations = iterations
-    return sol
+    return LpSolution(tuple(map(float, values)), float(objective), status, iterations)
 
 
 def _separate(layout: _Layout, values):
@@ -901,7 +876,7 @@ def embed_schedule_as_lp(inst: Instance, sched, model: LpModel | None = None) ->
         late = np.arange(m) >= star[pv][:, None]
         near = start[pv] - start[pu] <= rho + TOL
         values[layout.x_end :] = (late & near[:, None]).ravel()
-    return _solution_from_values(model, values, "feasible", objective)
+    return LpSolution(tuple(map(float, values)), float(objective), "feasible")
 
 
 def _distinct(names: list[str]) -> list[str]:

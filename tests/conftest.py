@@ -3,7 +3,13 @@
 import random
 
 from delaysched import Job, Machine, Placement, Schedule, make_instance
-from delaysched.instance import Instance, gen_random_dag, topological_order, transitive_predecessors
+from delaysched.instance import (
+    Instance,
+    gen_layered_gap,
+    gen_random_dag,
+    topological_order,
+    transitive_predecessors,
+)
 from delaysched.lp import SEPARATION_TOL
 
 
@@ -38,6 +44,30 @@ def slow_machine_instance(seed, n_max=10):
     )
     machines = list(base.machines) + [Machine("crawl", base.machines[-1].speed / 20.0)]
     return make_instance(base.jobs, machines, base.edges, base.rho)
+
+
+def by_the_rule(inst, values):
+    """``x`` and ``start`` read from ``values`` by the index rule: x_{v,i} at
+    ``1 + n + k*m + i`` and S_v at ``1 + k``, for job index k and machine
+    index i, keyed by ids in job, then machine, order."""
+    n, m = inst.n, inst.m
+    x = {(v.id, mc.id): values[1 + n + k * m + i]
+         for k, v in enumerate(inst.jobs) for i, mc in enumerate(inst.machines)}
+    return x, {v.id: values[1 + k] for k, v in enumerate(inst.jobs)}
+
+
+RULE_CASES = [
+    # "a-b" and "a_b" share a model name; the machines have two speeds
+    make_instance(
+        [Job("a-b", 1.0), Job("a_b", 3.0), Job("c", 2.0)],
+        [Machine("m-0", 0.5), Machine("m_0", 1.0)],
+        [("a-b", "a_b"), ("a-b", "c")],
+        2.0,
+    ),
+    gen_random_dag(7, 3, 0.4, (1, 4), (0.25, 1), 16.0, 5),
+    gen_layered_gap(2, 2, 0),
+]
+RULE_CASE_IDS = ["colliding", "random", "layered"]
 
 
 def fresh_copy(inst) -> Instance:

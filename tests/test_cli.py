@@ -6,11 +6,21 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delaysched
 
-from delaysched.cli import main, run_pipeline, PipelineConfig
-from delaysched import gen_random_dag, instance_to_json, instance_from_json, normalize_instance
+from delaysched.cli import main, run_pipeline, PipelineConfig, PipelineError
+from delaysched import (
+    Job,
+    Machine,
+    gen_random_dag,
+    instance_to_json,
+    instance_from_json,
+    make_instance,
+    normalize_instance,
+)
 from delaysched.schedmodel import schedule_from_json
 
 
@@ -143,6 +153,73 @@ def test_solve_cli_alternate_relaxation(tmp_path, kind):
         assert [line.split()[2] for line in bounds[:len(want)]] == want
 
 
+def test_solve_cli_writes_null_when_not_optimal(tmp_path):
+    # a one-step time-indexed horizon fits no schedule of four jobs on two machines
+    inst_path, out = tmp_path / "inst.json", tmp_path / "sol.json"
+    run(["gen", "--kind", "random", "--n", "4", "--m", "2", "--seed", "1",
+         "--output", str(inst_path)])
+    assert run(["solve", "--input", str(inst_path), "--relaxation", "time_indexed",
+                "--horizon", "1", "--output", str(out)]) == 2
+    doc = json.loads(out.read_text(), parse_constant=pytest.fail)  # no NaN or Infinity
+    assert doc["status"] == "infeasible"
+    assert doc["objective_normalized"] is None and doc["objective_original_units"] is None
+
+
+@st.composite
+def small_dags(draw):
+    """Instances of at most 10 jobs and 4 machines, sizes and speeds in
+    1e-3..1e3, edges from index order, and rho 0, 0.3, 16 or e^e."""
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    values = st.floats(1e-3, 1e3)
+    sizes = draw(st.lists(values, min_size=n, max_size=n))
+    speeds = draw(st.lists(values, min_size=m, max_size=m))
+    pairs = [(a, b) for b in range(n) for a in range(b)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    rho = draw(st.sampled_from([0.0, 0.3, 16.0, 15.154262241479259]))
+    return make_instance(
+        [Job(f"j{k}", size) for k, size in enumerate(sizes)],
+        [Machine(f"m{k}", speed) for k, speed in enumerate(speeds)],
+        [(f"j{a}", f"j{b}") for a, b in edges],
+        rho,
+    )
+
+
+def _outcome(inst):
+    try:
+        return run_pipeline(inst)
+    except PipelineError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_dags(), st.integers(-20, 20), st.integers(-20, 20))
+def test_power_of_two_rescaling_scales_the_schedule_exactly(inst, a, b):
+    # sizes times 2^a, speeds times 2^b and rho times 2^(a-b) normalize to
+    # the same bits, so the schedule differs only by the exact factor 2^(a-b)
+    factor = 2.0 ** (a - b)
+    scaled = make_instance(
+        [Job(v.id, v.size * 2.0**a) for v in inst.jobs],
+        [Machine(mc.id, mc.speed * 2.0**b) for mc in inst.machines],
+        inst.edges,
+        inst.rho * factor,
+    )
+    got, want = _outcome(scaled), _outcome(inst)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert [(p.job, p.machine) for p in got.schedule.placements] == [
+        (p.job, p.machine) for p in want.schedule.placements
+    ]
+    assert [p.start for p in got.schedule.placements] == [
+        p.start * factor for p in want.schedule.placements
+    ]
+    assert got.makespan == want.makespan * factor
+    got_report, want_report = json.loads(got.report_json()), json.loads(want.report_json())
+    assert got_report.pop("makespan_original_units") == got.makespan
+    want_report.pop("makespan_original_units")
+    assert json.dumps(got_report, sort_keys=True) == json.dumps(want_report, sort_keys=True)
+
+
 def test_oracle_cli(tmp_path):
     inst_path = tmp_path / "inst.json"
     run(["gen", "--kind", "random", "--n", "3", "--m", "2", "--rho", "2",
@@ -271,8 +348,8 @@ def test_analyze_checks_eta_before_the_solve(tmp_path, capsys, monkeypatch):
 
 def _first_solve_fails(monkeypatch, failure):
     """Make the first ``lp.solve_relaxation`` call fail: return a solution of
-    status ``error`` (x all zero, objective NaN) when ``failure`` is "error",
-    else raise ``ValueError``; later calls solve as usual."""
+    status ``error`` (C, S and x all zero, objective NaN) when ``failure`` is
+    "error", else raise ``ValueError``; later calls solve as usual."""
     from delaysched import lp
 
     real = lp.solve_relaxation
@@ -284,8 +361,7 @@ def _first_solve_fails(monkeypatch, failure):
             return real(inst)
         if failure != "error":
             raise ValueError("injected failure")
-        x = {(v.id, mc.id): 0.0 for v in inst.jobs for mc in inst.machines}
-        return lp.LpSolution((), math.nan, "error", x=x, start={v.id: 0.0 for v in inst.jobs})
+        return lp.LpSolution((0.0,) * (1 + inst.n + inst.n * inst.m), math.nan, "error")
 
     monkeypatch.setattr(lp, "solve_relaxation", first_fails)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import tiny_instance
+from conftest import by_the_rule, tiny_instance
 from delaysched import (
     Job,
     Machine,
@@ -43,8 +43,9 @@ def test_certificate_multi_layer():
     assert cert.objective == pytest.approx(4.0)
     assert not check_lp_feasibility(cert, model, tol=1e-6)
     # starts step down by rho/L per layer
-    assert cert.start["L4_j0"] == 0.0
-    assert cert.start["L1_j0"] == pytest.approx(3.0)
+    _, start = by_the_rule(inst, cert.values)
+    assert start["L4_j0"] == 0.0
+    assert start["L1_j0"] == pytest.approx(3.0)
 
 
 def test_certificate_rejects_tampered_instance():

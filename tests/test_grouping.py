@@ -2,19 +2,32 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_instance
+from conftest import RULE_CASE_IDS, RULE_CASES, by_the_rule, mid_instance, tiny_instance
 from delaysched import (
     Job,
     Machine,
     assign_job_groups,
     build_relaxation,
     compute_bands,
+    filter_slow_machines,
+    gen_layered_gap,
+    gen_random_dag,
     make_instance,
     normalize_instance,
     partition_machine_groups,
     solve_lp,
+    solve_relaxation,
 )
-from delaysched.grouping import band_bound_check, capacity_monotonic, load_bound_check
+from delaysched.gaplab import build_alternate_relaxation
+from delaysched.grouping import (
+    MU_TOL,
+    GroupAssignment,
+    _band,
+    band_bound_check,
+    capacity_monotonic,
+    load_bound_check,
+)
+from delaysched.instance import TOL
 from delaysched.lp import LpSolution
 
 
@@ -40,15 +53,22 @@ def test_greedy_grouping_example():
     assert [g.gamma for g in groups] == [1, 2, 5]
 
 
-def fake_solution(x, starts, objective=1.0):
-    return LpSolution(values=(), objective=objective, status="feasible", x=x, start=starts)
+def fake_solution(inst, x, starts, objective=1.0):
+    """A solution whose values hold ``x`` and ``starts``, keyed by ids, in
+    their columns by the index rule; a missing entry is 0."""
+    values = [objective, *(starts.get(v.id, 0.0) for v in inst.jobs)]
+    values += [x.get((v.id, mc.id), 0.0) for v in inst.jobs for mc in inst.machines]
+    return LpSolution(values=tuple(values), objective=objective, status="feasible")
+
+
+def one_machine(rho, *job_ids):
+    return make_instance([Job(v, 1.0) for v in job_ids], [Machine("m0", 1.0)], [], rho)
 
 
 def test_single_group_assignment():
     inst = machines(1, 1)
-    groups = partition_machine_groups(inst)
-    sol = fake_solution({("a", "m0"): 0.5, ("a", "m1"): 0.5}, {"a": 0.0})
-    asg = assign_job_groups(inst, sol, groups)
+    sol = fake_solution(inst, {("a", "m0"): 0.5, ("a", "m1"): 0.5}, {"a": 0.0})
+    asg = assign_job_groups(inst, sol)
     assert asg.mu["a"] == 1 and asg.kappa["a"] == 1
 
 
@@ -62,8 +82,9 @@ def test_capacity_argmax_prefers_higher_capacity():
     )
     groups = partition_machine_groups(inst)
     assert [g.capacity for g in groups] == [4.0, 3.0]
-    sol = fake_solution({("a", f"m{k}"): 0.25 for k in range(4)} | {("a", "fast"): 0.0}, {"a": 0.0})
-    asg = assign_job_groups(inst, sol, groups)
+    x = {("a", f"m{k}"): 0.25 for k in range(4)} | {("a", "fast"): 0.0}
+    sol = fake_solution(inst, x, {"a": 0.0})
+    asg = assign_job_groups(inst, sol)
     assert asg.mu["a"] == 1 and asg.kappa["a"] == 1
 
 
@@ -76,32 +97,34 @@ def test_kappa_tie_breaks_to_faster_group():
     )
     groups = partition_machine_groups(inst)
     assert [g.capacity for g in groups] == [1.0, 2.0]
-    sol = fake_solution({("a", "s"): 0.6, ("a", "f"): 0.4}, {"a": 0.0})
-    asg = assign_job_groups(inst, sol, groups)
+    sol = fake_solution(inst, {("a", "s"): 0.6, ("a", "f"): 0.4}, {"a": 0.0})
+    asg = assign_job_groups(inst, sol)
     assert asg.mu["a"] == 1 and asg.kappa["a"] == 2  # higher capacity wins
 
 
 def test_band_formula():
-    sol = fake_solution({}, {"a": 0.0, "b": 1.0, "c": 0.999999})
-    bands = compute_bands(sol, 4.0)
+    inst = one_machine(4.0, "a", "b", "c")
+    sol = fake_solution(inst, {}, {"a": 0.0, "b": 1.0, "c": 0.999999})
+    bands = compute_bands(inst, sol)
     assert bands == {"a": 1, "b": 2, "c": 1}
 
 
 def test_band_zero_start_is_band_one():
-    sol = fake_solution({("a", "m0"): 1.0}, {"a": 0.0})
     inst = machines(1)
+    sol = fake_solution(inst, {("a", "m0"): 1.0}, {"a": 0.0})
     asg = assign_job_groups(inst, sol)
     assert asg.bands["a"] == 1
 
 
 def test_bands_reject_nonpositive_rho():
     with pytest.raises(ValueError):
-        compute_bands(fake_solution({}, {"a": 0.0}), 0.0)
+        inst = one_machine(0.0, "a")
+        compute_bands(inst, fake_solution(inst, {}, {"a": 0.0}))
 
 
 def test_rho_zero_bypass_puts_all_in_band_one():
     inst = make_instance([Job("a", 1.0)], [Machine("m0", 1.0)], [], 0.0)
-    sol = fake_solution({("a", "m0"): 1.0}, {"a": 7.0})
+    sol = fake_solution(inst, {("a", "m0"): 1.0}, {"a": 7.0})
     asg = assign_job_groups(inst, sol)
     assert asg.bands == {"a": 1}
 
@@ -110,8 +133,8 @@ def test_rho_zero_bypass_puts_all_in_band_one():
 @given(st.floats(0.0, 100.0), st.floats(0.1, 50.0))
 @example(85.99999999999999, 0.3333333333333333)  # 4*s/rho rounds up to a boundary
 def test_band_halfopen_membership(start, rho):
-    sol = fake_solution({}, {"a": start})
-    r = compute_bands(sol, rho)["a"]
+    inst = one_machine(rho, "a")
+    r = compute_bands(inst, fake_solution(inst, {}, {"a": start}))["a"]
     assert rho * (r - 1) / 4 <= start
     assert start < rho * r / 4 or start == pytest.approx(rho * (r - 1) / 4)
 
@@ -124,3 +147,86 @@ def test_lemma_checks_on_solved_corpus():
         assert capacity_monotonic(asg)
         assert band_bound_check(inst, asg)["ok"]
         assert load_bound_check(inst, sol, asg)["ok"]
+
+
+def test_assignment_refuses_a_point_without_c_s_and_x():
+    inst = machines(1, 1)
+    short = LpSolution(values=(1.0, 0.0, 1.0), objective=1.0, status="feasible")
+    with pytest.raises(ValueError, match="the LP point has 3 values; .* take 4"):
+        assign_job_groups(inst, short)
+    with pytest.raises(ValueError, match="the LP point has 3 values"):
+        compute_bands(inst, short)
+
+
+def reference_assignment(inst, sol):
+    """The rounding as it read the LP point through id-keyed maps of x and S:
+    per job, the median group by a sum over each group's machine ids, the
+    capacity argmax over groups at least that fast, and bands from the map of
+    starts."""
+    x, start = by_the_rule(inst, sol.values)
+    groups = tuple(partition_machine_groups(inst))
+    mu, kappa = {}, {}
+    for v in inst.jobs:
+        acc = 0.0
+        med = len(groups)
+        for g in groups:
+            acc += sum(x.get((v.id, mid), 0.0) for mid in g.machine_ids)
+            if acc >= 0.5 - MU_TOL:
+                med = g.index
+                break
+        mu[v.id] = med
+        best = med
+        for g in groups[med - 1 :]:
+            if g.capacity >= groups[best - 1].capacity - TOL:
+                best = g.index
+        kappa[v.id] = best
+    if inst.rho > 0:
+        bands = {v: _band(s, inst.rho) for v, s in start.items()}
+    else:
+        bands = {v.id: 1 for v in inst.jobs}
+    return GroupAssignment(groups=groups, mu=mu, kappa=kappa, bands=bands)
+
+
+def assert_rounding_matches_reference(inst, sol):
+    got, want = assign_job_groups(inst, sol), reference_assignment(inst, sol)
+    assert got == want
+    for name in ("mu", "kappa", "bands"):
+        assert list(getattr(got, name).items()) == list(getattr(want, name).items())
+
+
+def pipeline_solution(inst):
+    """The instance the pipeline rounds for ``inst``, and its LP point."""
+    norm, _ = normalize_instance(inst)
+    work = filter_slow_machines(norm).filtered
+    return work, solve_relaxation(work)
+
+
+@pytest.mark.parametrize("inst", RULE_CASES, ids=RULE_CASE_IDS)
+def test_rounding_matches_the_id_keyed_reference_on_every_model_kind(inst):
+    # C, S and x lead the columns of every model whose point the rounding reads
+    models = [
+        build_relaxation(inst),
+        build_relaxation(inst, pairs=False),
+        build_alternate_relaxation(inst, "same_machine"),
+        build_alternate_relaxation(inst, "same_phase"),
+    ]
+    for sol in [solve_lp(model) for model in models] + [solve_relaxation(inst)]:
+        assert sol.status == "optimal"
+        assert_rounding_matches_reference(inst, sol)
+
+
+def differential_corpus():
+    yield from (tiny_instance(seed, n_max=5, m_max=2) for seed in range(200))
+    yield from (mid_instance(seed, n_max=40, m_max=8, rho_choices=(1.0, 4.0, 16.0))
+                for seed in range(100))
+    yield gen_layered_gap(2, 4, 0)
+    for seed in range(20):  # the benchmark's lp_heavy and many_phases shapes
+        yield gen_random_dag(32, 8, 0.2, (1, 4), (0.25, 1), 16.0, seed)
+        yield gen_random_dag(150, 4, 0.01, (1, 4), (0.25, 1), 1.0, seed)
+
+
+def test_rounding_matches_the_id_keyed_reference_on_the_corpora():
+    for inst in differential_corpus():
+        work, sol = pipeline_solution(inst)
+        assert sol.status == "optimal"
+        assert_rounding_matches_reference(work, sol)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mid_instance, reference_cuts, tiny_instance
+from conftest import by_the_rule, mid_instance, reference_cuts, tiny_instance
 from delaysched import (
     Job,
     build_relaxation,
@@ -193,11 +193,12 @@ def test_embedding_z_matches_the_loop():
     for inst, sched in acceptance_schedules():
         model = build_relaxation(inst)
         sol = embed_schedule_as_lp(inst, sched, model)
-        star = {v: i for (v, i), x in sol.x.items() if x == 1.0}
+        x, start = by_the_rule(inst, sol.values)
+        star = {v: i for (v, i), xv in x.items() if xv == 1.0}
 
         def rule(u, v, i):
             on = (inst.machine_index(i) >= inst.machine_index(star[v])
-                  and sol.start[v] - sol.start[u] <= inst.rho + TOL)
+                  and start[v] - start[u] <= inst.rho + TOL)
             return 1.0 if on else 0.0
 
         assert sol.values == sol.values[:model._layout.x_end] + reference_z(inst, rule)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mid_instance, reference_cuts, tiny_instance
+from conftest import by_the_rule, mid_instance, reference_cuts, tiny_instance
 from delaysched import (
     Job,
     Machine,
@@ -32,12 +32,13 @@ from delaysched.gaplab import gap_lp_certificate
 from delaysched.lp import FEAS_TOL, LpSolution
 
 
-def least_z(inst, sol, u, v, i):
-    """The least z_{u,v,i} rows (3) allow at the solved x and S:
-    max(0, X[v,i] - (S_v - S_u) / rho) with X[v,i] = x[v,1] + ... + x[v,i]."""
+def least_z(inst, x, start, u, v, i):
+    """The least z_{u,v,i} rows (3) allow at the solved x and S, keyed by ids
+    as :func:`by_the_rule` reads them: max(0, X[v,i] - (S_v - S_u) / rho)
+    with X[v,i] = x[v,1] + ... + x[v,i]."""
     machines = [mc.id for mc in inst.machines]
-    prefix = sum(sol.x[(v, k)] for k in machines[: machines.index(i) + 1])
-    return max(0.0, prefix - (sol.start[v] - sol.start[u]) / inst.rho)
+    prefix = sum(x[(v, k)] for k in machines[: machines.index(i) + 1])
+    return max(0.0, prefix - (start[v] - start[u]) / inst.rho)
 
 
 def z_keys(model):
@@ -49,20 +50,14 @@ def z_keys(model):
     return [(jobs[u], jobs[v], i) for u, v in pairs for i in machines]
 
 
-def point(model, sol, z):
-    """C, S and x of ``sol`` and the values ``z``, by (u, v, machine) ids, as
-    a point of ``model``."""
-    values = [0.0] * model.n_vars
-    values[0] = sol.values[0]  # C
-    inst = model.inst
-    n, m = inst.n, inst.m
-    for k, v in enumerate(inst.jobs):
-        values[1 + k] = sol.start[v.id]
-        for i, mc in enumerate(inst.machines):
-            values[1 + n + k * m + i] = sol.x[(v.id, mc.id)]
-    for idx, key in enumerate(z_keys(model), start=model._layout.x_end):
-        values[idx] = z[key]
-    return LpSolution(tuple(values), sol.objective, "feasible")
+def point(inst, model, sol, z):
+    """C, S and x of ``sol``, a point of the first model of ``inst``, and the
+    values ``z``, by (u, v, machine) ids, as a point of ``model``: C, S and x
+    lead both models' columns by the index rule, and z follows."""
+    x_end = 1 + inst.n + inst.n * inst.m
+    assert len(sol.values) == x_end == model._layout.x_end
+    values = sol.values + tuple(z[key] for key in z_keys(model))
+    return LpSolution(values, sol.objective, "feasible")
 
 
 def assert_exact(inst):
@@ -75,8 +70,9 @@ def assert_exact(inst):
     # cuts add no columns: the values are the first model's C, S and x
     first = build_relaxation(inst, pairs=False)
     assert not check_lp_feasibility(sol, first, FEAS_TOL)
-    extended = {key: least_z(inst, sol, *key) for key in z_keys(full)}
-    assert not check_lp_feasibility(point(full, sol, extended), full, FEAS_TOL)
+    x, start = by_the_rule(inst, sol.values)
+    extended = {key: least_z(inst, x, start, *key) for key in z_keys(full)}
+    assert not check_lp_feasibility(point(inst, full, sol, extended), full, FEAS_TOL)
 
 
 def pipeline_input(*args):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import by_the_rule, tiny_instance
@@ -9,6 +11,7 @@ from delaysched import (
     gen_layered_gap,
     gen_random_dag,
     make_instance,
+    normalize_instance,
     run_pipeline,
     solve_lp,
 )
@@ -18,6 +21,8 @@ from delaysched.gaplab import (
     measure_gap,
 )
 from delaysched.instance import Instance
+from delaysched.lp import export_lp_text
+from test_lp_arrays import highs_input_digest
 
 
 def test_certificate_small_degree():
@@ -139,3 +144,75 @@ def test_measure_gap_random_instance_fields(inst):
     integral = min(rep.pipeline_makespan, rep.baseline_makespan)
     assert integral >= rep.lp_value / 2.0 - 1e-6
     assert set(rep.params) == {"n", "m", "rho"}
+
+
+PINNED_INSTANCES = {
+    "random-7": lambda: gen_random_dag(7, 3, 0.4, (1, 4), (0.25, 1), 16.0, 5),
+    "layered-2-2": lambda: gen_layered_gap(2, 2, 0),
+    "random-12": lambda: gen_random_dag(12, 3, 0.35, (1, 4), (0.25, 1), 4.0, 3),
+    "rho-0": lambda: gen_random_dag(8, 2, 0.4, (1, 4), (0.25, 1), 0.0, 1),
+}
+
+# (instance, kind): (highs_input_digest, sha256 of export_lp_text), the
+# time-indexed models at horizon 8
+PINNED_ALTERNATES = {
+    ("random-7", "same_machine"): (
+        "bacabff9e217420da014675445538c6c967629fbc725c5e9325281c5503f8e22",
+        "801de57dafae72fa4d78f7f221b79dfdda2f5b615d47f213d3b7e455e2d1e621",
+    ),
+    ("random-7", "same_phase"): (
+        "f954fbceecf9b811e07c3df49ca6d361029e44a9a4a0f8588e8331ba0aec7687",
+        "5d85cf7af3ec944bae1f579426153fa5d6fde169282ca365ed6da0d8f48507f6",
+    ),
+    ("random-7", "time_indexed"): (
+        "3cd231e58e58dd44317e84d4da37910ef3d8a9e288de4793c17e9030acc5a283",
+        "f5d264f8bddc6bb6786e12bd1fe2802d2341ccbbbee1f37977b85f247e380395",
+    ),
+    ("layered-2-2", "same_machine"): (
+        "4237405c3bc8a2b79d793ed987399b053bce3e9a31d51cdc515bd0a45295fc8d",
+        "694fd9c5313f77a27feddb067a6cdb9b0aacd35de24df6864ed4ec0bac504aa9",
+    ),
+    ("layered-2-2", "same_phase"): (
+        "fb9208705388c53329c1561ba11b8908ce65a096d39008f75f6d8f915434e010",
+        "c754fe37ab332ce8428d28a62cc8c2623e2a454d64551ad35b8c7ab53773d8b4",
+    ),
+    ("layered-2-2", "time_indexed"): (
+        "cf854338dfa7473c299a57d6dc2f96335a505148cf4ffb7d73c5c1656f94a288",
+        "7ef5663bf047a67b1559a44c92f7991a0256f10992dedf40475c73273b17e96e",
+    ),
+    ("random-12", "same_machine"): (
+        "40cfba27b00d6369dd6f71933457160242d41c6f2d03b76358f4bb51be8d001b",
+        "33e5c6c478620b97359d49cfb56848f2ce34265ff50ca3ac04aa7181dc9d8268",
+    ),
+    ("random-12", "same_phase"): (
+        "b1d6f2cba9dfcc5b93202ace4b56fb6ec806ec8041cae32551de7f7e87951aa4",
+        "7126b4859c8148db5bf7805607d12bc79c6851786513d01ead31741efb199622",
+    ),
+    ("random-12", "time_indexed"): (
+        "f14717ca76df09231ab9da6c468bd8dbcf2ebe1c5621a5cadc991ae7934c48d1",
+        "61816b6c757f7525847e02136dbb55fee9d96ab8682d35ebf3e6c1bda16069fb",
+    ),
+    ("rho-0", "same_machine"): (
+        "69b14d9a2c668612b7a3a727b293f43bd0abb1e91f463bb4ca33259b8b3991dc",
+        "e25c46531d781dcebed75d9472dc47a47820f30545d9cfd1b390473f6c90c947",
+    ),
+    ("rho-0", "same_phase"): (
+        "a5a291b4c529e61d17c888873699775e8ea5d95457f906793264f0121237f3a4",
+        "976598d536c5326f560b44fafa046e106b677f55bb4648d21fd072ac0a7357cb",
+    ),
+    ("rho-0", "time_indexed"): (
+        "231fbe33011871a1f73e89dc7ac4d04c0f9e6c1d219bcd2318dc4175b3b5631e",
+        "15cd248c2205c1fed13841c2b94b752f8e4286fd857f3fcf9d21f6676c0b54ef",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_ALTERNATES), ids="-".join)
+def test_alternate_models_are_pinned(key):
+    # the HiGHS input pins each row's entry order as well as the values; the
+    # LP text pins the names
+    name, kind = key
+    inst, _ = normalize_instance(PINNED_INSTANCES[name]())
+    model = build_alternate_relaxation(inst, kind, horizon=8)
+    text = hashlib.sha256(export_lp_text(model).encode()).hexdigest()
+    assert (highs_input_digest(model), text) == PINNED_ALTERNATES[key]

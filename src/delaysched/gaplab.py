@@ -9,19 +9,14 @@ without asserting any asymptotic claim.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 from dataclasses import dataclass
 
-from .instance import TOL, Instance, require_valid_instance, transitive_predecessors
-from .lp import (
-    LpModel,
-    LpSolution,
-    _safe,
-    _scaffold,
-    build_relaxation,
-)
+from .instance import TOL, Instance, normalize_instance, require_valid_instance
+from .lp import LpModel, LpSolution, _Layout, _safe_ids, _scaffold, build_relaxation
 
 _LAYER_RE = re.compile(r"^L(\d+)_j\d+$")
 
@@ -87,51 +82,46 @@ def build_alternate_relaxation(inst: Instance, kind: str, horizon: int | None = 
     raise ValueError(f"unknown relaxation kind: {kind}")
 
 
+def _pairs(inst: Instance) -> list[tuple[int, int]]:
+    """Every transitive pair (u, v) by job index, in ``lp``'s z order (by v's
+    index, then u's id); pair p's own columns are placed by p."""
+    layout = _Layout(inst, True)
+    return list(zip(layout.u.tolist(), layout.v.tolist()))
+
+
 def _same_machine_model(inst: Instance) -> LpModel:
-    """Same-machine indicator program (unit-style execution/load rows)."""
-    preds = transitive_predecessors(inst)
+    """Same-machine indicator program (unit-style execution/load rows).
+
+    d of pair p and machine index i is column ``x_end + p*m + i``, the z rule.
+    """
     n, m, rho = inst.n, inst.m, inst.rho
-    pos = {v.id: k for k, v in enumerate(inst.jobs)}
+    jobs, machines = _safe_ids(inst)
+    pairs = _pairs(inst)
     model = _scaffold(inst)
-    delta: dict[tuple[str, str, str], int] = {}
-    for v in inst.jobs:
-        for u in sorted(preds[v.id]):
-            for mc in inst.machines:
-                delta[(u, v.id, mc.id)] = model.add_var(
-                    f"d_{_safe(u)}_{_safe(v.id)}_{_safe(mc.id)}", 0.0, 1.0
-                )
-    for k, v in enumerate(inst.jobs):
-        model.add_row(f"comp_{_safe(v.id)}", {0: 1.0, 1 + k: -1.0}, ">=", 1.0)
+    x_end = 1 + n + n * m
+    for u, v in pairs:
+        for mc in machines:
+            model.add_var(f"d_{jobs[u]}_{jobs[v]}_{mc}", 0.0, 1.0)
+    for k in range(n):
+        model.add_row(f"comp_{jobs[k]}", {0: 1.0, 1 + k: -1.0}, ">=", 1.0)
     for i, mc in enumerate(inst.machines):
         coeffs = {0: mc.speed}
         for k in range(n):
             coeffs[1 + n + k * m + i] = -1.0
-        model.add_row(f"load_{_safe(mc.id)}", coeffs, ">=", 0.0)
-    for k, v in enumerate(inst.jobs):
-        for u in sorted(preds[v.id]):
-            coeffs = {1 + k: 1.0, 1 + pos[u]: -1.0}
-            for mc in inst.machines:
-                coeffs[delta[(u, v.id, mc.id)]] = rho
-            model.add_row(f"delay_{_safe(u)}_{_safe(v.id)}", coeffs, ">=", rho)
-            model.add_row(
-                f"exec_{_safe(u)}_{_safe(v.id)}", {1 + k: 1.0, 1 + pos[u]: -1.0}, ">=", 1.0
-            )
-            for i, mc in enumerate(inst.machines):
-                model.add_row(
-                    f"dv_{_safe(u)}_{_safe(v.id)}_{_safe(mc.id)}",
-                    {1 + n + k * m + i: 1.0, delta[(u, v.id, mc.id)]: -1.0},
-                    ">=",
-                    0.0,
-                )
-                model.add_row(
-                    f"du_{_safe(u)}_{_safe(v.id)}_{_safe(mc.id)}",
-                    {1 + n + pos[u] * m + i: 1.0, delta[(u, v.id, mc.id)]: -1.0},
-                    ">=",
-                    0.0,
-                )
-    for k, v in enumerate(inst.jobs):
+        model.add_row(f"load_{machines[i]}", coeffs, ">=", 0.0)
+    for p, (u, v) in enumerate(pairs):
+        d = x_end + p * m
+        coeffs = {1 + v: 1.0, 1 + u: -1.0}
+        coeffs.update(dict.fromkeys(range(d, d + m), rho))
+        model.add_row(f"delay_{jobs[u]}_{jobs[v]}", coeffs, ">=", rho)
+        model.add_row(f"exec_{jobs[u]}_{jobs[v]}", {1 + v: 1.0, 1 + u: -1.0}, ">=", 1.0)
+        for i in range(m):
+            name = f"{jobs[u]}_{jobs[v]}_{machines[i]}"
+            model.add_row(f"dv_{name}", {1 + n + v * m + i: 1.0, d + i: -1.0}, ">=", 0.0)
+            model.add_row(f"du_{name}", {1 + n + u * m + i: 1.0, d + i: -1.0}, ">=", 0.0)
+    for k in range(n):
         coeffs = {1 + n + k * m + i: 1.0 for i in range(m)}
-        model.add_row(f"cover_{_safe(v.id)}", coeffs, "=", 1.0)
+        model.add_row(f"cover_{jobs[k]}", coeffs, "=", 1.0)
     return model
 
 
@@ -140,103 +130,88 @@ def _time_indexed_model(inst: Instance, horizon: int | None) -> LpModel:
 
     The makespan variable dominates each job's fractional completion time; an
     undersized horizon makes the model infeasible, which callers may report.
+    x of job index k, machine index i and step t is column
+    ``1 + (k*m + i)*horizon + t - 1``.
     """
     s_max = max(mc.speed for mc in inst.machines)
     if horizon is None:
         horizon = math.ceil(2.0 * sum(j.size for j in inst.jobs) / s_max)
-    horizon = max(1, int(horizon))
-    preds = transitive_predecessors(inst)
-    rho = inst.rho
+    H = max(1, int(horizon))
+    n, m, rho = inst.n, inst.m, inst.rho
+    jobs, machines = _safe_ids(inst)
     model = LpModel()
     model.add_var("C")  # column 0
-    idx: dict[tuple[str, str, int], int] = {}
-    for v in inst.jobs:
-        for mc in inst.machines:
-            for t in range(1, horizon + 1):
-                idx[(v.id, mc.id, t)] = model.add_var(
-                    f"x_{_safe(v.id)}_{_safe(mc.id)}_{t}", 0.0, 1.0
-                )
+    for v in jobs:
+        for mc in machines:
+            for t in range(1, H + 1):
+                model.add_var(f"x_{v}_{mc}_{t}", 0.0, 1.0)
     model.objective = {0: 1.0}
-    for v in inst.jobs:
-        coeffs = {idx[(v.id, mc.id, t)]: 1.0 for mc in inst.machines for t in range(1, horizon + 1)}
-        model.add_row(f"cover_{_safe(v.id)}", coeffs, "=", 1.0)
+    for k in range(n):
+        xk = 1 + k * m * H  # job k's columns run by machine, then step
+        model.add_row(f"cover_{jobs[k]}", dict.fromkeys(range(xk, xk + m * H), 1.0), "=", 1.0)
         coeffs = {0: 1.0}
-        for mc in inst.machines:
-            for t in range(1, horizon + 1):
-                coeffs[idx[(v.id, mc.id, t)]] = -float(t)
-        model.add_row(f"mk_{_safe(v.id)}", coeffs, ">=", 0.0)
-    for mc in inst.machines:
-        for t in range(1, horizon + 1):
-            coeffs = {idx[(v.id, mc.id, t)]: 1.0 for v in inst.jobs}
-            model.add_row(f"cap_{_safe(mc.id)}_{t}", coeffs, "<=", 1.0)
-    for v in inst.jobs:
-        for u in sorted(preds[v.id]):
-            for t in range(0, horizon):
-                coeffs: dict[int, float] = {}
-                for mc in inst.machines:
-                    for t2 in range(1, t + 2):
-                        coeffs[idx[(v.id, mc.id, t2)]] = 1.0
-                    for t2 in range(1, t + 1):
-                        coeffs[idx[(u, mc.id, t2)]] = coeffs.get(idx[(u, mc.id, t2)], 0.0) - 1.0
-                model.add_row(f"prec_{_safe(u)}_{_safe(v.id)}_{t}", coeffs, "<=", 0.0)
-            for mc in inst.machines:
-                for t in range(0, horizon):
-                    coeffs = {idx[(v.id, mc.id, t + 1)]: 1.0}
-                    for mc2 in inst.machines:
-                        if mc2.id == mc.id:
-                            continue
-                        for t2 in range(max(1, t - int(rho)), t + 1):
-                            key = idx[(u, mc2.id, t2)]
-                            coeffs[key] = coeffs.get(key, 0.0) + 1.0
-                    model.add_row(
-                        f"delay_{_safe(u)}_{_safe(v.id)}_{_safe(mc.id)}_{t}",
-                        coeffs,
-                        "<=",
-                        1.0,
-                    )
+        for i in range(m):
+            for t in range(1, H + 1):
+                coeffs[xk + i * H + t - 1] = -float(t)
+        model.add_row(f"mk_{jobs[k]}", coeffs, ">=", 0.0)
+    for i in range(m):
+        for t in range(1, H + 1):
+            coeffs = {1 + (k * m + i) * H + t - 1: 1.0 for k in range(n)}
+            model.add_row(f"cap_{machines[i]}_{t}", coeffs, "<=", 1.0)
+    for u, v in _pairs(inst):
+        xu, xv = 1 + u * m * H, 1 + v * m * H
+        for t in range(0, H):
+            coeffs: dict[int, float] = {}
+            for i in range(m):
+                coeffs.update(dict.fromkeys(range(xv + i * H, xv + i * H + t + 1), 1.0))
+                coeffs.update(dict.fromkeys(range(xu + i * H, xu + i * H + t), -1.0))
+            model.add_row(f"prec_{jobs[u]}_{jobs[v]}_{t}", coeffs, "<=", 0.0)
+        for i in range(m):
+            for t in range(0, H):
+                coeffs = {xv + i * H + t: 1.0}
+                lo = max(1, t - int(rho)) - 1
+                for i2 in range(m):
+                    if i2 != i:
+                        coeffs.update(dict.fromkeys(range(xu + i2 * H + lo, xu + i2 * H + t), 1.0))
+                model.add_row(
+                    f"delay_{jobs[u]}_{jobs[v]}_{machines[i]}_{t}", coeffs, "<=", 1.0
+                )
     return model
 
 
 def _same_phase_model(inst: Instance) -> LpModel:
-    """Pairwise same-phase indicator program with speed-weighted phase row."""
-    preds = transitive_predecessors(inst)
+    """Pairwise same-phase indicator program with speed-weighted phase row.
+
+    phi of pair p is column ``x_end + p``.
+    """
     n, m, rho = inst.n, inst.m, inst.rho
-    pos = {v.id: k for k, v in enumerate(inst.jobs)}
+    jobs, machines = _safe_ids(inst)
+    pairs = _pairs(inst)
     model = _scaffold(inst)
-    phi: dict[tuple[str, str], int] = {}
-    for v in inst.jobs:
-        for u in sorted(preds[v.id]):
-            phi[(u, v.id)] = model.add_var(f"phi_{_safe(u)}_{_safe(v.id)}", 0.0, 1.0)
-    for k, v in enumerate(inst.jobs):
-        model.add_row(f"mk_{_safe(v.id)}", {0: 1.0, 1 + k: -1.0}, ">=", 0.0)
+    x_end = 1 + n + n * m
+    for u, v in pairs:
+        model.add_var(f"phi_{jobs[u]}_{jobs[v]}", 0.0, 1.0)
+    for k in range(n):
+        model.add_row(f"mk_{jobs[k]}", {0: 1.0, 1 + k: -1.0}, ">=", 0.0)
     for i, mc in enumerate(inst.machines):
         coeffs = {0: mc.speed}
         for k, v in enumerate(inst.jobs):
             coeffs[1 + n + k * m + i] = -v.size
-        model.add_row(f"load_{_safe(mc.id)}", coeffs, ">=", 0.0)
-    for k, v in enumerate(inst.jobs):
-        for u in sorted(preds[v.id]):
-            model.add_row(
-                f"delay_{_safe(u)}_{_safe(v.id)}",
-                {1 + k: 1.0, 1 + pos[u]: -1.0, phi[(u, v.id)]: rho},
-                ">=",
-                rho,
-            )
-            model.add_row(
-                f"prec_{_safe(u)}_{_safe(v.id)}", {1 + k: 1.0, 1 + pos[u]: -1.0}, ">=", 0.0
-            )
-    for k, v in enumerate(inst.jobs):
-        if not preds[v.id]:
-            continue
-        coeffs: dict[int, float] = {}
-        for i, mc in enumerate(inst.machines):
-            coeffs[1 + n + k * m + i] = rho * mc.speed
-        for u in sorted(preds[v.id]):
-            coeffs[phi[(u, v.id)]] = -inst.size(u)
-        model.add_row(f"phase_{_safe(v.id)}", coeffs, ">=", 0.0)
-    for k, v in enumerate(inst.jobs):
+        model.add_row(f"load_{machines[i]}", coeffs, ">=", 0.0)
+    for p, (u, v) in enumerate(pairs):
+        model.add_row(
+            f"delay_{jobs[u]}_{jobs[v]}", {1 + v: 1.0, 1 + u: -1.0, x_end + p: rho}, ">=", rho
+        )
+        model.add_row(f"prec_{jobs[u]}_{jobs[v]}", {1 + v: 1.0, 1 + u: -1.0}, ">=", 0.0)
+    # one phase row per job with pairs, in job order; a job's pairs are adjacent
+    for v, group in itertools.groupby(enumerate(pairs), key=lambda e: e[1][1]):
+        coeffs = {1 + n + v * m + i: rho * mc.speed for i, mc in enumerate(inst.machines)}
+        for p, (u, _) in group:
+            coeffs[x_end + p] = -inst.jobs[u].size
+        model.add_row(f"phase_{jobs[v]}", coeffs, ">=", 0.0)
+    for k in range(n):
         coeffs = {1 + n + k * m + i: 1.0 for i in range(m)}
-        model.add_row(f"cover_{_safe(v.id)}", coeffs, "=", 1.0)
+        model.add_row(f"cover_{jobs[k]}", coeffs, "=", 1.0)
     return model
 
 
@@ -262,22 +237,27 @@ class GapReport:
 
 
 def measure_gap(inst: Instance, eta: float | None = None) -> GapReport:
-    """LP value (certificate when layered), pipeline and baseline makespans."""
-    from .cli import PipelineConfig, _solve_relaxation, run_pipeline
+    """LP value (certificate when layered), pipeline and baseline makespans.
+
+    The relaxation and the baseline run on the normalized instance, as the
+    pipeline does, and every value is reported in the input's units.
+    """
+    from .cli import PipelineConfig, _require_valid, _solve_relaxation, run_pipeline
     from .oracle import combinatorial_baseline
     from .schedmodel import makespan
 
+    norm, scale = normalize_instance(_require_valid(inst))
     try:
         _layer_structure(inst)
         lp_value = float(inst.rho)
         lp_source = "certificate"
     except ValueError:
-        lp_value = _solve_relaxation(inst).objective
+        lp_value = scale.time_to_original(_solve_relaxation(norm).objective)
         lp_source = "solved"
 
     result = run_pipeline(inst, PipelineConfig(eta=eta))
-    pipe_ms = result.makespan  # original units, like the LP value and the baseline
-    base_ms = makespan(inst, combinatorial_baseline(inst))
+    pipe_ms = result.makespan
+    base_ms = scale.time_to_original(makespan(norm, combinatorial_baseline(norm)))
     ratio = min(pipe_ms, base_ms) / lp_value if lp_value > 0 else None
     return GapReport(
         params={"n": inst.n, "m": inst.m, "rho": inst.rho},

@@ -36,11 +36,17 @@ index, then u's id), z of pair p and machine index i is column
 ``x_end + p*m + i``, where ``x_end = 1 + n + n*m``.  The rows are families
 (1) to (6) in that order.  Each model holds this structure by index in one
 :class:`_Layout`, which the builder, the separation oracle and the starting
-basis read.  The alternate relaxations of :mod:`gaplab` start from the same
-C, S and x columns (:func:`_scaffold`) and add variables and rows one at a
-time with ``add_var`` and ``add_row``, so they hold lists instead;
-:func:`solve_lp` takes both.  A solution holds the point only as
-``values``, by column; :mod:`grouping` reads S and x from it by the rule.
+basis read.  The alternate relaxations of :mod:`gaplab` add variables and rows
+one at a time with ``add_var`` and ``add_row``, so they hold lists instead;
+:func:`solve_lp` takes both.  They read their pairs from a :class:`_Layout`'s
+``u`` and ``v``, in z order, and place their columns by the same kind of rule:
+the same-machine and same-phase models start from the C, S and x columns
+(:func:`_scaffold`), then put d of pair p and machine index i at column
+``x_end + p*m + i`` (the z rule) and phi of pair p at ``x_end + p``; the
+time-indexed model has C at 0 and x of job index k, machine index i and step t
+at ``1 + (k*m + i)*H + t - 1`` for horizon H.  A solution holds the point
+only as ``values``, by column; :mod:`grouping` reads S and x from it by the
+rule.
 
 A relaxation's column and row names are made only when something reads them:
 ``var_names``, ``row_names``, ``rows``, :func:`export_lp_text` and error
@@ -135,7 +141,9 @@ class LpModel:
     matching ``row_vals``, and its value lies in
     ``[row_lower[r], row_upper[r]]``.  :func:`build_relaxation` fills these
     with numpy arrays; ``add_var`` and ``add_row`` append to the lists of a
-    model built from ``LpModel()`` or :func:`_scaffold`.  ``rows`` reads the
+    model built from ``LpModel()`` or :func:`_scaffold`, which :mod:`gaplab`
+    does, each column landing where the module's index rules place it.
+    ``rows`` reads the
     rows back as a list of tuples.  ``var_names`` and ``row_names`` are a
     relaxation's names, made on first read, then the names a model holds as
     a list.
@@ -256,7 +264,7 @@ class _Layout:
     ``pos`` maps a job id to its index, and ``size`` and ``speed`` hold the
     jobs' sizes and machines' speeds by index.  ``u`` and ``v`` are every
     transitive pair (u, v) by job index, in z order (by v's index, then u's
-    id), as the separation oracle reads them; ``pu`` and ``pv`` are the
+    id), as the separation oracle and :mod:`gaplab`'s relaxations read them; ``pu`` and ``pv`` are the
     model's own pairs: all of them when ``with_pairs`` is set, else none.
     ``eu`` and ``ev`` are the distinct direct edges (u, v), one row (2) each,
     in row order (by v's index, then u's id); ``c1`` are the sinks, the jobs

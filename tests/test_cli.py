@@ -21,7 +21,8 @@ from delaysched import (
     make_instance,
     normalize_instance,
 )
-from delaysched.schedmodel import schedule_from_json
+from delaysched.dedup import dedup_with_plan
+from delaysched.schedmodel import schedule_from_json, validate_schedule
 
 
 def run(args):
@@ -189,6 +190,18 @@ def _outcome(inst):
         return run_pipeline(inst)
     except PipelineError as exc:
         return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_dags())
+def test_dedup_of_a_pipeline_schedule_places_every_job_once(inst):
+    result = _outcome(inst)
+    if isinstance(result, str):  # the pipeline stopped with PipelineError
+        return
+    out, _ = dedup_with_plan(inst, result.schedule)
+    report = validate_schedule(inst, out)
+    assert report.valid, report.violations
+    assert sorted(p.job for p in out.placements) == sorted(v.id for v in inst.jobs)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,14 +6,18 @@ from conftest import by_the_rule, tiny_instance
 from delaysched import (
     Job,
     Machine,
+    Placement,
+    Schedule,
     build_relaxation,
     check_lp_feasibility,
+    combinatorial_baseline,
     gen_layered_gap,
     gen_random_dag,
     make_instance,
     normalize_instance,
     run_pipeline,
     solve_lp,
+    validate_schedule,
 )
 from delaysched.gaplab import (
     build_alternate_relaxation,
@@ -145,6 +149,26 @@ def test_measure_gap_random_instance_fields(inst):
     assert integral >= rep.lp_value / 2.0 - 1e-6
     assert set(rep.params) == {"n", "m", "rho"}
 
+
+
+def test_measure_gap_works_in_normalized_units():
+    # at sizes near 1e-12, HiGHS rejects the raw relaxation's cut rows, and
+    # the baseline's absolute tolerance exceeds the instance's times
+    tiny = gen_random_dag(12, 2, 0.5, (1e-12, 4e-12), (0.25, 1), 1.6e-11, 0)
+    twin = gen_random_dag(12, 2, 0.5, (1, 4), (0.25, 1), 16.0, 0)
+    got, want = measure_gap(tiny), measure_gap(twin)
+    assert got.lp_source == want.lp_source == "solved"
+    assert got.lp_value == pytest.approx(want.lp_value * 1e-12, rel=1e-9)
+    assert got.baseline_makespan == pytest.approx(want.baseline_makespan * 1e-12, rel=1e-9)
+    # the baseline measured: run on the normalized instance, mapped back
+    norm, scale = normalize_instance(tiny)
+    baseline = Schedule(tuple(
+        Placement(p.job, p.machine, scale.time_to_original(p.start))
+        for p in combinatorial_baseline(norm).placements
+    ))
+    report = validate_schedule(tiny, baseline)
+    assert report.valid, report.violations
+    assert report.makespan == pytest.approx(got.baseline_makespan, rel=1e-9)
 
 PINNED_INSTANCES = {
     "random-7": lambda: gen_random_dag(7, 3, 0.4, (1, 4), (0.25, 1), 16.0, 5),

@@ -159,15 +159,19 @@ def test_solution_values_follow_indices_when_names_collide():
 
 
 def renamed(inst):
-    """``inst`` with every job id replaced so that the ids' sort order is
-    reversed and each holds characters the model names replace; the jobs
-    keep their order."""
-    ids = sorted(v.id for v in inst.jobs)
-    new = {old: f"job-{len(ids) - 1 - rank:02d}.{old}" for rank, old in enumerate(ids)}
+    """``inst`` with every job id and machine id replaced so that each set of
+    ids sorts in reverse and each id holds characters the model names replace;
+    the jobs keep their order, and machines of one speed reverse theirs."""
+
+    def reverse(ids):
+        ids = sorted(ids)
+        return {old: f"id-{len(ids) - 1 - rank:02d}.{old}" for rank, old in enumerate(ids)}
+
+    jobs, machines = reverse(v.id for v in inst.jobs), reverse(mc.id for mc in inst.machines)
     return make_instance(
-        [Job(new[v.id], v.size) for v in inst.jobs],
-        inst.machines,
-        [(new[u], new[v]) for u, v in inst.edges],
+        [Job(jobs[v.id], v.size) for v in inst.jobs],
+        [Machine(machines[mc.id], mc.speed) for mc in inst.machines],
+        [(jobs[u], jobs[v]) for u, v in inst.edges],
         inst.rho,
     )
 
@@ -179,16 +183,28 @@ def renamed(inst):
     st.floats(0.0, 1.0),
     st.sampled_from([0.3, 16.0]),
     st.integers(0, 2**32 - 1),
+    st.none() | st.lists(st.sampled_from([0.5, 1.0]), min_size=3, max_size=3),
 )
-def test_renaming_job_ids_leaves_the_lp_objective_unchanged(n, m, p, rho, seed):
+def test_renaming_job_ids_leaves_the_lp_objective_unchanged(n, m, p, rho, seed, tied):
     inst = gen_random_dag(n, m, p, (1, 4), (0.25, 1), rho, seed)
+    if tied:  # speeds from {0.5, 1}, so renaming reverses the machines of a speed
+        inst = make_instance(
+            inst.jobs, [Machine(mc.id, s) for mc, s in zip(inst.machines, tied)], inst.edges, rho
+        )
     other = renamed(inst)
     order = sorted(range(n), key=lambda k: inst.jobs[k].id)
     assert sorted(range(n), key=lambda k: other.jobs[k].id) == order[::-1]
     assert all(_safe(v.id) != v.id for v in other.jobs)
+    for speed in {mc.speed for mc in inst.machines}:
+        ids = [mc.id for mc in inst.machines if mc.speed == speed]
+        assert [mc.id.split(".", 1)[1] for mc in other.machines if mc.speed == speed] == ids[::-1]
     a, b = solve_relaxation(inst), solve_relaxation(other)
     assert a.status == b.status == "optimal"
     assert b.objective == pytest.approx(a.objective, rel=1e-9)
+    for kind in ("same_machine", "same_phase") if n <= 6 else ():
+        a, b = (solve_lp(build_alternate_relaxation(x, kind)) for x in (inst, other))
+        assert a.status == b.status == "optimal"
+        assert b.objective == pytest.approx(a.objective, rel=1e-9)
 
 
 def test_solver_deterministic_bit_pattern():

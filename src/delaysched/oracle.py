@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .instance import (
     TOL,
     Instance,
+    _scale_factors,
     require_valid_instance,
     topological_order,
     transitive_predecessors,
@@ -202,10 +203,14 @@ def combinatorial_baseline(inst: Instance) -> Schedule:
     """Greedy least-loaded baseline with half-new-work duplication rule.
 
     Known to be badly suboptimal on chain-fan instances with one fast
-    machine; kept as a comparison point, its output is always valid.
+    machine; kept as a comparison point, its output is always valid.  Times
+    are compared with ``TOL`` on the normalized scale, as
+    :func:`validate_schedule` compares them.
     """
     require_valid_instance(inst)
     tpreds = transitive_predecessors(inst)
+    alpha, beta = _scale_factors(inst)
+    tol = TOL * beta / alpha
     rho = inst.rho
     size, speed = inst._sizes, inst._speeds
     topo_pos = {v: k for k, v in enumerate(topological_order(inst))}
@@ -225,10 +230,10 @@ def combinatorial_baseline(inst: Instance) -> Schedule:
         if guard > guard_cap:
             raise AssertionError("baseline failed to make progress")
         recent = {
-            v for v, ts in start_of.items() if any(t >= clock - TOL for t in ts)
+            v for v, ts in start_of.items() if any(t >= clock - tol for t in ts)
         }
         finished = {
-            v for v, ts in comp.items() if any(t <= clock + TOL for t in ts)
+            v for v, ts in comp.items() if any(t <= clock + tol for t in ts)
         }
         mid = min(frontier, key=lambda k: (frontier[k], k))
         threshold = rho * speed[mid] if rho > 0 else math.inf

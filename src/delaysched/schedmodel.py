@@ -51,7 +51,25 @@ class Schedule:
 
 
 def makespan(inst: Instance, sched: Schedule) -> float:
-    return max((p.end(inst) for p in sched.placements), default=0.0)
+    return max(_ends(inst, sched), default=0.0)
+
+
+def _ends(inst: Instance, sched: Schedule) -> list[float]:
+    """Each placement's end, aligned with ``sched.placements``: the expression
+    of :meth:`Placement.end`, evaluated once per placement."""
+    size, speed = inst._sizes, inst._speeds
+    return [p.start + size[p.job] / speed[p.machine] for p in sched.placements]
+
+
+def _by_machine(sched: Schedule) -> dict[str, list[int]]:
+    """:meth:`Schedule.by_machine` as indices into ``sched.placements``."""
+    placements = sched.placements
+    out: dict[str, list[int]] = {}
+    for k, p in enumerate(placements):
+        out.setdefault(p.machine, []).append(k)
+    for lst in out.values():
+        lst.sort(key=lambda k: (placements[k].start, placements[k].job))
+    return out
 
 
 def phase_of(t: float, rho: float) -> int:
@@ -96,39 +114,41 @@ def validate_schedule(inst: Instance, sched: Schedule) -> ScheduleReport:
         if j.id not in placed_jobs:
             bad.append(f"job {j.id} never placed")
 
-    for mc, lst in sched.by_machine().items():
+    placements, ends = sched.placements, _ends(inst, sched)
+    for mc, lst in _by_machine(sched).items():
         seen = set()
-        for p in lst:
-            if p.job in seen:
-                bad.append(f"job {p.job} placed twice on machine {mc}")
-            seen.add(p.job)
+        for k in lst:
+            job = placements[k].job
+            if job in seen:
+                bad.append(f"job {job} placed twice on machine {mc}")
+            seen.add(job)
         for a, b in zip(lst, lst[1:]):
-            if b.start < a.end(inst) - tol:
-                bad.append(f"overlap on {mc}: {a.job} and {b.job}")
+            if placements[b].start < ends[a] - tol:
+                bad.append(f"overlap on {mc}: {placements[a].job} and {placements[b].job}")
 
     # Completion lookup: per job, completions on each machine and the
     # earliest completion anywhere; and each job's placements in order.
     comp: dict[str, dict[str, float]] = {}
     copies: dict[str, list[Placement]] = {}
-    for p in sched.placements:
-        comp.setdefault(p.job, {})[p.machine] = min(
-            comp.get(p.job, {}).get(p.machine, math.inf), p.end(inst)
-        )
+    for p, end in zip(placements, ends):
+        on = comp.setdefault(p.job, {})
+        on[p.machine] = min(on.get(p.machine, math.inf), end)
         copies.setdefault(p.job, []).append(p)
     for a, b in inst.edges:
         if a not in comp:
             continue
         for p in copies.get(b, ()):
-            same = comp[a].get(p.machine, math.inf)
+            if not comp[a].get(p.machine, math.inf) > p.start + tol:
+                continue  # a copy on the same machine completes in time
             other = min(
                 (t for mc, t in comp[a].items() if mc != p.machine), default=math.inf
             )
-            if same > p.start + tol and other > p.start - inst.rho + tol:
+            if other > p.start - inst.rho + tol:
                 bad.append(
                     f"delay violation: {b} on {p.machine} at {p.start:.6g} "
                     f"without usable copy of {a}"
                 )
-    return ScheduleReport(not bad, makespan(inst, sched), tuple(bad))
+    return ScheduleReport(not bad, max(ends, default=0.0), tuple(bad))
 
 
 def require_valid_schedule(inst: Instance, sched: Schedule) -> None:
@@ -152,52 +172,67 @@ class Chain:
 
 
 def long_pairs(inst: Instance, sched: Schedule) -> list[Placement]:
+    return [sched.placements[k] for k in _long(inst, sched)]
+
+
+def _long(inst: Instance, sched: Schedule) -> list[int]:
+    """:func:`long_pairs` as indices into ``sched.placements``."""
     thr = LONG_FACTOR * inst.rho
+    size, speed = inst._sizes, inst._speeds
     return [
-        p
-        for p in sched.placements
-        if inst.size(p.job) / inst.speed(p.machine) > thr + TOL
+        k
+        for k, p in enumerate(sched.placements)
+        if size[p.job] / speed[p.machine] > thr + TOL
     ]
 
 
 def build_chain(inst: Instance, sched: Schedule) -> Chain:
     """Chain of long placements linked through predecessors, plus the sets of
     jobs whose completions fall between consecutive links."""
+    return _build_chain(inst, sched, _ends(inst, sched), _long(inst, sched))[0]
+
+
+def _build_chain(inst: Instance, sched: Schedule, ends: list[float], pool: list[int]):
+    """:func:`build_chain` over the placements' ``ends`` and the indices
+    ``pool`` of the long ones; also returns the links' indices."""
     preds = transitive_predecessors(inst)
-    pool = long_pairs(inst, sched)
-    links: list[Placement] = []
+    placements = sched.placements
+
+    def latest(ks):
+        return max(ks, key=lambda k: (ends[k], placements[k].job, placements[k].machine))
+
+    links: list[int] = []
     if pool:
-        cur = max(pool, key=lambda p: (p.end(inst), p.job, p.machine))
-        links.append(cur)
+        links.append(latest(pool))
         while True:
-            cand = [p for p in pool if p.job in preds[cur.job]]
+            before = preds[placements[links[-1]].job]
+            cand = [k for k in pool if placements[k].job in before]
             if not cand:
                 break
-            cur = max(cand, key=lambda p: (p.end(inst), p.job, p.machine))
-            links.append(cur)
+            links.append(latest(cand))
 
     completions: dict[str, list[float]] = {}
-    for p in sched.placements:
-        completions.setdefault(p.job, []).append(p.end(inst))
+    for p, end in zip(placements, ends):
+        completions.setdefault(p.job, []).append(end)
 
     windows: list[frozenset[str]] = []
     if not links:
         windows.append(frozenset(j.id for j in inst.jobs))
     else:
-        first_end = links[0].end(inst)
+        first_end = ends[links[0]]
         windows.append(
             frozenset(v for v, ts in completions.items() if max(ts) >= first_end - TOL)
         )
         for q in range(len(links) - 1):
-            v_link, nxt = links[q], links[q + 1]
-            lo, hi = nxt.end(inst), v_link.start
+            v_link = placements[links[q]]
+            lo, hi = ends[links[q + 1]], v_link.start
             members = {v_link.job}
             for u in preds[v_link.job]:
                 if any(lo - TOL <= t <= hi + TOL for t in completions.get(u, [])):
                     members.add(u)
             windows.append(frozenset(members))
-        windows.append(frozenset(preds[links[-1].job]))
-    return Chain(tuple(links), tuple(windows))
+        windows.append(frozenset(preds[placements[links[-1]].job]))
+    return Chain(tuple(placements[k] for k in links), tuple(windows)), links
 
 
 def phase_count(inst: Instance, sched: Schedule) -> int:
@@ -205,7 +240,12 @@ def phase_count(inst: Instance, sched: Schedule) -> int:
     ``MAX_PHASES``, before anything is allocated per phase."""
     if inst.rho <= 0:
         raise ValueError("phases are undefined for rho <= 0")
-    spans = makespan(inst, sched) / inst.rho  # inf once rho is tiny enough
+    return _phase_count(inst.rho, makespan(inst, sched))
+
+
+def _phase_count(rho: float, span: float) -> int:
+    """:func:`phase_count` of a makespan ``span``, for ``rho > 0``."""
+    spans = span / rho  # inf once rho is tiny enough
     if not spans - TOL <= MAX_PHASES:
         raise ValueError(
             f"the makespan spans {spans:.3g} phases of length rho; "
@@ -214,27 +254,23 @@ def phase_count(inst: Instance, sched: Schedule) -> int:
     return max(1, math.ceil(spans - TOL))
 
 
-def _overlap(lo: float, hi: float, a: float, b: float) -> float:
-    return max(0.0, min(hi, b) - max(lo, a))
+def _phase_sums(rho: float, spans, count: int) -> list[float]:
+    """For each phase tau < count, the sum over the ``(start, end)`` intervals
+    ``spans`` (in order) of their overlap with [tau*rho, (tau+1)*rho).
 
-
-def _phase_sums(inst: Instance, placements, count: int) -> list[float]:
-    """For each phase tau < count, the sum over ``placements`` (in order) of
-    their overlap with [tau*rho, (tau+1)*rho).
-
-    One pass: a placement visits only the phases its interval spans, widened by
-    one on each side against rounding in the floor.  The phases it skips would
-    add an overlap of 0.0, which leaves a float sum unchanged, so each total is
-    the one a sum over every placement gives, bit for bit.  The totals come from
-    ``sum`` rather than ``+=`` so that this holds where ``sum`` compensates
-    rounding (Python 3.12 and later).
+    One pass: an interval visits only the phases it spans, widened by one on
+    each side against rounding in the floor.  The phases it skips would add an
+    overlap of 0.0, which leaves a float sum unchanged, so each total is the one
+    a sum over every interval gives, bit for bit.  Only positive overlaps are
+    kept, for the same reason.  The totals come from ``sum`` rather than ``+=``
+    so that this holds where ``sum`` compensates rounding (Python 3.12 and
+    later).
     """
-    rho = inst.rho
     terms: list[list[float]] = [[] for _ in range(count)]
-    for p in placements:
-        a, b = p.start, p.end(inst)
+    for a, b in spans:
         for tau in range(max(0, math.floor(a / rho) - 1), min(count, math.floor(b / rho) + 2)):
-            t = _overlap(tau * rho, (tau + 1) * rho, a, b)
+            lo, hi = tau * rho, (tau + 1) * rho
+            t = (b if b < hi else hi) - (a if a > lo else lo)  # min(hi, b) - max(lo, a)
             if t > 0.0:
                 terms[tau].append(t)
     return [sum(ts) for ts in terms]
@@ -252,23 +288,30 @@ def classify_phases(inst: Instance, sched: Schedule, chain: Chain, groups=None):
     from .grouping import partition_machine_groups
 
     groups = groups if groups is not None else partition_machine_groups(inst)
-    count = phase_count(inst, sched)
-    half = inst.rho / 2 - TOL
-    chain_time = _phase_sums(inst, chain.links, count)
-    by_machine = sched.by_machine()
-    busy = {
-        mc.id: [t >= half for t in _phase_sums(inst, by_machine.get(mc.id, []), count)]
-        for mc in inst.machines
-    }
-    labels: list[str] = []
-    for tau in range(count):
-        if chain_time[tau] >= half:
-            labels.append("chain")
-        elif any(all(busy[i][tau] for i in g.machine_ids) for g in groups):
-            labels.append("load")
-        else:
-            labels.append("height")
-    return labels
+    ends = _ends(inst, sched)
+    count = _phase_count(inst.rho, max(ends, default=0.0))
+    chain_spans = [(p.start, p.end(inst)) for p in chain.links]
+    return _classify_phases(inst, sched, ends, _by_machine(sched), chain_spans, groups, count)
+
+
+def _classify_phases(inst, sched, ends, by_machine, chain_spans, groups, count):
+    """:func:`classify_phases` over the placements' ``ends``, their
+    :func:`_by_machine` lists, the chain links' ``(start, end)`` intervals and
+    the phase count."""
+    rho, placements = inst.rho, sched.placements
+    half = rho / 2 - TOL
+    chain_time = _phase_sums(rho, chain_spans, count)
+    busy = {}
+    for mc in inst.machines:
+        spans = [(placements[k].start, ends[k]) for k in by_machine.get(mc.id, [])]
+        busy[mc.id] = [t >= half for t in _phase_sums(rho, spans, count)]
+    # load[tau]: every machine of some group is busy in phase tau; a group
+    # without machines is busy throughout, as all() of nothing holds
+    load = [False] * count
+    for g in groups:
+        cols = zip(*(busy[i] for i in g.machine_ids)) if g.machine_ids else [()] * count
+        load = [was or all(col) for was, col in zip(load, cols)]
+    return ["chain" if c >= half else "load" if l else "height" for c, l in zip(chain_time, load)]
 
 
 @dataclass(frozen=True)
@@ -327,10 +370,13 @@ def lemma_diagnostics(inst, lp_sol, assignment, sched, eta=None, strict=True):
     }
 
     # eta-load: per group suffix, scheduled work at most eta times assigned work.
+    placements, ends, by_machine = sched.placements, _ends(inst, sched), _by_machine(sched)
+    span = max(ends, default=0.0)
+    size = inst._sizes
     group_of = {mid: g.index for g in assignment.groups for mid in g.machine_ids}
     sched_load = {g.index: 0.0 for g in assignment.groups}
-    for mc_id, lst in sched.by_machine().items():
-        sched_load[group_of[mc_id]] += sum(inst.size(p.job) for p in lst)
+    for mc_id, lst in by_machine.items():
+        sched_load[group_of[mc_id]] += sum(size[placements[k].job] for k in lst)
     assigned = {g.index: 0.0 for g in assignment.groups}
     for v, k in assignment.kappa.items():
         assigned[k] += inst.size(v)
@@ -345,14 +391,21 @@ def lemma_diagnostics(inst, lp_sol, assignment, sched, eta=None, strict=True):
     checks["eta_load"] = {"measured_excess": eta_worst, "ok": eta_ok, "asserted": True}
 
     # Long placements must sit inside their job's assigned group.
+    pool = _long(inst, sched)
     long_ok = True
-    for p in long_pairs(inst, sched):
-        if group_of[p.machine] != assignment.kappa[p.job]:
+    for k in pool:
+        if group_of[placements[k].machine] != assignment.kappa[placements[k].job]:
             long_ok = False
     checks["long_copy_group"] = {"ok": long_ok, "asserted": True}
 
-    chain = build_chain(inst, sched)
-    labels = classify_phases(inst, sched, chain, assignment.groups) if rho > 0 else []
+    chain, links = _build_chain(inst, sched, ends, pool)
+    labels = []
+    if rho > 0:
+        chain_spans = [(placements[k].start, ends[k]) for k in links]
+        labels = _classify_phases(
+            inst, sched, ends, by_machine, chain_spans, assignment.groups,
+            _phase_count(rho, span),
+        )
     counts = {lab: labels.count(lab) for lab in ("chain", "load", "height")}
 
     gamma_of = {g.index: g.gamma for g in assignment.groups}
@@ -396,7 +449,7 @@ def lemma_diagnostics(inst, lp_sol, assignment, sched, eta=None, strict=True):
             raise LemmaViolation(f"asserted checks failed: {', '.join(failed)}")
 
     return AnalysisReport(
-        makespan=makespan(inst, sched),
+        makespan=span,
         chain=tuple((p.job, p.machine) for p in chain.links),
         phase_labels=tuple(labels),
         phase_counts=counts,

@@ -11,9 +11,10 @@ time more than TOL above the clock.
 
 A rejected job is not evaluated again until its verdict can change.  The
 verdict for job v depends only on the chosen machine i, its frontier t_i, and
-for each candidate u of v on ``comp_on[u]``, ``earliest_comp[u]`` and whether
-u is placed; those candidate values change only when u gets a placement, and
-a placement of u drops the record of every job that has u as a candidate.
+for each candidate u of v on whether i holds a copy of u, ``earliest_comp[u]``
+and whether u is placed; those candidate values change only when u gets a
+placement, and a placement of u drops the record of every job that has u as a
+candidate.
 With the same i, t_i only grows, so the batch can only shrink, and it shrinks
 exactly when a member becomes done.  No member has a copy on i, since every
 copy there ends by t_i; so a member becomes done only when its least
@@ -23,6 +24,11 @@ So a rejection records ``(i, min_far)``, and a later visit skips v while the
 least-loaded machine is still i and ``min_far > t_i - rho + TOL``.  Each
 group's least-loaded machine is cached until one of its frontiers moves: by
 a placement in the group, or by a clock advance past it.
+
+The loop keeps its state in lists by index: a job's index is its position in
+the scheduling order, so its candidates are an ascending list that ends with
+the job itself, and a machine's index is its position in ``inst.machines``.
+Ids are read only to write placements, trace entries and error messages.
 """
 
 from __future__ import annotations
@@ -102,105 +108,117 @@ def run_group_scheduler(
     preds = transitive_predecessors(inst)
     size, speed = inst._sizes, inst._speeds
     bands, kappa = assignment.bands, assignment.kappa
+    # jobs by their index in the scheduling order and machines by their index
+    # in inst.machines; ids are read only to write placements and the trace
     order = topological_order(inst, key=lambda v: (bands[v], v))
-    topo_pos = {v: k for k, v in enumerate(order)}
-    # each job's batch candidates: itself and its predecessors, in topological order
-    candidates = {v: sorted(preds[v] | {v}, key=topo_pos.__getitem__) for v in order}
-    group_jobs = {g.index: [v for v in order if kappa[v] == g.index] for g in assignment.groups}
+    job_at = {v: k for k, v in enumerate(order)}
+    sz = [size[v] for v in order]
+    kap = [kappa[v] for v in order]
+    # each job's batch candidates: its predecessors in scheduling order, then
+    # itself (every predecessor comes earlier)
+    candidates = [sorted(map(job_at.__getitem__, preds[v])) + [k] for k, v in enumerate(order)]
     # the jobs that have each job as a candidate: itself and its successors
-    dependents: dict[str, list[str]] = {v: [] for v in order}
-    for v in order:
-        for u in candidates[v]:
+    dependents: list[list[int]] = [[] for _ in order]
+    for v, cand in enumerate(candidates):
+        for u in cand:
             dependents[u].append(v)
-    group_of = {mid: g.index for g in assignment.groups for mid in g.machine_ids}
+    mids = [mc.id for mc in inst.machines]
+    spd = [mc.speed for mc in inst.machines]
+    machine_at = {mid: i for i, mid in enumerate(mids)}
+    groups = assignment.groups
+    # each group's machines in id order, so the first least frontier breaks
+    # ties by id; and its jobs, in scheduling order
+    group_machines = [sorted((machine_at[mid] for mid in g.machine_ids), key=mids.__getitem__)
+                      for g in groups]
+    group_jobs = [[k for k in range(len(order)) if kap[k] == g.index] for g in groups]
+    group_of = [-1] * len(mids)
+    for gk, g in enumerate(groups):
+        for mid in g.machine_ids:
+            group_of[machine_at[mid]] = gk
 
     clock = 0.0
     clock_history = [clock]
-    frontier = {mc.id: 0.0 for mc in inst.machines}
-    placed: set[str] = set()
+    frontier = [0.0] * len(mids)
+    placed = [False] * len(order)
+    n_placed = 0
     placements: list[Placement] = []
-    comp_on: dict[str, set[str]] = {v.id: set() for v in inst.jobs}  # machines holding a copy
-    earliest_comp: dict[str, float] = {v.id: math.inf for v in inst.jobs}
-    max_comp_on = {mc.id: 0.0 for mc in inst.machines}
+    on = [[False] * len(order) for _ in mids]  # on[i][u]: machine i holds a copy of u
+    earliest_comp = [math.inf] * len(order)
+    max_comp_on = [0.0] * len(mids)
     events: list[float] = []  # heap of completion and arrival times
-    least: dict[int, str] = {}  # each group's least-loaded machine, while valid
-    rejected: dict[str, tuple[str, float]] = {}  # v -> (i, min_far)
+    least: list[int | None] = [None] * len(groups)  # each group's least-loaded machine, while valid
+    rejected_on = [-1] * len(order)  # v -> the machine i of its rejection, or -1
+    rejected_far = [0.0] * len(order)  # v -> min_far of its rejection
     n, m = inst.n, inst.m
     max_rounds = 2 * m * (n - 1) + 2
 
-    def assert_frontiers():
-        for mc in inst.machines:
-            want = max(clock, max_comp_on[mc.id])
-            if abs(frontier[mc.id] - want) > TOL:
-                raise SchedulerInvariantError(
-                    f"frontier of {mc.id} is {frontier[mc.id]}, expected {want}"
-                )
-
     rounds = 0
-    while len(placed) < n:
+    while n_placed < n:
         rounds += 1
         if rounds > max_rounds:
             raise SchedulerInvariantError(f"exceeded {max_rounds} scheduling rounds")
-        for g in assignment.groups:
-            for v in group_jobs[g.index]:
-                if v in placed:
+        placed_before = n_placed
+        for gk, g in enumerate(groups):
+            mass_cap = PRED_MASS_FACTOR * rho * g.gamma + TOL
+            for v in group_jobs[gk]:
+                if placed[v]:
                     continue
-                i = least.get(g.index)
+                i = least[gk]
                 if i is None:
-                    i = least[g.index] = min(g.machine_ids, key=lambda mid: (frontier[mid], mid))
-                t_i = frontier[i]
-                seen = rejected.get(v)
-                if seen is not None and seen[0] == i and not seen[1] <= t_i - rho + TOL:
+                    i = least[gk] = min(group_machines[gk], key=frontier.__getitem__)
+                far = frontier[i] - rho + TOL
+                if rejected_on[v] == i and not rejected_far[v] <= far:
                     continue  # the same batch, rejected again
-                batch = []
-                for u in candidates[v]:
-                    # every completion on i is at or before t_i, as the
-                    # frontier check above asserts each round
-                    done_here = i in comp_on[u]
-                    done_far = earliest_comp[u] <= t_i - rho + TOL
-                    if not (done_here or done_far):
-                        batch.append(u)
-                mass = sum(size[u] for u in batch)
-                mass_minus_v = mass - (size[v] if v in batch else 0.0)
-                new_mass = sum(size[u] for u in batch if u not in placed)
+                # every completion on i is at or before its frontier, as the
+                # frontier check at each clock advance asserts
+                on_i = on[i]
+                batch = [u for u in candidates[v] if not (on_i[u] or earliest_comp[u] <= far)]
+                # v is unplaced, so it is in the batch, last
+                mass = sum([sz[u] for u in batch])
                 if (
-                    mass_minus_v > PRED_MASS_FACTOR * rho * g.gamma + TOL
-                    or new_mass < mass / eta - TOL
-                    or any(kappa[u] < g.index for u in batch)
+                    mass - sz[v] > mass_cap
+                    or sum([sz[u] for u in batch if not placed[u]]) < mass / eta - TOL
+                    or any([kap[u] < g.index for u in batch])
                 ):
-                    rejected[v] = (i, min(earliest_comp[u] for u in batch))
+                    rejected_on[v] = i
+                    rejected_far[v] = min([earliest_comp[u] for u in batch])
                     continue
                 for u in batch:
-                    if i in comp_on[u]:
+                    if on_i[u]:
                         raise SchedulerInvariantError(
-                            f"second placement of {u} on {i}"
+                            f"second placement of {order[u]} on {mids[i]}"
                         )
                     start = frontier[i]
-                    placements.append(Placement(u, i, start))
-                    end = start + size[u] / speed[i]
+                    placements.append(Placement(order[u], mids[i], start))
+                    end = start + sz[u] / spd[i]
                     frontier[i] = end
-                    comp_on[u].add(i)
-                    earliest_comp[u] = min(earliest_comp[u], end)
-                    max_comp_on[i] = max(max_comp_on[i], end)
+                    on_i[u] = True
+                    if end < earliest_comp[u]:
+                        earliest_comp[u] = end
+                    if end > max_comp_on[i]:
+                        max_comp_on[i] = end
                     heapq.heappush(events, end)  # start is the frontier, at or after the clock
                     heapq.heappush(events, end + rho)
                     if trace is not None:
                         trace.append(
-                            {"event": "place", "job": u, "machine": i, "start": start}
+                            {"event": "place", "job": order[u], "machine": mids[i], "start": start}
                         )
                     if abs(frontier[i] - max(clock, max_comp_on[i])) > TOL:
-                        raise SchedulerInvariantError(f"frontier drift on {i}")
+                        raise SchedulerInvariantError(f"frontier drift on {mids[i]}")
                     for w in dependents[u]:
-                        rejected.pop(w, None)
-                placed |= set(batch)
-                del least[g.index]
+                        rejected_on[w] = -1
+                    if not placed[u]:
+                        placed[u] = True
+                        n_placed += 1
+                least[gk] = None
 
-        if len(placed) == n:
+        if n_placed == n:
             break
         # later rounds visit only the jobs still to place; the check inside
         # the round stays, as a batch can place jobs of later groups
-        for g, jobs in group_jobs.items():
-            group_jobs[g] = [v for v in jobs if v not in placed]
+        if n_placed > placed_before:  # else the lists are unchanged
+            for gk, jobs in enumerate(group_jobs):
+                group_jobs[gk] = [v for v in jobs if not placed[v]]
         nxt = _next_event(events, clock)
         if nxt is None:
             raise SchedulerInvariantError(
@@ -208,13 +226,16 @@ def run_group_scheduler(
             )
         clock = nxt
         clock_history.append(nxt)
-        for mid, t in frontier.items():
-            if t < clock:
-                frontier[mid] = clock
-                least.pop(group_of.get(mid), None)
         if trace is not None:
             trace.append({"event": "sweep", "clock": clock})
-        assert_frontiers()
+        for i, t in enumerate(frontier):
+            if t < clock:
+                frontier[i] = t = clock
+                if group_of[i] >= 0:
+                    least[group_of[i]] = None
+            want = max_comp_on[i] if max_comp_on[i] > clock else clock
+            if abs(t - want) > TOL:
+                raise SchedulerInvariantError(f"frontier of {mids[i]} is {t}, expected {want}")
 
     # the clock walked a prefix of the final event set, recomputed from the
     # placements themselves, in sorted order; this replay is what checks the

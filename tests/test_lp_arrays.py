@@ -286,12 +286,13 @@ def test_separation_matches_the_loop_in_every_round(monkeypatch, args):
     monkeypatch.setattr(lp, "_separate", separate)
     monkeypatch.setattr(lp, "_cut_rows", cut_rows)
     lp.solve_relaxation(inst)
-    for values, (start, cols, vals) in rounds:
+    # the last round cuts none, so the loop stops before it builds any rows
+    assert rounds and len(rounds[-1]) == 1 and not reference_cuts(inst, rounds[-1][0])
+    for values, (start, cols, vals) in rounds[:-1]:
         bounds = start.tolist()
         got = [list(zip(cols[a:b].tolist(), vals[a:b].tolist()))
                for a, b in zip(bounds, bounds[1:])]
         assert got == [list(row.items()) for _, _, row in reference_cuts(inst, values)]
-    assert rounds and len(rounds[-1][1][0]) == 1  # the last round cuts none
 
 
 def reference_feasibility(solution, model, tol):

@@ -12,6 +12,7 @@ from delaysched import (
     combinatorial_baseline,
     exact_optimal_makespan,
     gen_binary_tree,
+    gen_random_dag,
     make_instance,
     makespan,
     validate_schedule,
@@ -238,3 +239,13 @@ def test_baseline_valid_on_corpus():
         inst = tiny_instance(seed, n_max=8, m_max=3, rho_choices=(0.0, 1.0, 4.0))
         sched = combinatorial_baseline(inst)
         assert validate_schedule(inst, sched).valid
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
+def test_baseline_valid_far_from_unit_scale(scale):
+    # one recipe at three scales: times are judged relative to the instance's
+    # time unit, so an absolute 1e-9 neither swamps 1e-12 times nor vanishes
+    # below the resolution of 1e7 ones
+    inst = gen_random_dag(12, 2, 0.5, (scale, 4 * scale), (0.25, 1.0), 16 * scale, 0)
+    rep = validate_schedule(inst, combinatorial_baseline(inst))
+    assert rep.valid, rep.violations[:2]

@@ -294,7 +294,8 @@ def test_classify_phases_matches_per_phase_reference(case):
     count = phase_count(inst, sched)
     by_machine = sched.by_machine()
     for placements in (chain.links, *by_machine.values()):
-        assert _phase_sums(inst, placements, count) == [
+        spans = [(p.start, p.end(inst)) for p in placements]
+        assert _phase_sums(inst.rho, spans, count) == [
             _reference_overlaps(inst, placements, tau) for tau in range(count)
         ]
 

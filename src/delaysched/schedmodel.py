@@ -36,12 +36,7 @@ class Schedule:
     placements: tuple[Placement, ...]
 
     def by_machine(self) -> dict[str, list[Placement]]:
-        out: dict[str, list[Placement]] = {}
-        for p in self.placements:
-            out.setdefault(p.machine, []).append(p)
-        for lst in out.values():
-            lst.sort(key=lambda p: (p.start, p.job))
-        return out
+        return {mc: [self.placements[k] for k in lst] for mc, lst in _by_machine(self).items()}
 
     def multiplicity(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -62,7 +57,9 @@ def _ends(inst: Instance, sched: Schedule) -> list[float]:
 
 
 def _by_machine(sched: Schedule) -> dict[str, list[int]]:
-    """:meth:`Schedule.by_machine` as indices into ``sched.placements``."""
+    """Indices into ``sched.placements`` per machine, in order of first
+    appearance, each list sorted by (start, job): :meth:`Schedule.by_machine`
+    by index."""
     placements = sched.placements
     out: dict[str, list[int]] = {}
     for k, p in enumerate(placements):

@@ -104,12 +104,10 @@ def run_group_scheduler(
     if missing:
         raise ValueError(f"assignment does not cover job {missing[0]}")
 
-    rho = inst.rho
+    rho, n, m = inst.rho, inst.n, inst.m
     preds = transitive_predecessors(inst)
     size, speed = inst._sizes, inst._speeds
     bands, kappa = assignment.bands, assignment.kappa
-    # jobs by their index in the scheduling order and machines by their index
-    # in inst.machines; ids are read only to write placements and the trace
     order = topological_order(inst, key=lambda v: (bands[v], v))
     job_at = {v: k for k, v in enumerate(order)}
     sz = [size[v] for v in order]
@@ -118,7 +116,7 @@ def run_group_scheduler(
     # itself (every predecessor comes earlier)
     candidates = [sorted(map(job_at.__getitem__, preds[v])) + [k] for k, v in enumerate(order)]
     # the jobs that have each job as a candidate: itself and its successors
-    dependents: list[list[int]] = [[] for _ in order]
+    dependents: list[list[int]] = [[] for _ in range(n)]
     for v, cand in enumerate(candidates):
         for u in cand:
             dependents[u].append(v)
@@ -128,28 +126,26 @@ def run_group_scheduler(
     groups = assignment.groups
     # each group's machines in id order, so the first least frontier breaks
     # ties by id; and its jobs, in scheduling order
-    group_machines = [sorted((machine_at[mid] for mid in g.machine_ids), key=mids.__getitem__)
-                      for g in groups]
-    group_jobs = [[k for k in range(len(order)) if kap[k] == g.index] for g in groups]
-    group_of = [-1] * len(mids)
+    group_machines = [[machine_at[mid] for mid in sorted(g.machine_ids)] for g in groups]
+    group_jobs = [[k for k in range(n) if kap[k] == g.index] for g in groups]
+    group_of = [-1] * m
     for gk, g in enumerate(groups):
         for mid in g.machine_ids:
             group_of[machine_at[mid]] = gk
 
     clock = 0.0
     clock_history = [clock]
-    frontier = [0.0] * len(mids)
-    placed = [False] * len(order)
+    frontier = [0.0] * m
+    placed = [False] * n
     n_placed = 0
     placements: list[Placement] = []
-    on = [[False] * len(order) for _ in mids]  # on[i][u]: machine i holds a copy of u
-    earliest_comp = [math.inf] * len(order)
-    max_comp_on = [0.0] * len(mids)
+    on = [[False] * n for _ in range(m)]  # on[i][u]: machine i holds a copy of u
+    earliest_comp = [math.inf] * n
+    max_comp_on = [0.0] * m
     events: list[float] = []  # heap of completion and arrival times
     least: list[int | None] = [None] * len(groups)  # each group's least-loaded machine, while valid
-    rejected_on = [-1] * len(order)  # v -> the machine i of its rejection, or -1
-    rejected_far = [0.0] * len(order)  # v -> min_far of its rejection
-    n, m = inst.n, inst.m
+    rejected_on = [-1] * n  # v -> the machine i of its rejection, or -1
+    rejected_far = [0.0] * n  # v -> min_far of its rejection
     max_rounds = 2 * m * (n - 1) + 2
 
     rounds = 0
@@ -173,7 +169,8 @@ def run_group_scheduler(
                 # frontier check at each clock advance asserts
                 on_i = on[i]
                 batch = [u for u in candidates[v] if not (on_i[u] or earliest_comp[u] <= far)]
-                # v is unplaced, so it is in the batch, last
+                # v has no copy yet, so it is in the batch, last: mass - sz[v]
+                # is the predecessor mass of condition (a)
                 mass = sum([sz[u] for u in batch])
                 if (
                     mass - sz[v] > mass_cap

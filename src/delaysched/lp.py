@@ -348,26 +348,22 @@ def build_relaxation(inst: Instance, pairs: bool = True) -> LpModel:
     # (2) a job starts after each direct predecessor's fractional completion
     cols2 = np.column_stack((S[ev], S[eu], X[eu]))
     vals2 = np.column_stack((np.ones(len(eu)), -np.ones(len(eu)), -size[eu][:, None] / speed))
-    if n_pairs:
-        # (3) delay: rho gap unless u shares v's phase at index <= i
-        cols3, vals3, len3 = _delay_rows(S[pv], S[pu], X[pv, 0], Z[:, 0], m, rho)
-        # (4) same-phase predecessors fit in rho time at speed s_i: row (v, i)
-        # has x_{v,0..i}, then z_{u,v,i} for v's pairs in z order
-        per_job = np.bincount(pv, minlength=n)[c4]
-        len4 = (np.arange(1, m + 1) + per_job[:, None]).ravel()
-        at4 = (np.cumsum(len4) - len4).reshape(-1, m)  # first entry of row (v, i)
-        cols4, vals4 = np.empty(int(len4.sum()), dtype=np.int64), np.empty(int(len4.sum()))
-        tri_i, tri_j = np.tril_indices(m)
-        x_at = at4[:, tri_i] + tri_j
-        cols4[x_at] = X[c4, 0][:, None] + tri_j
-        vals4[x_at] = 1.0
-        rank = np.arange(n_pairs) - np.searchsorted(pv, pv)  # position among v's pairs
-        z_at = at4[np.searchsorted(c4, pv)] + np.arange(1, m + 1) + rank[:, None]
-        cols4[z_at] = Z
-        vals4[z_at] = -size[pu][:, None] / (rho * speed)
-    else:  # no rows (3) or (4)
-        cols3 = len3 = cols4 = len4 = np.empty(0, dtype=np.int64)
-        vals3 = vals4 = np.empty(0)
+    # (3) delay: rho gap unless u shares v's phase at index <= i
+    cols3, vals3, len3 = _delay_rows(S[pv], S[pu], X[pv, 0], Z[:, 0], m, rho)
+    # (4) same-phase predecessors fit in rho time at speed s_i: row (v, i) has
+    # x_{v,0..i}, then z_{u,v,i} for v's pairs in z order
+    per_job = np.bincount(pv, minlength=n)[c4]
+    len4 = (np.arange(1, m + 1) + per_job[:, None]).ravel()
+    at4 = (np.cumsum(len4) - len4).reshape(-1, m)  # first entry of row (v, i)
+    cols4, vals4 = np.empty(int(len4.sum()), dtype=np.int64), np.empty(int(len4.sum()))
+    tri_i, tri_j = np.tril_indices(m)
+    x_at = at4[:, tri_i] + tri_j
+    cols4[x_at] = X[c4, 0][:, None] + tri_j
+    vals4[x_at] = 1.0
+    rank = np.arange(n_pairs) - np.searchsorted(pv, pv)  # position among v's pairs
+    z_at = at4[np.searchsorted(c4, pv)] + np.arange(1, m + 1) + rank[:, None]
+    cols4[z_at] = Z
+    vals4[z_at] = -size[pu][:, None] / (rho * speed)
     # (5) machine load at most C * speed
     cols5 = np.column_stack((np.zeros(m, dtype=np.int64), X.T))
     vals5 = np.column_stack((speed, np.broadcast_to(-size, (m, n))))

@@ -168,12 +168,9 @@ class Chain:
     windows: tuple[frozenset[str], ...]  # jobs completing in each link window
 
 
-def long_pairs(inst: Instance, sched: Schedule) -> list[Placement]:
-    return [sched.placements[k] for k in _long(inst, sched)]
-
-
 def _long(inst: Instance, sched: Schedule) -> list[int]:
-    """:func:`long_pairs` as indices into ``sched.placements``."""
+    """Indices into ``sched.placements`` of the long placements: execution
+    time above ``LONG_FACTOR * rho``."""
     thr = LONG_FACTOR * inst.rho
     size, speed = inst._sizes, inst._speeds
     return [

@@ -16,14 +16,12 @@ import time
 from dataclasses import dataclass
 
 from .instance import (
-    TOL,
     Instance,
-    _scale_factors,
     require_valid_instance,
     topological_order,
     transitive_predecessors,
 )
-from .schedmodel import Placement, Schedule
+from .schedmodel import Placement, Schedule, _time_tol, makespan
 
 
 class OracleLimitError(ValueError):
@@ -90,7 +88,7 @@ def exact_optimal_makespan(
         subsets = [(mid,) for mid in machines]
 
     incumbent_sched = _serial_schedule(inst)
-    incumbent = max(p.end(inst) for p in incumbent_sched.placements)
+    incumbent = makespan(inst, incumbent_sched)
 
     s_max = speed[machines[-1]]
     path_lb = _critical_path(inst, topo_pos, s_max)
@@ -209,8 +207,7 @@ def combinatorial_baseline(inst: Instance) -> Schedule:
     """
     require_valid_instance(inst)
     tpreds = transitive_predecessors(inst)
-    alpha, beta = _scale_factors(inst)
-    tol = TOL * beta / alpha
+    tol = _time_tol(inst)
     rho = inst.rho
     size, speed = inst._sizes, inst._speeds
     topo_pos = {v: k for k, v in enumerate(topological_order(inst))}

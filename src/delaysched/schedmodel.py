@@ -69,6 +69,18 @@ def _by_machine(sched: Schedule) -> dict[str, list[int]]:
     return out
 
 
+def _time_tol(inst: Instance) -> float:
+    """``TOL`` on the normalized scale: TOL times min size / max speed, the
+    time unit of :func:`normalize_instance`, or ``TOL`` itself for an instance
+    that validation rejects.  The schedule checks and analyses compare times
+    with it, so their verdicts do not change when sizes, rho and starts are
+    scaled by a power of two."""
+    if not inst._report.ok:
+        return TOL
+    alpha, beta = _scale_factors(inst)
+    return TOL * beta / alpha
+
+
 def phase_of(t: float, rho: float) -> int:
     """Index of the half-open phase [tau*rho, (tau+1)*rho) holding time t."""
     return int(math.floor(t / rho + TOL))
@@ -86,12 +98,9 @@ def validate_schedule(inst: Instance, sched: Schedule) -> ScheduleReport:
 
     For every edge (u, v) and placement of v on machine i starting at t, some
     copy of u must complete on i by t, or on another machine by t - rho.
-    Times are compared with ``TOL`` on the normalized scale, that is with TOL
-    times min size / max speed, the time unit of :func:`normalize_instance`;
-    an instance that validation rejects is judged with ``TOL`` itself.
+    Times are compared with :func:`_time_tol`.
     """
-    alpha, beta = _scale_factors(inst) if inst._report.ok else (1.0, 1.0)
-    tol = TOL * beta / alpha
+    tol = _time_tol(inst)
     bad: list[str] = []
     placed_jobs = set()
     for p in sched.placements:
@@ -171,26 +180,21 @@ class Chain:
 def _long(inst: Instance, sched: Schedule) -> list[int]:
     """Indices into ``sched.placements`` of the long placements: execution
     time above ``LONG_FACTOR * rho``."""
-    thr = LONG_FACTOR * inst.rho
+    thr = LONG_FACTOR * inst.rho + _time_tol(inst)
     size, speed = inst._sizes, inst._speeds
     return [
         k
         for k, p in enumerate(sched.placements)
-        if size[p.job] / speed[p.machine] > thr + TOL
+        if size[p.job] / speed[p.machine] > thr
     ]
 
 
 def build_chain(inst: Instance, sched: Schedule) -> Chain:
     """Chain of long placements linked through predecessors, plus the sets of
     jobs whose completions fall between consecutive links."""
-    return _build_chain(inst, sched, _ends(inst, sched), _long(inst, sched))[0]
-
-
-def _build_chain(inst: Instance, sched: Schedule, ends: list[float], pool: list[int]):
-    """:func:`build_chain` over the placements' ``ends`` and the indices
-    ``pool`` of the long ones; also returns the links' indices."""
     preds = transitive_predecessors(inst)
-    placements = sched.placements
+    placements, ends, tol = sched.placements, _ends(inst, sched), _time_tol(inst)
+    pool = _long(inst, sched)
 
     def latest(ks):
         return max(ks, key=lambda k: (ends[k], placements[k].job, placements[k].machine))
@@ -215,31 +219,26 @@ def _build_chain(inst: Instance, sched: Schedule, ends: list[float], pool: list[
     else:
         first_end = ends[links[0]]
         windows.append(
-            frozenset(v for v, ts in completions.items() if max(ts) >= first_end - TOL)
+            frozenset(v for v, ts in completions.items() if max(ts) >= first_end - tol)
         )
         for q in range(len(links) - 1):
             v_link = placements[links[q]]
             lo, hi = ends[links[q + 1]], v_link.start
             members = {v_link.job}
             for u in preds[v_link.job]:
-                if any(lo - TOL <= t <= hi + TOL for t in completions.get(u, [])):
+                if any(lo - tol <= t <= hi + tol for t in completions.get(u, [])):
                     members.add(u)
             windows.append(frozenset(members))
         windows.append(frozenset(preds[placements[links[-1]].job]))
-    return Chain(tuple(placements[k] for k in links), tuple(windows)), links
+    return Chain(tuple(placements[k] for k in links), tuple(windows))
 
 
 def phase_count(inst: Instance, sched: Schedule) -> int:
-    """Phases the makespan spans, at least 1; ``ValueError`` above
-    ``MAX_PHASES``, before anything is allocated per phase."""
+    """Phases the makespan spans, at least 1; ``ValueError`` for ``rho <= 0``
+    and above ``MAX_PHASES``, before anything is allocated per phase."""
     if inst.rho <= 0:
         raise ValueError("phases are undefined for rho <= 0")
-    return _phase_count(inst.rho, makespan(inst, sched))
-
-
-def _phase_count(rho: float, span: float) -> int:
-    """:func:`phase_count` of a makespan ``span``, for ``rho > 0``."""
-    spans = span / rho  # inf once rho is tiny enough
+    spans = makespan(inst, sched) / inst.rho  # inf once rho is tiny enough
     if not spans - TOL <= MAX_PHASES:
         raise ValueError(
             f"the makespan spans {spans:.3g} phases of length rho; "
@@ -275,26 +274,17 @@ def classify_phases(inst: Instance, sched: Schedule, chain: Chain, groups=None):
 
     A phase is chain if chain links execute for at least rho/2 inside it;
     otherwise load if every machine of some group is busy (>= rho/2 execution)
-    in it; otherwise height.
+    in it; otherwise height.  ``groups`` defaults to
+    :func:`partition_machine_groups` of ``inst``.
     """
-    if inst.rho <= 0:
-        raise ValueError("phases are undefined for rho <= 0")
+    count = phase_count(inst, sched)
     from .grouping import partition_machine_groups
 
     groups = groups if groups is not None else partition_machine_groups(inst)
-    ends = _ends(inst, sched)
-    count = _phase_count(inst.rho, max(ends, default=0.0))
-    chain_spans = [(p.start, p.end(inst)) for p in chain.links]
-    return _classify_phases(inst, sched, ends, _by_machine(sched), chain_spans, groups, count)
-
-
-def _classify_phases(inst, sched, ends, by_machine, chain_spans, groups, count):
-    """:func:`classify_phases` over the placements' ``ends``, their
-    :func:`_by_machine` lists, the chain links' ``(start, end)`` intervals and
-    the phase count."""
-    rho, placements = inst.rho, sched.placements
-    half = rho / 2 - TOL
-    chain_time = _phase_sums(rho, chain_spans, count)
+    rho, placements, ends = inst.rho, sched.placements, _ends(inst, sched)
+    half = rho / 2 - _time_tol(inst)
+    chain_time = _phase_sums(rho, [(p.start, p.end(inst)) for p in chain.links], count)
+    by_machine = _by_machine(sched)
     busy = {}
     for mc in inst.machines:
         spans = [(placements[k].start, ends[k]) for k in by_machine.get(mc.id, [])]
@@ -364,12 +354,11 @@ def lemma_diagnostics(inst, lp_sol, assignment, sched, eta=None, strict=True):
     }
 
     # eta-load: per group suffix, scheduled work at most eta times assigned work.
-    placements, ends, by_machine = sched.placements, _ends(inst, sched), _by_machine(sched)
-    span = max(ends, default=0.0)
+    placements, span = sched.placements, makespan(inst, sched)
     size = inst._sizes
     group_of = {mid: g.index for g in assignment.groups for mid in g.machine_ids}
     sched_load = {g.index: 0.0 for g in assignment.groups}
-    for mc_id, lst in by_machine.items():
+    for mc_id, lst in _by_machine(sched).items():
         sched_load[group_of[mc_id]] += sum(size[placements[k].job] for k in lst)
     assigned = {g.index: 0.0 for g in assignment.groups}
     for v, k in assignment.kappa.items():
@@ -392,14 +381,8 @@ def lemma_diagnostics(inst, lp_sol, assignment, sched, eta=None, strict=True):
             long_ok = False
     checks["long_copy_group"] = {"ok": long_ok, "asserted": True}
 
-    chain, links = _build_chain(inst, sched, ends, pool)
-    labels = []
-    if rho > 0:
-        chain_spans = [(placements[k].start, ends[k]) for k in links]
-        labels = _classify_phases(
-            inst, sched, ends, by_machine, chain_spans, assignment.groups,
-            _phase_count(rho, span),
-        )
+    chain = build_chain(inst, sched)
+    labels = classify_phases(inst, sched, chain, assignment.groups) if rho > 0 else []
     counts = {lab: labels.count(lab) for lab in ("chain", "load", "height")}
 
     gamma_of = {g.index: g.gamma for g in assignment.groups}

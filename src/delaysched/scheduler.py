@@ -38,7 +38,7 @@ import math
 
 from .grouping import GroupAssignment
 from .instance import TOL, Instance, topological_order, transitive_predecessors
-from .schedmodel import Placement, Schedule
+from .schedmodel import Placement, Schedule, _ends
 
 PRED_MASS_FACTOR = 8.0  # condition (a): predecessor mass within 8*rho*gamma
 
@@ -106,11 +106,10 @@ def run_group_scheduler(
 
     rho, n, m = inst.rho, inst.n, inst.m
     preds = transitive_predecessors(inst)
-    size, speed = inst._sizes, inst._speeds
     bands, kappa = assignment.bands, assignment.kappa
     order = topological_order(inst, key=lambda v: (bands[v], v))
     job_at = {v: k for k, v in enumerate(order)}
-    sz = [size[v] for v in order]
+    sz = [inst._sizes[v] for v in order]
     kap = [kappa[v] for v in order]
     # each job's batch candidates: its predecessors in scheduling order, then
     # itself (every predecessor comes earlier)
@@ -237,7 +236,8 @@ def run_group_scheduler(
     # the clock walked a prefix of the final event set, recomputed from the
     # placements themselves, in sorted order; this replay is what checks the
     # heap rule of _next_event
-    ends = [p.start + size[p.job] / speed[p.machine] for p in placements]
+    sched = Schedule(tuple(placements))
+    ends = _ends(inst, sched)
     ev = _merged_events([0.0, *ends, *(c + rho for c in ends)])
     if len(clock_history) > len(ev):
         raise SchedulerInvariantError("clock advanced past the event set")
@@ -245,4 +245,4 @@ def run_group_scheduler(
         if abs(want - got) > 10 * TOL:
             raise SchedulerInvariantError(f"clock visited {got}, expected event {want}")
 
-    return Schedule(tuple(placements))
+    return sched

@@ -22,7 +22,8 @@ from delaysched import (
     validate_schedule,
 )
 from delaysched.grouping import partition_machine_groups
-from delaysched.instance import TOL, CodecError
+from delaysched.instance import TOL, CodecError, validate_instance
+from delaysched.oracle import exact_optimal_makespan
 from delaysched.schedmodel import MAX_PHASES, Chain, _phase_sums, gantt_rows, phase_count
 
 
@@ -115,6 +116,141 @@ def test_rescaled_pipeline_schedules_validate(k):
         report = validate_schedule(result.filtered, result.schedule)
         assert report.valid, (seed, report.violations[:3])
         assert result.makespan == run_pipeline(base).makespan * scale
+
+
+def brute_force_violations(inst, sched):
+    """The violation messages of ``sched``, found by scanning every pair of
+    placements and every copy of each predecessor, with the time tolerance
+    computed here from min size and max speed."""
+    tol = TOL * min(j.size for j in inst.jobs) / max(mc.speed for mc in inst.machines)
+    size = {j.id: j.size for j in inst.jobs}
+    speed = {mc.id: mc.speed for mc in inst.machines}
+    ps = sched.placements
+    bad = []
+    for p in ps:
+        if p.job not in size:
+            bad.append(f"unknown job {p.job}")
+        if p.machine not in speed:
+            bad.append(f"unknown machine {p.machine}")
+        if not math.isfinite(p.start):
+            bad.append(f"non-finite start for {p.job} on {p.machine}")
+        elif p.start < -tol:
+            bad.append(f"negative start for {p.job} on {p.machine}")
+    if bad:
+        return bad, 0.0
+    placed = {p.job for p in ps}
+    bad += [f"job {j.id} never placed" for j in inst.jobs if j.id not in placed]
+    end = [p.start + size[p.job] / speed[p.machine] for p in ps]
+    key = [(p.start, p.job, k) for k, p in enumerate(ps)]
+    for b, q in enumerate(ps):
+        same = [a for a, p in enumerate(ps) if p.machine == q.machine and a != b]
+        if any(ps[a].job == q.job for a in same if a < b):
+            bad.append(f"job {q.job} placed twice on machine {q.machine}")
+        # q overlaps the placement that runs just before it on its machine
+        before = [a for a in same if key[a] < key[b]]
+        for a in before:
+            if all(not key[a] < key[r] for r in before) and q.start < end[a] - tol:
+                bad.append(f"overlap on {q.machine}: {ps[a].job} and {q.job}")
+    for u, v in inst.edges:
+        if u not in placed:
+            continue  # reported as never placed
+        for q in (q for q in ps if q.job == v):
+            if not any(
+                p.job == u and (end[a] <= q.start + tol if p.machine == q.machine
+                                else end[a] <= q.start - inst.rho + tol)
+                for a, p in enumerate(ps)
+            ):
+                bad.append(f"delay violation: {v} on {q.machine} at {q.start:.6g} "
+                           f"without usable copy of {u}")
+    return bad, max(end, default=0.0)
+
+
+@st.composite
+def perturbed_schedules(draw):
+    """A pipeline schedule or an oracle witness on a small instance (n <= 6,
+    m <= 3, sizes and rho at one of three scales), with up to three copies
+    shifted, dropped, moved to another machine or duplicated."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 2.0**-30, 1e6]))
+    rho = draw(st.sampled_from([0.0, 0.5, 1.0, 4.0])) * scale
+    inst = gen_random_dag(n, m, draw(st.sampled_from([0.2, 0.5, 0.8])), (scale, 4 * scale),
+                          (0.25, 1.0), rho, draw(st.integers(0, 10**6)))
+    source = draw(st.sampled_from(["pipeline", "oracle", "oracle_dup"]))
+    if source == "pipeline":
+        result = run_pipeline(inst)
+        inst, sched = result.filtered, result.schedule
+    else:
+        dup = source == "oracle_dup" and n <= 5 and m <= 2
+        sched = exact_optimal_makespan(inst, dup)[1]
+    tol = TOL * min(j.size for j in inst.jobs) / max(mc.speed for mc in inst.machines)
+    # shifts by a fraction of the tolerance test its edges, larger ones break the schedule
+    shifts = [-3 * tol, -tol / 2, tol / 2, 3 * tol] * 2 + [-rho, rho / 2, -scale, scale]
+    ps = list(sched.placements)
+    mids = [mc.id for mc in inst.machines]
+    for _ in range(draw(st.integers(0, 3))):
+        if not ps:
+            break
+        k = draw(st.integers(0, len(ps) - 1))
+        p, op = ps[k], draw(st.sampled_from(["shift", "shift", "drop", "move", "duplicate"]))
+        if op == "shift":
+            ps[k] = Placement(p.job, p.machine, p.start + draw(st.sampled_from(shifts)))
+        elif op == "drop":
+            del ps[k]
+        else:
+            moved = Placement(p.job, draw(st.sampled_from(mids)), p.start)
+            if op == "move":
+                ps[k] = moved
+            else:
+                ps.insert(draw(st.integers(0, len(ps))), moved)
+    return inst, Schedule(tuple(ps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_schedules())
+@example((unit_pair(4.0), Schedule((  # b arrives from m0 half a tolerance early
+    Placement("a", "m0", 0.0), Placement("b", "m1", 5.0 - TOL / 2)))))
+@example((unit_pair(4.0), Schedule((  # b starts on m0 half a tolerance before a ends
+    Placement("a", "m0", 0.0), Placement("b", "m0", 1.0 - TOL / 2)))))
+def test_validate_schedule_matches_brute_force_checker(case):
+    inst, sched = case
+    report = validate_schedule(inst, sched)
+    bad, span = brute_force_violations(inst, sched)
+    assert report.valid == (not bad)
+    assert sorted(report.violations) == sorted(bad)
+    assert report.makespan == span
+
+
+def _rescaled(inst, sched, k):
+    """``inst`` and ``sched`` with sizes, rho and starts times 2**k, exactly."""
+    f = 2.0**k
+    scaled = make_instance([Job(j.id, j.size * f) for j in inst.jobs], inst.machines,
+                           inst.edges, inst.rho * f)
+    return scaled, Schedule(tuple(Placement(p.job, p.machine, p.start * f)
+                                  for p in sched.placements))
+
+
+@pytest.mark.parametrize("k", [-40, 40])
+def test_chain_and_labels_survive_power_of_two_rescaling(k):
+    # the analyses judge times on the normalized scale; with an absolute TOL,
+    # no placement at 2**-40 would be long and every phase would be chain
+    recipes = [(30, 3, 0.1, (1, 4), (0.25, 1), 0.25, s) for s in range(20)]
+    recipes.append((40, 3, 0.05, (1, 4), (0.25, 1), 1.0, 3))
+    links, labels = 0, set()
+    for recipe in recipes:
+        result = run_pipeline(gen_random_dag(*recipe))
+        inst, sched = result.filtered, result.schedule
+        scaled, scaled_sched = _rescaled(inst, sched, k)
+        assert validate_instance(scaled).ok  # so times are judged on its normalized scale
+        chain, scaled_chain = build_chain(inst, sched), build_chain(scaled, scaled_sched)
+        assert [(p.job, p.machine) for p in scaled_chain.links] == [
+            (p.job, p.machine) for p in chain.links
+        ]
+        assert scaled_chain.windows == chain.windows
+        got = classify_phases(inst, sched, chain)
+        assert classify_phases(scaled, scaled_sched, scaled_chain) == got
+        links += len(chain.links)
+        labels.update(got)
+    assert links and labels == {"chain", "load", "height"}
 
 
 def big_small_instance():

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .instance import TOL, Instance, _kahn, topological_order, transitive_predecessors
+from .instance import Instance, _kahn, topological_order, transitive_predecessors
 from .schedmodel import Placement, Schedule, phase_of, require_valid_schedule
 
 
@@ -150,7 +150,7 @@ def dedup_with_plan(inst: Instance, sched: Schedule) -> tuple[Schedule, DedupPla
     for p in sched.placements:
         if phase_of(p.start, rho) == phase_of(first_start[p.job], rho):
             hosts[p.job].add(p.machine)
-            if p.end(inst) > (phase_of(p.start, rho) + 1) * rho + TOL:
+            if p.end(inst) > (phase_of(p.start, rho) + 1) * rho + inst._time_tol:
                 plan.marked.add(p.job)
 
     placements: list[Placement] = []

@@ -2,7 +2,8 @@
 
 Provides validation, transitive-predecessor computation, normalization to
 (min size, max speed) = (1, 1), seeded instance generators, and the JSON codec.
-All numeric comparisons use an additive tolerance of ``TOL``.
+Numeric comparisons use an additive tolerance of ``TOL``; times in a schedule
+use ``Instance._time_tol``, which is ``TOL`` on the normalized scale.
 An instance is checked and ordered once, on first use; the copies that
 normalization and slow-machine elimination derive from it inherit its
 verdict, order and closure (:func:`_derive`).
@@ -56,9 +57,10 @@ class Instance:
     def m(self) -> int:
         return len(self.machines)
 
-    # lookup maps, the order, the verdict and the closure built on first use;
-    # cached_property stores them in the instance __dict__, outside the
-    # dataclass fields, so they take no part in equality or hashing
+    # lookup maps, the order, the verdict, the time tolerance and the closure
+    # built on first use; cached_property stores them in the instance
+    # __dict__, outside the dataclass fields, so they take no part in
+    # equality or hashing
     @cached_property
     def _sizes(self) -> dict[str, float]:
         return {j.id: j.size for j in self.jobs}
@@ -80,6 +82,16 @@ class Instance:
     @cached_property
     def _report(self) -> ValidationReport:
         return validate_instance(self)
+
+    @cached_property
+    def _time_tol(self) -> float:
+        # TOL on the normalized scale, whose time unit is min size / max speed
+        # (TOL itself for a rejected instance): every comparison of two times
+        # in a schedule uses it, so no verdict changes when sizes, rho and
+        # starts are scaled by a power of two
+        if not self._report.ok:
+            return TOL
+        return TOL * min(j.size for j in self.jobs) / max(mc.speed for mc in self.machines)
 
     @cached_property
     def _closure(self) -> Mapping[str, frozenset[str]]:

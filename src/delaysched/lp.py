@@ -113,7 +113,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .instance import TOL, Instance, transitive_predecessors
+from .instance import Instance, transitive_predecessors
 
 FEAS_TOL = 1e-6
 SEPARATION_TOL = 1e-9  # row (4) violation of the least z that adds a subset cut
@@ -883,7 +883,7 @@ def embed_schedule_as_lp(inst: Instance, sched, model: LpModel | None = None) ->
         # and S_v - S_u <= rho; the z columns run by pair, then machine
         pu, pv = layout.pu, layout.pv
         late = np.arange(m) >= star[pv][:, None]
-        near = start[pv] - start[pu] <= rho + TOL
+        near = start[pv] - start[pu] <= rho + inst._time_tol
         values[layout.x_end :] = (late & near[:, None]).ravel()
     return LpSolution(tuple(map(float, values)), float(objective), "feasible")
 

@@ -21,7 +21,7 @@ from .instance import (
     topological_order,
     transitive_predecessors,
 )
-from .schedmodel import Placement, Schedule, _time_tol, makespan
+from .schedmodel import Placement, Schedule, makespan
 
 
 class OracleLimitError(ValueError):
@@ -207,7 +207,7 @@ def combinatorial_baseline(inst: Instance) -> Schedule:
     """
     require_valid_instance(inst)
     tpreds = transitive_predecessors(inst)
-    tol = _time_tol(inst)
+    tol = inst._time_tol
     rho = inst.rho
     size, speed = inst._sizes, inst._speeds
     topo_pos = {v: k for k, v in enumerate(topological_order(inst))}

@@ -126,7 +126,7 @@ def _absorb_virtual(inst, placements, target_id, s_max):
             (
                 p.start + inst.size(p.job) / s_max
                 for p in rest
-                if p.machine == target_id and p.start < t_ins - TOL
+                if p.machine == target_id and p.start < t_ins - inst._time_tol
             ),
             default=0.0,
         )
@@ -135,7 +135,7 @@ def _absorb_virtual(inst, placements, target_id, s_max):
         delta = end - t_ins
 
         def shifted(p):
-            if p.start >= t_ins - TOL:
+            if p.start >= t_ins - inst._time_tol:
                 return Placement(p.job, p.machine, p.start + delta)
             return p
 

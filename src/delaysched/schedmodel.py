@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .instance import (
-    TOL, CodecError, Instance, _json_document, _number, _objects, _scale_factors, _string,
+    TOL, CodecError, Instance, _json_document, _number, _objects, _string,
     transitive_predecessors,
 )
 
@@ -69,18 +69,6 @@ def _by_machine(sched: Schedule) -> dict[str, list[int]]:
     return out
 
 
-def _time_tol(inst: Instance) -> float:
-    """``TOL`` on the normalized scale: TOL times min size / max speed, the
-    time unit of :func:`normalize_instance`, or ``TOL`` itself for an instance
-    that validation rejects.  The schedule checks and analyses compare times
-    with it, so their verdicts do not change when sizes, rho and starts are
-    scaled by a power of two."""
-    if not inst._report.ok:
-        return TOL
-    alpha, beta = _scale_factors(inst)
-    return TOL * beta / alpha
-
-
 def phase_of(t: float, rho: float) -> int:
     """Index of the half-open phase [tau*rho, (tau+1)*rho) holding time t."""
     return int(math.floor(t / rho + TOL))
@@ -98,9 +86,9 @@ def validate_schedule(inst: Instance, sched: Schedule) -> ScheduleReport:
 
     For every edge (u, v) and placement of v on machine i starting at t, some
     copy of u must complete on i by t, or on another machine by t - rho.
-    Times are compared with :func:`_time_tol`.
+    Times are compared with ``inst._time_tol``.
     """
-    tol = _time_tol(inst)
+    tol = inst._time_tol
     bad: list[str] = []
     placed_jobs = set()
     for p in sched.placements:
@@ -180,7 +168,7 @@ class Chain:
 def _long(inst: Instance, sched: Schedule) -> list[int]:
     """Indices into ``sched.placements`` of the long placements: execution
     time above ``LONG_FACTOR * rho``."""
-    thr = LONG_FACTOR * inst.rho + _time_tol(inst)
+    thr = LONG_FACTOR * inst.rho + inst._time_tol
     size, speed = inst._sizes, inst._speeds
     return [
         k
@@ -193,7 +181,7 @@ def build_chain(inst: Instance, sched: Schedule) -> Chain:
     """Chain of long placements linked through predecessors, plus the sets of
     jobs whose completions fall between consecutive links."""
     preds = transitive_predecessors(inst)
-    placements, ends, tol = sched.placements, _ends(inst, sched), _time_tol(inst)
+    placements, ends, tol = sched.placements, _ends(inst, sched), inst._time_tol
     pool = _long(inst, sched)
 
     def latest(ks):
@@ -269,31 +257,29 @@ def _phase_sums(rho: float, spans, count: int) -> list[float]:
     return [sum(ts) for ts in terms]
 
 
-def classify_phases(inst: Instance, sched: Schedule, chain: Chain, groups=None):
+def classify_phases(inst: Instance, sched: Schedule, chain: Chain):
     """Label each phase chain / load / height.
 
     A phase is chain if chain links execute for at least rho/2 inside it;
-    otherwise load if every machine of some group is busy (>= rho/2 execution)
-    in it; otherwise height.  ``groups`` defaults to
-    :func:`partition_machine_groups` of ``inst``.
+    otherwise load if every machine of some group of
+    :func:`partition_machine_groups` is busy (>= rho/2 execution) in it;
+    otherwise height.
     """
     count = phase_count(inst, sched)
     from .grouping import partition_machine_groups
 
-    groups = groups if groups is not None else partition_machine_groups(inst)
     rho, placements, ends = inst.rho, sched.placements, _ends(inst, sched)
-    half = rho / 2 - _time_tol(inst)
+    half = rho / 2 - inst._time_tol
     chain_time = _phase_sums(rho, [(p.start, p.end(inst)) for p in chain.links], count)
     by_machine = _by_machine(sched)
     busy = {}
     for mc in inst.machines:
         spans = [(placements[k].start, ends[k]) for k in by_machine.get(mc.id, [])]
         busy[mc.id] = [t >= half for t in _phase_sums(rho, spans, count)]
-    # load[tau]: every machine of some group is busy in phase tau; a group
-    # without machines is busy throughout, as all() of nothing holds
+    # load[tau]: every machine of some group is busy in phase tau
     load = [False] * count
-    for g in groups:
-        cols = zip(*(busy[i] for i in g.machine_ids)) if g.machine_ids else [()] * count
+    for g in partition_machine_groups(inst):
+        cols = zip(*(busy[i] for i in g.machine_ids))
         load = [was or all(col) for was, col in zip(load, cols)]
     return ["chain" if c >= half else "load" if l else "height" for c, l in zip(chain_time, load)]
 
@@ -382,7 +368,7 @@ def lemma_diagnostics(inst, lp_sol, assignment, sched, eta=None, strict=True):
     checks["long_copy_group"] = {"ok": long_ok, "asserted": True}
 
     chain = build_chain(inst, sched)
-    labels = classify_phases(inst, sched, chain, assignment.groups) if rho > 0 else []
+    labels = classify_phases(inst, sched, chain) if rho > 0 else []
     counts = {lab: labels.count(lab) for lab in ("chain", "load", "height")}
 
     gamma_of = {g.index: g.gamma for g in assignment.groups}

@@ -12,7 +12,10 @@ from delaysched import (
     Placement,
     Schedule,
     build_chain,
+    build_relaxation,
+    check_lp_feasibility,
     classify_phases,
+    embed_schedule_as_lp,
     gen_random_dag,
     make_instance,
     makespan,
@@ -21,6 +24,7 @@ from delaysched import (
     schedule_to_json,
     validate_schedule,
 )
+from delaysched.dedup import dedup_with_plan
 from delaysched.grouping import partition_machine_groups
 from delaysched.instance import TOL, CodecError, validate_instance
 from delaysched.oracle import exact_optimal_makespan
@@ -211,6 +215,9 @@ def perturbed_schedules(draw):
     Placement("a", "m0", 0.0), Placement("b", "m1", 5.0 - TOL / 2)))))
 @example((unit_pair(4.0), Schedule((  # b starts on m0 half a tolerance before a ends
     Placement("a", "m0", 0.0), Placement("b", "m0", 1.0 - TOL / 2)))))
+@example((make_instance(  # a start exactly at -tol, TOL * min size / max speed
+    [Job("j0", 1.4030927323372038)], [Machine("m0", 0.8855753027029245)], [], 0.0),
+    Schedule((Placement("j0", "m0", -1.5843855717912744e-09),))))
 def test_validate_schedule_matches_brute_force_checker(case):
     inst, sched = case
     report = validate_schedule(inst, sched)
@@ -231,8 +238,10 @@ def _rescaled(inst, sched, k):
 
 @pytest.mark.parametrize("k", [-40, 40])
 def test_chain_and_labels_survive_power_of_two_rescaling(k):
-    # the analyses judge times on the normalized scale; with an absolute TOL,
-    # no placement at 2**-40 would be long and every phase would be chain
+    # the analyses and transforms judge times on the normalized scale; with an
+    # absolute TOL, no placement at 2**-40 would be long, every phase would be
+    # chain, every pair would count as same-phase in the embedding, and dedup
+    # would mark other spanning jobs
     recipes = [(30, 3, 0.1, (1, 4), (0.25, 1), 0.25, s) for s in range(20)]
     recipes.append((40, 3, 0.05, (1, 4), (0.25, 1), 1.0, 3))
     links, labels = 0, set()
@@ -248,6 +257,16 @@ def test_chain_and_labels_survive_power_of_two_rescaling(k):
         assert scaled_chain.windows == chain.windows
         got = classify_phases(inst, sched, chain)
         assert classify_phases(scaled, scaled_sched, scaled_chain) == got
+        model, scaled_model = build_relaxation(inst), build_relaxation(scaled)
+        point = embed_schedule_as_lp(inst, sched, model)
+        scaled_point = embed_schedule_as_lp(scaled, scaled_sched, scaled_model)
+        assert check_lp_feasibility(scaled_point, scaled_model) == []
+        z = model._layout.x_end
+        assert scaled_point.values[z:] == point.values[z:]
+        deduped, plan = dedup_with_plan(inst, sched)
+        scaled_deduped, scaled_plan = dedup_with_plan(scaled, scaled_sched)
+        assert scaled_plan.marked == plan.marked
+        assert scaled_deduped == _rescaled(inst, deduped, k)[1]
         links += len(chain.links)
         labels.update(got)
     assert links and labels == {"chain", "load", "height"}

@@ -49,13 +49,15 @@ class GroupAssignment:
 
 def partition_machine_groups(inst: Instance) -> list[MachineGroup]:
     """Greedy partition: a group opens at the slowest unassigned machine and
-    absorbs machines with speed below twice that speed."""
+    absorbs machines with speed below twice that speed, judged with ``TOL``
+    times the fastest speed."""
+    speed_tol = TOL * max(mc.speed for mc in inst.machines)
     groups: list[MachineGroup] = []
     k = 0
     members: list[str] = []
     gamma = None
     for mc in inst.machines:
-        if gamma is not None and mc.speed < 2 * gamma - TOL:
+        if gamma is not None and mc.speed < 2 * gamma - speed_tol:
             members.append(mc.id)
             continue
         if members:
@@ -104,6 +106,7 @@ def assign_job_groups(inst: Instance, lp_sol: LpSolution) -> GroupAssignment:
     in band 1 (classical related-machines case).
     """
     n, m = inst.n, inst.m
+    cap_tol = TOL * max(mc.speed for mc in inst.machines)
     values = _lp_point(inst, lp_sol)
     groups = tuple(partition_machine_groups(inst))
     first = [inst.machine_index(g.machine_ids[0]) - 1 for g in groups]
@@ -122,7 +125,7 @@ def assign_job_groups(inst: Instance, lp_sol: LpSolution) -> GroupAssignment:
         # capacity argmax over groups at least as fast; ties toward faster
         best = med
         for g in groups[med - 1 :]:
-            if g.capacity >= groups[best - 1].capacity - TOL:
+            if g.capacity >= groups[best - 1].capacity - cap_tol:
                 best = g.index
         kappa[v.id] = best
     if inst.rho > 0:
@@ -132,11 +135,13 @@ def assign_job_groups(inst: Instance, lp_sol: LpSolution) -> GroupAssignment:
     return GroupAssignment(groups=groups, mu=mu, kappa=kappa, bands=bands)
 
 
-def capacity_monotonic(assignment: GroupAssignment) -> bool:
-    """Among groups with assigned jobs, capacity never increases with speed."""
+def capacity_monotonic(inst: Instance, assignment: GroupAssignment) -> bool:
+    """Among groups with assigned jobs, capacity never increases with speed,
+    judged with ``TOL`` times the fastest speed of ``inst``."""
+    cap_tol = TOL * max(mc.speed for mc in inst.machines)
     used = sorted({k for k in assignment.kappa.values()})
     caps = [assignment.group(k).capacity for k in used]
-    return all(a >= b - TOL for a, b in zip(caps, caps[1:]))
+    return all(a >= b - cap_tol for a, b in zip(caps, caps[1:]))
 
 
 def band_bound_check(inst: Instance, assignment: GroupAssignment):

@@ -2,8 +2,9 @@
 
 Provides validation, transitive-predecessor computation, normalization to
 (min size, max speed) = (1, 1), seeded instance generators, and the JSON codec.
-Numeric comparisons use an additive tolerance of ``TOL``; times in a schedule
-use ``Instance._time_tol``, which is ``TOL`` on the normalized scale.
+Every tolerance is ``TOL`` on the normalized scale: times use
+``Instance._time_tol``, sizes and masses ``TOL`` times the smallest size, and
+speeds and capacities ``TOL`` times the fastest speed.
 An instance is checked and ordered once, on first use; the copies that
 normalization and slow-machine elimination derive from it inherit its
 verdict, order and closure (:func:`_derive`).
@@ -87,8 +88,8 @@ class Instance:
     def _time_tol(self) -> float:
         # TOL on the normalized scale, whose time unit is min size / max speed
         # (TOL itself for a rejected instance): every comparison of two times
-        # in a schedule uses it, so no verdict changes when sizes, rho and
-        # starts are scaled by a power of two
+        # uses it, so no verdict changes when sizes, rho and times are scaled
+        # by a power of two
         if not self._report.ok:
             return TOL
         return TOL * min(j.size for j in self.jobs) / max(mc.speed for mc in self.machines)

@@ -855,24 +855,19 @@ def embed_schedule_as_lp(inst: Instance, sched, model: LpModel | None = None) ->
             return p.start
         return p.start + phase_of(p.start, rho) * rho
 
-    first: dict[str, tuple[float, int, str]] = {}
+    # each job's first completion, its machine index and its doubled start; a
+    # valid schedule has one copy per job and machine, so the index breaks
+    # every tie and the start never decides
+    first: dict[str, tuple[float, int, float]] = {}
     for p in sched.placements:
         s2 = doubled_start(p)
-        comp = s2 + inst.size(p.job) / inst.speed(p.machine)
-        key = (comp, inst.machine_index(p.machine), p.machine)
+        key = (s2 + inst.size(p.job) / inst.speed(p.machine), inst.machine_index(p.machine), s2)
         if p.job not in first or key < first[p.job]:
             first[p.job] = key
-    star_machine = {v: key[2] for v, key in first.items()}
-    start_of: dict[str, float] = {}
-    for p in sched.placements:
-        if p.machine == star_machine[p.job]:
-            s2 = doubled_start(p)
-            if p.job not in start_of or s2 < start_of[p.job]:
-                start_of[p.job] = s2
 
     n, m = inst.n, inst.m
-    start = np.array([start_of[v.id] for v in inst.jobs])
-    star = np.array([inst.machine_index(star_machine[v.id]) - 1 for v in inst.jobs])
+    start = np.array([first[v.id][2] for v in inst.jobs])
+    star = np.array([first[v.id][1] - 1 for v in inst.jobs])
     objective = 2.0 * sched_makespan(inst, sched)
     values = np.zeros(model.n_vars)
     values[0] = objective

@@ -65,7 +65,9 @@ def _serial_schedule(inst: Instance) -> Schedule:
 def exact_optimal_makespan(
     inst: Instance, allow_duplication: bool, limits: OracleLimits | None = None
 ) -> tuple[float, Schedule]:
-    """Minimum makespan and one deterministic witness schedule."""
+    """Minimum makespan and one deterministic witness schedule.  Bounds are
+    pruned with ``Instance._time_tol``, so both scale exactly when sizes,
+    speeds and rho are scaled by powers of two."""
     limits = limits or OracleLimits()
     limits.check(inst, allow_duplication)
     require_valid_instance(inst)
@@ -75,7 +77,7 @@ def exact_optimal_makespan(
     size, speed = inst._sizes, inst._speeds
     direct_preds = inst.direct_predecessors()
     topo_pos = {v: k for k, v in enumerate(topological_order(inst))}
-    rho = inst.rho
+    rho, tol = inst.rho, inst._time_tol
     deadline = None if limits.time_budget is None else time.monotonic() + limits.time_budget
 
     if allow_duplication:
@@ -98,7 +100,7 @@ def exact_optimal_makespan(
     for combo in itertools.product(*[subsets for _ in jobs]):
         if deadline is not None and time.monotonic() >= deadline:
             raise OracleLimitError("oracle time budget exhausted")
-        if incumbent <= global_lb + 1e-12:
+        if incumbent <= global_lb + tol:
             break
         assign = dict(zip(jobs, combo))
         lb = global_lb
@@ -109,12 +111,12 @@ def exact_optimal_makespan(
             )
         for v in jobs:
             lb = max(lb, max(size[v] / speed[mid] for mid in assign[v]))
-        if lb >= incumbent - 1e-12:
+        if lb >= incumbent - tol:
             continue
         found = _search_orders(
             inst, assign, direct_preds, topo_pos, size, speed, rho, incumbent, deadline
         )
-        if found is not None and found[0] < incumbent - 1e-12:
+        if found is not None and found[0] < incumbent - tol:
             incumbent, incumbent_sched = found
 
     return incumbent, incumbent_sched
@@ -131,6 +133,7 @@ def _critical_path(inst, topo_pos, s_max) -> float:
 
 def _search_orders(inst, assign, dpreds, topo_pos, size, speed, rho, bound, deadline):
     machines = [mc.id for mc in inst.machines]
+    tol = inst._time_tol
     remaining = {
         mid: sorted(
             (v for v in assign if mid in assign[v]), key=topo_pos.__getitem__
@@ -155,14 +158,14 @@ def _search_orders(inst, assign, dpreds, topo_pos, size, speed, rho, bound, dead
     def descend(last_start, cur_max):
         if deadline is not None and time.monotonic() >= deadline:
             raise OracleLimitError("oracle time budget exhausted")
-        if cur_max >= best[0] - 1e-12:
+        if cur_max >= best[0] - tol:
             return
         if all(not lst for lst in remaining.values()):
             best[0] = cur_max
             best[1] = Schedule(tuple(placements))
             return
         for mid in machines:
-            if frontier[mid] + sum(size[v] / speed[mid] for v in remaining[mid]) >= best[0] - 1e-12:
+            if frontier[mid] + sum(size[v] / speed[mid] for v in remaining[mid]) >= best[0] - tol:
                 return
         cands = []
         for mid in machines:
@@ -174,7 +177,7 @@ def _search_orders(inst, assign, dpreds, topo_pos, size, speed, rho, bound, dead
                 if any(u in rem_set for u in dpreds[v]):
                     continue
                 t = earliest(v, mid)
-                if t is not None and t >= last_start - 1e-12:
+                if t is not None and t >= last_start - tol:
                     cands.append((t, mid, v))
         cands.sort(key=lambda c: (c[0], inst.machine_index(c[1]), topo_pos[c[2]]))
         for t, mid, v in cands:

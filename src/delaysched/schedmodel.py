@@ -309,16 +309,15 @@ class LemmaViolation(AssertionError):
     """An inequality with a proven explicit constant failed on real data."""
 
 
-def lemma_diagnostics(inst, lp_sol, assignment, sched, eta=None, strict=True):
+def lemma_diagnostics(inst, lp_sol, assignment, sched, eta, strict=True):
     """Measured slack for every proven inequality, over one pipeline run.
 
     Checks with explicit proven constants raise LemmaViolation when they fail
     (strict mode); asymptotic bounds are reported with measured constants only.
+    ``eta`` is the scheduler's, as :func:`scheduler.resolve_eta` returned it.
     """
     from .grouping import band_bound_check, capacity_monotonic, load_bound_check
-    from .scheduler import resolve_eta
 
-    eta = resolve_eta(eta, inst.rho)
     rho = inst.rho
     c_lp = lp_sol.objective
     checks: dict[str, dict] = {}
@@ -326,7 +325,7 @@ def lemma_diagnostics(inst, lp_sol, assignment, sched, eta=None, strict=True):
     checks["band_bound"] = band_bound_check(inst, assignment)
     checks["load_bound"] = load_bound_check(inst, lp_sol, assignment)
     checks["capacity_monotonic"] = {
-        "ok": capacity_monotonic(assignment),
+        "ok": capacity_monotonic(inst, assignment),
         "asserted": True,
     }
 

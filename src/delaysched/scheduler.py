@@ -7,7 +7,10 @@ fits in 8*rho at the group's slowest speed, at least a 1/eta fraction of the
 packed mass is new work, and every packed job is assigned to this group or a
 faster one.  The clock then advances through the event set of completion
 times and communication arrivals, kept in a heap: the next event is the first
-time more than TOL above the clock.
+time more than the time tolerance above the clock.  Every tolerance is
+``TOL`` on the normalized scale: ``Instance._time_tol`` on times and ``TOL``
+times the smallest size on masses, so no decision changes when sizes,
+speeds, rho and times are scaled by powers of two.
 
 A rejected job is not evaluated again until its verdict can change.  The
 verdict for job v depends only on the chosen machine i, its frontier t_i, and
@@ -18,10 +21,10 @@ candidate.
 With the same i, t_i only grows, so the batch can only shrink, and it shrinks
 exactly when a member becomes done.  No member has a copy on i, since every
 copy there ends by t_i; so a member becomes done only when its least
-completion anywhere reaches ``t_i - rho + TOL``, the comparison the batch is
+completion anywhere reaches ``t_i - rho + tol``, the comparison the batch is
 built with, which is monotone in the least such completion over the batch.
 So a rejection records ``(i, min_far)``, and a later visit skips v while the
-least-loaded machine is still i and ``min_far > t_i - rho + TOL``.  Each
+least-loaded machine is still i and ``min_far > t_i - rho + tol``.  Each
 group's least-loaded machine is cached until one of its frontiers moves: by
 a placement in the group, or by a clock advance past it.
 
@@ -54,27 +57,27 @@ def default_eta(rho: float) -> float:
     return max(2.0, math.log(rho) / math.log(math.log(rho)))
 
 
-def _merged_events(times) -> list[float]:
+def _merged_events(times, tol: float) -> list[float]:
     """The distinct ``times`` in increasing order, dropping each that lies
-    within TOL above the last one kept."""
+    within ``tol`` above the last one kept."""
     out = sorted(set(times))
     merged = out[:1]
     for t in out[1:]:
-        if t > merged[-1] + TOL:
+        if t > merged[-1] + tol:
             merged.append(t)
     return merged
 
 
-def _next_event(events: list[float], clock: float) -> float | None:
-    """Pop every time at or below ``clock + TOL`` off the heap ``events`` and
+def _next_event(events: list[float], clock: float, tol: float) -> float | None:
+    """Pop every time at or below ``clock + tol`` off the heap ``events`` and
     return the new top, or None once the heap is empty.
 
-    This is the first :func:`_merged_events` time above ``clock + TOL`` as
+    This is the first :func:`_merged_events` time above ``clock + tol`` as
     long as every time was pushed at or after the clock of its push: the
     clock is then a merged event that no later time can drop, and the merge
-    keeps the first time more than TOL above it.
+    keeps the first time more than ``tol`` above it.
     """
-    above = clock + TOL
+    above = clock + tol
     while events and events[0] <= above:
         heapq.heappop(events)
     return events[0] if events else None
@@ -105,11 +108,13 @@ def run_group_scheduler(
         raise ValueError(f"assignment does not cover job {missing[0]}")
 
     rho, n, m = inst.rho, inst.n, inst.m
+    tol = inst._time_tol
     preds = transitive_predecessors(inst)
     bands, kappa = assignment.bands, assignment.kappa
     order = topological_order(inst, key=lambda v: (bands[v], v))
     job_at = {v: k for k, v in enumerate(order)}
     sz = [inst._sizes[v] for v in order]
+    mass_tol = TOL * min(sz)
     kap = [kappa[v] for v in order]
     # each job's batch candidates: its predecessors in scheduling order, then
     # itself (every predecessor comes earlier)
@@ -154,14 +159,14 @@ def run_group_scheduler(
             raise SchedulerInvariantError(f"exceeded {max_rounds} scheduling rounds")
         placed_before = n_placed
         for gk, g in enumerate(groups):
-            mass_cap = PRED_MASS_FACTOR * rho * g.gamma + TOL
+            mass_cap = PRED_MASS_FACTOR * rho * g.gamma + mass_tol
             for v in group_jobs[gk]:
                 if placed[v]:
                     continue
                 i = least[gk]
                 if i is None:
                     i = least[gk] = min(group_machines[gk], key=frontier.__getitem__)
-                far = frontier[i] - rho + TOL
+                far = frontier[i] - rho + tol
                 if rejected_on[v] == i and not rejected_far[v] <= far:
                     continue  # the same batch, rejected again
                 # every completion on i is at or before its frontier, as the
@@ -173,7 +178,7 @@ def run_group_scheduler(
                 mass = sum([sz[u] for u in batch])
                 if (
                     mass - sz[v] > mass_cap
-                    or sum([sz[u] for u in batch if not placed[u]]) < mass / eta - TOL
+                    or sum([sz[u] for u in batch if not placed[u]]) < mass / eta - mass_tol
                     or any([kap[u] < g.index for u in batch])
                 ):
                     rejected_on[v] = i
@@ -199,7 +204,7 @@ def run_group_scheduler(
                         trace.append(
                             {"event": "place", "job": order[u], "machine": mids[i], "start": start}
                         )
-                    if abs(frontier[i] - max(clock, max_comp_on[i])) > TOL:
+                    if abs(frontier[i] - max(clock, max_comp_on[i])) > tol:
                         raise SchedulerInvariantError(f"frontier drift on {mids[i]}")
                     for w in dependents[u]:
                         rejected_on[w] = -1
@@ -215,7 +220,7 @@ def run_group_scheduler(
         if n_placed > placed_before:  # else the lists are unchanged
             for gk, jobs in enumerate(group_jobs):
                 group_jobs[gk] = [v for v in jobs if not placed[v]]
-        nxt = _next_event(events, clock)
+        nxt = _next_event(events, clock, tol)
         if nxt is None:
             raise SchedulerInvariantError(
                 "no clock event beyond current time while jobs remain"
@@ -230,7 +235,7 @@ def run_group_scheduler(
                 if group_of[i] >= 0:
                     least[group_of[i]] = None
             want = max_comp_on[i] if max_comp_on[i] > clock else clock
-            if abs(t - want) > TOL:
+            if abs(t - want) > tol:
                 raise SchedulerInvariantError(f"frontier of {mids[i]} is {t}, expected {want}")
 
     # the clock walked a prefix of the final event set, recomputed from the
@@ -238,11 +243,11 @@ def run_group_scheduler(
     # heap rule of _next_event
     sched = Schedule(tuple(placements))
     ends = _ends(inst, sched)
-    ev = _merged_events([0.0, *ends, *(c + rho for c in ends)])
+    ev = _merged_events([0.0, *ends, *(c + rho for c in ends)], tol)
     if len(clock_history) > len(ev):
         raise SchedulerInvariantError("clock advanced past the event set")
     for want, got in zip(ev, clock_history):
-        if abs(want - got) > 10 * TOL:
+        if abs(want - got) > 10 * tol:
             raise SchedulerInvariantError(f"clock visited {got}, expected event {want}")
 
     return sched

@@ -46,6 +46,28 @@ def slow_machine_instance(seed, n_max=10):
     return make_instance(base.jobs, machines, base.edges, base.rho)
 
 
+# (a, b) of :func:`rescaled`: each moves times by 2^(a - b), and sizes or
+# speeds alone far off the unit scale
+RESCALINGS = [(-40, 0), (40, 0), (0, -40), (0, 40)]
+
+
+def rescaled(inst, a, b):
+    """``inst`` with sizes times 2^a, speeds times 2^b and rho times 2^(a-b),
+    exactly: it normalizes to the same bits, and its times are 2^(a-b) times
+    the times of ``inst``."""
+    return make_instance(
+        [Job(j.id, j.size * 2.0**a) for j in inst.jobs],
+        [Machine(mc.id, mc.speed * 2.0**b) for mc in inst.machines],
+        inst.edges,
+        inst.rho * 2.0 ** (a - b),
+    )
+
+
+def scaled_placements(sched, factor):
+    """The placements of ``sched`` with every start times ``factor``."""
+    return tuple(Placement(p.job, p.machine, p.start * factor) for p in sched.placements)
+
+
 def by_the_rule(inst, values):
     """``x`` and ``start`` read from ``values`` by the index rule: x_{v,i} at
     ``1 + n + k*m + i`` and S_v at ``1 + k``, for job index k and machine

@@ -2,7 +2,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import RULE_CASE_IDS, RULE_CASES, by_the_rule, mid_instance, tiny_instance
+from conftest import (
+    RESCALINGS,
+    RULE_CASE_IDS,
+    RULE_CASES,
+    by_the_rule,
+    mid_instance,
+    rescaled,
+    tiny_instance,
+)
 from delaysched import (
     Job,
     Machine,
@@ -144,7 +152,7 @@ def test_lemma_checks_on_solved_corpus():
         inst, _ = normalize_instance(tiny_instance(seed, n_max=5, m_max=2))
         sol = solve_lp(build_relaxation(inst))
         asg = assign_job_groups(inst, sol)
-        assert capacity_monotonic(asg)
+        assert capacity_monotonic(inst, asg)
         assert band_bound_check(inst, asg)["ok"]
         assert load_bound_check(inst, sol, asg)["ok"]
 
@@ -230,3 +238,27 @@ def test_rounding_matches_the_id_keyed_reference_on_the_corpora():
         work, sol = pipeline_solution(inst)
         assert sol.status == "optimal"
         assert_rounding_matches_reference(work, sol)
+
+
+@pytest.mark.parametrize("a, b", RESCALINGS)
+def test_power_of_two_rescaling_keeps_the_groups_and_the_rounding(a, b):
+    # speeds and capacities are judged with TOL times the fastest speed, so
+    # a copy with sizes times 2^a, speeds times 2^b, rho times 2^(a-b) and C
+    # and S times 2^(a-b) gets equal groups (gamma times 2^b), mu, kappa and
+    # bands; with an absolute TOL, at (0, -40) every machine of these 40
+    # instances had a group of its own
+    factor = 2.0 ** (a - b)
+    for s in range(40):
+        norm, _ = normalize_instance(gen_random_dag(6, 6, 0.3, (1, 3), (0.1, 1), 4.0, seed=s))
+        sol = solve_lp(build_relaxation(norm))
+        asg = assign_job_groups(norm, sol)
+        scaled = rescaled(norm, a, b)
+        n, m = norm.n, norm.m
+        c_and_s = [v * factor for v in sol.values[: 1 + n]]
+        point = LpSolution(tuple(c_and_s) + sol.values[1 + n : 1 + n + n * m], c_and_s[0], "feasible")
+        got = assign_job_groups(scaled, point)
+        want_groups = [(g.index, g.machine_ids, g.gamma * 2.0**b) for g in asg.groups]
+        assert [(g.index, g.machine_ids, g.gamma) for g in got.groups] == want_groups
+        assert [(g.index, g.machine_ids, g.gamma) for g in partition_machine_groups(scaled)] == want_groups
+        assert (got.mu, got.kappa, got.bands) == (asg.mu, asg.kappa, asg.bands)
+        assert capacity_monotonic(scaled, got) == capacity_monotonic(norm, asg)

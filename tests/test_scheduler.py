@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mid_instance, tiny_instance
+from conftest import RESCALINGS, mid_instance, rescaled, scaled_placements, tiny_instance
 from delaysched import (
     GroupAssignment,
     Job,
@@ -166,8 +167,8 @@ def test_event_clock_matches_the_full_merge_at_every_advance(batches):
         for t in (clock + offset for offset in batch):
             heapq.heappush(events, t)
             seen.append(t)
-        want = next((t for t in _merged_events(seen) if t > clock + TOL), None)
-        assert _next_event(events, clock) == want
+        want = next((t for t in _merged_events(seen, TOL) if t > clock + TOL), None)
+        assert _next_event(events, clock, TOL) == want
         if want is not None:
             clock = want
 
@@ -176,12 +177,12 @@ def test_merge_keeps_a_time_by_chaining():
     # 0.9 TOL lies within TOL of 0; 1.8 TOL does not, so it is kept, and 2.7 TOL
     # lies within TOL of it
     step = 0.9 * TOL
-    assert _merged_events([0.0, step, 2 * step, 2 * step, 3 * step]) == [0.0, 2 * step]
+    assert _merged_events([0.0, step, 2 * step, 2 * step, 3 * step], TOL) == [0.0, 2 * step]
     events = []
     for t in (3 * step, step, 2 * step):
         heapq.heappush(events, t)
-    assert _next_event(events, 0.0) == 2 * step
-    assert _next_event(events, 2 * step) is None
+    assert _next_event(events, 0.0, TOL) == 2 * step
+    assert _next_event(events, 2 * step, TOL) is None
 
 
 def test_replay_catches_a_skipped_clock_event(monkeypatch):
@@ -193,11 +194,11 @@ def test_replay_catches_a_skipped_clock_event(monkeypatch):
     run_group_scheduler(norm, asg, None)  # the real rule passes the replay
     skipped = []
 
-    def skip_one(events, clock):
-        nxt = _next_event(events, clock)
+    def skip_one(events, clock, tol):
+        nxt = _next_event(events, clock, tol)
         if nxt is not None and not skipped:
             skipped.append(nxt)
-            nxt = _next_event(events, nxt)
+            nxt = _next_event(events, nxt, tol)
         return nxt
 
     monkeypatch.setattr(scheduler, "_next_event", skip_one)
@@ -210,9 +211,10 @@ def rescan_scheduler(inst, assignment, eta, trace, visits=None):
     """Reference: the batch loop that evaluates every unplaced job on every
     visit, with no skip and no cached machine.  ``visits`` collects
     ``(job, machine, accepted)`` per evaluation."""
-    rho = inst.rho
+    rho, tol = inst.rho, inst._time_tol
     preds = transitive_predecessors(inst)
     size, speed = inst._sizes, inst._speeds
+    mass_tol = TOL * min(size.values())
     bands, kappa = assignment.bands, assignment.kappa
     order = topological_order(inst, key=lambda v: (bands[v], v))
     topo_pos = {v: k for k, v in enumerate(order)}
@@ -232,16 +234,16 @@ def rescan_scheduler(inst, assignment, eta, trace, visits=None):
                 t_i = frontier[i]
                 batch = []
                 for u in candidates[v]:
-                    done_here = comp_on[u].get(i, math.inf) <= t_i + TOL
-                    done_far = earliest_comp[u] <= t_i - rho + TOL
+                    done_here = comp_on[u].get(i, math.inf) <= t_i + tol
+                    done_far = earliest_comp[u] <= t_i - rho + tol
                     if not (done_here or done_far):
                         batch.append(u)
                 mass = sum(size[u] for u in batch)
                 mass_minus_v = mass - (size[v] if v in batch else 0.0)
                 new_mass = sum(size[u] for u in batch if u not in placed)
                 accepted = not (
-                    mass_minus_v > PRED_MASS_FACTOR * rho * g.gamma + TOL
-                    or new_mass < mass / eta - TOL
+                    mass_minus_v > PRED_MASS_FACTOR * rho * g.gamma + mass_tol
+                    or new_mass < mass / eta - mass_tol
                     or any(kappa[u] < g.index for u in batch)
                 )
                 if visits is not None:
@@ -260,7 +262,7 @@ def rescan_scheduler(inst, assignment, eta, trace, visits=None):
                 placed |= set(batch)
         if len(placed) == inst.n:
             break
-        clock = _next_event(events, clock)
+        clock = _next_event(events, clock, tol)
         for mid in frontier:
             frontier[mid] = max(frontier[mid], clock)
         trace.append({"event": "sweep", "clock": clock})
@@ -335,3 +337,26 @@ def test_skipped_job_is_accepted_later_on_another_machine():
     assert [(p.job, p.machine, p.start) for p in sched.placements] == [
         ("a", "m0", 0.0), ("c", "m1", 0.0), ("b", "m0", 3.0)
     ]
+
+
+@pytest.mark.parametrize("a, b", RESCALINGS)
+def test_power_of_two_rescaling_scales_the_group_schedule_exactly(a, b):
+    # with eta fixed, the copy with sizes times 2^a, speeds (and gammas) times
+    # 2^b and rho times 2^(a-b) gets the same sequence at exactly scaled
+    # starts: times are judged with the instance's _time_tol and masses with
+    # TOL times the smallest size; with an absolute TOL, 21 of these 30
+    # schedules failed validate_schedule at (-40, 0) and at (0, 40)
+    factor = 2.0 ** (a - b)
+    for s in range(30):
+        norm, _ = normalize_instance(gen_random_dag(12, 2, 0.5, (1, 4), (0.25, 1), 1.6, seed=s))
+        asg = assign_job_groups(norm, solve_lp(build_relaxation(norm)))
+        eta = default_eta(norm.rho)
+        want = run_group_scheduler(norm, asg, eta)
+        scaled = rescaled(norm, a, b)
+        groups = tuple(dataclasses.replace(g, gamma=g.gamma * 2.0**b) for g in asg.groups)
+        scaled_asg = dataclasses.replace(asg, groups=groups)
+        got = run_group_scheduler(scaled, scaled_asg, eta)
+        assert got.placements == scaled_placements(want, factor)
+        report = validate_schedule(scaled, got)
+        assert report.valid, report.violations
+        _assert_matches_rescan(scaled, scaled_asg, eta)

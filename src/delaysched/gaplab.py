@@ -5,6 +5,10 @@ The layered family admits a hand-built fractional point of value rho (uniform
 machine split, layer-staggered starts), while integral schedules provably
 need many more communication phases; the driver reports the measured ratio
 without asserting any asymptotic claim.
+
+The certificate and the same-machine and same-phase relaxations read the
+position of every C, S, x and d column from :class:`lp._Columns`; the rules
+of this module are only phi's column and the time-indexed model's layout.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .instance import TOL, Instance, normalize_instance, require_valid_instance
-from .lp import LpModel, LpSolution, _Layout, _safe_ids, _scaffold, build_relaxation
+from .lp import LpModel, LpSolution, _Columns, _Layout, _safe_ids, _scaffold, build_relaxation
 
 _LAYER_RE = re.compile(r"^L(\d+)_j\d+$")
 
@@ -57,13 +61,12 @@ def gap_lp_certificate(inst: Instance, model: LpModel | None = None) -> LpSoluti
 
     layers = _layer_structure(inst)
     model = model if model is not None else build_relaxation(inst)
-    L = max(layers.values())
-    n, m = inst.n, inst.m
-    rho = inst.rho
+    L, m, rho = max(layers.values()), inst.m, inst.rho
+    cols = _Columns(inst.n, m)
     values = np.zeros(model.n_vars)
-    values[0] = rho
-    values[1 : 1 + n] = [(L - layers[v.id]) * rho / L for v in inst.jobs]
-    values[1 + n : 1 + n + n * m] = 1.0 / m
+    values[cols.C] = rho
+    values[cols.S] = [(L - layers[v.id]) * rho / L for v in inst.jobs]
+    values[cols.X] = 1.0 / m
     if (layout := model._layout) is not None:
         # z_{u,v,i} = (i + 1) / m for machine index i; z runs by pair, then machine
         values[layout.x_end :] = np.tile(np.arange(1, m + 1) / m, len(layout.pu))
@@ -92,35 +95,34 @@ def _pairs(inst: Instance) -> list[tuple[int, int]]:
 def _same_machine_model(inst: Instance) -> LpModel:
     """Same-machine indicator program (unit-style execution/load rows).
 
-    d of pair p and machine index i is column ``x_end + p*m + i``, the z rule.
+    d of pair p and machine index i is that pair's column of
+    :class:`lp._Columns` (the z rule).
     """
     n, m, rho = inst.n, inst.m, inst.rho
     jobs, machines = _safe_ids(inst)
     pairs = _pairs(inst)
-    model = _scaffold(inst)
-    x_end = 1 + n + n * m
+    model, cols = _scaffold(inst), _Columns(n, m)
     for u, v in pairs:
         for mc in machines:
             model.add_var(f"d_{jobs[u]}_{jobs[v]}_{mc}", 0.0, 1.0)
     for k in range(n):
-        model.add_row(f"comp_{jobs[k]}", {0: 1.0, 1 + k: -1.0}, ">=", 1.0)
+        model.add_row(f"comp_{jobs[k]}", {cols.C: 1.0, cols.s(k): -1.0}, ">=", 1.0)
     for i, mc in enumerate(inst.machines):
-        coeffs = {0: mc.speed}
+        coeffs = {cols.C: mc.speed}
         for k in range(n):
-            coeffs[1 + n + k * m + i] = -1.0
+            coeffs[cols.x(k, i)] = -1.0
         model.add_row(f"load_{machines[i]}", coeffs, ">=", 0.0)
     for p, (u, v) in enumerate(pairs):
-        d = x_end + p * m
-        coeffs = {1 + v: 1.0, 1 + u: -1.0}
-        coeffs.update(dict.fromkeys(range(d, d + m), rho))
+        coeffs = {cols.s(v): 1.0, cols.s(u): -1.0}
+        coeffs.update(dict.fromkeys((cols.pair(p, i) for i in range(m)), rho))
         model.add_row(f"delay_{jobs[u]}_{jobs[v]}", coeffs, ">=", rho)
-        model.add_row(f"exec_{jobs[u]}_{jobs[v]}", {1 + v: 1.0, 1 + u: -1.0}, ">=", 1.0)
+        model.add_row(f"exec_{jobs[u]}_{jobs[v]}", {cols.s(v): 1.0, cols.s(u): -1.0}, ">=", 1.0)
         for i in range(m):
             name = f"{jobs[u]}_{jobs[v]}_{machines[i]}"
-            model.add_row(f"dv_{name}", {1 + n + v * m + i: 1.0, d + i: -1.0}, ">=", 0.0)
-            model.add_row(f"du_{name}", {1 + n + u * m + i: 1.0, d + i: -1.0}, ">=", 0.0)
+            model.add_row(f"dv_{name}", {cols.x(v, i): 1.0, cols.pair(p, i): -1.0}, ">=", 0.0)
+            model.add_row(f"du_{name}", {cols.x(u, i): 1.0, cols.pair(p, i): -1.0}, ">=", 0.0)
     for k in range(n):
-        coeffs = {1 + n + k * m + i: 1.0 for i in range(m)}
+        coeffs = {cols.x(k, i): 1.0 for i in range(m)}
         model.add_row(f"cover_{jobs[k]}", coeffs, "=", 1.0)
     return model
 
@@ -182,35 +184,33 @@ def _time_indexed_model(inst: Instance, horizon: int | None) -> LpModel:
 def _same_phase_model(inst: Instance) -> LpModel:
     """Pairwise same-phase indicator program with speed-weighted phase row.
 
-    phi of pair p is column ``x_end + p``.
+    phi of pair p is column ``x_end + p``, after C, S and x.
     """
     n, m, rho = inst.n, inst.m, inst.rho
     jobs, machines = _safe_ids(inst)
     pairs = _pairs(inst)
-    model = _scaffold(inst)
-    x_end = 1 + n + n * m
+    model, cols = _scaffold(inst), _Columns(n, m)
     for u, v in pairs:
         model.add_var(f"phi_{jobs[u]}_{jobs[v]}", 0.0, 1.0)
     for k in range(n):
-        model.add_row(f"mk_{jobs[k]}", {0: 1.0, 1 + k: -1.0}, ">=", 0.0)
+        model.add_row(f"mk_{jobs[k]}", {cols.C: 1.0, cols.s(k): -1.0}, ">=", 0.0)
     for i, mc in enumerate(inst.machines):
-        coeffs = {0: mc.speed}
+        coeffs = {cols.C: mc.speed}
         for k, v in enumerate(inst.jobs):
-            coeffs[1 + n + k * m + i] = -v.size
+            coeffs[cols.x(k, i)] = -v.size
         model.add_row(f"load_{machines[i]}", coeffs, ">=", 0.0)
     for p, (u, v) in enumerate(pairs):
-        model.add_row(
-            f"delay_{jobs[u]}_{jobs[v]}", {1 + v: 1.0, 1 + u: -1.0, x_end + p: rho}, ">=", rho
-        )
-        model.add_row(f"prec_{jobs[u]}_{jobs[v]}", {1 + v: 1.0, 1 + u: -1.0}, ">=", 0.0)
+        coeffs = {cols.s(v): 1.0, cols.s(u): -1.0, cols.x_end + p: rho}
+        model.add_row(f"delay_{jobs[u]}_{jobs[v]}", coeffs, ">=", rho)
+        model.add_row(f"prec_{jobs[u]}_{jobs[v]}", {cols.s(v): 1.0, cols.s(u): -1.0}, ">=", 0.0)
     # one phase row per job with pairs, in job order; a job's pairs are adjacent
     for v, group in itertools.groupby(enumerate(pairs), key=lambda e: e[1][1]):
-        coeffs = {1 + n + v * m + i: rho * mc.speed for i, mc in enumerate(inst.machines)}
+        coeffs = {cols.x(v, i): rho * mc.speed for i, mc in enumerate(inst.machines)}
         for p, (u, _) in group:
-            coeffs[x_end + p] = -inst.jobs[u].size
+            coeffs[cols.x_end + p] = -inst.jobs[u].size
         model.add_row(f"phase_{jobs[v]}", coeffs, ">=", 0.0)
     for k in range(n):
-        coeffs = {1 + n + k * m + i: 1.0 for i in range(m)}
+        coeffs = {cols.x(k, i): 1.0 for i in range(m)}
         model.add_row(f"cover_{jobs[k]}", coeffs, "=", 1.0)
     return model
 
@@ -225,15 +225,7 @@ class GapReport:
     ratio: float | None
 
     def to_json(self) -> str:
-        doc = {
-            "params": self.params,
-            "lp_value": self.lp_value,
-            "lp_source": self.lp_source,
-            "pipeline_makespan": self.pipeline_makespan,
-            "baseline_makespan": self.baseline_makespan,
-            "ratio": self.ratio,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def measure_gap(inst: Instance, eta: float | None = None) -> GapReport:

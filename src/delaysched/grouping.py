@@ -4,10 +4,9 @@ Machines are greedily grouped so every group's speeds lie within a factor two
 of its slowest member.  Each job gets a median group (where its cumulative
 fractional assignment first reaches one half) and is rounded to the highest
 capacity group at least that fast.  Jobs are also banded by their relaxation
-start times in quarter-phase widths.  Both read the relaxation's point from
-``LpSolution.values`` by the index rule of :mod:`lp`: for job index k and
-machine index i, S_v is ``values[1 + k]`` and x_{v,i} is
-``values[1 + n + k*m + i]``.
+start times in quarter-phase widths.  Both read the relaxation's S and x
+from ``LpSolution.values`` through :meth:`lp._Columns.s_and_x`, which knows
+where :mod:`lp` places them.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .instance import TOL, Instance, transitive_predecessors
-from .lp import LpSolution
+from .lp import LpSolution, _Columns
 
 MU_TOL = 1e-9  # slack on the one-half cumulative-mass threshold
 
@@ -70,20 +69,13 @@ def partition_machine_groups(inst: Instance) -> list[MachineGroup]:
     return groups
 
 
-def _lp_point(inst: Instance, lp_sol: LpSolution) -> tuple[float, ...]:
-    """``lp_sol.values``, once checked to hold C, S and x for ``inst``."""
-    if len(lp_sol.values) < (need := 1 + inst.n + inst.n * inst.m):
-        raise ValueError(f"the LP point has {len(lp_sol.values)} values; C, S and x take {need}")
-    return lp_sol.values
-
-
 def compute_bands(inst: Instance, lp_sol: LpSolution) -> dict[str, int]:
     """Band r(v) = floor(4*S_v/rho) + 1 under ``inst.rho``; band 1 covers
     starts in [0, rho/4)."""
     rho = inst.rho
     if rho <= 0:
         raise ValueError("bands are undefined for rho <= 0; use the rho=0 bypass")
-    starts = _lp_point(inst, lp_sol)[1 : 1 + inst.n]
+    starts, _ = _Columns(inst.n, inst.m).s_and_x(lp_sol)
     return {v.id: _band(s, rho) for v, s in zip(inst.jobs, starts)}
 
 
@@ -105,15 +97,13 @@ def assign_job_groups(inst: Instance, lp_sol: LpSolution) -> GroupAssignment:
     job's x is one slice of that job's x row.  With rho = 0 every job lands
     in band 1 (classical related-machines case).
     """
-    n, m = inst.n, inst.m
     cap_tol = TOL * max(mc.speed for mc in inst.machines)
-    values = _lp_point(inst, lp_sol)
+    _, x_rows = _Columns(inst.n, inst.m).s_and_x(lp_sol)
     groups = tuple(partition_machine_groups(inst))
     first = [inst.machine_index(g.machine_ids[0]) - 1 for g in groups]
     mu: dict[str, int] = {}
     kappa: dict[str, int] = {}
-    for k, v in enumerate(inst.jobs):
-        x = values[1 + n + k * m : 1 + n + (k + 1) * m]
+    for v, x in zip(inst.jobs, x_rows):
         acc = 0.0
         med = len(groups)
         for g, i in zip(groups, first):

@@ -29,24 +29,18 @@ sense is its bounds) and the rows' terms flat and row-wise (``row_start``,
 by index arithmetic over job, pair and machine indices, a few numpy
 operations per constraint family and no loop per row; the cuts of a round are
 assembled the same way.  The columns are C, then S per job, then x per job and
-machine, then z per pair and machine in the full model.  One index rule places
-them, for job index k and machine index i: C is column 0, S_v column ``1 + k``
-and x_{v,i} column ``1 + n + k*m + i``; with the pairs in z order (by v's
-index, then u's id), z of pair p and machine index i is column
-``x_end + p*m + i``, where ``x_end = 1 + n + n*m``.  The rows are families
-(1) to (6) in that order.  Each model holds this structure by index in one
+machine, then z per pair and machine in the full model, placed as
+:class:`_Columns` states; that class is the one statement of where they sit,
+and every module reads their positions from it.  The rows are families (1) to
+(6) in that order.  Each model holds its structure by index in one
 :class:`_Layout`, which the builder, the separation oracle and the starting
 basis read.  The alternate relaxations of :mod:`gaplab` add variables and rows
 one at a time with ``add_var`` and ``add_row``, so they hold lists instead;
 :func:`solve_lp` takes both.  They read their pairs from a :class:`_Layout`'s
-``u`` and ``v``, in z order, and place their columns by the same kind of rule:
-the same-machine and same-phase models start from the C, S and x columns
-(:func:`_scaffold`), then put d of pair p and machine index i at column
-``x_end + p*m + i`` (the z rule) and phi of pair p at ``x_end + p``; the
-time-indexed model has C at 0 and x of job index k, machine index i and step t
-at ``1 + (k*m + i)*H + t - 1`` for horizon H.  A solution holds the point
-only as ``values``, by column; :mod:`grouping` reads S and x from it by the
-rule.
+``u`` and ``v``, in z order; the same-machine and same-phase models start from
+the C, S and x columns (:func:`_scaffold`) and put their per-pair columns
+after them.  A solution holds the point only as ``values``, by column;
+:mod:`grouping` reads S and x from it with :meth:`_Columns.s_and_x`.
 
 A relaxation's column and row names are made only when something reads them:
 ``var_names``, ``row_names``, ``rows``, :func:`export_lp_text` and error
@@ -215,11 +209,10 @@ class LpSolution:
     ``values`` is aligned with the model's ``var_names``; on the solution of
     :func:`solve_relaxation` that model is its first one,
     ``build_relaxation(inst, pairs=False)``: C, S and x, since cuts add no
-    columns.  By the module's index rule, S_v is ``values[1 + k]`` and
-    x_{v,i} is ``values[1 + n + k*m + i]`` for job index k and machine index
-    i, in every model but the time-indexed one, whose column 0 is still C.
-    ``iterations`` holds the simplex iteration count of each solve behind
-    the solution."""
+    columns.  In every model but the time-indexed one, whose column 0 is
+    still C, C, S and x sit where :class:`_Columns` places them, and
+    :meth:`_Columns.s_and_x` reads S and x.  ``iterations`` holds the simplex
+    iteration count of each solve behind the solution."""
 
     values: tuple[float, ...]
     objective: float
@@ -242,24 +235,72 @@ def _scaffold_names(jobs: list[str], machines: list[str]) -> list[str]:
     return ["C", *(f"S_{v}" for v in jobs), *(f"x_{v}_{i}" for v in jobs for i in machines)]
 
 
+class _Columns:
+    """Where each column of a relaxation over n jobs and m machines sits, for
+    job index k, machine index i and pair index p; every module reads the
+    positions from here.
+
+    C is column 0, S_v column ``1 + k`` and x_{v,i} column
+    ``1 + n + k*m + i``; the x columns end at ``x_end = 1 + n + n*m``.
+    ``S`` and ``X`` are the slices of the S and the x columns.  After them
+    come blocks of m columns per pair, in z order (by v's index, then u's
+    id): the column of pair p and machine index i is ``x_end + p*m + i``
+    (z in this module, d in :mod:`gaplab`'s same-machine relaxation).  C and
+    S lie in [0, inf), x and the pair columns in [0, 1].  ``s``, ``x`` and
+    ``pair`` take numpy index arrays too.
+    """
+
+    C = 0
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m, self.x_end = n, m, 1 + n + n * m
+        self.S, self.X = slice(1, 1 + n), slice(1 + n, self.x_end)
+
+    def s(self, k):
+        return 1 + k
+
+    def x(self, k, i):
+        return 1 + self.n + k * self.m + i
+
+    def pair(self, p, i):
+        return self.x_end + p * self.m + i
+
+    def bounds(self, n_pairs: int = 0):
+        """Column lower and upper bounds, as numpy arrays, of C, S and x
+        followed by the pair columns of ``n_pairs`` pairs."""
+        import numpy as np
+
+        upper = np.ones(self.x_end + n_pairs * self.m)
+        upper[: 1 + self.n] = math.inf
+        return np.zeros(len(upper)), upper
+
+    def s_and_x(self, solution: LpSolution):
+        """S by job index and an iterator over the jobs' x rows, each by
+        machine index, as slices of ``solution.values``; raises
+        ``ValueError`` when the values are too few to hold C, S and x."""
+        values, m = solution.values, self.m
+        if len(values) < self.x_end:
+            raise ValueError(f"the LP point has {len(values)} values; C, S and x take {self.x_end}")
+        return values[self.S], (values[a : a + m] for a in range(self.X.start, self.x_end, m))
+
+
 def _scaffold(inst: Instance) -> LpModel:
-    """Model minimizing C, with C, then S_v per job, then x_{v,i} per job and
-    machine, named now; the alternate relaxations of :mod:`gaplab` append
-    their own variables and rows after these."""
-    n, m = inst.n, inst.m
+    """Model minimizing C, with the C, S and x columns of :class:`_Columns`,
+    named now; the alternate relaxations of :mod:`gaplab` append their own
+    variables and rows after these."""
+    lower, upper = _Columns(inst.n, inst.m).bounds()
     return LpModel(
-        col_lower=[0.0] * (1 + n + n * m),
-        col_upper=[math.inf] * (1 + n) + [1.0] * (n * m),
-        objective={0: 1.0},
+        col_lower=lower.tolist(), col_upper=upper.tolist(),
+        objective={_Columns.C: 1.0},
         _var_names=_scaffold_names(*_safe_ids(inst)),
     )
 
 
-class _Layout:
-    """The structure of one relaxation by index: C, then S_v per job, then
-    x_{v,i} per job and machine, then z_{u,v,i} per model pair and machine
-    (z of pair p and machine index i at column ``x_end + p*m + i``); rows (1)
-    to (6).  Built once per model, from a valid instance.
+class _Layout(_Columns):
+    """The structure of one relaxation by index: its columns as
+    :class:`_Columns` places them, z_{u,v,i} per model pair and machine after
+    C, S and x, and rows (1) to (6).  Built once per model, from a valid
+    instance.
 
     ``pos`` maps a job id to its index, and ``size`` and ``speed`` hold the
     jobs' sizes and machines' speeds by index.  ``u`` and ``v`` are every
@@ -268,16 +309,16 @@ class _Layout:
     model's own pairs: all of them when ``with_pairs`` is set, else none.
     ``eu`` and ``ev`` are the distinct direct edges (u, v), one row (2) each,
     in row order (by v's index, then u's id); ``c1`` are the sinks, the jobs
-    with rows (1), and ``c4`` the jobs with rows (4).  The x columns end at
-    ``x_end``.  Names are made on first read and kept.
+    with rows (1), and ``c4`` the jobs with rows (4).  Names are made on
+    first read and kept.
     """
 
     def __init__(self, inst: Instance, with_pairs: bool):
         import numpy as np
 
         closure = transitive_predecessors(inst)  # raises ValueError on an invalid instance
+        super().__init__(n := inst.n, inst.m)
         self.inst = inst
-        self.n, self.m = n, m = inst.n, inst.m
         self.pos = pos = {v.id: k for k, v in enumerate(inst.jobs)}
         self.size = np.array([v.size for v in inst.jobs])
         self.speed = np.array([mc.speed for mc in inst.machines])
@@ -293,7 +334,6 @@ class _Layout:
         self.pu, self.pv = (self.u, self.v) if with_pairs else (self.u[:0], self.v[:0])
         # jobs with rows (4), in job order (np.unique would load numpy.ma)
         self.c4 = np.flatnonzero(np.bincount(self.pv, minlength=n))
-        self.x_end = 1 + n + n * m
 
     @cached_property
     def col_names(self) -> list[str]:
@@ -338,12 +378,12 @@ def build_relaxation(inst: Instance, pairs: bool = True) -> LpModel:
     size, speed = layout.size, layout.speed
     pu, pv, c1, eu, ev, c4 = layout.pu, layout.pv, layout.c1, layout.eu, layout.ev, layout.c4
     n_pairs, n1 = len(pu), len(c1)
-    S = 1 + np.arange(n)
-    X = (1 + n + np.arange(n * m)).reshape(n, m)  # X[v, i] is x_{v,i}; x_{v,i} = X[v, 0] + i
-    Z = (layout.x_end + np.arange(n_pairs * m)).reshape(n_pairs, m)
+    S = layout.s(np.arange(n))
+    X = layout.x(np.arange(n)[:, None], np.arange(m))  # X[v, i] is x_{v,i}; x_{v,i} = X[v, 0] + i
+    Z = layout.pair(np.arange(n_pairs)[:, None], np.arange(m))
 
     # (1) makespan covers a sink's start plus its fractional execution time
-    cols1 = np.column_stack((np.zeros(n1, dtype=np.int64), S[c1], X[c1]))
+    cols1 = np.column_stack((np.full(n1, layout.C), S[c1], X[c1]))
     vals1 = np.column_stack((np.ones(n1), -np.ones(n1), -size[c1][:, None] / speed))
     # (2) a job starts after each direct predecessor's fractional completion
     cols2 = np.column_stack((S[ev], S[eu], X[eu]))
@@ -365,7 +405,7 @@ def build_relaxation(inst: Instance, pairs: bool = True) -> LpModel:
     cols4[z_at] = Z
     vals4[z_at] = -size[pu][:, None] / (rho * speed)
     # (5) machine load at most C * speed
-    cols5 = np.column_stack((np.zeros(m, dtype=np.int64), X.T))
+    cols5 = np.column_stack((np.full(m, layout.C), X.T))
     vals5 = np.column_stack((speed, np.broadcast_to(-size, (m, n))))
     # (6) every job fully assigned
     cols6, vals6 = X, np.ones((n, m))
@@ -374,15 +414,15 @@ def build_relaxation(inst: Instance, pairs: bool = True) -> LpModel:
         np.full(n1 + len(eu), 2 + m), len3, len4, np.full(m, 1 + n), np.full(n, m),
     ))
     n_rows = len(lengths)
+    col_lower, col_upper = layout.bounds(n_pairs)
     return LpModel(
-        col_lower=np.zeros(layout.x_end + n_pairs * m),
-        col_upper=np.concatenate((np.full(1 + n, math.inf), np.ones(n * m + n_pairs * m))),
+        col_lower=col_lower, col_upper=col_upper,
         row_lower=np.concatenate((np.zeros(n_rows - n), np.ones(n))),
         row_upper=np.concatenate((np.full(n_rows - n, math.inf), np.ones(n))),
         row_start=np.concatenate(([0], np.cumsum(lengths))),
         row_cols=np.concatenate([a.ravel() for a in (cols1, cols2, cols3, cols4, cols5, cols6)]),
         row_vals=np.concatenate([a.ravel() for a in (vals1, vals2, vals3, vals4, vals5, vals6)]),
-        objective={0: 1.0},
+        objective={layout.C: 1.0},
         _layout=layout,
     )
 
@@ -621,11 +661,11 @@ def _critical_path_basis(layout: _Layout):
                 load[f] -= sizes[v]
                 break
 
-    cols = np.zeros(1 + n + n * m, dtype=bool)
-    cols[0] = True
+    cols = np.zeros(layout.x_end, dtype=bool)
+    cols[layout.C] = True
     chosen = np.array(chosen)
-    cols[1 + np.flatnonzero(chosen >= 0)] = True
-    cols[1 + n + m * np.arange(n) + np.array(machine)] = True
+    cols[layout.s(np.flatnonzero(chosen >= 0))] = True
+    cols[layout.x(np.arange(n), np.array(machine))] = True
     n1, n2 = len(c1), len(eu)
     rows = np.ones(n1 + n2 + m + n, dtype=bool)  # rows (1), (2), (5), (6)
     rows[last] = False
@@ -760,8 +800,8 @@ def _separate(layout: _Layout, values):
 
     n, m, rho = layout.n, layout.m, layout.inst.rho
     tu, tv = layout.u, layout.v
-    start = values[1 : 1 + n]
-    prefix = np.cumsum(values[1 + n : layout.x_end].reshape(n, m), axis=1)  # X[v, i]
+    start = values[layout.S]
+    prefix = np.cumsum(values[layout.X].reshape(n, m), axis=1)  # X[v, i]
     least = prefix[tv] - ((start[tv] - start[tu]) / rho)[:, None]  # X[v,i] - g_uv
     inside = least > 0.0
     slot = (tv[:, None] * m + np.arange(m)).ravel()  # (v, i) of each entry
@@ -786,13 +826,13 @@ def _cut_rows(layout: _Layout, job, machine, member, cut):
     """
     import numpy as np
 
-    n, m, rho = layout.n, layout.m, layout.inst.rho
+    m, rho = layout.m, layout.inst.rho
     n_cuts, pred = len(job), layout.u[member]
     mass = np.bincount(cut, weights=layout.size[pred], minlength=n_cuts)  # A_U
     x_cut, x_j = np.nonzero(np.arange(m) <= machine[:, None])  # x_{v,0..i} of each cut
     row = np.concatenate((x_cut, np.arange(n_cuts), cut))
     order = np.argsort(row, kind="stable")
-    cols = np.concatenate((1 + n + m * job[x_cut] + x_j, 1 + job, 1 + pred))[order]
+    cols = np.concatenate((layout.x(job[x_cut], x_j), layout.s(job), layout.s(pred)))[order]
     coef = rho * layout.speed[machine] - mass
     vals = np.concatenate((coef[x_cut], mass / rho, -layout.size[pred] / rho))[order]
     return np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_cuts)))), cols, vals
@@ -865,19 +905,19 @@ def embed_schedule_as_lp(inst: Instance, sched, model: LpModel | None = None) ->
         if p.job not in first or key < first[p.job]:
             first[p.job] = key
 
-    n, m = inst.n, inst.m
+    cols = _Columns(inst.n, inst.m)
     start = np.array([first[v.id][2] for v in inst.jobs])
     star = np.array([first[v.id][1] - 1 for v in inst.jobs])
     objective = 2.0 * sched_makespan(inst, sched)
     values = np.zeros(model.n_vars)
-    values[0] = objective
-    values[1 : 1 + n] = start
-    values[1 + n + m * np.arange(n) + star] = 1.0
+    values[cols.C] = objective
+    values[cols.S] = start
+    values[cols.x(np.arange(inst.n), star)] = 1.0
     if (layout := model._layout) is not None:
         # z_{u,v,i} is 1 where machine index i is at or after v's machine
         # and S_v - S_u <= rho; the z columns run by pair, then machine
         pu, pv = layout.pu, layout.pv
-        late = np.arange(m) >= star[pv][:, None]
+        late = np.arange(layout.m) >= star[pv][:, None]
         near = start[pv] - start[pu] <= rho + inst._time_tol
         values[layout.x_end :] = (late & near[:, None]).ravel()
     return LpSolution(tuple(map(float, values)), float(objective), "feasible")

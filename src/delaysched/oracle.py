@@ -204,9 +204,12 @@ def combinatorial_baseline(inst: Instance) -> Schedule:
     """Greedy least-loaded baseline with half-new-work duplication rule.
 
     Known to be badly suboptimal on chain-fan instances with one fast
-    machine; kept as a comparison point, its output is always valid.  Times
-    are compared with ``TOL`` on the normalized scale, as
-    :func:`validate_schedule` compares them.
+    machine; kept as a comparison point, its output is always valid.  A job
+    is placed on the machine with the earliest frontier only if its open
+    transitive predecessors (those not finished by the clock) hold less
+    work than rho times that machine's speed, their sizes summed in
+    topological order.  Times are compared with ``TOL`` on the normalized
+    scale, as :func:`validate_schedule` compares them.
     """
     require_valid_instance(inst)
     tpreds = transitive_predecessors(inst)
@@ -239,10 +242,10 @@ def combinatorial_baseline(inst: Instance) -> Schedule:
         threshold = rho * speed[mid] if rho > 0 else math.inf
         placed_one = False
         for v in sorted(unscheduled, key=lambda v: (topo_pos[v], v)):
-            open_preds = tpreds[v] - finished
-            if len(open_preds) >= threshold:
-                continue
+            # v has no copy yet, so it is open and comes last, after its predecessors
             needed = [u for u in sorted(tpreds[v] | {v}, key=topo_pos.__getitem__) if u not in finished]
+            if sum(size[u] for u in needed[:-1]) >= threshold:
+                continue
             if 2 * len([u for u in needed if u not in recent]) < len(needed):
                 continue
             t = frontier[mid]

@@ -265,3 +265,16 @@ def test_power_of_two_rescaling_scales_the_optimum_exactly(a, b, dup):
         got_value, got_witness = exact_optimal_makespan(rescaled(inst, a, b), dup)
         assert got_value == value * factor
         assert got_witness.placements == scaled_placements(witness, factor)
+
+
+@pytest.mark.parametrize("a, b", RESCALINGS)
+def test_power_of_two_rescaling_scales_the_baseline_exactly(a, b):
+    # the baseline compares its open predecessors' total size with
+    # rho * speed, both times 2^a in the copy, so it makes the same placements
+    # at starts times 2^(a-b); counting those predecessors instead changed
+    # the placements on 30 of these 30 copies at (-40, 0) and 23 at (40, 0)
+    factor = 2.0 ** (a - b)
+    for s in range(30):
+        inst = gen_random_dag(12, 3, 0.3, (1, 4), (0.25, 1), 4.0, s)
+        got = combinatorial_baseline(rescaled(inst, a, b))
+        assert got.placements == scaled_placements(combinatorial_baseline(inst), factor)

@@ -106,7 +106,8 @@ def run_pipeline(inst: Instance, config: PipelineConfig | None = None) -> Pipeli
 
     sol = _solve_relaxation(work)
 
-    assignment = grouping.assign_job_groups(work, sol)
+    with _stage("rounding"):
+        assignment = grouping.assign_job_groups(work, sol)
 
     trace: list | None = [] if config.emit_trace else None
     with _stage("schedule", (ValueError, scheduler.SchedulerInvariantError)):

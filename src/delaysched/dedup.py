@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .instance import Instance, _kahn, topological_order, transitive_predecessors
+from .instance import Instance, _kahn, transitive_predecessors
 from .schedmodel import Placement, Schedule, phase_of, require_valid_schedule
 
 
@@ -133,7 +133,6 @@ def dedup_with_plan(inst: Instance, sched: Schedule) -> tuple[Schedule, DedupPla
                 best[p.job] = p
         return Schedule(tuple(best[j.id] for j in inst.jobs)), plan
     preds = transitive_predecessors(inst)
-    topo_pos = {v: k for k, v in enumerate(topological_order(inst))}
     mu = duplication_width(inst.n)
 
     # Block jobs by the phase of their first start.
@@ -171,7 +170,7 @@ def dedup_with_plan(inst: Instance, sched: Schedule) -> tuple[Schedule, DedupPla
 
     def spanning_last(v: str):
         # spanning (marked) jobs as late as their successors allow
-        return (v in plan.marked, topo_pos[v])
+        return (v in plan.marked, inst._topo_pos[v])
 
     for phase in sorted(blocks):
         block = blocks[phase]

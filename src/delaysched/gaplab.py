@@ -131,16 +131,23 @@ def _time_indexed_model(inst: Instance, horizon: int | None) -> LpModel:
     """Completion-indexed program over integer steps 1..horizon.
 
     The makespan variable dominates each job's fractional completion time; an
-    undersized horizon makes the model infeasible, which callers may report.
-    x of job index k, machine index i and step t is column
-    ``1 + (k*m + i)*horizon + t - 1``.
+    undersized horizon makes the model infeasible, which callers may report,
+    and a horizon below 1 is an error.  x of job index k, machine index i and
+    step t is column ``1 + (k*m + i)*horizon + t - 1``.
     """
     s_max = max(mc.speed for mc in inst.machines)
     if horizon is None:
         horizon = math.ceil(2.0 * sum(j.size for j in inst.jobs) / s_max)
-    H = max(1, int(horizon))
+    elif horizon < 1:
+        raise ValueError(f"time-indexed horizon must be >= 1, got {horizon}")
+    H = int(horizon)
     n, m, rho = inst.n, inst.m, inst.rho
     jobs, machines = _safe_ids(inst)
+
+    def x(k: int, i: int) -> int:
+        # the column of job k on machine i at step 1; step t is t - 1 after it
+        return 1 + (k * m + i) * H
+
     model = LpModel()
     model.add_var("C")  # column 0
     for v in jobs:
@@ -149,32 +156,31 @@ def _time_indexed_model(inst: Instance, horizon: int | None) -> LpModel:
                 model.add_var(f"x_{v}_{mc}_{t}", 0.0, 1.0)
     model.objective = {0: 1.0}
     for k in range(n):
-        xk = 1 + k * m * H  # job k's columns run by machine, then step
-        model.add_row(f"cover_{jobs[k]}", dict.fromkeys(range(xk, xk + m * H), 1.0), "=", 1.0)
+        cover = range(x(k, 0), x(k, 0) + m * H)  # job k's columns run by machine, then step
+        model.add_row(f"cover_{jobs[k]}", dict.fromkeys(cover, 1.0), "=", 1.0)
         coeffs = {0: 1.0}
         for i in range(m):
             for t in range(1, H + 1):
-                coeffs[xk + i * H + t - 1] = -float(t)
+                coeffs[x(k, i) + t - 1] = -float(t)
         model.add_row(f"mk_{jobs[k]}", coeffs, ">=", 0.0)
     for i in range(m):
         for t in range(1, H + 1):
-            coeffs = {1 + (k * m + i) * H + t - 1: 1.0 for k in range(n)}
+            coeffs = {x(k, i) + t - 1: 1.0 for k in range(n)}
             model.add_row(f"cap_{machines[i]}_{t}", coeffs, "<=", 1.0)
     for u, v in _pairs(inst):
-        xu, xv = 1 + u * m * H, 1 + v * m * H
         for t in range(0, H):
             coeffs: dict[int, float] = {}
             for i in range(m):
-                coeffs.update(dict.fromkeys(range(xv + i * H, xv + i * H + t + 1), 1.0))
-                coeffs.update(dict.fromkeys(range(xu + i * H, xu + i * H + t), -1.0))
+                coeffs.update(dict.fromkeys(range(x(v, i), x(v, i) + t + 1), 1.0))
+                coeffs.update(dict.fromkeys(range(x(u, i), x(u, i) + t), -1.0))
             model.add_row(f"prec_{jobs[u]}_{jobs[v]}_{t}", coeffs, "<=", 0.0)
         for i in range(m):
             for t in range(0, H):
-                coeffs = {xv + i * H + t: 1.0}
+                coeffs = {x(v, i) + t: 1.0}
                 lo = max(1, t - int(rho)) - 1
                 for i2 in range(m):
                     if i2 != i:
-                        coeffs.update(dict.fromkeys(range(xu + i2 * H + lo, xu + i2 * H + t), 1.0))
+                        coeffs.update(dict.fromkeys(range(x(u, i2) + lo, x(u, i2) + t), 1.0))
                 model.add_row(
                     f"delay_{jobs[u]}_{jobs[v]}_{machines[i]}_{t}", coeffs, "<=", 1.0
                 )

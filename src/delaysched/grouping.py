@@ -71,11 +71,21 @@ def partition_machine_groups(inst: Instance) -> list[MachineGroup]:
 
 def compute_bands(inst: Instance, lp_sol: LpSolution) -> dict[str, int]:
     """Band r(v) = floor(4*S_v/rho) + 1 under ``inst.rho``; band 1 covers
-    starts in [0, rho/4)."""
+    starts in [0, rho/4).
+
+    Bands from 2**52 on are refused: there ``rho * r / 4`` stops changing as
+    r steps by 1, so :func:`_band` could not settle.  A start that far out
+    spans more phases than the phase analysis accepts, as S <= C_LP <= twice
+    the makespan.
+    """
     rho = inst.rho
     if rho <= 0:
         raise ValueError("bands are undefined for rho <= 0; use the rho=0 bypass")
     starts, _ = _Columns(inst.n, inst.m).s_and_x(lp_sol)
+    quarters = 4 * max(starts) / rho
+    if not quarters < 2**52:
+        raise ValueError(f"the relaxation's starts reach 4*S/rho = {quarters:.3g}; "
+                         "banding stops below 2**52")
     return {v.id: _band(s, rho) for v, s in zip(inst.jobs, starts)}
 
 
@@ -100,7 +110,7 @@ def assign_job_groups(inst: Instance, lp_sol: LpSolution) -> GroupAssignment:
     cap_tol = TOL * max(mc.speed for mc in inst.machines)
     _, x_rows = _Columns(inst.n, inst.m).s_and_x(lp_sol)
     groups = tuple(partition_machine_groups(inst))
-    first = [inst.machine_index(g.machine_ids[0]) - 1 for g in groups]
+    first = [inst.machine_index(g.machine_ids[0]) for g in groups]
     mu: dict[str, int] = {}
     kappa: dict[str, int] = {}
     for v, x in zip(inst.jobs, x_rows):

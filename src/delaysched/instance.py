@@ -7,7 +7,11 @@ Every tolerance is ``TOL`` on the normalized scale: times use
 speeds and capacities ``TOL`` times the fastest speed.
 An instance is checked and ordered once, on first use; the copies that
 normalization and slow-machine elimination derive from it inherit its
-verdict, order and closure (:func:`_derive`).
+verdict, order, job positions and closure (:func:`_derive`).
+It owns both positions the other modules read: :meth:`Instance.machine_index`,
+a machine's 0-based place in ``machines`` (the index i of the relaxation's
+x_{v,i}, of the scheduler's lists and of the rounding's group slices), and
+``Instance._topo_pos``, each job's place in :func:`topological_order`.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ class Instance:
     """A scheduling instance: DAG of jobs, related machines, delay ``rho``.
 
     Machines are expected in nondecreasing speed order (ties by id); the
-    position in that order is the machine index used by the relaxation.
+    0-based position in that order, :meth:`machine_index`, is the machine
+    index used by the relaxation.
     """
 
     jobs: tuple[Job, ...]
@@ -58,10 +63,10 @@ class Instance:
     def m(self) -> int:
         return len(self.machines)
 
-    # lookup maps, the order, the verdict, the time tolerance and the closure
-    # built on first use; cached_property stores them in the instance
-    # __dict__, outside the dataclass fields, so they take no part in
-    # equality or hashing
+    # lookup maps, the order and its positions, the verdict, the time
+    # tolerance and the closure built on first use; cached_property stores
+    # them in the instance __dict__, outside the dataclass fields, so they
+    # take no part in equality or hashing
     @cached_property
     def _sizes(self) -> dict[str, float]:
         return {j.id: j.size for j in self.jobs}
@@ -73,12 +78,17 @@ class Instance:
     @cached_property
     def _positions(self) -> dict[str, int]:
         # reversed so a duplicated id maps to its first position
-        return {mc.id: pos for pos, mc in reversed(list(enumerate(self.machines, start=1)))}
+        return {mc.id: pos for pos, mc in reversed(list(enumerate(self.machines)))}
 
     @cached_property
     def _order(self) -> tuple[str, ...]:
         # the default-key Kahn order; shorter than the distinct job ids on a cycle
         return tuple(_kahn(self.direct_predecessors()))
+
+    @cached_property
+    def _topo_pos(self) -> dict[str, int]:
+        # each job's place in the default order; raises on a cycle, as that does
+        return {v: k for k, v in enumerate(topological_order(self))}
 
     @cached_property
     def _report(self) -> ValidationReport:
@@ -110,14 +120,9 @@ class Instance:
         return self._speeds[machine_id]
 
     def machine_index(self, machine_id: str) -> int:
-        """1-based position of a machine in the speed-sorted machine list."""
+        """0-based position of a machine in ``machines``, the speed-sorted
+        list: the index i of the relaxation's x_{v,i}."""
         return self._positions[machine_id]
-
-    def successors(self) -> dict[str, list[str]]:
-        succ: dict[str, list[str]] = {j.id: [] for j in self.jobs}
-        for a, b in self.edges:
-            succ[a].append(b)
-        return succ
 
     def direct_predecessors(self) -> dict[str, list[str]]:
         pred: dict[str, list[str]] = {j.id: [] for j in self.jobs}
@@ -297,11 +302,12 @@ def transitive_predecessors(inst: Instance) -> Mapping[str, frozenset[str]]:
 
 def _derive(inst: Instance, **fields) -> Instance:
     """``inst`` with ``fields`` replaced, keeping every job id and edge and
-    whichever of the order, closure and verdict ``inst`` has computed; callers
-    keep each speed's ratio to the fastest, on which machine order is judged."""
+    whichever of the order, its positions, the closure and the verdict
+    ``inst`` has computed; callers keep each speed's ratio to the fastest, on
+    which machine order is judged."""
     out = replace(inst, **fields)
-    out.__dict__.update({name: inst.__dict__[name] for name in ("_order", "_closure", "_report")
-                         if name in inst.__dict__})
+    inherited = ("_order", "_topo_pos", "_closure", "_report")
+    out.__dict__.update({name: inst.__dict__[name] for name in inherited if name in inst.__dict__})
     return out
 
 

@@ -907,7 +907,7 @@ def embed_schedule_as_lp(inst: Instance, sched, model: LpModel | None = None) ->
 
     cols = _Columns(inst.n, inst.m)
     start = np.array([first[v.id][2] for v in inst.jobs])
-    star = np.array([first[v.id][1] - 1 for v in inst.jobs])
+    star = np.array([first[v.id][1] for v in inst.jobs])
     objective = 2.0 * sched_makespan(inst, sched)
     values = np.zeros(model.n_vars)
     values[cols.C] = objective

@@ -76,8 +76,7 @@ def exact_optimal_makespan(
     machines = [mc.id for mc in inst.machines]
     size, speed = inst._sizes, inst._speeds
     direct_preds = inst.direct_predecessors()
-    topo_pos = {v: k for k, v in enumerate(topological_order(inst))}
-    rho, tol = inst.rho, inst._time_tol
+    tol = inst._time_tol
     deadline = None if limits.time_budget is None else time.monotonic() + limits.time_budget
 
     if allow_duplication:
@@ -93,7 +92,7 @@ def exact_optimal_makespan(
     incumbent = makespan(inst, incumbent_sched)
 
     s_max = speed[machines[-1]]
-    path_lb = _critical_path(inst, topo_pos, s_max)
+    path_lb = _critical_path(inst, direct_preds, s_max)
     load_lb = sum(size.values()) / sum(speed.values())
     global_lb = max(path_lb, load_lb)
 
@@ -113,27 +112,25 @@ def exact_optimal_makespan(
             lb = max(lb, max(size[v] / speed[mid] for mid in assign[v]))
         if lb >= incumbent - tol:
             continue
-        found = _search_orders(
-            inst, assign, direct_preds, topo_pos, size, speed, rho, incumbent, deadline
-        )
+        found = _search_orders(inst, assign, direct_preds, incumbent, deadline)
         if found is not None and found[0] < incumbent - tol:
             incumbent, incumbent_sched = found
 
     return incumbent, incumbent_sched
 
 
-def _critical_path(inst, topo_pos, s_max) -> float:
-    dpreds = inst.direct_predecessors()
+def _critical_path(inst, dpreds, s_max) -> float:
     dist = {}
-    for v in sorted(topo_pos, key=topo_pos.__getitem__):
+    for v in topological_order(inst):
         best = max((dist[u] for u in dpreds[v]), default=0.0)
         dist[v] = best + inst.size(v) / s_max
     return max(dist.values(), default=0.0)
 
 
-def _search_orders(inst, assign, dpreds, topo_pos, size, speed, rho, bound, deadline):
+def _search_orders(inst, assign, dpreds, bound, deadline):
     machines = [mc.id for mc in inst.machines]
-    tol = inst._time_tol
+    size, speed, rho, tol = inst._sizes, inst._speeds, inst.rho, inst._time_tol
+    topo_pos = inst._topo_pos
     remaining = {
         mid: sorted(
             (v for v in assign if mid in assign[v]), key=topo_pos.__getitem__
@@ -216,7 +213,7 @@ def combinatorial_baseline(inst: Instance) -> Schedule:
     tol = inst._time_tol
     rho = inst.rho
     size, speed = inst._sizes, inst._speeds
-    topo_pos = {v: k for k, v in enumerate(topological_order(inst))}
+    topo_pos = inst._topo_pos
 
     clock = 0.0
     frontier = {mc.id: 0.0 for mc in inst.machines}

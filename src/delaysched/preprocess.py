@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import TOL, Instance, _derive, require_valid_instance, topological_order
+from .instance import TOL, Instance, _derive, require_valid_instance
 from .schedmodel import Placement, Schedule, phase_of, require_valid_schedule
 
 
@@ -47,21 +47,20 @@ def rehost_schedule(inst: Instance, sched: Schedule) -> Schedule:
 
     fast_machine = inst.machines[-1]  # fastest; ties resolved by sort order
     s_max = fast_machine.speed
-    rho = inst.rho
-    topo_pos = {v: k for k, v in enumerate(topological_order(inst))}
 
-    if rho > 0:
-        working = _repack_through_virtual(inst, sched, slow, s_max, rho, topo_pos)
+    if inst.rho > 0:
+        working = _repack_through_virtual(inst, sched, slow, s_max)
     else:
-        working = _virtualize_direct(sched, slow, topo_pos)
+        working = _virtualize_direct(sched, slow)
     return _absorb_virtual(inst, working, fast_machine.id, s_max)
 
 
 _VIRTUAL = "__virtual__"
 
 
-def _repack_through_virtual(inst, sched, slow, s_max, rho, topo_pos):
+def _repack_through_virtual(inst, sched, slow, s_max):
     """Phase-by-phase step construction onto the virtual top-speed machine."""
+    rho = inst.rho
     first_slow_start: dict[str, float] = {}
     for p in sched.placements:
         if p.machine in slow:
@@ -82,7 +81,7 @@ def _repack_through_virtual(inst, sched, slow, s_max, rho, topo_pos):
     placements: list[Placement] = []
     for tau in range(last_phase + 1):
         cursor = step_start[tau]
-        for v in sorted(phases.get(tau, ()), key=lambda v: (topo_pos[v], v)):
+        for v in sorted(phases.get(tau, ()), key=lambda v: (inst._topo_pos[v], v)):
             placements.append(Placement(v, _VIRTUAL, cursor))
             cursor += inst.size(v) / s_max
     for p in sched.placements:
@@ -93,7 +92,7 @@ def _repack_through_virtual(inst, sched, slow, s_max, rho, topo_pos):
     return placements
 
 
-def _virtualize_direct(sched, slow, topo_pos):
+def _virtualize_direct(sched, slow):
     """rho = 0: no communication constraints, so dropped-machine placements
     move to the virtual machine at their original times (earliest copy only)."""
     first_slow: dict[str, Placement] = {}

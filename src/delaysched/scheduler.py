@@ -30,7 +30,8 @@ a placement in the group, or by a clock advance past it.
 
 The loop keeps its state in lists by index: a job's index is its position in
 the scheduling order, so its candidates are an ascending list that ends with
-the job itself, and a machine's index is its position in ``inst.machines``.
+the job itself, and a machine's index is its position in ``inst.machines``,
+:meth:`Instance.machine_index`.
 Ids are read only to write placements, trace entries and error messages.
 """
 
@@ -126,16 +127,15 @@ def run_group_scheduler(
             dependents[u].append(v)
     mids = [mc.id for mc in inst.machines]
     spd = [mc.speed for mc in inst.machines]
-    machine_at = {mid: i for i, mid in enumerate(mids)}
     groups = assignment.groups
     # each group's machines in id order, so the first least frontier breaks
     # ties by id; and its jobs, in scheduling order
-    group_machines = [[machine_at[mid] for mid in sorted(g.machine_ids)] for g in groups]
+    group_machines = [[inst.machine_index(mid) for mid in sorted(g.machine_ids)] for g in groups]
     group_jobs = [[k for k in range(n) if kap[k] == g.index] for g in groups]
     group_of = [-1] * m
     for gk, g in enumerate(groups):
         for mid in g.machine_ids:
-            group_of[machine_at[mid]] = gk
+            group_of[inst.machine_index(mid)] = gk
 
     clock = 0.0
     clock_history = [clock]

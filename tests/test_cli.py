@@ -166,6 +166,19 @@ def test_solve_cli_writes_null_when_not_optimal(tmp_path):
     assert doc["objective_normalized"] is None and doc["objective_original_units"] is None
 
 
+@pytest.mark.parametrize("horizon", ["0", "-5"])
+def test_time_indexed_horizon_below_one_exits_2(tmp_path, capsys, horizon):
+    # a horizon below 1 was silently raised to 1, solved and reported optimal
+    inst_path = tmp_path / "inst.json"
+    assert run(["gen", "--kind", "random", "--n", "1", "--m", "1", "--seed", "1",
+                "--output", str(inst_path)]) == 0
+    code = run(["solve", "--input", str(inst_path), "--relaxation", "time_indexed",
+                "--horizon", horizon, "--output", str(tmp_path / "sol.json")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: time-indexed horizon must be >= 1, got {horizon}\n"
+    assert not (tmp_path / "sol.json").exists()
+
+
 @st.composite
 def small_dags(draw):
     """Instances of at most 10 jobs and 4 machines, sizes and speeds in
@@ -654,11 +667,15 @@ def test_module_entry_runs_without_warnings():
     assert out.stdout.startswith("usage: ")
 
 
-def test_tiny_rho_stops_before_phase_analysis(tmp_path):
-    # the makespan spans about 4e12 phases; allocating per phase exhausted
-    # memory, so this runs in a subprocess with a timeout rather than in-process
-    doc = {"rho": 1e-12, "jobs": [{"id": "a", "size": 1}, {"id": "b", "size": 1},
-                                  {"id": "c", "size": 2}],
+@pytest.mark.parametrize("rho, stage", [(1e-12, "diagnostics"), (1e-25, "rounding"),
+                                        (1e-320, "rounding")])
+def test_tiny_rho_stops_before_phase_analysis(tmp_path, rho, stage):
+    # at 1e-12 the makespan spans about 4e12 phases, and allocating per phase
+    # exhausted memory; at 1e-25 banding the starts never settled, as rho*r/4
+    # stopped changing with r; at 1e-320 4*S/rho overflowed and the banding
+    # raised OverflowError.  So this runs in a subprocess with a timeout
+    doc = {"rho": rho, "jobs": [{"id": "a", "size": 1}, {"id": "b", "size": 1},
+                                {"id": "c", "size": 2}],
            "machines": [{"id": "m1", "speed": 0.5}, {"id": "m0", "speed": 1}],
            "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}
     inst_path = tmp_path / "inst.json"
@@ -669,8 +686,12 @@ def test_tiny_rho_stops_before_phase_analysis(tmp_path):
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 2
-    assert out.stderr == ("error: [diagnostics] the makespan spans 4e+12 phases of length rho; "
-                          "phase analysis stops above 1,000,000\n")
+    assert "Traceback" not in out.stderr
+    # numpy may warn of the overflow before the error line
+    assert out.stderr.splitlines()[-1].startswith(f"error: [{stage}] ")
+    if rho == 1e-12:
+        assert out.stderr == ("error: [diagnostics] the makespan spans 4e+12 phases of length "
+                              "rho; phase analysis stops above 1,000,000\n")
 
 
 def test_same_machine_relaxation_solves_lp_heavy_instance(tmp_path):

@@ -130,6 +130,17 @@ def test_bands_reject_nonpositive_rho():
         compute_bands(inst, fake_solution(inst, {}, {"a": 0.0}))
 
 
+def test_bands_stop_below_2_52():
+    # from 2**52 on rho * r / 4 can stop changing as r steps by 1, so the
+    # band could not settle; an infinite 4*S/rho is refused too
+    inst = one_machine(4.0, "a")
+    assert compute_bands(inst, fake_solution(inst, {}, {"a": 2.0**52 - 1}))["a"] == 2**52
+    for rho, start in ((4.0, 2.0**52), (1e-320, 1.0)):
+        inst = one_machine(rho, "a")
+        with pytest.raises(ValueError, match=r"starts reach 4\*S/rho = .*; banding stops below 2\*\*52"):
+            compute_bands(inst, fake_solution(inst, {}, {"a": start}))
+
+
 def test_rho_zero_bypass_puts_all_in_band_one():
     inst = make_instance([Job("a", 1.0)], [Machine("m0", 1.0)], [], 0.0)
     sol = fake_solution(inst, {("a", "m0"): 1.0}, {"a": 7.0})

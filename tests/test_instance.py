@@ -106,7 +106,7 @@ def test_lookups_on_direct_instance_ignore_equality():
     jobs = (Job("a", 2.0), Job("b", 3.0))
     machines = (Machine("m0", 0.5), Machine("m1", 1.0))
     inst = Instance(jobs, machines, (("a", "b"),), 1.0)
-    assert (inst.size("b"), inst.speed("m0"), inst.machine_index("m1")) == (3.0, 0.5, 2)
+    assert (inst.size("b"), inst.speed("m0"), inst.machine_index("m1")) == (3.0, 0.5, 1)
     preds = transitive_predecessors(inst)
     assert transitive_predecessors(inst) is preds and preds["b"] == {"a"}
     with pytest.raises(TypeError):
@@ -115,6 +115,19 @@ def test_lookups_on_direct_instance_ignore_equality():
     assert inst == fresh and hash(inst) == hash(fresh)
     with pytest.raises(KeyError):
         inst.machine_index("m9")
+
+
+def test_instance_states_machine_and_job_positions():
+    # machine_index is the machine's place in inst.machines, the i of x_{v,i};
+    # _topo_pos is each job's place in the default order, raising on a cycle
+    # as topological_order does, and derived copies keep it
+    inst = gen_random_dag(8, 3, 0.4, (1.0, 4.0), (0.25, 1.0), 2.0, 5)
+    assert [inst.machine_index(mc.id) for mc in inst.machines] == [0, 1, 2]
+    assert inst._topo_pos == {v: k for k, v in enumerate(topological_order(inst))}
+    norm, _ = normalize_instance(inst)
+    assert norm._topo_pos is inst._topo_pos
+    with pytest.raises(ValueError, match="cycle"):
+        _chain(3, back_edge=True)[1]._topo_pos
 
 
 def _chain(n, back_edge=False):
@@ -267,7 +280,9 @@ def test_derived_copy_keeps_equality_and_recomputes_lookups():
 
 def _paths_oracle(inst):
     """Independent predecessor oracle: DFS path existence from every node."""
-    succ = inst.successors()
+    succ = {j.id: [] for j in inst.jobs}
+    for a, b in inst.edges:
+        succ[a].append(b)
 
     def reachable(src):
         seen, stack = set(), [src]
@@ -435,8 +450,6 @@ def test_binary_tree_degrees():
         if j.id == "pre":
             continue
         assert len(direct[j.id]) == 1
-    succ = inst.successors()
-    assert succ["pre"] == ["t1"]
 
 
 def test_codec_round_trip():

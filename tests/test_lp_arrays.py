@@ -210,7 +210,7 @@ def test_gap_certificate_z_matches_the_loop(L, d, seed):
     inst = gen_layered_gap(L, d, seed)
     model = build_relaxation(inst)
     cert = gap_lp_certificate(inst, model)
-    want = reference_z(inst, lambda u, v, i: inst.machine_index(i) / inst.m)
+    want = reference_z(inst, lambda u, v, i: (inst.machine_index(i) + 1) / inst.m)
     assert len(want) > 0 and cert.values == cert.values[:model._layout.x_end] + want
 
 

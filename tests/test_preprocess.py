@@ -31,7 +31,7 @@ def test_threshold_removes_slow():
     result = filter_slow_machines(speeds_instance(1.0, 0.3, 0.1))
     assert result.filtered.m == 1
     assert set(result.removed_ids) == {"m1", "m2"}  # the 0.3 and 0.1 machines
-    assert result.filtered.machine_index("m0") == 1
+    assert result.filtered.machine_index("m0") == 0
 
 
 def test_threshold_boundary_keeps_exact_third():

@@ -73,8 +73,8 @@ def compute_bands(inst: Instance, lp_sol: LpSolution) -> dict[str, int]:
     """Band r(v) = floor(4*S_v/rho) + 1 under ``inst.rho``; band 1 covers
     starts in [0, rho/4).
 
-    Bands from 2**52 on are refused: there ``rho * r / 4`` stops changing as
-    r steps by 1, so :func:`_band` could not settle.  A start that far out
+    Starts with 4*S/rho at or above 2**52 are refused: there ``rho * r / 4``
+    can stop changing as r steps by 1, so :func:`_band` could not settle.  A start that far out
     spans more phases than the phase analysis accepts, as S <= C_LP <= twice
     the makespan.
     """
